@@ -148,6 +148,7 @@ def cmd_localize(args) -> int:
         "n_correspondences": result.n_correspondences,
         "n_inliers": result.n_inliers,
         "mean_reprojection_error_px": round(result.mean_reprojection_error, 9),
+        **result.counters,
     }
     out = _out_dir(args)
     _write_records(out / "localization.jsonl", [record])

@@ -1,12 +1,20 @@
 """2D-to-3D correspondence search over a visual-word index.
 
 Model descriptors are clustered into visual words (seeded k-means); a query
-feature searches only its nearest word's candidate list, with features
-processed cheapest-word-first so early termination spends its budget where
-matches are fast to confirm. A match is accepted when the nearest and
-second-nearest candidates from *distinct* 3D points pass the ratio test;
-this is evaluated on per-point minimum distances, which is equivalent and
-vectorizes over a word's whole candidate list.
+feature searches only its nearest word's candidate list. Features are
+visited cheapest-word-first and the search stops once `max_matches` distinct
+points are matched, the vocabulary-based prioritized search of Li, Snavely &
+Huttenlocher (ECCV 2010) and Sattler, Leibe & Kobbelt (ICCV 2011).
+
+Distances are computed lazily along that order, in blocks that double in
+size, so the early stop skips the words it never reaches. A block always
+ends at the end of a candidate-list length class, so each word is evaluated
+once, on all of its features: the same rows and the same matrix product as
+a full scan, hence bit-identical distances whatever the block sizes. A
+match is accepted when the nearest and second-nearest candidates from
+*distinct* 3D points pass the ratio test; this is evaluated on per-point
+minimum distances, which is equivalent and vectorizes over a word's whole
+candidate list.
 """
 
 from __future__ import annotations
@@ -25,6 +33,8 @@ if TYPE_CHECKING:
 
 # Row block size for the large distance computations.
 _CHUNK = 4096
+# Features in the first block of the prioritized search; later blocks double.
+_FIRST_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -69,10 +79,6 @@ class _Scope:
             self.group_ids = np.zeros(0, dtype=np.int64)
             self.group_starts = np.zeros(0, dtype=np.int64)
         self.sq_norms = np.sum(self.descriptors * self.descriptors, axis=1)
-
-    @property
-    def num_entries(self) -> int:
-        return len(self.point_ids)
 
     @property
     def num_points(self) -> int:
@@ -142,6 +148,7 @@ class MatchIndex:
         self._word_scopes = [
             _Scope(d, p) for d, p in zip(self.word_descriptors, self.word_point_ids)
         ]
+        self._word_entries = np.array([len(p) for p in self.word_point_ids], dtype=np.int64)
         self._exact: _Scope | None = None
 
     def word_scope(self, word: int) -> _Scope:
@@ -252,84 +259,67 @@ def build_index(
     )
 
 
-def _quantized_nearest(desc: np.ndarray, words: np.ndarray, index: MatchIndex):
-    """Per feature, the nearest point and nearest-other-point distances
-    within the feature's word.
+def _prioritized_walk(
+    desc: np.ndarray, index: MatchIndex, params: MatchParams, tally: dict[str, int]
+):
+    """Yield (feature, nearest point id, d1, d2) in priority order, computing
+    distances one block at a time, only when the walk reaches the block.
 
-    One small matmul per occupied word fills a flat squared-distance buffer;
-    per-point and per-feature minima then come from three global reduceat
-    passes, avoiding per-word reduction overhead. Features whose word holds
-    fewer than two distinct points keep infinite distances (no ratio test
-    possible).
+    Blocks start at `_FIRST_BLOCK` features and double, each extended to the
+    end of its length class so that a word's features are never split across
+    blocks. Exact mode is one block of every feature in feature order.
+    `tally` counts the features and words evaluated so far.
     """
     n = len(desc)
-    pid = np.zeros(n, dtype=np.int64)
-    d1 = np.full(n, np.inf)
-    d2 = np.full(n, np.inf)
-
-    blocks = []  # (flat d2 block, group starts, group ids, feature rows)
-    cursor = 0
-    group_starts_parts = []
-    group_pids_parts = []
-    feat_rows_parts = []
-    feat_group_counts = []
-    for word in np.unique(words):
-        scope = index.word_scope(int(word))
-        if scope.num_points < 2:
-            continue
-        rows = np.flatnonzero(words == word)
-        f = desc[rows]
-        dist2 = (
-            np.sum(f * f, axis=1)[:, None]
-            - 2.0 * f @ scope.descriptors.T
-            + scope.sq_norms[None, :]
-        )
-        np.maximum(dist2, 0.0, out=dist2)
-        n_w = scope.num_entries
-        blocks.append(dist2.ravel())
-        starts = cursor + np.arange(len(rows))[:, None] * n_w + scope.group_starts[None, :]
-        group_starts_parts.append(starts.ravel())
-        group_pids_parts.append(np.tile(scope.group_ids, len(rows)))
-        feat_rows_parts.append(rows)
-        feat_group_counts.append(np.full(len(rows), scope.num_points))
-        cursor += len(rows) * n_w
-    if not blocks:
-        return pid, d1, d2
-
-    flat = np.concatenate(blocks)
-    group_starts = np.concatenate(group_starts_parts)
-    group_pids = np.concatenate(group_pids_parts)
-    feat_rows = np.concatenate(feat_rows_parts)
-    counts = np.concatenate(feat_group_counts)
-
-    per_point = np.minimum.reduceat(flat, group_starts)
-    feat_starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    best_sq = np.minimum.reduceat(per_point, feat_starts)
-    # First (lowest point id) group achieving the minimum per feature.
-    positions = np.arange(len(per_point))
-    spread = np.repeat(best_sq, counts)
-    candidates = np.where(per_point == spread, positions, len(per_point))
-    first = np.minimum.reduceat(candidates, feat_starts)
-    masked = per_point.copy()
-    masked[first] = np.inf
-    second_sq = np.minimum.reduceat(masked, feat_starts)
-
-    pid[feat_rows] = group_pids[first]
-    d1[feat_rows] = np.sqrt(best_sq)
-    d2[feat_rows] = np.sqrt(second_sq)
-    return pid, d1, d2
+    if params.exact_mode:
+        tally["features_scanned"] = n
+        yield from zip(range(n), *index.exact_scope().nearest_two_points(desc))
+        return
+    words = _nearest_centroid(desc, index.centroids)
+    lengths = index._word_entries[words]
+    order = np.argsort(lengths, kind="stable")
+    sorted_lengths = lengths[order]
+    start, size = 0, _FIRST_BLOCK
+    while start < n:
+        last_length = sorted_lengths[min(start + size, n) - 1]
+        stop = int(np.searchsorted(sorted_lengths, last_length, side="right"))
+        features = order[start:stop]
+        block_words = words[features]
+        pid = np.zeros(len(features), dtype=np.int64)
+        d1 = np.empty(len(features))
+        d2 = np.empty(len(features))
+        for word in np.unique(block_words):
+            rows = np.flatnonzero(block_words == word)
+            pid[rows], d1[rows], d2[rows] = index.word_scope(int(word)).nearest_two_points(
+                desc[features[rows]]
+            )
+            tally["words_evaluated"] += 1
+        tally["features_scanned"] += len(features)
+        yield from zip(features, pid, d1, d2)
+        start, size = stop, 2 * size
 
 
 def match_features(
-    query: "QueryView", index: MatchIndex, params: MatchParams | None = None
+    query: "QueryView",
+    index: MatchIndex,
+    params: MatchParams | None = None,
+    *,
+    counters: dict[str, int] | None = None,
 ) -> list[Correspondence]:
     """Match query features against the index.
 
     Features are processed in ascending order of their word's candidate-list
     length (ties by feature index). At most one correspondence is kept per 3D
     point (the smallest descriptor distance wins) and the search stops once
-    `max_matches` points are matched. In exact mode every feature scans the
-    full descriptor set in feature order.
+    `max_matches` points are matched. Distances are computed lazily, one block
+    of that order at a time, so the words past the stop are never evaluated.
+    Each word is evaluated once, on all of its features, so every distance
+    equals the one a full scan computes and the result does not depend on the
+    block sizes. In exact mode every feature scans the full descriptor set in
+    feature order.
+
+    If `counters` is given, it receives `features_scanned` (features whose
+    distances were computed) and `words_evaluated` (0 in exact mode).
 
     Raises:
         EmptyQueryError: the query has no features.
@@ -341,25 +331,16 @@ def match_features(
     if desc.shape[1] != index.descriptor_dim:
         raise ValueError("query descriptor dimension does not match the index")
 
-    n = len(desc)
-    if params.exact_mode:
-        feature_order = np.arange(n)
-        pid, d1, d2 = index.exact_scope().nearest_two_points(desc)
-    else:
-        words = _nearest_centroid(desc, index.centroids)
-        lengths = np.array([index.word_scope(w).num_entries for w in words])
-        feature_order = np.lexsort((np.arange(n), lengths))
-        pid, d1, d2 = _quantized_nearest(desc, words, index)
-
+    tally = {"features_scanned": 0, "words_evaluated": 0}
     best_by_point: dict[int, Correspondence] = {}
-    for f in feature_order:
-        if not np.isfinite(d2[f]):
+    for f, nearest, d1, d2 in _prioritized_walk(desc, index, params, tally):
+        if not np.isfinite(d2):
             continue  # fewer than two distinct points in scope
-        ratio = 1.0 if d2[f] == 0.0 else float(d1[f] / d2[f])
+        ratio = 1.0 if d2 == 0.0 else float(d1 / d2)
         if ratio >= params.ratio_threshold:
             continue
-        point_id = int(pid[f])
-        distance = float(d1[f])
+        point_id = int(nearest)
+        distance = float(d1)
         existing = best_by_point.get(point_id)
         if existing is None or distance < existing.distance:
             best_by_point[point_id] = Correspondence(
@@ -367,6 +348,8 @@ def match_features(
             )
         if existing is None and len(best_by_point) >= params.max_matches:
             break
+    if counters is not None:
+        counters.update(tally)
 
     matches = list(best_by_point.values())
     matches.sort(key=lambda c: c.feature_index)

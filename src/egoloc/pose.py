@@ -11,7 +11,7 @@ counts the model-maintenance layer verifies against.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -74,7 +74,12 @@ class PoseEstimate:
 
 @dataclass
 class LocalizationResult:
-    """Outcome of localizing one query view."""
+    """Outcome of localizing one query view.
+
+    `timings` holds wall times in seconds; `counters` holds deterministic
+    work counts (the matching stage's `features_scanned` and
+    `words_evaluated`), kept apart so seeded records stay reproducible.
+    """
 
     pose: CameraPose
     intrinsics: CameraIntrinsics
@@ -83,6 +88,7 @@ class LocalizationResult:
     inlier_point_ids: np.ndarray
     mean_reprojection_error: float
     timings: dict[str, float]
+    counters: dict[str, int] = field(default_factory=dict)
 
     @property
     def inlier_ratio(self) -> float:
@@ -148,7 +154,7 @@ def dlt_pose(pixels: np.ndarray, points: np.ndarray) -> np.ndarray:
     a[1::2, 4:8] = pts_h
     a[1::2, 8:12] = -px_h[:, [1]] * pts_h
 
-    _, s, vt = np.linalg.svd(a)
+    _, s, vt = np.linalg.svd(a, full_matrices=False)
     if s[-2] <= 1e-10 * max(s[0], 1e-300):
         raise DegenerateConfigurationError("DLT system is rank-deficient")
     p = vt[-1].reshape(3, 4)
@@ -414,9 +420,10 @@ def localize(
     match_params = match_params or MatchParams()
     ransac_params = ransac_params or RansacParams()
     timings: dict[str, float] = {}
+    counters: dict[str, int] = {}
 
     t0 = time.perf_counter()
-    matches = match_features(query, index, match_params)
+    matches = match_features(query, index, match_params, counters=counters)
     timings["match"] = time.perf_counter() - t0
     if len(matches) < 6:
         raise RegistrationFailedError("matching", f"only {len(matches)} correspondences")
@@ -473,4 +480,5 @@ def localize(
         inlier_point_ids=point_ids[inlier_ids],
         mean_reprojection_error=mean_err,
         timings=timings,
+        counters=counters,
     )

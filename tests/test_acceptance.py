@@ -61,7 +61,7 @@ from conftest import random_pose
 
 def report(name: str, passed: bool, started: float, budget: float, detail: str = ""):
     elapsed = time.perf_counter() - started
-    verdict = "PASS" if passed else "FAIL"
+    verdict = "PASS" if passed and elapsed < budget else "FAIL"
     print(f"[{verdict}] {name}: {elapsed:.1f}s (budget {budget:.0f}s) {detail}")
     assert passed, f"{name}: {detail}"
     assert elapsed < budget, f"{name} exceeded its {budget:.0f}s budget ({elapsed:.1f}s)"

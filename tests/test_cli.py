@@ -88,6 +88,8 @@ class TestPipelineCommands:
         record = json.loads((loc / "localization.jsonl").read_text().strip())
         assert record["error_m"] < 0.5
         assert record["n_inliers"] >= 6
+        assert record["features_scanned"] >= record["n_correspondences"]
+        assert record["words_evaluated"] >= 1
 
     def test_compress_set_kcover(self, tmp_path, model_file):
         out = tmp_path / "sk"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from egoloc import (
+    Correspondence,
     MatchParams,
     PointCloudModel,
     QueryView,
@@ -163,3 +164,87 @@ class TestMatchFeatures:
         index = build_index(small_model, num_words=8, seed=10)
         with pytest.raises(ValueError, match="dimension"):
             match_features(query_of(np.ones((2, 8)), 8), index, MatchParams())
+
+
+def full_scan_match(view, index, params):
+    """Reference search: every feature's nearest and second-nearest point in
+    its word, computed for all features up front, then the priority walk.
+
+    Each word's distances come from one product over all of its features, as
+    in the index, so they are bit-identical to the index's own. Returns the
+    correspondences, the number of features the walk visited and the number
+    of distinct words of the view.
+    """
+    desc = np.asarray(view.descriptors, dtype=np.float64)
+    n = len(desc)
+    words = np.argmin(((desc[:, None, :] - index.centroids[None]) ** 2).sum(axis=2), axis=1)
+    pid = np.zeros(n, dtype=np.int64)
+    d1 = np.full(n, np.inf)
+    d2 = np.full(n, np.inf)
+    for word in set(words.tolist()):
+        scope = index.word_scope(word)
+        point_ids = np.unique(scope.point_ids)
+        if len(point_ids) < 2:
+            continue
+        rows = np.flatnonzero(words == word)
+        f = desc[rows]
+        sq = (
+            np.sum(f * f, axis=1)[:, None]
+            - 2.0 * f @ scope.descriptors.T
+            + np.sum(scope.descriptors * scope.descriptors, axis=1)[None, :]
+        )
+        np.maximum(sq, 0.0, out=sq)
+        per_point = np.stack([sq[:, scope.point_ids == p].min(axis=1) for p in point_ids], 1)
+        nearest = np.argmin(per_point, axis=1)
+        best = per_point[np.arange(len(rows)), nearest]
+        per_point[np.arange(len(rows)), nearest] = np.inf
+        pid[rows] = point_ids[nearest]
+        d1[rows] = np.sqrt(best)
+        d2[rows] = np.sqrt(per_point.min(axis=1))
+
+    lengths = [len(index.word_scope(w).point_ids) for w in words]
+    order = sorted(range(n), key=lambda f: (lengths[f], f))
+    best_by_point = {}
+    visited = 0
+    for f in order:
+        visited += 1
+        if not np.isfinite(d2[f]):
+            continue
+        ratio = 1.0 if d2[f] == 0.0 else float(d1[f] / d2[f])
+        if ratio >= params.ratio_threshold:
+            continue
+        point_id = int(pid[f])
+        distance = float(d1[f])
+        existing = best_by_point.get(point_id)
+        if existing is None or distance < existing.distance:
+            best_by_point[point_id] = Correspondence(f, point_id, distance, ratio)
+        if existing is None and len(best_by_point) >= params.max_matches:
+            break
+    matches = sorted(best_by_point.values(), key=lambda c: c.feature_index)
+    return matches, visited, len(set(words.tolist()))
+
+
+class TestPrioritizedSearchOracle:
+    @pytest.mark.parametrize("num_words", [4, 16, 64])
+    def test_matches_full_scan(self, small_scene, small_model, num_words):
+        index = build_index(small_model, num_words=num_words, seed=11)
+        for seed in range(50):
+            view = render_view(small_scene, seed % small_scene.num_cameras, seed=100 + seed)
+            n = view.num_features
+            for max_matches in (6, 10, 50, 200, 10_000):
+                params = MatchParams(max_matches=max_matches)
+                counters = {}
+                got = match_features(view, index, params, counters=counters)
+                want, visited, num_view_words = full_scan_match(view, index, params)
+                assert got == want
+                scanned = counters["features_scanned"]
+                if len(want) < max_matches:
+                    assert scanned == n
+                    assert counters["words_evaluated"] == num_view_words
+                    continue
+                # The walk evaluates up to the end of the block it stopped
+                # in. These views have about 290 features, so a cap of at
+                # most 50 stops long before the last block.
+                assert visited <= scanned <= n
+                if max_matches <= 50:
+                    assert scanned < n

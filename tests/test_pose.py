@@ -353,6 +353,8 @@ class TestLocalize:
         assert result.n_inliers >= 6
         assert result.n_inliers <= result.n_correspondences
         assert set(result.timings) >= {"match", "ransac", "refine", "total"}
+        assert set(result.counters) == {"features_scanned", "words_evaluated"}
+        assert result.counters["features_scanned"] <= view.num_features
 
     def test_random_descriptors_fail_matching(self, loc_setup):
         scene, model, index = loc_setup
