@@ -21,7 +21,6 @@ from .geometry import (
     CameraIntrinsics,
     CameraPose,
     VisibilityMatrix,
-    camera_center,
     project,
     reprojection_error,
     sfm_objective,
@@ -102,7 +101,6 @@ __all__ = [
     "assign_weights",
     "build_index",
     "build_model",
-    "camera_center",
     "compress_set_kcover",
     "compress_top_visibility",
     "compress_weighted_kcover",

@@ -169,6 +169,8 @@ def cmd_track(args) -> int:
             "t": measurements[i][0],
             "position": [round(x, 9) for x in s.position.tolist()],
             "velocity": [round(x, 9) for x in s.velocity.tolist()],
+            "gated": s.gated,
+            "restarted": s.restarted,
         }
         for i, s in enumerate(states)
     ]

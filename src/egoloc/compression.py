@@ -39,7 +39,7 @@ class CompressedModel:
     """Subset of a source model selected by a compression strategy.
 
     `selected_ids` are source point ids in selection order; `model` is the
-    materialized sub-model carrying the selected points' descriptor lists
+    materialized sub-model carrying the selected points' descriptor rows
     unchanged. `achieved_counts[j]` is the number of selected points visible
     in camera j of the source model.
     """

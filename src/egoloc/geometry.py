@@ -88,11 +88,6 @@ class CameraPose:
         return -self.rotation.T @ self.translation
 
 
-def camera_center(pose: CameraPose) -> np.ndarray:
-    """World position of the camera; satisfies ``R @ c + t = 0``."""
-    return pose.center
-
-
 def project(pose: CameraPose, intr: CameraIntrinsics, point: np.ndarray) -> np.ndarray:
     """Project a world point into pixel coordinates.
 
@@ -152,9 +147,9 @@ def reprojection_error(
 class VisibilityMatrix:
     """Sparse binary point-camera visibility.
 
-    Stored both as per-camera point lists and per-point camera lists; the two
-    index directions are kept mutually consistent by construction. Lists are
-    sorted ascending so equality and iteration order are deterministic.
+    Stored in one direction only: `points_in_camera[j]` is the sorted array
+    of point rows camera j sees. Per-point quantities (`track_lengths`) are
+    computed from those lists on demand.
     """
 
     def __init__(
@@ -168,23 +163,17 @@ class VisibilityMatrix:
             raise ValueError("num_points must be non-negative")
         self.num_points = int(num_points)
         self.points_in_camera: list[np.ndarray] = []
-        cams: list[list[int]] = [[] for _ in range(num_points)]
         for j, ids in enumerate(points_in_camera):
             arr = np.unique(np.asarray(ids, dtype=np.int64).reshape(-1))
             if arr.size and (arr[0] < 0 or arr[-1] >= num_points):
                 raise ValueError(f"camera {j} references point ids out of range")
             arr.flags.writeable = False
             self.points_in_camera.append(arr)
-            for i in arr:
-                cams[i].append(j)
-        self.cameras_seeing_point = [np.asarray(c, dtype=np.int64) for c in cams]
-        for arr in self.cameras_seeing_point:
-            arr.flags.writeable = False
         if min_track_length > 0:
-            short = [i for i, c in enumerate(self.cameras_seeing_point) if len(c) < min_track_length]
+            short = int(np.count_nonzero(self.track_lengths() < min_track_length))
             if short:
                 raise ValueError(
-                    f"{len(short)} points visible in fewer than {min_track_length} cameras"
+                    f"{short} points visible in fewer than {min_track_length} cameras"
                 )
 
     @property
@@ -204,18 +193,14 @@ class VisibilityMatrix:
             dense[ids, j] = True
         return dense
 
-    def sees(self, point: int, camera: int) -> bool:
-        ids = self.points_in_camera[camera]
-        pos = np.searchsorted(ids, point)
-        return pos < len(ids) and ids[pos] == point
-
     def camera_counts(self) -> np.ndarray:
         """Number of visible points per camera."""
         return np.array([len(ids) for ids in self.points_in_camera], dtype=np.int64)
 
     def track_lengths(self) -> np.ndarray:
         """Number of cameras seeing each point."""
-        return np.array([len(c) for c in self.cameras_seeing_point], dtype=np.int64)
+        ids = np.concatenate([np.zeros(0, dtype=np.int64), *self.points_in_camera])
+        return np.bincount(ids, minlength=self.num_points)
 
     def restrict_points(self, rows: np.ndarray) -> "VisibilityMatrix":
         """Visibility over a subset of points, re-indexed to 0..len(rows)-1.

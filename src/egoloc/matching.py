@@ -236,23 +236,21 @@ def build_index(
     if w < 1:
         raise ValueError("num_words must be positive")
 
-    all_desc = np.vstack(model.descriptors)
-    owner = np.repeat(model.point_ids, [d.shape[0] for d in model.descriptors])
+    all_desc = model.descriptors
+    owner = np.repeat(model.point_ids, model.descriptor_counts)
     if len(all_desc) < w:
         raise TooFewDescriptorsError(f"{len(all_desc)} descriptors for {w} words")
 
     centroids = _kmeans(all_desc, w, seed, max_iterations, train_cap)
     assign = _nearest_centroid(all_desc, centroids)
-    word_point_ids = []
-    word_descriptors = []
-    for word in range(w):
-        rows = np.flatnonzero(assign == word)
-        word_point_ids.append(owner[rows])
-        word_descriptors.append(all_desc[rows])
+    # Rows of each word in ascending order: a stable sort by word, cut at
+    # the word boundaries.
+    order = np.argsort(assign, kind="stable")
+    word_rows = np.split(order, np.cumsum(np.bincount(assign, minlength=w))[:-1])
     return MatchIndex(
         centroids=centroids,
-        word_point_ids=word_point_ids,
-        word_descriptors=word_descriptors,
+        word_point_ids=[owner[rows] for rows in word_rows],
+        word_descriptors=[all_desc[rows] for rows in word_rows],
         point_ids=model.point_ids.copy(),
         point_xyz=model.xyz.copy(),
         build_seed=seed,

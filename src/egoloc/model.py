@@ -1,4 +1,4 @@
-"""Point-cloud positioning model: 3D points, multi-view descriptor lists, visibility."""
+"""Point-cloud positioning model: 3D points, flat multi-view descriptors, visibility."""
 
 from __future__ import annotations
 
@@ -15,12 +15,17 @@ class PointCloudModel:
     """A reconstructed scene model used for localization.
 
     Each point carries the descriptor samples from the cameras that observed
-    it (one list entry per observing view). `point_ids` are stable global ids
-    so compressed sub-models keep referring to the source points.
+    it. All samples sit in one `(D, dim)` array, `descriptors`, with rows
+    grouped by point in point order: the first `descriptor_counts[0]` rows
+    belong to point 0, the next `descriptor_counts[1]` to point 1, and so
+    on. Every count is at least 1 and the counts sum to D. `point_ids` are
+    stable global ids so compressed sub-models keep referring to the source
+    points.
     """
 
     xyz: np.ndarray
-    descriptors: list[np.ndarray]
+    descriptors: np.ndarray
+    descriptor_counts: np.ndarray
     visibility: VisibilityMatrix
     point_ids: np.ndarray = field(default=None)  # type: ignore[assignment]
     model_id: str = "model"
@@ -37,14 +42,16 @@ class PointCloudModel:
             self.point_ids = np.asarray(self.point_ids, dtype=np.int64).reshape(-1)
         if len(self.point_ids) != n or len(np.unique(self.point_ids)) != n:
             raise ValueError("point_ids must be unique and match the point count")
-        if len(self.descriptors) != n:
-            raise ValueError("one descriptor list required per point")
-        dims = {d.shape[1] for d in self.descriptors if d.ndim == 2}
-        if len(dims) > 1:
-            raise ValueError("descriptor dimension must be consistent")
-        for d in self.descriptors:
-            if d.ndim != 2 or d.shape[0] < 1:
-                raise ValueError("each point needs at least one descriptor sample")
+        self.descriptors = np.asarray(self.descriptors, dtype=np.float64)
+        self.descriptor_counts = np.asarray(self.descriptor_counts, dtype=np.int64).reshape(-1)
+        if self.descriptors.ndim != 2:
+            raise ValueError("descriptors must be one (rows, dim) array")
+        if len(self.descriptor_counts) != n:
+            raise ValueError("one descriptor count required per point")
+        if np.any(self.descriptor_counts < 1):
+            raise ValueError("each point needs at least one descriptor sample")
+        if self.descriptor_counts.sum() != len(self.descriptors):
+            raise ValueError("descriptor counts must sum to the descriptor row count")
         if self.visibility.num_points != n:
             raise ValueError("visibility matrix size must match the point count")
 
@@ -58,22 +65,28 @@ class PointCloudModel:
 
     @property
     def descriptor_dim(self) -> int:
-        return self.descriptors[0].shape[1] if self.descriptors else 0
+        return self.descriptors.shape[1] if len(self.descriptors) else 0
 
     @property
     def num_descriptors(self) -> int:
-        return int(sum(d.shape[0] for d in self.descriptors))
+        return len(self.descriptors)
 
     def subset(self, rows: np.ndarray, model_id: str | None = None) -> "PointCloudModel":
         """Sub-model over the given rows (selection order preserved).
 
-        Descriptor lists are carried over unchanged; visibility is restricted
-        to the kept points with the camera count preserved.
+        Each kept point's descriptor rows are carried over unchanged;
+        visibility is restricted to the kept points with the camera count
+        preserved.
         """
         rows = np.asarray(rows, dtype=np.int64)
+        counts = self.descriptor_counts[rows]
+        source_starts = np.cumsum(self.descriptor_counts) - self.descriptor_counts
+        kept_starts = np.cumsum(counts) - counts
+        gather = np.repeat(source_starts[rows] - kept_starts, counts) + np.arange(counts.sum())
         return PointCloudModel(
             xyz=self.xyz[rows].copy(),
-            descriptors=[self.descriptors[i] for i in rows],
+            descriptors=self.descriptors[gather],
+            descriptor_counts=counts,
             visibility=self.visibility.restrict_points(rows),
             point_ids=self.point_ids[rows].copy(),
             model_id=model_id if model_id is not None else self.model_id,
@@ -86,10 +99,9 @@ class PointCloudModel:
             or not np.array_equal(self.xyz, other.xyz)
             or not np.array_equal(self.point_ids, other.point_ids)
             or self.visibility != other.visibility
-            or len(self.descriptors) != len(other.descriptors)
+            or not np.array_equal(self.descriptor_counts, other.descriptor_counts)
+            or not np.array_equal(self.descriptors, other.descriptors)
         ):
-            return False
-        if any(not np.array_equal(a, b) for a, b in zip(self.descriptors, other.descriptors)):
             return False
         if (self.labeling is None) != (other.labeling is None):
             return False

@@ -103,15 +103,30 @@ class _Reader:
             )
 
 
+def _encode_structure(s: PlaneStructure | LineStructure) -> tuple[int, np.ndarray]:
+    """`(kind, 7 parameters)`: kind 0 is a plane (normal, offset), kind 1 a
+    line (anchor, direction); unused parameters are zero."""
+    if isinstance(s, PlaneStructure):
+        return 0, np.concatenate([s.normal, [s.offset], np.zeros(3)])
+    return 1, np.concatenate([s.anchor, s.direction, np.zeros(1)])
+
+
+def _decode_structure(
+    kind: int, params: np.ndarray, member_ids: np.ndarray
+) -> PlaneStructure | LineStructure:
+    """Inverse of `_encode_structure`."""
+    if kind == 0:
+        return PlaneStructure(normal=params[:3], offset=float(params[3]), member_ids=member_ids)
+    if kind == 1:
+        return LineStructure(anchor=params[:3], direction=params[3:6], member_ids=member_ids)
+    raise ModelIOError(f"unknown structure kind {kind}")
+
+
 def _write_labeling(w: _Writer, labeling: StructureLabeling):
     w.u32(len(labeling.structures))
     for s in labeling.structures:
-        if isinstance(s, PlaneStructure):
-            w.raw(struct.pack("<B", 0))
-            params = np.concatenate([s.normal, [s.offset], np.zeros(3)])
-        else:
-            w.raw(struct.pack("<B", 1))
-            params = np.concatenate([s.anchor, s.direction, np.zeros(1)])
+        kind, params = _encode_structure(s)
+        w.raw(struct.pack("<B", kind))
         w.array(params, "<f8")
         w.u32(len(s.member_ids))
         w.array(s.member_ids, "<i8")
@@ -124,17 +139,7 @@ def _read_labeling(r: _Reader, num_points: int) -> StructureLabeling:
     for _ in range(r.u32()):
         kind = struct.unpack("<B", r.take(1))[0]
         params = r.array(7, "<f8")
-        members = r.array(r.u32(), "<i8")
-        if kind == 0:
-            structures.append(
-                PlaneStructure(normal=params[:3], offset=float(params[3]), member_ids=members)
-            )
-        elif kind == 1:
-            structures.append(
-                LineStructure(anchor=params[:3], direction=params[3:6], member_ids=members)
-            )
-        else:
-            raise ModelIOError(f"unknown structure kind {kind}")
+        structures.append(_decode_structure(kind, params, r.array(r.u32(), "<i8")))
     residual = r.array(r.u32(), "<i8")
     return StructureLabeling(structures=structures, residual_ids=residual, num_points=num_points)
 
@@ -148,9 +153,8 @@ def save_model(model: PointCloudModel | CompressedModel, path: str | Path) -> in
     w.string(pcm.model_id)
     w.array(pcm.point_ids, "<i8")
     w.array(pcm.xyz, "<f8")
-    w.array(np.array([d.shape[0] for d in pcm.descriptors]), "<u4")
-    if pcm.num_points:
-        w.array(np.vstack(pcm.descriptors), "<f8")
+    w.array(pcm.descriptor_counts, "<u4")
+    w.array(pcm.descriptors, "<f8")
     for ids in pcm.visibility.points_in_camera:
         w.u32(len(ids))
         w.array(ids, "<i8")
@@ -227,14 +231,10 @@ def load_model(path: str | Path) -> PointCloudModel | CompressedModel:
     point_ids = r.array(num_points, "<i8")
     xyz = r.array(num_points * 3, "<f8").reshape(num_points, 3)
     desc_counts = r.array(num_points, "<u4")
-    all_desc = r.array(int(desc_counts.sum()) * descriptor_dim, "<f8").reshape(
-        -1, descriptor_dim
+    num_descriptors = int(desc_counts.sum())
+    descriptors = r.array(num_descriptors * descriptor_dim, "<f8").reshape(
+        num_descriptors, descriptor_dim
     )
-    descriptors = []
-    offset = 0
-    for c in desc_counts:
-        descriptors.append(all_desc[offset : offset + int(c)].copy())
-        offset += int(c)
     cam_lists = []
     for _ in range(num_cameras):
         cam_lists.append(r.array(r.u32(), "<i8"))
@@ -248,6 +248,7 @@ def load_model(path: str | Path) -> PointCloudModel | CompressedModel:
         pcm = PointCloudModel(
             xyz=xyz,
             descriptors=descriptors,
+            descriptor_counts=desc_counts,
             visibility=visibility,
             point_ids=point_ids,
             model_id=model_id,
@@ -274,11 +275,6 @@ def load_model(path: str | Path) -> PointCloudModel | CompressedModel:
     )
 
 
-def model_size_mb(path: str | Path) -> float:
-    """File size in decimal megabytes, the unit used in reports."""
-    return Path(path).stat().st_size / BYTES_PER_MB
-
-
 def compressed_equal(a: CompressedModel, b: CompressedModel) -> bool:
     """Exact equality of compressed models (round-trip checks)."""
     return (
@@ -291,28 +287,17 @@ def compressed_equal(a: CompressedModel, b: CompressedModel) -> bool:
     )
 
 
+def _offsets(arrays: list[np.ndarray]) -> np.ndarray:
+    """Start offsets of `arrays` laid end to end, plus the total length."""
+    return np.cumsum([0, *(len(a) for a in arrays)], dtype=np.int64)
+
+
 def save_scene(scene: GroundTruthScene, path: str | Path):
     """Store a ground-truth scene as a numpy archive (bit-exact round trip)."""
     lab = scene.true_labeling
-    kinds = []
-    params = []
-    member_offsets = [0]
-    members = []
-    for s in lab.structures:
-        if isinstance(s, PlaneStructure):
-            kinds.append(0)
-            params.append(np.concatenate([s.normal, [s.offset], np.zeros(3)]))
-        else:
-            kinds.append(1)
-            params.append(np.concatenate([s.anchor, s.direction, np.zeros(1)]))
-        members.append(s.member_ids)
-        member_offsets.append(member_offsets[-1] + len(s.member_ids))
-
-    vis_offsets = [0]
-    vis_ids = []
-    for ids in scene.visibility.points_in_camera:
-        vis_ids.append(ids)
-        vis_offsets.append(vis_offsets[-1] + len(ids))
+    encoded = [_encode_structure(s) for s in lab.structures]
+    members = [s.member_ids for s in lab.structures]
+    vis_ids = scene.visibility.points_in_camera
 
     rotations = np.stack([pose.rotation for pose, _ in scene.cameras])
     translations = np.stack([pose.translation for pose, _ in scene.cameras])
@@ -333,11 +318,11 @@ def save_scene(scene: GroundTruthScene, path: str | Path):
         translations=translations,
         intrinsics=intr,
         vis_ids=np.concatenate(vis_ids) if vis_ids else np.zeros(0, dtype=np.int64),
-        vis_offsets=np.array(vis_offsets, dtype=np.int64),
-        structure_kinds=np.array(kinds, dtype=np.int64),
-        structure_params=np.stack(params) if params else np.zeros((0, 7)),
+        vis_offsets=_offsets(vis_ids),
+        structure_kinds=np.array([kind for kind, _ in encoded], dtype=np.int64),
+        structure_params=np.stack([p for _, p in encoded]) if encoded else np.zeros((0, 7)),
         structure_members=np.concatenate(members) if members else np.zeros(0, dtype=np.int64),
-        member_offsets=np.array(member_offsets, dtype=np.int64),
+        member_offsets=_offsets(members),
         residual_ids=lab.residual_ids,
     )
 
@@ -347,22 +332,18 @@ def load_scene(path: str | Path) -> GroundTruthScene:
         spec = SceneSpec(**json.loads(bytes(data["spec"]).decode("utf-8")))
         xyz = data["xyz"]
         n = len(xyz)
-        structures = []
-        for idx, kind in enumerate(data["structure_kinds"]):
-            p = data["structure_params"][idx]
-            ids = data["structure_members"][
-                data["member_offsets"][idx] : data["member_offsets"][idx + 1]
-            ]
-            if kind == 0:
-                structures.append(PlaneStructure(normal=p[:3], offset=float(p[3]), member_ids=ids))
-            else:
-                structures.append(LineStructure(anchor=p[:3], direction=p[3:6], member_ids=ids))
+        params, members = data["structure_params"], data["structure_members"]
+        offsets = data["member_offsets"]
+        structures = [
+            _decode_structure(kind, params[idx], members[offsets[idx] : offsets[idx + 1]])
+            for idx, kind in enumerate(data["structure_kinds"])
+        ]
         labeling = StructureLabeling(
             structures=structures, residual_ids=data["residual_ids"], num_points=n
         )
+        vis_ids, vis_offsets = data["vis_ids"], data["vis_offsets"]
         cam_lists = [
-            data["vis_ids"][data["vis_offsets"][j] : data["vis_offsets"][j + 1]]
-            for j in range(len(data["vis_offsets"]) - 1)
+            vis_ids[vis_offsets[j] : vis_offsets[j + 1]] for j in range(len(vis_offsets) - 1)
         ]
         cameras = []
         for j in range(len(data["rotations"])):

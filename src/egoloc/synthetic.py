@@ -438,8 +438,8 @@ def build_model(
     """Turn a ground-truth scene into a positioning model.
 
     Point positions get optional Gaussian jitter (reconstruction error); each
-    point's descriptor list holds one noisy sample per camera that sees it,
-    emulating the multi-view descriptor lists of a reconstructed model.
+    point gets one noisy descriptor sample per camera that sees it,
+    emulating the multi-view descriptors of a reconstructed model.
     """
     rng = np.random.default_rng((seed, 4))
     xyz = scene.xyz.copy()
@@ -447,25 +447,18 @@ def build_model(
         xyz = xyz + rng.normal(scale=reconstruction_noise_sigma, size=xyz.shape)
 
     sigma = scene.spec.descriptor_noise_sigma
-    track_lengths = scene.visibility.track_lengths()
-    descriptors: list[np.ndarray] = []
+    counts = scene.visibility.track_lengths()
+    descriptors = np.repeat(scene.descriptors, counts, axis=0)
     if sigma > 0:
-        noise = rng.normal(scale=sigma, size=(int(track_lengths.sum()), scene.spec.descriptor_dim))
-        offset = 0
-        for i in range(scene.num_points):
-            k = int(track_lengths[i])
-            samples = scene.descriptors[i] + noise[offset : offset + k]
-            offset += k
-            norms = np.linalg.norm(samples, axis=1, keepdims=True)
-            norms[norms == 0] = 1.0
-            descriptors.append(samples / norms)
-    else:
-        for i in range(scene.num_points):
-            descriptors.append(np.tile(scene.descriptors[i], (int(track_lengths[i]), 1)))
+        descriptors += rng.normal(scale=sigma, size=descriptors.shape)
+        norms = np.linalg.norm(descriptors, axis=1, keepdims=True)
+        norms[norms == 0] = 1.0
+        descriptors /= norms
 
     return PointCloudModel(
         xyz=xyz,
         descriptors=descriptors,
+        descriptor_counts=counts,
         visibility=scene.visibility,
         model_id=model_id if model_id is not None else f"model-{scene.spec.seed}-{seed}",
     )

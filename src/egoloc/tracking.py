@@ -51,11 +51,18 @@ class TrackParams:
 
 @dataclass
 class TrackState:
-    """Filtered state at one timestamp."""
+    """Filtered state at one timestamp.
+
+    `gated` is set when this frame's measurement failed the Mahalanobis gate
+    and `restarted` when the track was re-initialized on it (a restart is
+    also a gated frame).
+    """
 
     position: np.ndarray
     velocity: np.ndarray
     covariance: np.ndarray
+    gated: bool = False
+    restarted: bool = False
 
     def __post_init__(self):
         self.position = np.asarray(self.position, dtype=np.float64).reshape(3)
@@ -102,8 +109,9 @@ def smooth_trajectory(
     innovation exceeds the Mahalanobis gate, only propagates the prediction.
     After `REINIT_AFTER_GATED` consecutive gated measurements (None frames
     neither count nor break the run) the track is re-initialized on the
-    latest one with the same prior as at the start. The covariance update
-    uses the Joseph form so it stays symmetric PSD.
+    latest one with the same prior as at the start; each state's `gated`
+    and `restarted` flags record both events. The covariance update uses
+    the Joseph form so it stays symmetric PSD.
 
     Raises:
         EmptyInputError: no measurements given.
@@ -145,6 +153,7 @@ def smooth_trajectory(
         p = f @ p @ f.T + q_density * q
         p = 0.5 * (p + p.T)
 
+        gated = restarted = False
         if z is not None:
             z = np.asarray(z, dtype=np.float64).reshape(3)
             innovation = z - h @ x
@@ -158,11 +167,15 @@ def smooth_trajectory(
                 p = 0.5 * (p + p.T)
                 gated_run = 0
             else:
+                gated = True
                 gated_run += 1
-                if gated_run >= REINIT_AFTER_GATED:
+                restarted = gated_run >= REINIT_AFTER_GATED
+                if restarted:
                     x, p = _initial_state(z, params)
                     gated_run = 0
 
-        states.append(TrackState(position=x[:3].copy(), velocity=x[3:].copy(), covariance=p.copy()))
+        states.append(
+            TrackState(x[:3].copy(), x[3:].copy(), p.copy(), gated=gated, restarted=restarted)
+        )
         prev_t = t
     return states

@@ -129,6 +129,8 @@ class TestTrackCommand:
         assert main(["track", "--measurements", str(meas), "--out", str(out)]) == 0
         lines = (out / "track.jsonl").read_text().strip().splitlines()
         assert len(lines) == 50
+        records = [json.loads(line) for line in lines]
+        assert not any(r["gated"] or r["restarted"] for r in records)
 
 
 class TestBenchCommand:

@@ -23,7 +23,8 @@ def make_model(dense_visibility: np.ndarray) -> PointCloudModel:
     rng = np.random.default_rng(0)
     return PointCloudModel(
         xyz=rng.normal(size=(n, 3)),
-        descriptors=[np.zeros((1, 2)) for _ in range(n)],
+        descriptors=np.vstack([np.zeros((1, 2)) for _ in range(n)]),
+        descriptor_counts=np.ones(n, dtype=np.int64),
         visibility=VisibilityMatrix.from_dense(dense_visibility),
         model_id="tiny",
     )
@@ -197,7 +198,8 @@ class TestWeightedKCover:
         dense = np.zeros((3, 0), dtype=bool)
         model = PointCloudModel(
             xyz=np.zeros((3, 3)),
-            descriptors=[np.zeros((1, 2))] * 3,
+            descriptors=np.vstack([np.zeros((1, 2))] * 3),
+            descriptor_counts=np.ones(3, dtype=np.int64),
             visibility=VisibilityMatrix(3, []),
         )
         with pytest.raises(DegenerateModelError):

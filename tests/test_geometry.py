@@ -9,7 +9,6 @@ from egoloc import (
     CameraIntrinsics,
     CameraPose,
     VisibilityMatrix,
-    camera_center,
     project,
     reprojection_error,
     sfm_objective,
@@ -132,17 +131,17 @@ class TestReprojectionError:
 
 class TestCameraCenter:
     def test_identity(self):
-        assert np.array_equal(camera_center(IDENTITY), np.zeros(3))
+        assert np.array_equal(IDENTITY.center, np.zeros(3))
 
     def test_translation_negated(self):
         pose = CameraPose(rotation=np.eye(3), translation=np.array([1.0, 2.0, 3.0]))
-        np.testing.assert_allclose(camera_center(pose), [-1.0, -2.0, -3.0])
+        np.testing.assert_allclose(pose.center, [-1.0, -2.0, -3.0])
 
     def test_residual_property(self):
         rng = np.random.default_rng(11)
         for _ in range(25):
             pose = random_pose(rng)
-            c = camera_center(pose)
+            c = pose.center
             np.testing.assert_allclose(pose.rotation @ c + pose.translation, 0.0, atol=1e-12)
 
 
@@ -233,9 +232,9 @@ class TestSfmObjective:
 class TestVisibilityMatrix:
     def test_cross_consistency(self):
         vis = VisibilityMatrix(4, [np.array([0, 2]), np.array([1, 2, 3])])
-        assert vis.sees(2, 0) and vis.sees(2, 1)
-        assert not vis.sees(0, 1)
-        np.testing.assert_array_equal(vis.cameras_seeing_point[2], [0, 1])
+        assert 2 in vis.points_in_camera[0] and 2 in vis.points_in_camera[1]
+        assert 0 not in vis.points_in_camera[1]
+        np.testing.assert_array_equal(vis.track_lengths(), [1, 1, 2, 1])
         np.testing.assert_array_equal(vis.camera_counts(), [2, 3])
 
     def test_dense_round_trip(self):

@@ -27,9 +27,11 @@ def unit(v):
 def model_from_descriptors(descriptor_lists, dim):
     n = len(descriptor_lists)
     rng = np.random.default_rng(0)
+    lists = [np.asarray(d, dtype=np.float64).reshape(-1, dim) for d in descriptor_lists]
     return PointCloudModel(
         xyz=rng.normal(size=(n, 3)),
-        descriptors=[np.asarray(d, dtype=np.float64).reshape(-1, dim) for d in descriptor_lists],
+        descriptors=np.vstack(lists),
+        descriptor_counts=[len(d) for d in lists],
         visibility=VisibilityMatrix(n, [np.arange(n)]),
         model_id="desc-model",
     )

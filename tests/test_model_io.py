@@ -1,5 +1,6 @@
 """Binary model format: exact round trips, typed corruption errors, sizes."""
 
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from egoloc import (
     build_index,
     build_model,
     compress_top_visibility,
+    compress_weighted_kcover,
     generate_scene,
     load_model,
     load_pool,
@@ -40,7 +42,8 @@ def random_model(rng: np.random.Generator, with_labeling=False) -> PointCloudMod
     descriptors = [rng.normal(size=(int(rng.integers(1, 4)), dim)) for _ in range(n)]
     model = PointCloudModel(
         xyz=rng.normal(size=(n, 3)) * 10,
-        descriptors=descriptors,
+        descriptors=np.vstack(descriptors),
+        descriptor_counts=[len(d) for d in descriptors],
         visibility=VisibilityMatrix.from_dense(dense),
         model_id=f"rand-{rng.integers(0, 10_000)}",
     )
@@ -117,6 +120,51 @@ class TestRoundTrip:
         assert loaded.records[0].condition == "sunny"
         assert loaded.records[0].model.equals(small_model)
         np.testing.assert_array_equal(loaded.records[0].index.centroids, index.centroids)
+
+
+class TestGoldenBytes:
+    """`save_model` output is pinned by sha256, so neither the in-memory
+    layout nor the writer can drift from format v1 unnoticed."""
+
+    GOLDEN = {
+        "plain": "77d4b243a03564999b128f6e04c0e79f6fe31ac87d714985d7031142b3fb53ee",
+        "labelled": "69598565ade4cedcbc762a54f47869c2e7c9746c92be1683c4c24b54ed666b36",
+        "compressed": "fd1ad0ed34bd7de599037571f9aa5c0785adeb5574a31eeadb55c8f6f5e3761f",
+    }
+
+    @pytest.mark.parametrize("kind", sorted(GOLDEN))
+    def test_sha256(self, tmp_path, small_scene, kind):
+        model = build_model(small_scene, 0.01, seed=21)
+        if kind == "labelled":
+            model.labeling = small_scene.true_labeling
+        elif kind == "compressed":
+            model = compress_weighted_kcover(model, small_scene.true_labeling, 20)
+        path = tmp_path / "m.eglm"
+        save_model(model, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.GOLDEN[kind]
+
+
+class TestSubset:
+    def test_rows_follow_their_points(self):
+        rng = np.random.default_rng(17)
+        model = random_model(rng)
+        while len(np.unique(model.descriptor_counts)) < 2:
+            model = random_model(rng)
+        starts = np.concatenate([[0], np.cumsum(model.descriptor_counts)[:-1]])
+        rows = rng.permutation(model.num_points)[: model.num_points // 2 + 1]
+        sub = model.subset(rows)
+        assert np.array_equal(sub.descriptor_counts, model.descriptor_counts[rows])
+        assert sub.num_descriptors == model.descriptor_counts[rows].sum()
+        offset = 0
+        for r in rows:
+            count = model.descriptor_counts[r]
+            assert np.array_equal(
+                sub.descriptors[offset : offset + count],
+                model.descriptors[starts[r] : starts[r] + count],
+            )
+            offset += count
+        assert np.array_equal(sub.point_ids, model.point_ids[rows])
+        assert np.array_equal(sub.xyz, model.xyz[rows])
 
 
 class TestCorruption:

@@ -185,8 +185,8 @@ class TestBuildModel:
     def test_descriptor_list_lengths_match_tracks(self, noise_scene):
         model = build_model(noise_scene, seed=2)
         tracks = noise_scene.visibility.track_lengths()
-        for i in range(model.num_points):
-            assert model.descriptors[i].shape[0] == tracks[i]
+        assert np.array_equal(model.descriptor_counts, tracks)
+        assert len(model.descriptors) == tracks.sum()
 
     def test_jitter_mean_displacement(self):
         # Mean norm of a 3D Gaussian is sigma * sqrt(8/pi) ~ 1.596 sigma.
@@ -210,7 +210,8 @@ class TestBuildModel:
         b = build_model(noise_scene, 0.01, seed=4)
         assert a.equals(b) or (
             np.array_equal(a.xyz, b.xyz)
-            and all(np.array_equal(x, y) for x, y in zip(a.descriptors, b.descriptors))
+            and np.array_equal(a.descriptor_counts, b.descriptor_counts)
+            and np.array_equal(a.descriptors, b.descriptors)
         )
 
 

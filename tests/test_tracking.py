@@ -115,3 +115,9 @@ class TestSmoothTrajectory:
         settled = REINIT_AFTER_GATED + 5
         for i in range(settled, len(states)):
             assert np.linalg.norm(states[i].position - truth[i]) < 1.0
+        # The flags report what happened: the true measurements after the
+        # outlier start are gated until the restart on the last of them.
+        gated = [i for i, s in enumerate(states) if s.gated]
+        restarted = [i for i, s in enumerate(states) if s.restarted]
+        assert gated == list(range(1, REINIT_AFTER_GATED + 1))
+        assert restarted == [REINIT_AFTER_GATED]
