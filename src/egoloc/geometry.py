@@ -164,7 +164,12 @@ class VisibilityMatrix:
         self.num_points = int(num_points)
         self.points_in_camera: list[np.ndarray] = []
         for j, ids in enumerate(points_in_camera):
-            arr = np.unique(np.asarray(ids, dtype=np.int64).reshape(-1))
+            arr = np.array(ids, dtype=np.int64).reshape(-1)
+            # The lists built in this package and read from model files are
+            # strictly increasing already; `np.unique` would cost far more
+            # than this check.
+            if not np.all(arr[1:] > arr[:-1]):
+                arr = np.unique(arr)
             if arr.size and (arr[0] < 0 or arr[-1] >= num_points):
                 raise ValueError(f"camera {j} references point ids out of range")
             arr.flags.writeable = False

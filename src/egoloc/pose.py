@@ -31,6 +31,15 @@ from .matching import MatchIndex, MatchParams, match_features
 # coplanar/collinear for the DLT.
 _PLANAR_TOL = 1e-9
 
+# RANSAC solves its hypotheses in batches. The first is small, since a view
+# with few outliers stops after about ten hypotheses. Each later batch is a
+# quarter of the hypotheses drawn so far (at least _MIN_BATCH), so few are
+# solved past the stop while a long run needs few batches. No batch passes
+# the current stopping bound, and _MAX_BATCH keeps the (H, n) arrays small.
+_FIRST_BATCH = 8
+_MIN_BATCH = 16
+_MAX_BATCH = 256
+
 
 @dataclass(frozen=True)
 class RansacParams:
@@ -78,7 +87,8 @@ class LocalizationResult:
 
     `timings` holds wall times in seconds; `counters` holds deterministic
     work counts (the matching stage's `features_scanned` and
-    `words_evaluated`), kept apart so seeded records stay reproducible.
+    `words_evaluated`, RANSAC's `ransac_hypotheses`, `ransac_degenerate`
+    and `ransac_stop`), kept apart so seeded records stay reproducible.
     """
 
     pose: CameraPose
@@ -95,25 +105,82 @@ class LocalizationResult:
         return self.n_inliers / self.n_correspondences if self.n_correspondences else 0.0
 
 
-def _normalization_2d(pixels: np.ndarray) -> np.ndarray:
-    centroid = pixels.mean(axis=0)
-    dist = np.linalg.norm(pixels - centroid, axis=1).mean()
-    if dist <= 0:
-        raise DegenerateConfigurationError("pixel observations are coincident")
-    s = np.sqrt(2.0) / dist
-    return np.array([[s, 0, -s * centroid[0]], [0, s, -s * centroid[1]], [0, 0, 1]])
+def _center(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Centroids (H, d), centered sets and mean distances to the centroid (H,)
+    of stacked sets (H, n, d). The reductions are the ones `mean` and
+    `np.linalg.norm(..., axis=1)` run on a single set, so the bits agree."""
+    n = x.shape[1]
+    centroid = np.add.reduce(x, axis=1) / n
+    centered = x - centroid[:, None]
+    dist = np.sqrt(np.add.reduce(centered * centered, axis=2))
+    return centroid, centered, np.add.reduce(dist, axis=1) / n
 
 
-def _normalization_3d(points: np.ndarray) -> np.ndarray:
-    centroid = points.mean(axis=0)
-    dist = np.linalg.norm(points - centroid, axis=1).mean()
-    if dist <= 0:
-        raise DegenerateConfigurationError("3D points are coincident")
-    s = np.sqrt(3.0) / dist
-    u = np.eye(4)
-    u[:3, :3] *= s
-    u[:3, 3] = -s * centroid
-    return u
+# Why a stacked DLT row has no solution, indexed by the reason it reports.
+_DEGENERATE = (
+    None,
+    "3D points are coplanar or collinear",
+    "pixel observations are coincident",
+    "DLT system is rank-deficient",
+    "projection has a vanishing third row",
+)
+
+
+def _dlt_batch(pixels: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked DLT over H correspondence sets of n points each.
+
+    `pixels` is (H, n, 2) and `points` (H, n, 3). Returns the (H, 3, 4)
+    projection matrices and an (H,) array of reasons: 0 where the solve
+    succeeded, otherwise the index into `_DEGENERATE` of the first check
+    that failed (that row's matrix is zero). Every step runs the numpy or
+    LAPACK kernel a one-set solve runs, per set, so each row is
+    bit-identical to the H = 1 case.
+    """
+    n = pixels.shape[1]
+    c3, centered, d3 = _center(points)
+    c2, _, d2 = _center(pixels)
+    sv = np.linalg.svd(centered, compute_uv=False)
+    coplanar = sv[:, 2] <= _PLANAR_TOL * np.maximum(sv[:, 0], 1e-300)
+    coincident = d2 <= 0
+    # Degenerate rows are solved with a unit spread to keep them finite; their
+    # results are discarded.
+    s2 = np.sqrt(2.0) / np.where(coincident, 1.0, d2)
+    s3 = np.sqrt(3.0) / np.where(coplanar, 1.0, d3)
+    t_norm = np.zeros((len(s2), 3, 3))
+    t_norm[:, 0, 0] = t_norm[:, 1, 1] = s2
+    t_norm[:, :2, 2] = -s2[:, None] * c2
+    t_norm[:, 2, 2] = 1.0
+    u_norm = np.zeros((len(s3), 4, 4))
+    u_norm[:, 0, 0] = u_norm[:, 1, 1] = u_norm[:, 2, 2] = s3
+    u_norm[:, :3, 3] = -s3[:, None] * c3
+    u_norm[:, 3, 3] = 1.0
+    px_h = np.ones((len(s2), n, 3))
+    px_h[:, :, :2] = pixels
+    px_h = px_h @ t_norm.transpose(0, 2, 1)
+    pts_h = np.ones((len(s3), n, 4))
+    pts_h[:, :, :3] = points
+    pts_h = pts_h @ u_norm.transpose(0, 2, 1)
+
+    a = np.zeros((len(s2), 2 * n, 12))
+    a[:, 0::2, 0:4] = pts_h
+    a[:, 0::2, 8:12] = -px_h[:, :, 0:1] * pts_h
+    a[:, 1::2, 4:8] = pts_h
+    a[:, 1::2, 8:12] = -px_h[:, :, 1:2] * pts_h
+    _, s, vt = np.linalg.svd(a, full_matrices=False)
+    p = np.linalg.inv(t_norm) @ vt[:, -1].reshape(-1, 3, 4) @ u_norm
+
+    # sqrt of a dot product, as the one-dimensional `np.linalg.norm` takes it.
+    scale = np.sqrt(p[:, 2, None, :3] @ p[:, 2, :3, None])[:, 0, 0]
+    rank_deficient = s[:, -2] <= 1e-10 * np.maximum(s[:, 0], 1e-300)
+    vanishing = (scale <= 0) | ~np.isfinite(scale)
+    reason = np.select([coplanar, coincident, rank_deficient, vanishing], [1, 2, 3, 4], 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = p / scale[:, None, None]
+    depths = (points @ p[:, 2, :3, None])[:, :, 0] + p[:, 2, None, 3]
+    flip = np.count_nonzero(depths > 0, axis=1) < np.count_nonzero(depths < 0, axis=1)
+    p[flip] = -p[flip]
+    p[reason != 0] = 0.0
+    return p, reason
 
 
 def dlt_pose(pixels: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -123,7 +190,8 @@ def dlt_pose(pixels: np.ndarray, points: np.ndarray) -> np.ndarray:
     system; the solution is the right singular vector of the smallest
     singular value, de-normalized, scaled so the third row's rotation part
     is unit (making ``P @ [X;1]`` yield true depths), and sign-fixed so the
-    input points have positive depth.
+    input points have positive depth. This is the one-set case of the
+    stacked solver RANSAC runs on its hypothesis batches.
 
     Raises:
         DegenerateConfigurationError: fewer than 6 correspondences would be
@@ -137,47 +205,24 @@ def dlt_pose(pixels: np.ndarray, points: np.ndarray) -> np.ndarray:
         raise ValueError("pixel and point counts differ")
     if n < 6:
         raise ValueError("DLT needs at least 6 correspondences")
-
-    centered = pts - pts.mean(axis=0)
-    sv = np.linalg.svd(centered, compute_uv=False)
-    if sv[2] <= _PLANAR_TOL * max(sv[0], 1e-300):
-        raise DegenerateConfigurationError("3D points are coplanar or collinear")
-
-    t_norm = _normalization_2d(px)
-    u_norm = _normalization_3d(pts)
-    px_h = np.column_stack([px, np.ones(n)]) @ t_norm.T
-    pts_h = np.column_stack([pts, np.ones(n)]) @ u_norm.T
-
-    a = np.zeros((2 * n, 12))
-    a[0::2, 0:4] = pts_h
-    a[0::2, 8:12] = -px_h[:, [0]] * pts_h
-    a[1::2, 4:8] = pts_h
-    a[1::2, 8:12] = -px_h[:, [1]] * pts_h
-
-    _, s, vt = np.linalg.svd(a, full_matrices=False)
-    if s[-2] <= 1e-10 * max(s[0], 1e-300):
-        raise DegenerateConfigurationError("DLT system is rank-deficient")
-    p = vt[-1].reshape(3, 4)
-    p = np.linalg.inv(t_norm) @ p @ u_norm
-
-    scale = np.linalg.norm(p[2, :3])
-    if scale <= 0 or not np.isfinite(scale):
-        raise DegenerateConfigurationError("projection has a vanishing third row")
-    p = p / scale
-    depths = pts @ p[2, :3] + p[2, 3]
-    if np.sum(depths > 0) < np.sum(depths < 0):
-        p = -p
-    return p
+    p, reason = _dlt_batch(px[None], pts[None])
+    if reason[0]:
+        raise DegenerateConfigurationError(_DEGENERATE[reason[0]])
+    return p[0]
 
 
 def project_with_matrix(p: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pixels and depths of world points under a projection matrix."""
+    """Pixels and depths of world points under a projection matrix.
+
+    `p` is one (3, 4) matrix or a stack (H, 3, 4); the results then carry
+    the same leading axis, (H, n, 2) pixels and (H, n) depths.
+    """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    hom = pts @ p[:, :3].T + p[:, 3]
-    depth = hom[:, 2]
+    hom = pts @ np.swapaxes(p[..., :3], -1, -2) + p[..., None, :, 3]
+    depth = hom[..., 2]
     valid = depth > DEPTH_EPSILON
     safe = np.where(valid, depth, 1.0)
-    pixels = hom[:, :2] / safe[:, None]
+    pixels = hom[..., :2] / safe[..., None]
     pixels[~valid] = np.nan
     return pixels, depth
 
@@ -229,8 +274,10 @@ def decompose(
 
 
 def _reprojection_errors(p: np.ndarray, pixels: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Pixel error of each point under `p`, (n,) or (H, n) for a stack of
+    matrices; inf where a point is behind the camera."""
     proj, depth = project_with_matrix(p, points)
-    err = np.linalg.norm(proj - pixels, axis=1)
+    err = np.linalg.norm(proj - pixels, axis=-1)
     err[~(depth > DEPTH_EPSILON)] = np.inf
     err[~np.isfinite(err)] = np.inf
     return err
@@ -242,13 +289,21 @@ def ransac_pose(
     params: RansacParams | None = None,
     *,
     image_size: tuple[int, int] | None = None,
+    counters: dict[str, int] | None = None,
 ) -> PoseEstimate:
     """Robust pose from 2D-3D correspondences via 6-point DLT + RANSAC.
 
-    Hypothesis samples draw from counter-derived seeds, so the reported best
-    equals the sequential (count, mean error, hypothesis index) winner even
-    if evaluation were parallelized. The final model is refit on all inliers
-    and inliers are re-certified under it.
+    Hypothesis h samples from its own generator, seeded `(seed, h)`.
+    Hypotheses are solved and scored in batches, one stacked DLT and one
+    stacked reprojection per batch, then replayed in hypothesis order, so
+    the reported best is the sequential (count, mean error, hypothesis
+    index) winner and adaptive stopping fires at the same hypothesis
+    whatever the batch size. The final model is refit on all inliers and
+    inliers are re-certified under it.
+
+    If `counters` is given, it receives `ransac_hypotheses` (hypotheses
+    drawn before the stop), `ransac_degenerate` (those whose sample had no
+    DLT solution) and `ransac_stop` (the final stopping bound).
 
     Raises:
         NoModelFoundError: every sample was degenerate or the best model
@@ -265,34 +320,48 @@ def ransac_pose(
     best_count = 0
     best_mean = np.inf
     iterations_needed = params.max_iterations
-
-    for h in range(params.max_iterations):
-        if h >= iterations_needed:
-            break
-        rng = np.random.default_rng((params.seed, h))
-        sample = rng.choice(n, size=6, replace=False)
-        try:
-            p = dlt_pose(px[sample], pts[sample])
-        except DegenerateConfigurationError:
-            continue
-        err = _reprojection_errors(p, px, pts)
+    degenerate = 0
+    h = 0
+    while h < iterations_needed:
+        size = max(h // 4, _MIN_BATCH) if h else _FIRST_BATCH
+        size = min(size, iterations_needed - h, _MAX_BATCH)
+        samples = np.stack(
+            [
+                np.random.default_rng((params.seed, g)).choice(n, size=6, replace=False)
+                for g in range(h, h + size)
+            ]
+        )
+        batch_p, reason = _dlt_batch(px[samples], pts[samples])
+        err = _reprojection_errors(batch_p, px, pts)
         inliers = err <= params.inlier_threshold
-        count = int(inliers.sum())
-        if count == 0:
-            continue
-        mean_err = float(err[inliers].mean())
-        if count > best_count or (count == best_count and mean_err < best_mean):
-            best_p = p
-            best_count = count
-            best_mean = mean_err
-            ratio = count / n
-            if ratio >= 1.0:
-                iterations_needed = h + 1
-            else:
-                denom = np.log1p(-min(ratio**6, 1 - 1e-12))
-                needed = np.log(1 - params.confidence) / denom
-                iterations_needed = min(params.max_iterations, int(np.ceil(needed)))
+        counts = inliers.sum(axis=1)
+        for i in range(size):
+            if h >= iterations_needed:
+                break
+            h += 1
+            if reason[i]:
+                degenerate += 1
+                continue
+            count = int(counts[i])
+            if count == 0 or count < best_count:
+                continue
+            mean_err = float(err[i][inliers[i]].mean())
+            if count > best_count or mean_err < best_mean:
+                best_p = batch_p[i]
+                best_count = count
+                best_mean = mean_err
+                ratio = count / n
+                if ratio >= 1.0:
+                    iterations_needed = h
+                else:
+                    denom = np.log1p(-min(ratio**6, 1 - 1e-12))
+                    needed = np.log(1 - params.confidence) / denom
+                    iterations_needed = min(params.max_iterations, int(np.ceil(needed)))
 
+    if counters is not None:
+        counters["ransac_hypotheses"] = h
+        counters["ransac_degenerate"] = degenerate
+        counters["ransac_stop"] = iterations_needed
     if best_p is None or best_count < 6:
         raise NoModelFoundError(
             f"no pose explains >= 6 of {n} correspondences within "
@@ -439,6 +508,7 @@ def localize(
             pts,
             ransac_params,
             image_size=(query.intrinsics.image_width, query.intrinsics.image_height),
+            counters=counters,
         )
     except NoModelFoundError as exc:
         raise RegistrationFailedError("ransac", str(exc)) from exc

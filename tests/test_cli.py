@@ -90,6 +90,8 @@ class TestPipelineCommands:
         assert record["n_inliers"] >= 6
         assert record["features_scanned"] >= record["n_correspondences"]
         assert record["words_evaluated"] >= 1
+        assert record["ransac_stop"] >= 1
+        assert 0 <= record["ransac_degenerate"] < record["ransac_hypotheses"]
 
     def test_compress_set_kcover(self, tmp_path, model_file):
         out = tmp_path / "sk"

@@ -237,6 +237,20 @@ class TestVisibilityMatrix:
         np.testing.assert_array_equal(vis.track_lengths(), [1, 1, 2, 1])
         np.testing.assert_array_equal(vis.camera_counts(), [2, 3])
 
+    def test_lists_sorted_deduplicated_and_copied(self):
+        ids = np.array([3, 1, 1, 0], dtype=np.int64)
+        sorted_ids = np.array([0, 2, 3], dtype=np.int64)
+        vis = VisibilityMatrix(4, [ids, sorted_ids, [2, 2]])
+        np.testing.assert_array_equal(vis.points_in_camera[0], [0, 1, 3])
+        np.testing.assert_array_equal(vis.points_in_camera[1], [0, 2, 3])
+        np.testing.assert_array_equal(vis.points_in_camera[2], [2])
+        # Stored lists are read-only copies; the caller's arrays stay as given.
+        assert not np.shares_memory(vis.points_in_camera[1], sorted_ids)
+        assert sorted_ids.flags.writeable
+        assert not vis.points_in_camera[1].flags.writeable
+        for stored in vis.points_in_camera:
+            assert stored.dtype == np.int64
+
     def test_dense_round_trip(self):
         rng = np.random.default_rng(9)
         mask = rng.random((10, 4)) < 0.5

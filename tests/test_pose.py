@@ -1,18 +1,23 @@
 """DLT, decomposition, RANSAC, refinement, and the localize pipeline."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from egoloc import (
     CameraIntrinsics,
     CameraPose,
+    DetectParams,
     MatchParams,
     QueryView,
     RansacParams,
     SceneSpec,
     build_index,
     build_model,
+    compress_weighted_kcover,
     decompose,
+    detect_structures,
     dlt_pose,
     generate_scene,
     localize,
@@ -20,12 +25,15 @@ from egoloc import (
     refine_pose,
     render_view,
 )
+from egoloc.bench import held_out_views, tune_k
 from egoloc.errors import (
     DegenerateConfigurationError,
     NoModelFoundError,
     RegistrationFailedError,
     SingularBlockError,
 )
+from egoloc.geometry import DEPTH_EPSILON
+from egoloc.pool import verify
 from egoloc.pose import project_with_matrix
 
 from conftest import random_pose, random_rotation
@@ -262,6 +270,193 @@ class TestRansacPose:
         np.testing.assert_array_equal(a.pose.rotation, b.pose.rotation)
 
 
+def reference_dlt(px, pts):
+    """Per-system DLT, one correspondence set at a time, as written before
+    RANSAC solved its hypotheses in batches."""
+    n = len(px)
+    centered = pts - pts.mean(axis=0)
+    sv = np.linalg.svd(centered, compute_uv=False)
+    if sv[2] <= 1e-9 * max(sv[0], 1e-300):
+        raise DegenerateConfigurationError("coplanar")
+
+    def normalization(x, root):
+        centroid = x.mean(axis=0)
+        dist = np.linalg.norm(x - centroid, axis=1).mean()
+        if dist <= 0:
+            raise DegenerateConfigurationError("coincident")
+        s = root / dist
+        u = np.eye(len(centroid) + 1)
+        u[:-1, :-1] *= s
+        u[:-1, -1] = -s * centroid
+        return u
+
+    t_norm = normalization(px, np.sqrt(2.0))
+    u_norm = normalization(pts, np.sqrt(3.0))
+    px_h = np.column_stack([px, np.ones(n)]) @ t_norm.T
+    pts_h = np.column_stack([pts, np.ones(n)]) @ u_norm.T
+    a = np.zeros((2 * n, 12))
+    a[0::2, 0:4] = pts_h
+    a[0::2, 8:12] = -px_h[:, [0]] * pts_h
+    a[1::2, 4:8] = pts_h
+    a[1::2, 8:12] = -px_h[:, [1]] * pts_h
+    _, s, vt = np.linalg.svd(a, full_matrices=False)
+    if s[-2] <= 1e-10 * max(s[0], 1e-300):
+        raise DegenerateConfigurationError("rank-deficient")
+    p = np.linalg.inv(t_norm) @ vt[-1].reshape(3, 4) @ u_norm
+    scale = np.linalg.norm(p[2, :3])
+    if scale <= 0 or not np.isfinite(scale):
+        raise DegenerateConfigurationError("vanishing third row")
+    p = p / scale
+    depths = pts @ p[2, :3] + p[2, 3]
+    if np.sum(depths > 0) < np.sum(depths < 0):
+        p = -p
+    return p
+
+
+def reference_errors(p, px, pts):
+    hom = pts @ p[:, :3].T + p[:, 3]
+    depth = hom[:, 2]
+    valid = depth > DEPTH_EPSILON
+    proj = hom[:, :2] / np.where(valid, depth, 1.0)[:, None]
+    proj[~valid] = np.nan
+    err = np.linalg.norm(proj - px, axis=1)
+    err[~valid] = np.inf
+    err[~np.isfinite(err)] = np.inf
+    return err
+
+
+def reference_ransac(px, pts, params, image_size=None):
+    """The sequential loop: one hypothesis per iteration, each solved and
+    scored on its own. Returns (rotation, translation, inlier_ids,
+    mean_error), or None where no model explains 6 correspondences, and the
+    counters `ransac_pose` reports."""
+    n = len(px)
+    best_p, best_count, best_mean = None, 0, np.inf
+    needed = params.max_iterations
+    degenerate = h = 0
+    for h in range(params.max_iterations + 1):  # stops at h == needed
+        if h >= needed:
+            break
+        sample = np.random.default_rng((params.seed, h)).choice(n, size=6, replace=False)
+        try:
+            p = reference_dlt(px[sample], pts[sample])
+        except DegenerateConfigurationError:
+            degenerate += 1
+            continue
+        err = reference_errors(p, px, pts)
+        inliers = err <= params.inlier_threshold
+        count = int(inliers.sum())
+        if count == 0:
+            continue
+        mean_err = float(err[inliers].mean())
+        if count > best_count or (count == best_count and mean_err < best_mean):
+            best_p, best_count, best_mean = p, count, mean_err
+            ratio = count / n
+            if ratio >= 1.0:
+                needed = h + 1
+            else:
+                denom = np.log1p(-min(ratio**6, 1 - 1e-12))
+                needed = min(
+                    params.max_iterations, int(np.ceil(np.log(1 - params.confidence) / denom))
+                )
+    counters = {"ransac_hypotheses": h, "ransac_degenerate": degenerate, "ransac_stop": needed}
+    if best_p is None or best_count < 6:
+        return None, counters
+
+    final_p = best_p
+    inliers = reference_errors(best_p, px, pts) <= params.inlier_threshold
+    try:
+        refit = reference_dlt(px[inliers], pts[inliers])
+        refit_inliers = reference_errors(refit, px, pts) <= params.inlier_threshold
+        if int(refit_inliers.sum()) >= 6:
+            final_p, inliers = refit, refit_inliers
+    except DegenerateConfigurationError:
+        pass
+    intr, pose = decompose(final_p, image_size=image_size)
+    err = reference_errors(intr.matrix @ np.column_stack([pose.rotation, pose.translation]), px, pts)
+    if int((err <= params.inlier_threshold).sum()) >= 6:
+        inliers = err <= params.inlier_threshold
+    ids = np.flatnonzero(inliers)
+    return (pose.rotation, pose.translation, ids, float(err[ids].mean())), counters
+
+
+def oracle_case(seed):
+    """Seeded correspondences: inlier ratio from 0.3 to 1.0, noise-free at
+    ratio 1.0 (so the first hypothesis explains every point and the stop
+    fires at once), and every fifth set with most points on one plane, so
+    many samples are degenerate."""
+    rng = np.random.default_rng(1000 + seed)
+    ratio = 0.3 + 0.1 * (seed % 8) if seed % 8 < 7 else 1.0
+    n = int(rng.integers(12, 120))
+    pose = random_pose(rng, translation_scale=2.0)
+    intr = make_intrinsics()
+    points = front_facing_points(rng, pose, n)
+    if seed % 5 == 0:
+        flat = rng.random(n) < 0.85
+        points[flat, 2] = points[flat, 2].mean()
+    pixels = correspondences_for(pose, intr, points)
+    if ratio < 1.0:
+        pixels = pixels + rng.normal(scale=0.7, size=(n, 2))
+        out = rng.random(n) >= ratio
+        pixels[out] = rng.uniform((0, 0), (640, 480), size=(int(out.sum()), 2))
+    return pixels, points
+
+
+class TestRansacOracle:
+    """The batched `ransac_pose` returns, bit for bit, what the sequential
+    per-hypothesis loop returns, and reports the same counters."""
+
+    @pytest.mark.parametrize("max_iterations", [5, 100, 1000])
+    def test_matches_sequential_loop(self, max_iterations):
+        stops = set()
+        for seed in range(50):
+            pixels, points = oracle_case(seed)
+            params = RansacParams(max_iterations=max_iterations, seed=seed)
+            counters = {}
+            want, want_counters = reference_ransac(pixels, points, params, (640, 480))
+            if want is None:
+                with pytest.raises(NoModelFoundError):
+                    ransac_pose(pixels, points, params, image_size=(640, 480), counters=counters)
+                assert counters == want_counters
+                continue
+            got = ransac_pose(pixels, points, params, image_size=(640, 480), counters=counters)
+            rotation, translation, inlier_ids, mean_error = want
+            np.testing.assert_array_equal(got.pose.rotation, rotation)
+            np.testing.assert_array_equal(got.pose.translation, translation)
+            np.testing.assert_array_equal(got.inlier_ids, inlier_ids)
+            assert got.mean_reprojection_error == mean_error
+            assert counters == want_counters
+            stops.add((counters["ransac_hypotheses"], counters["ransac_stop"]))
+        # The all-inlier stop fired on the first hypothesis somewhere, and
+        # with the cap at 1000 some sets stopped early and some ran long.
+        assert (1, 1) in stops
+        if max_iterations == 1000:
+            hypotheses = {h for h, _ in stops}
+            assert min(hypotheses) < 20 and max(hypotheses) > 300
+
+    def test_degenerate_counts(self):
+        rng = np.random.default_rng(8)
+        points = np.column_stack(
+            [rng.uniform(-5, 5, size=30), rng.uniform(-5, 5, size=30), np.zeros(30)]
+        )
+        pixels = rng.uniform(0, 640, size=(30, 2))
+        params = RansacParams(max_iterations=100, seed=2)
+        counters = {}
+        with pytest.raises(NoModelFoundError):
+            ransac_pose(pixels, points, params, counters=counters)
+        assert counters == {"ransac_hypotheses": 100, "ransac_degenerate": 100, "ransac_stop": 100}
+
+    def test_dlt_matches_per_system_solve(self):
+        rng = np.random.default_rng(12)
+        for _ in range(100):
+            pose = random_pose(rng, translation_scale=2.0)
+            n = int(rng.integers(6, 400))
+            points = front_facing_points(rng, pose, n)
+            pixels = correspondences_for(pose, make_intrinsics(), points)
+            pixels = pixels + rng.normal(scale=2.0, size=(n, 2))
+            np.testing.assert_array_equal(dlt_pose(pixels, points), reference_dlt(pixels, points))
+
+
 class TestRefinePose:
     def _setup(self, rng, pixel_noise=0.0):
         pose = random_pose(rng, translation_scale=2.0)
@@ -353,8 +548,15 @@ class TestLocalize:
         assert result.n_inliers >= 6
         assert result.n_inliers <= result.n_correspondences
         assert set(result.timings) >= {"match", "ransac", "refine", "total"}
-        assert set(result.counters) == {"features_scanned", "words_evaluated"}
+        assert set(result.counters) == {
+            "features_scanned",
+            "words_evaluated",
+            "ransac_hypotheses",
+            "ransac_degenerate",
+            "ransac_stop",
+        }
         assert result.counters["features_scanned"] <= view.num_features
+        assert result.counters["ransac_degenerate"] <= result.counters["ransac_hypotheses"]
 
     def test_random_descriptors_fail_matching(self, loc_setup):
         scene, model, index = loc_setup
@@ -402,3 +604,51 @@ class TestLocalize:
         assert result.intrinsics is view.intrinsics
         err = np.linalg.norm(result.pose.center - view.true_pose.center)
         assert err < 0.01 * scene.spec.scene_extent
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="RANSAC accepts a pose 146 cm off that passes verify (98 correspondences, "
+    "inlier ratio 0.52); the sampling and scoring that would reject it are not written yet",
+)
+def test_confusable_view_wrong_pose_fails_verify_or_is_close():
+    """A deployed 8% k-cover model of the acceptance scene, queried with 40% of
+    each structure's points carrying another point's descriptor (repeated
+    facade texture). Held-out view 96 comes back 146 cm off and still passes
+    `verify`: a returned pose must either fail verification or lie within 1 m."""
+    spec = SceneSpec(
+        num_planes=4,
+        num_lines=0,
+        points_per_plane=(8000, 6000, 4000, 1500),
+        num_clutter=500,
+        num_cameras=40,
+        descriptor_dim=64,
+        visibility_dropout=0.6,
+        pixel_noise_sigma=1.0,
+        descriptor_noise_sigma=0.05,
+        outlier_fraction=0.1,
+        seed=0,
+    )
+    scene = generate_scene(spec)
+    model = build_model(scene, 0.0, seed=0)
+    labeling = detect_structures(model.xyz, DetectParams(seed=0))
+    target = int(round(0.08 * model.num_points))
+    _, served = tune_k(
+        lambda k: compress_weighted_kcover(model, labeling, k), target, model.num_points, 0.02
+    )
+    rng = np.random.default_rng((0, 5))
+    descriptors = scene.descriptors.copy()
+    truth = scene.true_labeling
+    for ids in [s.member_ids for s in truth.structures] + [truth.residual_ids]:
+        if len(ids) < 2:
+            continue
+        positions = rng.choice(len(ids), size=int(round(0.4 * len(ids))), replace=False)
+        twins = (positions + rng.integers(1, len(ids), size=len(positions))) % len(ids)
+        descriptors[ids[positions]] = scene.descriptors[ids[twins]]
+    scene = replace(scene, descriptors=descriptors)
+    view = held_out_views(scene, 100, 0)[96]
+
+    result = localize(view, build_index(served, None, seed=0), MatchParams(), RansacParams(seed=96))
+    error = np.linalg.norm(result.pose.center - view.true_pose.center)
+    assert not verify(result) or error <= 1.0, f"verified pose {error:.2f} m off"
