@@ -17,15 +17,7 @@ from .compression import (
     compress_weighted_kcover,
     coverage_report,
 )
-from .geometry import (
-    CameraIntrinsics,
-    CameraPose,
-    VisibilityMatrix,
-    project,
-    reprojection_error,
-    sfm_objective,
-    unproject,
-)
+from .geometry import CameraIntrinsics, CameraPose, VisibilityMatrix
 from .matching import Correspondence, MatchIndex, MatchParams, build_index, match_features
 from .model import PointCloudModel
 from .model_io import load_model, load_pool, load_scene, save_model, save_pool, save_scene
@@ -117,19 +109,15 @@ __all__ = [
     "load_scene",
     "localize",
     "match_features",
-    "project",
     "prune",
     "ransac_pose",
     "refine_pose",
     "render_view",
-    "reprojection_error",
     "resample_descriptors",
     "save_model",
     "save_pool",
     "save_scene",
     "score_model",
-    "sfm_objective",
     "smooth_trajectory",
-    "unproject",
     "verify",
 ]

@@ -5,14 +5,6 @@ class EgolocError(Exception):
     """Base class for all package-specific errors."""
 
 
-class BehindCameraError(EgolocError):
-    """Point has non-positive depth in the camera frame; projection undefined."""
-
-
-class MissingObservationError(EgolocError):
-    """Visibility marks a point as seen but no observed pixel was supplied."""
-
-
 class InfeasibleSpecError(EgolocError):
     """Scene specification cannot produce a valid scene (e.g. empty camera)."""
 

@@ -1,4 +1,4 @@
-"""Pinhole camera geometry: poses, projection, and the multi-view reprojection objective.
+"""Pinhole camera geometry: poses, projection and point-camera visibility.
 
 Conventions
 -----------
@@ -15,11 +15,9 @@ they are safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
-
-from .errors import BehindCameraError, MissingObservationError
 
 # Minimum camera-frame depth for a projection to be defined.
 DEPTH_EPSILON = 1e-12
@@ -88,21 +86,6 @@ class CameraPose:
         return -self.rotation.T @ self.translation
 
 
-def project(pose: CameraPose, intr: CameraIntrinsics, point: np.ndarray) -> np.ndarray:
-    """Project a world point into pixel coordinates.
-
-    Raises:
-        BehindCameraError: if the camera-frame depth is <= DEPTH_EPSILON.
-    """
-    p_cam = pose.rotation @ np.asarray(point, dtype=np.float64).reshape(3) + pose.translation
-    z = p_cam[2]
-    if z <= DEPTH_EPSILON:
-        raise BehindCameraError(f"camera-frame depth {z:.3e} <= {DEPTH_EPSILON}")
-    u = intr.focal_x * p_cam[0] / z + intr.principal_x
-    v = intr.focal_y * p_cam[1] / z + intr.principal_y
-    return np.array([u, v])
-
-
 def project_array(
     pose: CameraPose, intr: CameraIntrinsics, points: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -121,27 +104,6 @@ def project_array(
     pixels[:, 1] = intr.focal_y * p_cam[:, 1] / safe_z + intr.principal_y
     pixels[~valid] = np.nan
     return pixels, z
-
-
-def unproject(
-    pose: CameraPose, intr: CameraIntrinsics, pixel: np.ndarray, depth: float
-) -> np.ndarray:
-    """Back-project a pixel at a given camera-frame depth to a world point."""
-    if depth <= 0:
-        raise ValueError("depth must be positive")
-    u, v = np.asarray(pixel, dtype=np.float64).reshape(2)
-    x = (u - intr.principal_x) / intr.focal_x * depth
-    y = (v - intr.principal_y) / intr.focal_y * depth
-    p_cam = np.array([x, y, depth])
-    return pose.rotation.T @ (p_cam - pose.translation)
-
-
-def reprojection_error(
-    pose: CameraPose, intr: CameraIntrinsics, point: np.ndarray, observed: np.ndarray
-) -> float:
-    """Euclidean pixel distance between the projection of `point` and `observed`."""
-    proj = project(pose, intr, point)
-    return float(np.linalg.norm(proj - np.asarray(observed, dtype=np.float64).reshape(2)))
 
 
 class VisibilityMatrix:
@@ -236,37 +198,6 @@ class VisibilityMatrix:
 
     def __repr__(self) -> str:
         return f"VisibilityMatrix({self.num_points} points, {self.num_cameras} cameras)"
-
-
-def sfm_objective(
-    views: Sequence[tuple[CameraPose, CameraIntrinsics]],
-    points: np.ndarray,
-    visibility: VisibilityMatrix,
-    observations: Mapping[tuple[int, int], np.ndarray],
-    *,
-    squared: bool = False,
-) -> float:
-    """Sum of reprojection distances over all visible (point, camera) pairs.
-
-    `observations` maps ``(point_index, camera_index)`` to the observed pixel
-    and must cover every pair the visibility matrix marks as seen. The
-    reported value uses raw Euclidean distances by default; pass
-    ``squared=True`` for the least-squares form used inside refinement.
-
-    Raises:
-        MissingObservationError: a visible pair has no stored observation.
-        BehindCameraError: a visible point has non-positive depth in its view.
-    """
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    total = 0.0
-    for j, (pose, intr) in enumerate(views):
-        for i in visibility.points_in_camera[j]:
-            key = (int(i), j)
-            if key not in observations:
-                raise MissingObservationError(f"no observation for point {i} in camera {j}")
-            d = reprojection_error(pose, intr, pts[i], observations[key])
-            total += d * d if squared else d
-    return total
 
 
 def look_at_rotation(eye: np.ndarray, target: np.ndarray, up: np.ndarray | None = None) -> np.ndarray:

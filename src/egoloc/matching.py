@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
+from scipy import sparse
 
 from .compression import CompressedModel
 from .errors import EmptyQueryError, TooFewDescriptorsError
@@ -31,8 +32,9 @@ from .model import PointCloudModel
 if TYPE_CHECKING:
     from .synthetic import QueryView
 
-# Row block size for the large distance computations.
-_CHUNK = 4096
+# Distance elements (block rows x candidate columns) per block of the large
+# distance computations: 8 MB per temporary array.
+_BLOCK_ELEMENTS = 1 << 20
 # Features in the first block of the prioritized search; later blocks double.
 _FIRST_BLOCK = 64
 
@@ -66,65 +68,81 @@ class Correspondence:
     ratio: float
 
 
-class _Scope:
-    """A candidate set: descriptors grouped contiguously by 3D point."""
+def _row_blocks(rows: int, columns: int) -> list[slice]:
+    """Row slices holding about `_BLOCK_ELEMENTS` distance elements each.
 
-    def __init__(self, descriptors: np.ndarray, point_ids: np.ndarray):
-        order = np.argsort(point_ids, kind="stable")
-        self.descriptors = descriptors[order]
-        self.point_ids = point_ids[order]
-        if len(self.point_ids):
-            self.group_ids, self.group_starts = np.unique(self.point_ids, return_index=True)
-        else:
-            self.group_ids = np.zeros(0, dtype=np.int64)
-            self.group_starts = np.zeros(0, dtype=np.int64)
-        self.sq_norms = np.sum(self.descriptors * self.descriptors, axis=1)
+    A block has at least two rows, and a lone last row joins the block
+    before it: a one-row product takes BLAS's matrix-vector path, whose sums
+    round differently, so only a one-row input is computed that way.
+    """
+    if rows * columns <= _BLOCK_ELEMENTS:
+        return [slice(0, rows)]
+    step = max(2, _BLOCK_ELEMENTS // columns)
+    stops = [*range(step, rows - 1, step), rows]
+    return [slice(a, b) for a, b in zip([0, *stops], stops)]
 
-    @property
-    def num_points(self) -> int:
-        return len(self.group_ids)
 
-    def nearest_two_points(self, features: np.ndarray):
-        """Per feature: (nearest point id, its distance, distance to the
-        nearest *other* point). Rows with fewer than two candidate points
-        get distances of +inf."""
-        f = np.asarray(features, dtype=np.float64)
-        n = len(f)
-        best_pid = np.zeros(n, dtype=np.int64)
-        best_d = np.full(n, np.inf)
-        second_d = np.full(n, np.inf)
-        if self.num_points < 2:
-            return best_pid, best_d, second_d
-        for start in range(0, n, _CHUNK):
-            rows = slice(start, min(start + _CHUNK, n))
-            d2 = (
-                np.sum(f[rows] * f[rows], axis=1)[:, None]
-                - 2.0 * f[rows] @ self.descriptors.T
-                + self.sq_norms[None, :]
-            )
-            np.maximum(d2, 0.0, out=d2)
-            per_point = np.minimum.reduceat(d2, self.group_starts, axis=1)
-            nearest = np.argmin(per_point, axis=1)
-            best_pid[rows] = self.group_ids[nearest]
-            two = np.partition(per_point, 1, axis=1)[:, :2]
-            best_d[rows] = np.sqrt(two[:, 0])
-            second_d[rows] = np.sqrt(two[:, 1])
+def _nearest_two_points(
+    features: np.ndarray,
+    descriptors: np.ndarray,
+    sq_norms: np.ndarray,
+    group_ids: np.ndarray,
+    group_starts: np.ndarray,
+):
+    """Per feature: (nearest point id, its distance, distance to the nearest
+    *other* point) over candidates grouped contiguously by point.
+
+    `group_starts` are the first rows of each point's run in `descriptors`,
+    `group_ids` their point ids. Rows with fewer than two candidate points
+    get distances of +inf.
+    """
+    f = np.asarray(features, dtype=np.float64)
+    n = len(f)
+    best_pid = np.zeros(n, dtype=np.int64)
+    best_d = np.full(n, np.inf)
+    second_d = np.full(n, np.inf)
+    if len(group_ids) < 2:
         return best_pid, best_d, second_d
+    for rows in _row_blocks(n, len(descriptors)):
+        d2 = (
+            np.sum(f[rows] * f[rows], axis=1)[:, None]
+            - 2.0 * f[rows] @ descriptors.T
+            + sq_norms[None, :]
+        )
+        np.maximum(d2, 0.0, out=d2)
+        per_point = np.minimum.reduceat(d2, group_starts, axis=1)
+        nearest = np.argmin(per_point, axis=1)
+        best_pid[rows] = group_ids[nearest]
+        two = np.partition(per_point, 1, axis=1)[:, :2]
+        best_d[rows] = np.sqrt(two[:, 0])
+        second_d[rows] = np.sqrt(two[:, 1])
+    return best_pid, best_d, second_d
+
+
+def _group_starts(owners: np.ndarray, word_indptr: np.ndarray) -> np.ndarray:
+    """First row of each point group: a run of equal owners inside one word."""
+    starts = np.zeros(len(owners), dtype=bool)
+    starts[word_indptr[:-1][np.diff(word_indptr) > 0]] = True
+    starts[1:] |= owners[1:] != owners[:-1]
+    return np.flatnonzero(starts)
 
 
 @dataclass
 class MatchIndex:
-    """Visual-word index over all descriptors of a model.
+    """Visual-word index over all descriptors of a model, as an inverted file.
 
     Every model descriptor is assigned to exactly one word (nearest centroid,
-    ties to the lowest word id); within a word, entries are grouped by their
-    3D point. Point positions ride along so localization needs only the
+    ties to the lowest word id). `descriptors` holds them word-major, rows
+    `word_indptr[w]:word_indptr[w + 1]` for word w; within a word, rows are
+    sorted by point id, ties in model-row order. `owners` is the point id of
+    each row. Point positions ride along so localization needs only the
     index. Immutable after build; concurrent queries are safe.
     """
 
     centroids: np.ndarray
-    word_point_ids: list[np.ndarray]
-    word_descriptors: list[np.ndarray]
+    descriptors: np.ndarray
+    owners: np.ndarray
+    word_indptr: np.ndarray
     point_ids: np.ndarray
     point_xyz: np.ndarray
     build_seed: int
@@ -145,20 +163,45 @@ class MatchIndex:
         order = np.argsort(self.point_ids)
         self._sorted_ids = self.point_ids[order]
         self._sorted_rows = order
-        self._word_scopes = [
-            _Scope(d, p) for d, p in zip(self.word_descriptors, self.word_point_ids)
-        ]
-        self._word_entries = np.array([len(p) for p in self.word_point_ids], dtype=np.int64)
-        self._exact: _Scope | None = None
+        self._sq_norms = np.sum(self.descriptors * self.descriptors, axis=1)
+        group_starts = _group_starts(self.owners, self.word_indptr)
+        self._group_ids = self.owners[group_starts]
+        # Word w's groups are entries word_groups[w]:word_groups[w + 1].
+        self._word_groups = np.searchsorted(group_starts, self.word_indptr)
+        self._group_offsets = group_starts - np.repeat(
+            self.word_indptr[:-1], np.diff(self._word_groups)
+        )
+        self._exact = None
 
-    def word_scope(self, word: int) -> _Scope:
-        return self._word_scopes[word]
+    def _word_candidates(self, word: int):
+        """Arguments of `_nearest_two_points` for one word's candidates."""
+        rows = slice(self.word_indptr[word], self.word_indptr[word + 1])
+        groups = slice(self._word_groups[word], self._word_groups[word + 1])
+        return (
+            self.descriptors[rows],
+            self._sq_norms[rows],
+            self._group_ids[groups],
+            self._group_offsets[groups],
+        )
 
-    def exact_scope(self) -> _Scope:
-        """All descriptors as one scope, cached for exact mode."""
+    def _all_candidates(self):
+        """Arguments of `_nearest_two_points` for every descriptor, grouped
+        by point (ties in word-major order); cached for exact mode."""
         if self._exact is None:
-            self._exact = _Scope(
-                np.vstack(self.word_descriptors), np.concatenate(self.word_point_ids)
+            order = np.argsort(self.owners, kind="stable")
+            owners = self.owners[order]
+            group_starts = _group_starts(owners, np.array([0, len(owners)]))
+            # Zero rows at +inf distance pad the columns to a multiple of 8.
+            # BLAS computes a ragged last column block with an edge kernel
+            # whose rounding depends on the row count of the product; with
+            # no ragged block, each distance is the same whatever the row
+            # blocking or thread count.
+            pad = -len(order) % 8
+            self._exact = (
+                np.concatenate([self.descriptors[order], np.zeros((pad, self.descriptor_dim))]),
+                np.concatenate([self._sq_norms[order], np.full(pad, np.inf)]),
+                owners[group_starts],
+                group_starts,
             )
         return self._exact
 
@@ -173,8 +216,7 @@ def _nearest_centroid(desc: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Index of the nearest centroid per row; ties go to the lowest word id."""
     out = np.empty(len(desc), dtype=np.int64)
     c_sq = np.sum(centroids * centroids, axis=1)
-    for start in range(0, len(desc), _CHUNK):
-        rows = slice(start, min(start + _CHUNK, len(desc)))
+    for rows in _row_blocks(len(desc), len(centroids)):
         d2 = (
             np.sum(desc[rows] * desc[rows], axis=1)[:, None]
             - 2.0 * desc[rows] @ centroids.T
@@ -202,13 +244,17 @@ def _kmeans(
         if assign is not None and np.array_equal(new_assign, assign):
             break
         assign = new_assign
-        for w in range(k):
-            members = train[assign == w]
-            if len(members) == 0:
-                continue  # keep the previous centroid for empty words
-            c = members.mean(axis=0)
-            norm = np.linalg.norm(c)
-            centroids[w] = c / norm if norm > 0 else c
+        counts = np.bincount(assign, minlength=k)
+        # One product with the (k, n) membership matrix adds each word's
+        # rows in row order, as the per-word sums did.
+        n = len(assign)
+        members = sparse.csr_matrix((np.ones(n), (assign, np.arange(n))), shape=(k, n))
+        sums = members @ train
+        filled = counts > 0  # empty words keep their previous centroid
+        c = sums[filled] / counts[filled, None]
+        # The per-row dot product rounds as `np.linalg.norm` of one row does.
+        norms = np.sqrt(c[:, None, :] @ c[:, :, None])[:, 0]
+        centroids[filled] = np.divide(c, norms, out=c, where=norms > 0)
     return centroids
 
 
@@ -243,14 +289,15 @@ def build_index(
 
     centroids = _kmeans(all_desc, w, seed, max_iterations, train_cap)
     assign = _nearest_centroid(all_desc, centroids)
-    # Rows of each word in ascending order: a stable sort by word, cut at
-    # the word boundaries.
-    order = np.argsort(assign, kind="stable")
-    word_rows = np.split(order, np.cumsum(np.bincount(assign, minlength=w))[:-1])
+    # Word-major; within a word by point id, ties in model-row order.
+    order = np.lexsort((owner, assign))
+    word_indptr = np.zeros(w + 1, dtype=np.int64)
+    np.cumsum(np.bincount(assign, minlength=w), out=word_indptr[1:])
     return MatchIndex(
         centroids=centroids,
-        word_point_ids=[owner[rows] for rows in word_rows],
-        word_descriptors=[all_desc[rows] for rows in word_rows],
+        descriptors=all_desc[order],
+        owners=owner[order],
+        word_indptr=word_indptr,
         point_ids=model.point_ids.copy(),
         point_xyz=model.xyz.copy(),
         build_seed=seed,
@@ -271,10 +318,10 @@ def _prioritized_walk(
     n = len(desc)
     if params.exact_mode:
         tally["features_scanned"] = n
-        yield from zip(range(n), *index.exact_scope().nearest_two_points(desc))
+        yield from zip(range(n), *_nearest_two_points(desc, *index._all_candidates()))
         return
     words = _nearest_centroid(desc, index.centroids)
-    lengths = index._word_entries[words]
+    lengths = np.diff(index.word_indptr)[words]
     order = np.argsort(lengths, kind="stable")
     sorted_lengths = lengths[order]
     start, size = 0, _FIRST_BLOCK
@@ -288,8 +335,8 @@ def _prioritized_walk(
         d2 = np.empty(len(features))
         for word in np.unique(block_words):
             rows = np.flatnonzero(block_words == word)
-            pid[rows], d1[rows], d2[rows] = index.word_scope(int(word)).nearest_two_points(
-                desc[features[rows]]
+            pid[rows], d1[rows], d2[rows] = _nearest_two_points(
+                desc[features[rows]], *index._word_candidates(word)
             )
             tally["words_evaluated"] += 1
         tally["features_scanned"] += len(features)

@@ -1,24 +1,29 @@
-"""Camera geometry: projection, reprojection error, the multi-view objective."""
+"""Camera geometry: projection, reprojection error, visibility."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from egoloc import (
-    CameraIntrinsics,
-    CameraPose,
-    VisibilityMatrix,
-    project,
-    reprojection_error,
-    sfm_objective,
-    unproject,
-)
-from egoloc.errors import BehindCameraError, MissingObservationError
+from egoloc import CameraIntrinsics, CameraPose, VisibilityMatrix
+from egoloc.geometry import DEPTH_EPSILON, project_array
+from egoloc.pose import _reprojection_errors
 
 from conftest import random_pose, random_rotation, unit_intrinsics
 
 IDENTITY = CameraPose(rotation=np.eye(3), translation=np.zeros(3))
+
+
+def project(pose, intr, point):
+    """The pixel of one point, through `project_array`."""
+    pixels, _ = project_array(pose, intr, point)
+    return pixels[0]
+
+
+def reprojection_error(pose, intr, point, observed):
+    """The pose module's pixel error of one point under K [R | t]."""
+    p = intr.matrix @ np.column_stack([pose.rotation, pose.translation])
+    return float(_reprojection_errors(p, np.reshape(observed, (1, 2)), point)[0])
 
 
 def line_plane_projection_oracle(
@@ -69,11 +74,13 @@ class TestProject:
             np.testing.assert_allclose(got, expected, atol=1e-10)
             checked += 1
 
-    def test_behind_camera_raises(self):
-        with pytest.raises(BehindCameraError):
-            project(IDENTITY, unit_intrinsics(), np.array([0.0, 0.0, -1.0]))
-        with pytest.raises(BehindCameraError):
-            project(IDENTITY, unit_intrinsics(), np.array([0.0, 0.0, 0.0]))
+    def test_behind_camera_gives_nan(self):
+        points = np.array([[0.0, 0.0, -1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        pixels, depths = project_array(IDENTITY, unit_intrinsics(), points)
+        assert np.all(np.isnan(pixels[:2]))
+        assert np.all(depths[:2] <= DEPTH_EPSILON)
+        np.testing.assert_array_equal(pixels[2], [0.0, 0.0])
+        assert np.isinf(reprojection_error(IDENTITY, unit_intrinsics(), points[0], [0.0, 0.0]))
 
     @given(
         u=st.floats(-300, 300),
@@ -83,6 +90,7 @@ class TestProject:
     )
     @settings(max_examples=50, deadline=None)
     def test_unproject_round_trip(self, u, v, depth, seed):
+        """A pixel back-projected at a depth projects to that pixel and depth."""
         rng = np.random.default_rng(seed)
         pose = random_pose(rng)
         intr = CameraIntrinsics(
@@ -94,8 +102,17 @@ class TestProject:
             image_height=400,
         )
         pixel = np.array([u, v])
-        world = unproject(pose, intr, pixel, depth)
-        np.testing.assert_allclose(project(pose, intr, world), pixel, atol=1e-9)
+        p_cam = np.array(
+            [
+                (u - intr.principal_x) / intr.focal_x * depth,
+                (v - intr.principal_y) / intr.focal_y * depth,
+                depth,
+            ]
+        )
+        world = pose.rotation.T @ (p_cam - pose.translation)
+        pixels, depths = project_array(pose, intr, world)
+        np.testing.assert_allclose(pixels[0], pixel, atol=1e-9)
+        assert depths[0] == pytest.approx(depth, rel=1e-9)
 
 
 class TestReprojectionError:
@@ -159,74 +176,6 @@ class TestCameraPoseValidation:
         rng = np.random.default_rng(2)
         for _ in range(20):
             CameraPose(rotation=random_rotation(rng), translation=rng.normal(size=3))
-
-
-def _simple_setup(rng, num_points=5, num_cameras=3):
-    """Points in front of a few inward-looking cameras, exact observations."""
-    from egoloc.geometry import pose_looking_at
-
-    points = rng.uniform(-1, 1, size=(num_points, 3))
-    views = []
-    for j in range(num_cameras):
-        angle = 2 * np.pi * j / num_cameras
-        eye = 6.0 * np.array([np.cos(angle), np.sin(angle), 0.3])
-        views.append((pose_looking_at(eye, np.zeros(3)), unit_intrinsics()))
-    vis = VisibilityMatrix(num_points, [np.arange(num_points)] * num_cameras)
-    obs = {
-        (i, j): project(pose, intr, points[i])
-        for j, (pose, intr) in enumerate(views)
-        for i in range(num_points)
-    }
-    return points, views, vis, obs
-
-
-class TestSfmObjective:
-    def test_zero_on_consistent_data(self):
-        rng = np.random.default_rng(0)
-        points, views, vis, obs = _simple_setup(rng)
-        assert sfm_objective(views, points, vis, obs) <= 1e-9
-
-    def test_single_offset_observation(self):
-        rng = np.random.default_rng(1)
-        points, views, vis, obs = _simple_setup(rng, num_points=1, num_cameras=1)
-        obs[(0, 0)] = obs[(0, 0)] + np.array([3.0, 4.0])
-        assert sfm_objective(views, points, vis, obs) == pytest.approx(5.0, abs=1e-9)
-
-    def test_matches_per_term_oracle(self):
-        rng = np.random.default_rng(2)
-        points, views, vis, obs = _simple_setup(rng, num_points=5, num_cameras=3)
-        noisy = {key: px + rng.normal(scale=2.0, size=2) for key, px in obs.items()}
-        expected = 0.0
-        for (i, j), px in noisy.items():
-            pose, intr = views[j]
-            expected += np.linalg.norm(project(pose, intr, points[i]) - px)
-        assert sfm_objective(views, points, vis, noisy) == pytest.approx(expected, abs=1e-12)
-
-    def test_additive_over_camera_partition(self):
-        rng = np.random.default_rng(3)
-        points, views, vis, obs = _simple_setup(rng, num_points=6, num_cameras=4)
-        total = sfm_objective(views, points, vis, obs | {})
-        noisy = {key: px + rng.normal(scale=1.0, size=2) for key, px in obs.items()}
-        total = sfm_objective(views, points, vis, noisy)
-        parts = 0.0
-        for j in range(4):
-            sub_vis = VisibilityMatrix(6, [vis.points_in_camera[j]])
-            sub_obs = {(i, 0): noisy[(i, j)] for i in range(6)}
-            parts += sfm_objective([views[j]], points, sub_vis, sub_obs)
-        assert parts == pytest.approx(total, abs=1e-9)
-
-    def test_missing_observation_raises(self):
-        rng = np.random.default_rng(4)
-        points, views, vis, obs = _simple_setup(rng)
-        del obs[(0, 0)]
-        with pytest.raises(MissingObservationError):
-            sfm_objective(views, points, vis, obs)
-
-    def test_squared_mode(self):
-        rng = np.random.default_rng(5)
-        points, views, vis, obs = _simple_setup(rng, num_points=1, num_cameras=1)
-        obs[(0, 0)] = obs[(0, 0)] + np.array([3.0, 4.0])
-        assert sfm_objective(views, points, vis, obs, squared=True) == pytest.approx(25.0)
 
 
 class TestVisibilityMatrix:

@@ -1,5 +1,7 @@
 """Visual-word index construction and ratio-test correspondence search."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from egoloc import (
     match_features,
     render_view,
 )
+from egoloc import matching
 from egoloc.errors import EmptyQueryError, TooFewDescriptorsError
 from egoloc.geometry import CameraPose
 
@@ -37,6 +40,16 @@ def model_from_descriptors(descriptor_lists, dim):
     )
 
 
+def word_owners(index):
+    """The point id of each row, cut into one array per word."""
+    return np.split(index.owners, index.word_indptr[1:-1])
+
+
+def sorted_rows(owners, descriptors):
+    table = np.column_stack([owners, descriptors])
+    return table[np.lexsort(table.T[::-1])]
+
+
 def query_of(descriptors, dim):
     descriptors = np.asarray(descriptors, dtype=np.float64).reshape(-1, dim)
     pose = CameraPose(rotation=np.eye(3), translation=np.zeros(3))
@@ -58,7 +71,7 @@ class TestBuildIndex:
         expected = stacked.mean(axis=0)
         expected /= np.linalg.norm(expected)
         np.testing.assert_allclose(index.centroids[0], expected, atol=1e-12)
-        assert sum(len(ids) for ids in index.word_point_ids) == 15
+        assert sum(len(ids) for ids in word_owners(index)) == 15
 
     def test_planted_clusters_pure(self):
         rng = np.random.default_rng(3)
@@ -73,7 +86,7 @@ class TestBuildIndex:
             owners.append(0 if i < 10 else 1)
         model = model_from_descriptors(lists, 16)
         index = build_index(model, num_words=2, seed=4)
-        for ids in index.word_point_ids:
+        for ids in word_owners(index):
             clusters = {owners[int(i)] for i in ids}
             assert len(clusters) == 1
 
@@ -84,14 +97,64 @@ class TestBuildIndex:
         i1 = build_index(model, num_words=4, seed=6)
         i2 = build_index(model, num_words=4, seed=6)
         np.testing.assert_array_equal(i1.centroids, i2.centroids)
-        for a, b in zip(i1.word_point_ids, i2.word_point_ids):
+        for a, b in zip(word_owners(i1), word_owners(i2)):
             np.testing.assert_array_equal(a, b)
+
+    def test_empty_word_keeps_its_centroid(self):
+        # Two of the three initial centroids coincide, so ties leave one
+        # word without members from the first assignment on.
+        a, b = unit(np.arange(1, 9)), unit(np.arange(8, 0, -1))
+        model = model_from_descriptors([a, a, a, b, b, b], 8)
+        index = build_index(model, num_words=3, seed=0)
+        counts = np.diff(index.word_indptr)
+        assert counts.tolist().count(0) == 1
+        empty = index.centroids[counts == 0][0]
+        assert np.array_equal(empty, a) or np.array_equal(empty, b)
 
     def test_too_few_descriptors(self):
         lists = [np.ones((1, 4))] * 3
         model = model_from_descriptors(lists, 4)
         with pytest.raises(TooFewDescriptorsError):
             build_index(model, num_words=10, seed=0)
+
+
+class TestIndexLayout:
+    # sha256 of the arrays of `build_index(small_model, 16, seed=1)`. The
+    # descriptor, owner and indptr hashes equal those of the word-major
+    # concatenation of the per-word lists the index was once stored as.
+    GOLDEN = {
+        "centroids": "dda5625e79f9e2dfa4bc06c0d328a5e4e3c5ddd04a5d5c1c55028aef7b727a23",
+        "descriptors": "0733b3f93850fb907edab03500251d76310ffa764fe1a1ee56fa874862f0688a",
+        "owners": "dacf5f8d818b6473fcfb00a6e1f71d3a0f3308a6ed84730f6d749e2526aa53ee",
+        "word_indptr": "679681272e9e5a818103a58c3139c67948e1435bf390d43794dc253dbca2df77",
+    }
+
+    def test_golden_arrays(self, small_model):
+        index = build_index(small_model, num_words=16, seed=1)
+        for name, digest in self.GOLDEN.items():
+            array = np.ascontiguousarray(getattr(index, name))
+            assert hashlib.sha256(array.tobytes()).hexdigest() == digest, name
+
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_invariants(self, small_model, shuffled):
+        if shuffled:  # point ids out of ascending order, as a subset's can be
+            rows = np.random.default_rng(0).permutation(small_model.num_points)
+            small_model = small_model.subset(rows)
+        index = build_index(small_model, num_words=16, seed=1)
+        # The same (point id, descriptor) rows, each exactly once.
+        np.testing.assert_array_equal(
+            sorted_rows(index.owners, index.descriptors),
+            sorted_rows(
+                np.repeat(small_model.point_ids, small_model.descriptor_counts),
+                small_model.descriptors,
+            ),
+        )
+        for ids in word_owners(index):
+            assert np.all(np.diff(ids) >= 0)
+        assign = matching._nearest_centroid(small_model.descriptors, index.centroids)
+        np.testing.assert_array_equal(
+            np.diff(index.word_indptr), np.bincount(assign, minlength=index.num_words)
+        )
 
 
 class TestMatchFeatures:
@@ -150,6 +213,33 @@ class TestMatchFeatures:
             results.append(sorted((m.feature_index, m.point_id) for m in matches))
         assert results[0] == results[1] == results[2]
 
+    @pytest.mark.parametrize("budget_rows", [1, 7, 100])
+    def test_exact_mode_independent_of_block_budget(
+        self, small_scene, small_model, monkeypatch, budget_rows
+    ):
+        index = build_index(small_model, num_words=16, seed=12)
+        params = MatchParams(exact_mode=True, max_matches=10_000)
+        view = render_view(small_scene, 4, seed=13)
+        # 15 features leave one row over after blocks of 2 and of 7 rows.
+        queries = [view, query_of(view.descriptors[:15], view.descriptors.shape[1])]
+        monkeypatch.setattr(matching, "_BLOCK_ELEMENTS", 1 << 62)  # one block
+        want = [match_features(q, index, params) for q in queries]
+        columns = len(index._all_candidates()[0])
+        monkeypatch.setattr(matching, "_BLOCK_ELEMENTS", budget_rows * columns)
+        assert [match_features(q, index, params) for q in queries] == want
+        assert len(want[0]) > 50
+
+    def test_row_blocks_cover_rows_within_budget(self, monkeypatch):
+        monkeypatch.setattr(matching, "_BLOCK_ELEMENTS", 30)
+        for columns in (1, 4, 7, 10, 30, 31):
+            step = max(2, 30 // columns)
+            for rows in range(1, 40):
+                blocks = matching._row_blocks(rows, columns)
+                assert [b.start for b in blocks[1:]] == [b.stop for b in blocks[:-1]]
+                assert blocks[0].start == 0 and blocks[-1].stop == rows
+                sizes = [b.stop - b.start for b in blocks]
+                assert all(2 <= size <= step + 1 for size in sizes) or sizes == [1]
+
     def test_early_termination_cap(self, small_scene, small_model):
         index = build_index(small_model, num_words=16, seed=7)
         view = render_view(small_scene, 3, seed=8)
@@ -184,19 +274,20 @@ def full_scan_match(view, index, params):
     d1 = np.full(n, np.inf)
     d2 = np.full(n, np.inf)
     for word in set(words.tolist()):
-        scope = index.word_scope(word)
-        point_ids = np.unique(scope.point_ids)
+        lo, hi = index.word_indptr[word], index.word_indptr[word + 1]
+        descriptors, owners = index.descriptors[lo:hi], index.owners[lo:hi]
+        point_ids = np.unique(owners)
         if len(point_ids) < 2:
             continue
         rows = np.flatnonzero(words == word)
         f = desc[rows]
         sq = (
             np.sum(f * f, axis=1)[:, None]
-            - 2.0 * f @ scope.descriptors.T
-            + np.sum(scope.descriptors * scope.descriptors, axis=1)[None, :]
+            - 2.0 * f @ descriptors.T
+            + np.sum(descriptors * descriptors, axis=1)[None, :]
         )
         np.maximum(sq, 0.0, out=sq)
-        per_point = np.stack([sq[:, scope.point_ids == p].min(axis=1) for p in point_ids], 1)
+        per_point = np.stack([sq[:, owners == p].min(axis=1) for p in point_ids], 1)
         nearest = np.argmin(per_point, axis=1)
         best = per_point[np.arange(len(rows)), nearest]
         per_point[np.arange(len(rows)), nearest] = np.inf
@@ -204,7 +295,7 @@ def full_scan_match(view, index, params):
         d1[rows] = np.sqrt(best)
         d2[rows] = np.sqrt(per_point.min(axis=1))
 
-    lengths = [len(index.word_scope(w).point_ids) for w in words]
+    lengths = [index.word_indptr[w + 1] - index.word_indptr[w] for w in words]
     order = sorted(range(n), key=lambda f: (lengths[f], f))
     best_by_point = {}
     visited = 0

@@ -12,7 +12,7 @@ from egoloc import (
     resample_descriptors,
 )
 from egoloc.errors import InfeasibleSpecError, TooFewVisibleError
-from egoloc.geometry import pose_looking_at, project
+from egoloc.geometry import pose_looking_at, project_array
 
 
 def scenes_equal(a, b) -> bool:
@@ -110,11 +110,8 @@ class TestRenderView:
             noise_scene, 0, pixel_noise_sigma=0.0, descriptor_noise_sigma=0.0, seed=1
         )
         pose, intr = noise_scene.cameras[0]
-        for f in range(view.num_features):
-            pid = view.true_point_ids[f]
-            np.testing.assert_allclose(
-                view.pixels[f], project(pose, intr, noise_scene.xyz[pid]), atol=1e-12
-            )
+        expected, _ = project_array(pose, intr, noise_scene.xyz[view.true_point_ids])
+        np.testing.assert_allclose(view.pixels, expected, atol=1e-12)
 
     def test_outlier_construction(self, noise_scene):
         view = render_view(
@@ -134,11 +131,7 @@ class TestRenderView:
         view = render_view(noise_scene, 0, pixel_noise_sigma=1.0, seed=3)
         pose, intr = noise_scene.cameras[0]
         assert view.num_features >= 1000
-        deltas = []
-        for f in range(view.num_features):
-            pid = view.true_point_ids[f]
-            deltas.append(view.pixels[f] - project(pose, intr, noise_scene.xyz[pid]))
-        deltas = np.asarray(deltas)
+        deltas = view.pixels - project_array(pose, intr, noise_scene.xyz[view.true_point_ids])[0]
         assert 0.9 <= deltas[:, 0].std() <= 1.1
         assert 0.9 <= deltas[:, 1].std() <= 1.1
 
