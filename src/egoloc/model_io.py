@@ -275,18 +275,6 @@ def load_model(path: str | Path) -> PointCloudModel | CompressedModel:
     )
 
 
-def compressed_equal(a: CompressedModel, b: CompressedModel) -> bool:
-    """Exact equality of compressed models (round-trip checks)."""
-    return (
-        a.model.equals(b.model)
-        and np.array_equal(a.selected_ids, b.selected_ids)
-        and a.source_model_id == b.source_model_id
-        and a.method == b.method
-        and a.parameter == b.parameter
-        and np.array_equal(a.achieved_counts, b.achieved_counts)
-    )
-
-
 def _offsets(arrays: list[np.ndarray]) -> np.ndarray:
     """Start offsets of `arrays` laid end to end, plus the total length."""
     return np.cumsum([0, *(len(a) for a in arrays)], dtype=np.int64)

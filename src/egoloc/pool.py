@@ -2,10 +2,13 @@
 
 One pool serves one local area. Exactly one model is active at a time; each
 query view is verified against it by the correspondence/inlier criterion.
-When enough recent views fail verification the pool re-scores every record
+When enough recent views fail verification the pool re-scores its records
 on the session's opening views and either swaps to the best-scoring model or
-constructs a new one from the session. Records unused for longer than the
-TTL are pruned (the active model is immune). Models are never merged.
+constructs a new one from the session. Re-scoring is an exact
+branch-and-bound: every record that can reach the best score is scored in
+full, the others are cut off once they cannot, and every localization the
+session already made is reused. Records unused for longer than the TTL are
+pruned (the active model is immune). Models are never merged.
 
 Pool mutation is single-writer; per-view localization against the immutable
 active index may run concurrently.
@@ -158,6 +161,71 @@ def _localize_or_none(
         return None
 
 
+def _localize_cached(
+    results: dict[tuple[str, int], LocalizationResult | None],
+    record: ModelRecord,
+    views: Sequence[QueryView],
+    i: int,
+    match_params: MatchParams,
+    ransac_params: RansacParams,
+) -> LocalizationResult | None:
+    """View `i` localized against `record`, at most once per `results`.
+
+    Exact reuse: `localize` is deterministic in its view, index and
+    parameters, and one `results` dict serves one set of parameters.
+    """
+    key = (record.record_id, i)
+    if key not in results:
+        results[key] = _localize_or_none(views[i], record.index, match_params, ransac_params)
+    return results[key]
+
+
+def _score_records(
+    records: Sequence[ModelRecord],
+    views: Sequence[QueryView],
+    results: dict[tuple[str, int], LocalizationResult | None],
+    match_params: MatchParams,
+    ransac_params: RansacParams,
+    *,
+    t1: int,
+    t2: float,
+    num_views: int,
+) -> tuple[dict[str, float], dict[str, int]]:
+    """Exact scores, on the first `num_views` views, of the records that can
+    reach the best score.
+
+    Best-first branch-and-bound: a record's bound is its passed views plus
+    its unscored views, and the live record with the highest bound (the
+    first in order on ties) scores its next view. A record is dropped once
+    its bound falls strictly below the best exact score so far, so every
+    record that can tie the best is scored in full.
+
+    Returns the exact score of each record scored in full, and the number
+    of views each record was scored on.
+    """
+    prefix = list(views)[: max(num_views, 1)]
+    if not prefix:
+        raise ValueError("need at least one view to score")
+    n = len(prefix)
+    passed = [0] * len(records)
+    scored = [0] * len(records)
+    best = -1
+
+    def bound(k: int) -> int:
+        return passed[k] + n - scored[k]
+
+    while live := [k for k in range(len(records)) if scored[k] < n and bound(k) >= best]:
+        k = max(live, key=bound)
+        i = scored[k]
+        result = _localize_cached(results, records[k], prefix, i, match_params, ransac_params)
+        passed[k] += verify(result, t1, t2)
+        scored[k] += 1
+        if scored[k] == n:
+            best = max(best, passed[k])
+    scores = {r.record_id: passed[k] / n for k, r in enumerate(records) if scored[k] == n}
+    return scores, {r.record_id: scored[k] for k, r in enumerate(records)}
+
+
 def score_model(
     record: ModelRecord,
     views: Sequence[QueryView],
@@ -169,17 +237,17 @@ def score_model(
     num_views: int = 10,
 ) -> float:
     """Fraction of the session's first `num_views` views that verify."""
-    match_params = match_params or MatchParams()
-    ransac_params = ransac_params or RansacParams()
-    prefix = list(views)[: max(num_views, 1)]
-    if not prefix:
-        raise ValueError("need at least one view to score")
-    passed = 0
-    for view in prefix:
-        result = _localize_or_none(view, record.index, match_params, ransac_params)
-        if verify(result, t1, t2):
-            passed += 1
-    return passed / len(prefix)
+    scores, _ = _score_records(
+        [record],
+        views,
+        {},
+        match_params or MatchParams(),
+        ransac_params or RansacParams(),
+        t1=t1,
+        t2=t2,
+        num_views=num_views,
+    )
+    return scores[record.record_id]
 
 
 def prune(pool: ModelPool, now: float, ttl: float | None = None) -> list[str]:
@@ -210,11 +278,18 @@ def ingest_session(
 
     Views are localized against the active model in order. Once
     `invalid_quota` of the last `invalid_window` views fail verification,
-    all records are scored on the session's opening views: the best record
-    is activated if its score reaches the swap threshold (ties go to the
-    most recently used record), otherwise `build_model_fn` constructs a new
-    model from the session, which joins the pool and becomes active. Stale
-    records are pruned at the end.
+    the records are scored on the session's first `score_views` views: the
+    best record is activated if its score reaches the swap threshold (ties
+    go to the most recently used record), otherwise `build_model_fn`
+    constructs a new model from the session, which joins the pool and
+    becomes active. Stale records are pruned at the end.
+
+    Scoring is exact for every record that can reach the best score; a
+    record is cut off once it cannot, and the `trigger` event's
+    `views_scored` says how many views each record was scored on. Serving
+    and scoring share one result per (record, view): the active record's
+    served views count toward its score, and the winner's scored views are
+    served after the swap.
 
     Raises:
         PoolEmptyError: the pool holds no records.
@@ -228,11 +303,12 @@ def ingest_session(
     served: list[ServedView] = []
     window: deque[bool] = deque(maxlen=pool.invalid_window)
     swap_attempted = False
+    results: dict[tuple[str, int], LocalizationResult | None] = {}
 
-    for i, view in enumerate(session.views):
+    for i in range(len(session.views)):
         now = float(session.timestamps[i])
         active = pool.active
-        result = _localize_or_none(view, active.index, match_params, ransac_params)
+        result = _localize_cached(results, active, session.views, i, match_params, ransac_params)
         ok = verify(result, pool.t1, pool.t2)
         served.append(
             ServedView(view_index=i, record_id=active.record_id, result=result, verified=ok)
@@ -244,29 +320,32 @@ def ingest_session(
         failures = sum(window)
         if failures >= pool.invalid_quota and not swap_attempted:
             swap_attempted = True
+            scores, views_scored = _score_records(
+                pool.records,
+                session.views,
+                results,
+                match_params,
+                ransac_params,
+                t1=pool.t1,
+                t2=pool.t2,
+                num_views=score_views,
+            )
             events.append(
                 PoolEvent(
                     kind="trigger",
                     time=now,
-                    details={"view_index": i, "failures": failures, "window": len(window)},
+                    details={
+                        "view_index": i,
+                        "failures": failures,
+                        "window": len(window),
+                        "views_scored": views_scored,
+                    },
                 )
             )
-            scores = {
-                r.record_id: score_model(
-                    r,
-                    session.views,
-                    match_params,
-                    ransac_params,
-                    t1=pool.t1,
-                    t2=pool.t2,
-                    num_views=score_views,
-                )
-                for r in pool.records
-            }
             best_score = max(scores.values())
             if best_score >= pool.swap_threshold:
                 # Ties between equal scores go to the most recently used record.
-                candidates = [r for r in pool.records if scores[r.record_id] == best_score]
+                candidates = [r for r in pool.records if scores.get(r.record_id) == best_score]
                 chosen = max(candidates, key=lambda r: r.last_used)
                 previous = pool.active_id
                 pool.active_id = chosen.record_id

@@ -7,6 +7,7 @@ from scipy.spatial.transform import Rotation
 from egoloc import (
     CameraIntrinsics,
     CameraPose,
+    CompressedModel,
     SceneSpec,
     build_model,
     generate_scene,
@@ -24,6 +25,18 @@ def random_pose(rng: np.random.Generator, translation_scale: float = 5.0) -> Cam
     return CameraPose(
         rotation=random_rotation(rng),
         translation=rng.uniform(-translation_scale, translation_scale, size=3),
+    )
+
+
+def compressed_equal(a: CompressedModel, b: CompressedModel) -> bool:
+    """Exact equality of compressed models (round-trip checks)."""
+    return (
+        a.model.equals(b.model)
+        and np.array_equal(a.selected_ids, b.selected_ids)
+        and a.source_model_id == b.source_model_id
+        and a.method == b.method
+        and a.parameter == b.parameter
+        and np.array_equal(a.achieved_counts, b.achieved_counts)
     )
 
 

@@ -45,7 +45,6 @@ from egoloc.errors import (
     ModelIOError,
     RegistrationFailedError,
 )
-from egoloc.model_io import compressed_equal
 
 from test_compression import (
     make_labeling,
@@ -56,7 +55,7 @@ from test_compression import (
 )
 from test_pose import correspondences_for, front_facing_points, make_intrinsics
 from test_model_io import random_model
-from conftest import random_pose
+from conftest import compressed_equal, random_pose
 
 
 def report(name: str, passed: bool, started: float, budget: float, detail: str = ""):

@@ -33,6 +33,8 @@ from egoloc.model_io import _HEADER_SIZE, FORMAT_VERSION
 from egoloc.pool import ModelPool, ModelRecord
 from egoloc.structures import DetectParams, detect_structures
 
+from conftest import compressed_equal
+
 
 def random_model(rng: np.random.Generator, with_labeling=False) -> PointCloudModel:
     n = int(rng.integers(3, 30))
@@ -85,8 +87,6 @@ class TestRoundTrip:
         save_model(compressed, path)
         loaded = load_model(path)
         assert isinstance(loaded, CompressedModel)
-        from egoloc.model_io import compressed_equal
-
         assert compressed_equal(loaded, compressed)
 
     def test_scene_round_trip(self, tmp_path, small_scene):
