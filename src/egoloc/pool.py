@@ -161,6 +161,30 @@ def _localize_or_none(
         return None
 
 
+def score_model(
+    record: ModelRecord,
+    views: Sequence[QueryView],
+    match_params: MatchParams | None = None,
+    ransac_params: RansacParams | None = None,
+    *,
+    t1: int = 50,
+    t2: float = 0.5,
+    num_views: int = 10,
+) -> float:
+    """Fraction of the session's first `num_views` views that verify."""
+    match_params = match_params or MatchParams()
+    ransac_params = ransac_params or RansacParams()
+    prefix = list(views)[: max(num_views, 1)]
+    if not prefix:
+        raise ValueError("need at least one view to score")
+    passed = 0
+    for view in prefix:
+        result = _localize_or_none(view, record.index, match_params, ransac_params)
+        if verify(result, t1, t2):
+            passed += 1
+    return passed / len(prefix)
+
+
 def _localize_cached(
     results: dict[tuple[str, int], LocalizationResult | None],
     record: ModelRecord,
@@ -190,6 +214,7 @@ def _score_records(
     t1: int,
     t2: float,
     num_views: int,
+    next_view: int,
 ) -> tuple[dict[str, float], dict[str, int]]:
     """Exact scores, on the first `num_views` views, of the records that can
     reach the best score.
@@ -199,6 +224,11 @@ def _score_records(
     first in order on ties) scores its next view. A record is dropped once
     its bound falls strictly below the best exact score so far, so every
     record that can tie the best is scored in full.
+
+    A view found in `results` counts by its result. A view from `next_view`
+    on may still be served by the record that wins, so it is localized into
+    `results`. `score_model` scores each other view on its own: the session
+    never serves it again, so its result is not kept.
 
     Returns the exact score of each record scored in full, and the number
     of views each record was scored on.
@@ -217,37 +247,19 @@ def _score_records(
     while live := [k for k in range(len(records)) if scored[k] < n and bound(k) >= best]:
         k = max(live, key=bound)
         i = scored[k]
-        result = _localize_cached(results, records[k], prefix, i, match_params, ransac_params)
-        passed[k] += verify(result, t1, t2)
+        if i < next_view and (records[k].record_id, i) not in results:
+            one = prefix[i : i + 1]
+            passed[k] += int(
+                score_model(records[k], one, match_params, ransac_params, t1=t1, t2=t2, num_views=1)
+            )
+        else:
+            result = _localize_cached(results, records[k], prefix, i, match_params, ransac_params)
+            passed[k] += verify(result, t1, t2)
         scored[k] += 1
         if scored[k] == n:
             best = max(best, passed[k])
     scores = {r.record_id: passed[k] / n for k, r in enumerate(records) if scored[k] == n}
     return scores, {r.record_id: scored[k] for k, r in enumerate(records)}
-
-
-def score_model(
-    record: ModelRecord,
-    views: Sequence[QueryView],
-    match_params: MatchParams | None = None,
-    ransac_params: RansacParams | None = None,
-    *,
-    t1: int = 50,
-    t2: float = 0.5,
-    num_views: int = 10,
-) -> float:
-    """Fraction of the session's first `num_views` views that verify."""
-    scores, _ = _score_records(
-        [record],
-        views,
-        {},
-        match_params or MatchParams(),
-        ransac_params or RansacParams(),
-        t1=t1,
-        t2=t2,
-        num_views=num_views,
-    )
-    return scores[record.record_id]
 
 
 def prune(pool: ModelPool, now: float, ttl: float | None = None) -> list[str]:
@@ -288,8 +300,9 @@ def ingest_session(
     record is cut off once it cannot, and the `trigger` event's
     `views_scored` says how many views each record was scored on. Serving
     and scoring share one result per (record, view): the active record's
-    served views count toward its score, and the winner's scored views are
-    served after the swap.
+    served views count toward its score, and the winner's scored views
+    after the trigger are served after the swap. The other views up to the
+    trigger are scored with `score_model`, since none is served again.
 
     Raises:
         PoolEmptyError: the pool holds no records.
@@ -329,6 +342,7 @@ def ingest_session(
                 t1=pool.t1,
                 t2=pool.t2,
                 num_views=score_views,
+                next_view=i + 1,
             )
             events.append(
                 PoolEvent(

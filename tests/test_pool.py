@@ -389,6 +389,7 @@ class TestBranchAndBoundOracle:
                 t1=50,
                 t2=0.5,
                 num_views=num_views,
+                next_view=served,
             )
 
             exact = {f"r{k}": int(passes[k].sum()) / num_views for k in range(num_records)}
