@@ -46,8 +46,6 @@ from .structures import (
     LineStructure,
     PlaneStructure,
     StructureLabeling,
-    detect_lines,
-    detect_planes,
     detect_structures,
 )
 from .synthetic import (
@@ -98,8 +96,6 @@ __all__ = [
     "compress_weighted_kcover",
     "coverage_report",
     "decompose",
-    "detect_lines",
-    "detect_planes",
     "detect_structures",
     "dlt_pose",
     "generate_scene",

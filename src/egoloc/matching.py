@@ -33,7 +33,7 @@ if TYPE_CHECKING:
     from .synthetic import QueryView
 
 # Distance elements (block rows x candidate columns) per block of the large
-# distance computations: 8 MB per temporary array.
+# distance computations: 8 MB per distance buffer.
 _BLOCK_ELEMENTS = 1 << 20
 # Features in the first block of the prioritized search; later blocks double.
 _FIRST_BLOCK = 64
@@ -82,6 +82,28 @@ def _row_blocks(rows: int, columns: int) -> list[slice]:
     return [slice(a, b) for a, b in zip([0, *stops], stops)]
 
 
+def _block_buffer(blocks: list[slice], columns: int) -> np.ndarray:
+    """One distance buffer that fits the largest of `blocks`; a lone last
+    row makes the last block one row longer than the others."""
+    return np.empty((max(b.stop - b.start for b in blocks), columns))
+
+
+def _sq_distances(x: np.ndarray, y: np.ndarray, y_sq: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Squared distances `(|x|² - 2.0·x@yᵀ) + |y|²` from each row of x to each
+    row of y, computed in place in the leading rows of `out`.
+
+    The operands and the order of operations are those of the out-of-place
+    expression, so every element is bit-identical to it; writing into one
+    reused buffer saves allocating and faulting in three block-sized arrays
+    per block. Returns the view of `out` holding the result.
+    """
+    d2 = out[: len(x)]
+    np.matmul(2.0 * x, y.T, out=d2)
+    np.subtract(np.sum(x * x, axis=1)[:, None], d2, out=d2)
+    d2 += y_sq
+    return d2
+
+
 def _nearest_two_points(
     features: np.ndarray,
     descriptors: np.ndarray,
@@ -103,12 +125,10 @@ def _nearest_two_points(
     second_d = np.full(n, np.inf)
     if len(group_ids) < 2:
         return best_pid, best_d, second_d
-    for rows in _row_blocks(n, len(descriptors)):
-        d2 = (
-            np.sum(f[rows] * f[rows], axis=1)[:, None]
-            - 2.0 * f[rows] @ descriptors.T
-            + sq_norms[None, :]
-        )
+    blocks = _row_blocks(n, len(descriptors))
+    buf = _block_buffer(blocks, len(descriptors))
+    for rows in blocks:
+        d2 = _sq_distances(f[rows], descriptors, sq_norms, buf)
         np.maximum(d2, 0.0, out=d2)
         per_point = np.minimum.reduceat(d2, group_starts, axis=1)
         nearest = np.argmin(per_point, axis=1)
@@ -163,7 +183,10 @@ class MatchIndex:
         order = np.argsort(self.point_ids)
         self._sorted_ids = self.point_ids[order]
         self._sorted_rows = order
-        self._sq_norms = np.sum(self.descriptors * self.descriptors, axis=1)
+        self._sq_norms = np.empty(len(self.descriptors))
+        for rows in _row_blocks(len(self.descriptors), self.descriptor_dim):
+            block = self.descriptors[rows]
+            self._sq_norms[rows] = np.sum(block * block, axis=1)
         group_starts = _group_starts(self.owners, self.word_indptr)
         self._group_ids = self.owners[group_starts]
         # Word w's groups are entries word_groups[w]:word_groups[w + 1].
@@ -216,13 +239,10 @@ def _nearest_centroid(desc: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Index of the nearest centroid per row; ties go to the lowest word id."""
     out = np.empty(len(desc), dtype=np.int64)
     c_sq = np.sum(centroids * centroids, axis=1)
-    for rows in _row_blocks(len(desc), len(centroids)):
-        d2 = (
-            np.sum(desc[rows] * desc[rows], axis=1)[:, None]
-            - 2.0 * desc[rows] @ centroids.T
-            + c_sq[None, :]
-        )
-        out[rows] = np.argmin(d2, axis=1)
+    blocks = _row_blocks(len(desc), len(centroids))
+    buf = _block_buffer(blocks, len(centroids))
+    for rows in blocks:
+        out[rows] = np.argmin(_sq_distances(desc[rows], centroids, c_sq, buf), axis=1)
     return out
 
 

@@ -3,7 +3,10 @@
 The model file is a little-endian, magic-prefixed, versioned binary format
 with CRC-protected header and payload, so truncation and bit corruption
 surface as typed errors instead of garbage models. Round trips are bit
-exact. Reported sizes use decimal megabytes (10^6 bytes).
+exact. Saving writes the arrays' own buffers and loading reads through
+slices of the file's bytes, so the payload is never copied as a whole; each
+loaded array is one copy of its bytes. Reported sizes use decimal megabytes
+(10^6 bytes).
 
 Scenes are stored as compressed numpy archives; a model pool persists as a
 manifest JSON next to one model file per record.
@@ -45,36 +48,43 @@ BYTES_PER_MB = 10**6
 
 
 class _Writer:
-    def __init__(self):
-        self.chunks: list[bytes] = []
+    """Payload chunks, kept as buffers and never joined; the CRC and length
+    of the payload accumulate as the chunks arrive."""
 
-    def raw(self, data: bytes):
+    def __init__(self):
+        self.chunks: list[bytes | memoryview] = []
+        self.crc = 0
+        self.size = 0
+
+    def raw(self, data: bytes | memoryview):
         self.chunks.append(data)
+        self.crc = zlib.crc32(data, self.crc)
+        self.size += len(data)
 
     def array(self, arr: np.ndarray, dtype: str):
-        self.chunks.append(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+        self.raw(memoryview(np.ascontiguousarray(arr, dtype=dtype)).cast("B"))
 
     def u32(self, value: int):
-        self.chunks.append(struct.pack("<I", value))
+        self.raw(struct.pack("<I", value))
 
     def f64(self, value: float):
-        self.chunks.append(struct.pack("<d", value))
+        self.raw(struct.pack("<d", value))
 
     def string(self, text: str):
         data = text.encode("utf-8")
         self.u32(len(data))
         self.raw(data)
 
-    def payload(self) -> bytes:
-        return b"".join(self.chunks)
-
 
 class _Reader:
-    def __init__(self, data: bytes):
+    """Reads the payload through memoryview slices, so each array's bytes
+    are copied once, into the array that owns them."""
+
+    def __init__(self, data: memoryview):
         self.data = data
         self.offset = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.offset + n > len(self.data):
             raise TruncatedPayloadError(
                 f"payload ends at byte {len(self.data)}; needed {self.offset + n}"
@@ -94,7 +104,7 @@ class _Reader:
         return struct.unpack("<d", self.take(8))[0]
 
     def string(self) -> str:
-        return self.take(self.u32()).decode("utf-8")
+        return str(self.take(self.u32()), "utf-8")
 
     def done(self):
         if self.offset != len(self.data):
@@ -170,7 +180,6 @@ def save_model(model: PointCloudModel | CompressedModel, path: str | Path) -> in
         w.string(compressed.source_model_id)
         w.array(compressed.achieved_counts, "<i8")
 
-    payload = w.payload()
     header_head = struct.pack(
         "<4sIIQIIIQI",
         MAGIC,
@@ -180,13 +189,14 @@ def save_model(model: PointCloudModel | CompressedModel, path: str | Path) -> in
         pcm.num_cameras,
         pcm.descriptor_dim,
         len(pcm.model_id.encode("utf-8")),
-        len(payload),
-        zlib.crc32(payload),
+        w.size,
+        w.crc,
     )
     header = header_head + struct.pack("<I", zlib.crc32(header_head))
-    data = header + payload
-    Path(path).write_bytes(data)
-    return len(data)
+    with open(path, "wb") as f:
+        f.write(header)
+        f.writelines(w.chunks)
+    return len(header) + w.size
 
 
 def load_model(path: str | Path) -> PointCloudModel | CompressedModel:
@@ -197,7 +207,7 @@ def load_model(path: str | Path) -> PointCloudModel | CompressedModel:
         CorruptHeaderError: bad magic or a failed CRC check.
         VersionMismatchError: unsupported format version.
     """
-    data = Path(path).read_bytes()
+    data = memoryview(Path(path).read_bytes())
     if len(data) < _HEADER_SIZE:
         raise TruncatedPayloadError(f"file holds {len(data)} bytes; header needs {_HEADER_SIZE}")
     (

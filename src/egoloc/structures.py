@@ -317,22 +317,6 @@ def _detect_kind(
     return found, remaining
 
 
-def detect_planes(points: np.ndarray, params: DetectParams | None = None) -> list[PlaneStructure]:
-    """Detect planes one at a time by best-of-N 3-point RANSAC hypotheses."""
-    params = params or DetectParams()
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    found, _ = _detect_kind(pts, np.arange(len(pts)), params, "plane", 0)
-    return found  # type: ignore[return-value]
-
-
-def detect_lines(points: np.ndarray, params: DetectParams | None = None) -> list[LineStructure]:
-    """Detect lines one at a time by best-of-N 2-point RANSAC hypotheses."""
-    params = params or DetectParams()
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    found, _ = _detect_kind(pts, np.arange(len(pts)), params, "line", 0)
-    return found  # type: ignore[return-value]
-
-
 def detect_structures(points: np.ndarray, params: DetectParams | None = None) -> StructureLabeling:
     """Detect planes, then lines on the remaining points; leftovers are residual."""
     params = params or DetectParams()

@@ -240,6 +240,29 @@ class TestMatchFeatures:
                 sizes = [b.stop - b.start for b in blocks]
                 assert all(2 <= size <= step + 1 for size in sizes) or sizes == [1]
 
+    @pytest.mark.parametrize("rows, columns, dim", [(21, 37, 64), (30, 16, 32), (13, 400, 8)])
+    def test_sq_distances_bit_identical_per_block(self, monkeypatch, rows, columns, dim):
+        # Blocks of 4 rows: 21 and 13 rows end in a lone row that joins the
+        # block before it, so the reused buffer must fit a last block one
+        # row longer than the first; 30 rows end in a shorter block.
+        monkeypatch.setattr(matching, "_BLOCK_ELEMENTS", 4 * columns)
+        rng = np.random.default_rng(rows)
+        x = rng.normal(size=(rows, dim))
+        y = rng.normal(size=(columns, dim))
+        y /= np.linalg.norm(y, axis=1, keepdims=True)
+        y_sq = np.sum(y * y, axis=1)
+        blocks = matching._row_blocks(rows, columns)
+        sizes = [b.stop - b.start for b in blocks]
+        assert len(blocks) > 2 and sizes[0] == 4
+        buf = matching._block_buffer(blocks, columns)
+        for b in blocks:
+            want = np.sum(x[b] * x[b], axis=1)[:, None] - 2.0 * x[b] @ y.T + y_sq[None, :]
+            got = matching._sq_distances(x[b], y, y_sq, buf)
+            assert np.shares_memory(got, buf)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        if rows % 4 == 1:
+            assert sizes[-1] == 5 and len(buf) == 5
+
     def test_early_termination_cap(self, small_scene, small_model):
         index = build_index(small_model, num_words=16, seed=7)
         view = render_view(small_scene, 3, seed=8)

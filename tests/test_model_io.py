@@ -231,6 +231,100 @@ class TestCorruption:
                 load_model(path)
 
 
+def with_payload(data: bytes, payload: bytes) -> bytes:
+    """`data`'s header declaring `payload`, with both CRCs made to match."""
+    import struct
+    import zlib
+
+    head = bytearray(data[:_HEADER_SIZE])
+    struct.pack_into("<QI", head, _HEADER_SIZE - 16, len(payload), zlib.crc32(payload))
+    struct.pack_into("<I", head, _HEADER_SIZE - 4, zlib.crc32(bytes(head[:-4])))
+    return bytes(head) + payload
+
+
+class TestZeroCopyLoad:
+    """`load_model` reads the payload through memoryview slices; the arrays
+    it returns must still own their bytes."""
+
+    @pytest.fixture()
+    def saved(self, tmp_path, small_scene):
+        model = build_model(small_scene, 0.01, seed=21)
+        compressed = compress_weighted_kcover(model, small_scene.true_labeling, 20)
+        compressed.model.labeling = detect_structures(
+            compressed.model.xyz, DetectParams(min_members=3, seed=22)
+        )
+        assert compressed.model.labeling.num_structures > 0
+        path = tmp_path / "m.eglm"
+        save_model(compressed, path)
+        return path, compressed
+
+    @staticmethod
+    def arrays(loaded: CompressedModel) -> list[np.ndarray]:
+        """The model's own arrays, read from the payload. The structures and
+        the visibility matrix freeze the id arrays they are given."""
+        pcm = loaded.model
+        return [
+            pcm.point_ids,
+            pcm.xyz,
+            pcm.descriptor_counts,
+            pcm.descriptors,
+            pcm.labeling.residual_ids,
+            loaded.selected_ids,
+            loaded.achieved_counts,
+        ]
+
+    def test_arrays_contiguous_and_writeable(self, saved):
+        path, _ = saved
+        loaded = load_model(path)
+        for array in self.arrays(loaded):
+            assert array.flags.c_contiguous and array.flags.writeable
+        for s in loaded.model.labeling.structures:
+            assert s.member_ids.flags.c_contiguous
+
+    def test_loads_share_no_memory(self, saved):
+        path, original = saved
+        first, second = load_model(path), load_model(path)
+        for a, b in zip(self.arrays(first), self.arrays(second)):
+            assert not np.shares_memory(a, b)
+        for array in self.arrays(first):
+            array[...] = 0
+        assert compressed_equal(second, original)
+        assert compressed_equal(load_model(path), original)
+
+    def test_payload_cut_in_model_id(self, saved):
+        path, original = saved
+        data = path.read_bytes()
+        id_len = len(original.model.model_id.encode("utf-8"))
+        assert id_len > 2
+        cut = 4 + id_len // 2
+        path.write_bytes(with_payload(data, data[_HEADER_SIZE : _HEADER_SIZE + cut]))
+        with pytest.raises(TruncatedPayloadError):
+            load_model(path)
+
+    def test_payload_cut_in_camera_list(self, saved):
+        path, original = saved
+        data = path.read_bytes()
+        pcm = original.model
+        lists = pcm.visibility.points_in_camera
+        assert len(lists) > 1 and len(lists[1]) > 1
+        # model id, point ids, xyz, descriptor counts, descriptors, camera 0
+        start = (
+            4
+            + len(pcm.model_id.encode("utf-8"))
+            + pcm.num_points * (8 + 24 + 4)
+            + pcm.descriptors.nbytes
+            + 4
+            + 8 * len(lists[0])
+        )
+        assert data[_HEADER_SIZE + start : _HEADER_SIZE + start + 4] == len(lists[1]).to_bytes(
+            4, "little"
+        )
+        for cut in (start + 2, start + 4 + 8 * len(lists[1]) - 3):
+            path.write_bytes(with_payload(data, data[_HEADER_SIZE : _HEADER_SIZE + cut]))
+            with pytest.raises(TruncatedPayloadError):
+                load_model(path)
+
+
 class TestSizes:
     def test_compressed_file_size_ratio(self, tmp_path):
         scene = generate_scene(

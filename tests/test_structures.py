@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from egoloc import DetectParams, detect_lines, detect_planes, detect_structures
+from egoloc import DetectParams, LineStructure, PlaneStructure, detect_structures
 
 
 def plane_points(rng, normal, offset, n, extent=5.0):
@@ -26,6 +26,20 @@ def line_points(rng, anchor, direction, n, extent=5.0):
     return np.asarray(anchor) + t * direction
 
 
+def planes_found(points, params):
+    """The planes of `detect_structures`: they are detected first, on every
+    point, so they are the result of plane detection alone."""
+    found = detect_structures(points, params).structures
+    return [s for s in found if isinstance(s, PlaneStructure)]
+
+
+def lines_found(points, params):
+    """The lines of `detect_structures`, for point sets that hold no plane."""
+    found = detect_structures(points, params).structures
+    assert all(isinstance(s, LineStructure) for s in found)
+    return found
+
+
 def least_squares_plane_normal(points):
     centered = points - points.mean(axis=0)
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
@@ -41,7 +55,7 @@ class TestDetectPlanes:
     def test_single_exact_plane(self):
         rng = np.random.default_rng(0)
         pts = plane_points(rng, [0.0, 0.0, 1.0], 2.0, 100)
-        planes = detect_planes(pts, DetectParams(inlier_threshold=0.05, seed=1))
+        planes = planes_found(pts, DetectParams(inlier_threshold=0.05, seed=1))
         assert len(planes) == 1
         assert len(planes[0].member_ids) == 100
         oracle_normal = least_squares_plane_normal(pts)
@@ -49,7 +63,7 @@ class TestDetectPlanes:
 
     def test_three_points_exact_fit(self):
         pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        planes = detect_planes(pts, DetectParams(min_members=3, seed=2))
+        planes = planes_found(pts, DetectParams(min_members=3, seed=2))
         assert len(planes) == 1
         assert len(planes[0].member_ids) == 3
 
@@ -58,7 +72,7 @@ class TestDetectPlanes:
         big = plane_points(rng, [0.0, 0.0, 1.0], 0.0, 60)
         small = plane_points(rng, [0.0, 0.0, 1.0], 1.0, 30)
         pts = np.vstack([big, small])
-        planes = detect_planes(pts, DetectParams(inlier_threshold=0.05, seed=4))
+        planes = planes_found(pts, DetectParams(inlier_threshold=0.05, seed=4))
         assert len(planes) == 2
         # Consensus counting: the first accepted plane is the 60-point one.
         assert len(planes[0].member_ids) == 60
@@ -69,7 +83,7 @@ class TestDetectPlanes:
         pts = plane_points(rng, [1.0, 2.0, 0.5], 1.0, 200)
         pts = pts + rng.normal(scale=0.01, size=pts.shape)
         params = DetectParams(inlier_threshold=0.05, seed=6)
-        for plane in detect_planes(pts, params):
+        for plane in planes_found(pts, params):
             assert np.all(plane.distances(pts[plane.member_ids]) <= params.inlier_threshold)
 
 
@@ -77,7 +91,7 @@ class TestDetectLines:
     def test_collinear_points_single_line(self):
         rng = np.random.default_rng(7)
         pts = line_points(rng, [0.0, 1.0, 2.0], [1.0, 1.0, 0.0], 50)
-        lines = detect_lines(pts, DetectParams(seed=8))
+        lines = lines_found(pts, DetectParams(seed=8))
         assert len(lines) == 1
         assert len(lines[0].member_ids) == 50
 
@@ -86,7 +100,7 @@ class TestDetectLines:
         a = line_points(rng, [0.0, 0.0, 0.0], [1.0, 0.0, 0.0], 30)
         b = line_points(rng, [0.0, 3.0, 2.0], [0.0, 1.0, 0.0], 30)
         pts = np.vstack([a, b])
-        lines = detect_lines(pts, DetectParams(seed=10))
+        lines = lines_found(pts, DetectParams(seed=10))
         assert len(lines) == 2
         sizes = sorted(len(l.member_ids) for l in lines)
         assert sizes == [30, 30]
@@ -100,7 +114,7 @@ class TestDetectLines:
         for seed in range(100):
             rng = np.random.default_rng(seed)
             pts = rng.uniform(-5, 5, size=(30, 3))
-            lines = detect_lines(
+            lines = lines_found(
                 pts, DetectParams(inlier_threshold=0.01, min_members=20, seed=seed)
             )
             empty += not lines
@@ -200,7 +214,7 @@ class TestDetectStructures:
             ]
         )
         params = DetectParams(inlier_threshold=0.05, min_members=30, seed=24, max_iterations_per_structure=300)
-        planes = detect_planes(pts, params)
+        planes = planes_found(pts, params)
         assert planes
         num = params.max_iterations_per_structure
         picks = _draw_samples(np.random.default_rng((params.seed, 0)), len(pts), num, 3)
