@@ -6,15 +6,15 @@ visited cheapest-word-first and the search stops once `max_matches` distinct
 points are matched, the vocabulary-based prioritized search of Li, Snavely &
 Huttenlocher (ECCV 2010) and Sattler, Leibe & Kobbelt (ICCV 2011).
 
-Distances are computed lazily along that order, in blocks that double in
-size, so the early stop skips the words it never reaches. A block always
-ends at the end of a candidate-list length class, so each word is evaluated
-once, on all of its features: the same rows and the same matrix product as
-a full scan, hence bit-identical distances whatever the block sizes. A
-match is accepted when the nearest and second-nearest candidates from
-*distinct* 3D points pass the ratio test; this is evaluated on per-point
-minimum distances, which is equivalent and vectorizes over a word's whole
-candidate list.
+Distances are computed lazily along that order, one candidate-list length
+class (the features whose words have lists of one length) at a time, so the
+early stop skips every class after the one it stops in. A class holds whole
+words, so each word is evaluated once, on all of its features: the same
+rows and the same matrix product as a full scan, hence bit-identical
+distances. A match is accepted when the nearest and second-nearest
+candidates from *distinct* 3D points pass the ratio test; this is evaluated
+on per-point minimum distances, which is equivalent and vectorizes over a
+word's whole candidate list.
 """
 
 from __future__ import annotations
@@ -35,8 +35,6 @@ if TYPE_CHECKING:
 # Distance elements (block rows x candidate columns) per block of the large
 # distance computations: 8 MB per distance buffer.
 _BLOCK_ELEMENTS = 1 << 20
-# Features in the first block of the prioritized search; later blocks double.
-_FIRST_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -175,9 +173,10 @@ class MatchIndex:
     def descriptor_dim(self) -> int:
         return self.centroids.shape[1]
 
-    def position_of(self, point_id: int) -> np.ndarray:
-        row = np.searchsorted(self._sorted_ids, point_id)
-        return self.point_xyz[self._sorted_rows[row]]
+    def positions_of(self, point_ids: np.ndarray) -> np.ndarray:
+        """The (n, 3) positions of the points with the given ids."""
+        rows = np.searchsorted(self._sorted_ids, point_ids)
+        return self.point_xyz[self._sorted_rows[rows]]
 
     def __post_init__(self):
         order = np.argsort(self.point_ids)
@@ -328,12 +327,15 @@ def _prioritized_walk(
     desc: np.ndarray, index: MatchIndex, params: MatchParams, tally: dict[str, int]
 ):
     """Yield (feature, nearest point id, d1, d2) in priority order, computing
-    distances one block at a time, only when the walk reaches the block.
+    distances one length class at a time, only when the walk reaches it.
 
-    Blocks start at `_FIRST_BLOCK` features and double, each extended to the
-    end of its length class so that a word's features are never split across
-    blocks. Exact mode is one block of every feature in feature order.
-    `tally` counts the features and words evaluated so far.
+    The features are grouped once: a stable sort by (list length, word)
+    makes each word's features one run, and the runs of a length class are
+    contiguous and end where the class ends in the priority order. Each
+    word is evaluated once, on all of its features, into per-feature
+    arrays; the class is then yielded. Exact mode is one pass over every
+    feature in feature order. `tally` counts the features and words
+    evaluated so far.
     """
     n = len(desc)
     if params.exact_mode:
@@ -343,25 +345,29 @@ def _prioritized_walk(
     words = _nearest_centroid(desc, index.centroids)
     lengths = np.diff(index.word_indptr)[words]
     order = np.argsort(lengths, kind="stable")
-    sorted_lengths = lengths[order]
-    start, size = 0, _FIRST_BLOCK
-    while start < n:
-        last_length = sorted_lengths[min(start + size, n) - 1]
-        stop = int(np.searchsorted(sorted_lengths, last_length, side="right"))
-        features = order[start:stop]
-        block_words = words[features]
-        pid = np.zeros(len(features), dtype=np.int64)
-        d1 = np.empty(len(features))
-        d2 = np.empty(len(features))
-        for word in np.unique(block_words):
-            rows = np.flatnonzero(block_words == word)
-            pid[rows], d1[rows], d2[rows] = _nearest_two_points(
-                desc[features[rows]], *index._word_candidates(word)
-            )
-            tally["words_evaluated"] += 1
-        tally["features_scanned"] += len(features)
-        yield from zip(features, pid, d1, d2)
-        start, size = stop, 2 * size
+    by_word = np.lexsort((words, lengths))
+    sorted_words = words[by_word]
+    starts = np.flatnonzero(np.diff(sorted_words, prepend=-1))
+    stops = np.append(starts[1:], n)
+    # A run ends its class when the next run's words are longer.
+    ends_class = np.append(np.diff(lengths[by_word[starts]]) != 0, True)
+    pid = np.zeros(n, dtype=np.int64)
+    d1 = np.empty(n)
+    d2 = np.empty(n)
+    done = 0
+    for start, stop, word, last in zip(
+        starts.tolist(), stops.tolist(), sorted_words[starts].tolist(), ends_class.tolist()
+    ):
+        rows = by_word[start:stop]
+        pid[rows], d1[rows], d2[rows] = _nearest_two_points(
+            desc[rows], *index._word_candidates(word)
+        )
+        tally["words_evaluated"] += 1
+        if last:
+            tally["features_scanned"] = stop
+            features = order[done:stop]
+            yield from zip(features, pid[features], d1[features], d2[features])
+            done = stop
 
 
 def match_features(
@@ -376,12 +382,12 @@ def match_features(
     Features are processed in ascending order of their word's candidate-list
     length (ties by feature index). At most one correspondence is kept per 3D
     point (the smallest descriptor distance wins) and the search stops once
-    `max_matches` points are matched. Distances are computed lazily, one block
-    of that order at a time, so the words past the stop are never evaluated.
-    Each word is evaluated once, on all of its features, so every distance
-    equals the one a full scan computes and the result does not depend on the
-    block sizes. In exact mode every feature scans the full descriptor set in
-    feature order.
+    `max_matches` points are matched. Distances are computed lazily, one
+    length class (the features whose words have lists of one length) at a
+    time, so no word past the class the search stops in is evaluated. Each
+    word is evaluated once, on all of its features, so every distance equals
+    the one a full scan computes. In exact mode every feature scans the full
+    descriptor set in feature order.
 
     If `counters` is given, it receives `features_scanned` (features whose
     distances were computed) and `words_evaluated` (0 in exact mode).

@@ -498,8 +498,8 @@ def localize(
         raise RegistrationFailedError("matching", f"only {len(matches)} correspondences")
 
     px = query.pixels[[m.feature_index for m in matches]]
-    pts = np.stack([index.position_of(m.point_id) for m in matches])
     point_ids = np.array([m.point_id for m in matches], dtype=np.int64)
+    pts = index.positions_of(point_ids)
 
     t0 = time.perf_counter()
     try:

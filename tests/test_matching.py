@@ -156,6 +156,16 @@ class TestIndexLayout:
             np.diff(index.word_indptr), np.bincount(assign, minlength=index.num_words)
         )
 
+    def test_positions_of_matches_per_id_lookup(self, small_model):
+        rows = np.random.default_rng(0).permutation(small_model.num_points)
+        model = small_model.subset(rows)
+        assert np.any(np.diff(model.point_ids) < 0)
+        index = build_index(model, num_words=16, seed=1)
+        ids = np.random.default_rng(1).choice(model.point_ids, size=50)
+        want = np.stack([model.xyz[np.flatnonzero(model.point_ids == i)[0]] for i in ids])
+        got = index.positions_of(ids)
+        assert got.shape == (50, 3) and got.tobytes() == want.tobytes()
+
 
 class TestMatchFeatures:
     def test_exact_match_accepted_with_small_ratio(self):
@@ -358,9 +368,41 @@ class TestPrioritizedSearchOracle:
                     assert scanned == n
                     assert counters["words_evaluated"] == num_view_words
                     continue
-                # The walk evaluates up to the end of the block it stopped
-                # in. These views have about 290 features, so a cap of at
-                # most 50 stops long before the last block.
+                # The walk evaluates up to the end of the length class it
+                # stopped in. These views have about 290 features, so a cap
+                # of at most 50 stops long before the last class.
                 assert visited <= scanned <= n
                 if max_matches <= 50:
                     assert scanned < n
+
+
+class TestPrioritizedSearchMinimal:
+    def test_evaluates_only_the_classes_reached(self, small_scene, small_model):
+        """When the cap is hit, the walk has evaluated exactly the features
+        whose words are no longer than that of the last feature it visited,
+        and each of their words once."""
+        shared_class_reached = False
+        for num_words in (16, 64):
+            index = build_index(small_model, num_words=num_words, seed=11)
+            word_lengths = np.diff(index.word_indptr)
+            for seed in range(20):
+                view = render_view(small_scene, seed % small_scene.num_cameras, seed=100 + seed)
+                desc = np.asarray(view.descriptors, dtype=np.float64)
+                sq = ((desc[:, None, :] - index.centroids[None]) ** 2).sum(axis=2)
+                words = np.argmin(sq, axis=1)
+                lengths = word_lengths[words]
+                order = sorted(range(len(desc)), key=lambda f: (lengths[f], f))
+                for max_matches in (6, 10, 50):
+                    params = MatchParams(max_matches=max_matches)
+                    counters = {}
+                    got = match_features(view, index, params, counters=counters)
+                    want, visited, _ = full_scan_match(view, index, params)
+                    assert got == want and len(want) == max_matches
+                    reached = lengths <= lengths[order[visited - 1]]
+                    reached_words = np.unique(words[reached])
+                    assert counters["features_scanned"] == np.count_nonzero(reached)
+                    assert counters["words_evaluated"] == len(reached_words)
+                    # Some reached length class holds two or more words.
+                    distinct_lengths = len(np.unique(word_lengths[reached_words]))
+                    shared_class_reached |= distinct_lengths < len(reached_words)
+        assert shared_class_reached
