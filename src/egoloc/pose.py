@@ -1,22 +1,25 @@
 """Camera localization: 6-point DLT, RANSAC, nonlinear refinement, pipeline.
 
 The DLT estimates a 3x4 projection matrix from normalized correspondences;
-RANSAC wraps it with counter-seeded minimal samples and adaptive stopping;
-refinement runs damped least squares on the reprojection residuals with the
-intrinsics held fixed. `localize` chains matching, RANSAC, and refinement
-into the query-to-pose pipeline and reports the correspondence and inlier
-counts the model-maintenance layer verifies against.
+RANSAC wraps it with counter-seeded minimal samples and adaptive stopping.
+Refinement is a Levenberg–Marquardt loop over the six pose parameters with
+a closed-form Jacobian and the intrinsics held fixed. `localize` chains
+matching, RANSAC, and refinement into the query-to-pose pipeline. It
+refines and certifies under the query's own calibration (the DLT's
+decomposed intrinsics only for uncalibrated queries) and reports the
+correspondence and inlier counts the model-maintenance layer verifies
+against.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
-from scipy.spatial.transform import Rotation
+import scipy.linalg.lapack
 
 from .errors import (
     DegenerateConfigurationError,
@@ -39,6 +42,13 @@ _PLANAR_TOL = 1e-9
 _FIRST_BATCH = 8
 _MIN_BATCH = 16
 _MAX_BATCH = 256
+
+# Levenberg–Marquardt refinement: the damping of the first step, the floor
+# it shrinks to, and the stop: a step whose linearized cost decrease is at
+# most _COST_TOL of the cost is not taken.
+_INITIAL_DAMPING = 1e-6
+_MIN_DAMPING = 1e-12
+_COST_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -88,7 +98,8 @@ class LocalizationResult:
     `timings` holds wall times in seconds; `counters` holds deterministic
     work counts (the matching stage's `features_scanned` and
     `words_evaluated`, RANSAC's `ransac_hypotheses`, `ransac_degenerate`
-    and `ransac_stop`), kept apart so seeded records stay reproducible.
+    and `ransac_stop`, and refinement's `refine_iterations`), kept apart so
+    seeded records stay reproducible.
     """
 
     pose: CameraPose
@@ -400,15 +411,118 @@ def ransac_pose(
     )
 
 
-def _residuals(
-    x: np.ndarray, intr: CameraIntrinsics, pixels: np.ndarray, points: np.ndarray
-) -> np.ndarray:
-    rot = Rotation.from_rotvec(x[:3]).as_matrix()
-    cam = points @ rot.T + x[3:]
-    z = np.maximum(cam[:, 2], 1e-9)
-    u = intr.focal_x * cam[:, 0] / z + intr.principal_x
-    v = intr.focal_y * cam[:, 1] / z + intr.principal_y
-    return np.concatenate([u - pixels[:, 0], v - pixels[:, 1]])
+def _exp_rotation(w: np.ndarray) -> np.ndarray:
+    """exp([w]x) by Rodrigues' formula: the turn by |w| radians about w."""
+    x, y, z = w.tolist()
+    theta = math.sqrt(x * x + y * y + z * z)
+    if theta < 1e-8:
+        # sin(θ)/θ and (1 - cos θ)/θ² to double precision.
+        a, b = 1.0, 0.5
+    else:
+        a, b = math.sin(theta) / theta, (1.0 - math.cos(theta)) / (theta * theta)
+    return np.array(
+        [
+            [1.0 - b * (y * y + z * z), b * x * y - a * z, b * x * z + a * y],
+            [b * x * y + a * z, 1.0 - b * (x * x + z * z), b * y * z - a * x],
+            [b * x * z - a * y, b * y * z + a * x, 1.0 - b * (x * x + y * y)],
+        ]
+    )
+
+
+def _pixel_residuals(cam: np.ndarray, intr: CameraIntrinsics, pixels: np.ndarray) -> np.ndarray:
+    """Stacked pixel residuals [u - u_obs; v - v_obs] (2n,) of camera-frame
+    points (n, 3) in front of the camera."""
+    n = len(cam)
+    r = np.empty(2 * n)
+    np.divide(cam[:, :2].T, cam[:, 2], out=r.reshape(2, n))
+    r[:n] = r[:n] * intr.focal_x + (intr.principal_x - pixels[:, 0])
+    r[n:] = r[n:] * intr.focal_y + (intr.principal_y - pixels[:, 1])
+    return r
+
+
+def _jacobian(cam: np.ndarray, intr: CameraIntrinsics) -> np.ndarray:
+    """Jacobian (2n, 6) of `_pixel_residuals` in (w, dt), where the perturbed
+    pose maps a point to ``exp([w]x) @ cam + dt``. With ``x = X/Z`` and
+    ``y = Y/Z``, the row of u is ``fx·[-xy, 1+x², -y, 1/Z, 0, -x/Z]`` and
+    that of v is ``fy·[-(1+y²), xy, x, 0, 1/Z, -y/Z]``."""
+    n = len(cam)
+    iz = 1.0 / cam[:, 2]
+    x = cam[:, 0] * iz
+    y = cam[:, 1] * iz
+    xy = x * y
+    jac = np.empty((2 * n, 6))
+    ju, jv = jac[:n], jac[n:]
+    ju[:, 0] = -xy
+    ju[:, 1] = 1.0 + x * x
+    ju[:, 2] = -y
+    ju[:, 3] = iz
+    ju[:, 4] = 0.0
+    ju[:, 5] = -x * iz
+    jv[:, 0] = -1.0 - y * y
+    jv[:, 1] = xy
+    jv[:, 2] = x
+    jv[:, 3] = 0.0
+    jv[:, 4] = iz
+    jv[:, 5] = -y * iz
+    ju *= intr.focal_x
+    jv *= intr.focal_y
+    return jac
+
+
+def _mean_pixel_error(r: np.ndarray) -> float:
+    """Mean pixel distance of stacked residuals [du; dv]."""
+    n = len(r) // 2
+    return float(np.sqrt(r[:n] * r[:n] + r[n:] * r[n:]).mean())
+
+
+def _levenberg_marquardt(
+    rot: np.ndarray,
+    t: np.ndarray,
+    intr: CameraIntrinsics,
+    pixels: np.ndarray,
+    points: np.ndarray,
+    max_iterations: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """LM over the pose from a start with every point in front of the
+    camera. Returns the last accepted rotation, translation and residuals
+    (the start's own `rot` object if no step was accepted) and the number
+    of steps solved."""
+    cam = points @ rot.T + t
+    r = _pixel_residuals(cam, intr, pixels)
+    cost = float(r @ r)
+    damping = _INITIAL_DAMPING
+    moved = True
+    iterations = 0
+    while iterations < max_iterations:
+        if moved:
+            jac = _jacobian(cam, intr)
+            jtj = jac.T @ jac
+            grad = jac.T @ r
+            scale = np.diag(jtj)
+        iterations += 1
+        # Cholesky solve of the damped normal equations, which are positive
+        # definite unless the points leave the pose undetermined.
+        _, step, info = scipy.linalg.lapack.dposv(jtj + np.diag(damping * scale), -grad)
+        if info:
+            break
+        # Decrease of the linearized cost: |r|² - |r + J step|².
+        if -(2.0 * grad @ step + step @ jtj @ step) <= _COST_TOL * cost:
+            break
+        turn = _exp_rotation(step[:3])
+        rot_new = turn @ rot
+        t_new = turn @ t + step[3:]
+        cam_new = points @ rot_new.T + t_new
+        moved = False
+        if cam_new[:, 2].min() > DEPTH_EPSILON:
+            r_new = _pixel_residuals(cam_new, intr, pixels)
+            cost_new = float(r_new @ r_new)
+            moved = cost_new < cost
+        if moved:
+            rot, t, cam, r, cost = rot_new, t_new, cam_new, r_new, cost_new
+            damping = max(damping * 0.1, _MIN_DAMPING)
+        else:
+            damping *= 10.0
+    return rot, t, r, iterations
 
 
 def refine_pose(
@@ -417,13 +531,27 @@ def refine_pose(
     points: np.ndarray,
     *,
     max_iterations: int = 50,
+    counters: dict[str, int] | None = None,
 ) -> PoseEstimate:
-    """Damped least-squares refinement of the pose over its inliers.
+    """Levenberg–Marquardt refinement of the pose over its inliers.
 
-    Rotation is locally parameterized as a rotation vector and the
-    translation is free; intrinsics stay fixed. The refined pose is kept
-    only if neither the squared-error objective nor the mean pixel error
-    increased, so refinement never degrades an estimate.
+    Minimizes the squared pixel residuals with the estimate's intrinsics
+    held fixed: the pose-only LM of Hartley & Zisserman, *Multiple View
+    Geometry* (2nd ed., §A6). The six parameters are a rotation
+    perturbation ``w``, applied on the left, and a translation step
+    ``dt``: ``R <- exp(w) R`` and ``t <- exp(w) t + dt``, with the
+    closed-form Jacobian of `_jacobian`. Damping multiplies the diagonal of
+    ``JᵀJ``; it falls tenfold after an accepted step and rises tenfold
+    after a rejected one. A step is rejected if it raises the cost or puts
+    a point at depth <= DEPTH_EPSILON. The loop stops at the first step
+    whose linearized cost decrease is at most _COST_TOL of the cost, or
+    after `max_iterations` steps. A start with a point at depth <=
+    DEPTH_EPSILON is returned unchanged.
+
+    The refined pose is kept only if neither the squared-error objective
+    nor the mean pixel error increased, so refinement never degrades an
+    estimate. If `counters` is given, it receives `refine_iterations`: the
+    steps solved, accepted or not.
     """
     px = np.asarray(pixels, dtype=np.float64).reshape(-1, 2)
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
@@ -431,35 +559,27 @@ def refine_pose(
         raise ValueError("refinement needs at least 6 inlier correspondences")
 
     intr = estimate.intrinsics
-    x0 = np.concatenate(
-        [Rotation.from_matrix(estimate.pose.rotation).as_rotvec(), estimate.pose.translation]
-    )
-    r0 = _residuals(x0, intr, px, pts)
-    cost0 = float(r0 @ r0)
-    mean0 = float(np.linalg.norm(r0.reshape(2, -1).T, axis=1).mean())
-
-    result = scipy.optimize.least_squares(
-        _residuals,
-        x0,
-        args=(intr, px, pts),
-        method="lm",
-        ftol=1e-10,
-        xtol=1e-12,
-        max_nfev=max_iterations * 7,
-    )
-    r1 = _residuals(result.x, intr, px, pts)
-    cost1 = float(r1 @ r1)
-    mean1 = float(np.linalg.norm(r1.reshape(2, -1).T, axis=1).mean())
-    if cost1 > cost0 or mean1 > mean0:
+    start = estimate.pose
+    cam = pts @ start.rotation.T + start.translation
+    if cam[:, 2].min() <= DEPTH_EPSILON:
+        rot, iterations = start.rotation, 0
+    else:
+        rot, t, r1, iterations = _levenberg_marquardt(
+            start.rotation, start.translation, intr, px, pts, max_iterations
+        )
+    if counters is not None:
+        counters["refine_iterations"] = iterations
+    if rot is start.rotation:
         return estimate
 
-    rot = Rotation.from_rotvec(result.x[:3]).as_matrix()
-    # Re-orthonormalize against accumulated float drift before validation.
-    u, _, vt = np.linalg.svd(rot)
-    rot = u @ vt
-    pose = CameraPose(rotation=rot, translation=result.x[3:])
+    r0 = _pixel_residuals(cam, intr, px)
+    mean1 = _mean_pixel_error(r1)
+    if r1 @ r1 > r0 @ r0 or mean1 > _mean_pixel_error(r0):
+        return estimate
     return PoseEstimate(
-        pose=pose,
+        # A product of Rodrigues rotations stays orthonormal to rounding,
+        # far inside CameraPose's check.
+        pose=CameraPose(rotation=rot, translation=t),
         intrinsics=intr,
         inlier_ids=estimate.inlier_ids,
         n_correspondences=estimate.n_correspondences,
@@ -474,13 +594,18 @@ def localize(
     match_params: MatchParams | None = None,
     ransac_params: RansacParams | None = None,
     *,
-    use_query_intrinsics: bool = False,
+    use_query_intrinsics: bool = True,
 ) -> LocalizationResult:
     """Full query-to-pose pipeline: match, RANSAC, refine, re-certify.
 
-    With `use_query_intrinsics` the refinement trusts the query's calibration
-    instead of the DLT-decomposed intrinsics; the default is the full DLT
-    estimate.
+    RANSAC estimates the full projection matrix; refinement and the final
+    inlier certification then run under the query's own calibration,
+    `query.intrinsics`, which the result reports. `use_query_intrinsics=False`
+    is for queries without a calibration: the pose is refined and certified
+    under the intrinsics decomposed from the DLT instead.
+
+    `counters` carries the matching and RANSAC counters and
+    `refine_iterations` from `refine_pose`.
 
     Raises:
         RegistrationFailedError: tagged with the stage ("matching" or
@@ -525,7 +650,9 @@ def localize(
         )
 
     t0 = time.perf_counter()
-    refined = refine_pose(estimate, px[estimate.inlier_ids], pts[estimate.inlier_ids])
+    refined = refine_pose(
+        estimate, px[estimate.inlier_ids], pts[estimate.inlier_ids], counters=counters
+    )
     timings["refine"] = time.perf_counter() - t0
 
     # Re-certify inliers under the refined pose so the reported counts hold
