@@ -5,8 +5,7 @@ RANSAC wraps it with counter-seeded minimal samples and adaptive stopping.
 Refinement is a Levenberg–Marquardt loop over the six pose parameters with
 a closed-form Jacobian and the intrinsics held fixed. `localize` chains
 matching, RANSAC, and refinement into the query-to-pose pipeline. It
-refines and certifies under the query's own calibration (the DLT's
-decomposed intrinsics only for uncalibrated queries) and reports the
+refines and certifies under the query's own calibration and reports the
 correspondence and inlier counts the model-maintenance layer verifies
 against.
 """
@@ -593,16 +592,12 @@ def localize(
     index: MatchIndex,
     match_params: MatchParams | None = None,
     ransac_params: RansacParams | None = None,
-    *,
-    use_query_intrinsics: bool = True,
 ) -> LocalizationResult:
     """Full query-to-pose pipeline: match, RANSAC, refine, re-certify.
 
     RANSAC estimates the full projection matrix; refinement and the final
     inlier certification then run under the query's own calibration,
-    `query.intrinsics`, which the result reports. `use_query_intrinsics=False`
-    is for queries without a calibration: the pose is refined and certified
-    under the intrinsics decomposed from the DLT instead.
+    `query.intrinsics`, which the result reports.
 
     `counters` carries the matching and RANSAC counters and
     `refine_iterations` from `refine_pose`.
@@ -639,15 +634,14 @@ def localize(
         raise RegistrationFailedError("ransac", str(exc)) from exc
     timings["ransac"] = time.perf_counter() - t0
 
-    if use_query_intrinsics:
-        estimate = PoseEstimate(
-            pose=estimate.pose,
-            intrinsics=query.intrinsics,
-            inlier_ids=estimate.inlier_ids,
-            n_correspondences=estimate.n_correspondences,
-            n_inliers=estimate.n_inliers,
-            mean_reprojection_error=estimate.mean_reprojection_error,
-        )
+    estimate = PoseEstimate(
+        pose=estimate.pose,
+        intrinsics=query.intrinsics,
+        inlier_ids=estimate.inlier_ids,
+        n_correspondences=estimate.n_correspondences,
+        n_inliers=estimate.n_inliers,
+        mean_reprojection_error=estimate.mean_reprojection_error,
+    )
 
     t0 = time.perf_counter()
     refined = refine_pose(

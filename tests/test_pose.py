@@ -818,22 +818,8 @@ class TestLocalize:
     def test_known_intrinsics_mode(self, loc_setup):
         scene, model, index = loc_setup
         view = render_view(scene, 2, seed=10)
-        result = localize(
-            view, index, MatchParams(), RansacParams(seed=11), use_query_intrinsics=True
-        )
+        result = localize(view, index, MatchParams(), RansacParams(seed=11))
         assert result.intrinsics is view.intrinsics
-        err = np.linalg.norm(result.pose.center - view.true_pose.center)
-        assert err < 0.01 * scene.spec.scene_extent
-
-    def test_uncalibrated_mode(self, loc_setup):
-        scene, model, index = loc_setup
-        view = render_view(scene, 2, seed=10)
-        result = localize(
-            view, index, MatchParams(), RansacParams(seed=11), use_query_intrinsics=False
-        )
-        assert result.intrinsics != view.intrinsics
-        assert result.intrinsics.focal_x == pytest.approx(view.intrinsics.focal_x, rel=0.05)
-        assert result.counters["refine_iterations"] >= 1
         err = np.linalg.norm(result.pose.center - view.true_pose.center)
         assert err < 0.01 * scene.spec.scene_extent
 
