@@ -23,7 +23,7 @@ from .compression import (
     compress_top_visibility,
     compress_weighted_kcover,
 )
-from .errors import EgolocError, RegistrationFailedError
+from .errors import ConfigError, EgolocError, RegistrationFailedError
 from .matching import MatchParams, build_index
 from .model import PointCloudModel
 from .pose import RansacParams, localize
@@ -38,6 +38,15 @@ def _load_config(path: str | None) -> dict:
     return json.loads(Path(path).read_text())
 
 
+def _params(cls, values, **overrides):
+    """`cls(**values, **overrides)`; an unknown key or a bad value in a
+    config section raises `ConfigError`."""
+    try:
+        return cls(**{**values, **overrides})
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid {cls.__name__} config: {exc}") from exc
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -50,10 +59,8 @@ def _write_records(path: Path, records: list[dict]):
 
 def cmd_gen(args) -> int:
     cfg = _load_config(args.config)
-    spec_args = dict(cfg.get("scene", {}))
-    if args.seed is not None:
-        spec_args["seed"] = args.seed
-    spec = SceneSpec(**spec_args)
+    seed = {} if args.seed is None else {"seed": args.seed}
+    spec = _params(SceneSpec, cfg.get("scene", {}), **seed)
     scene = generate_scene(spec)
     out = _out_dir(args)
     model_io.save_scene(scene, out / "scene.npz")
@@ -86,7 +93,7 @@ def cmd_detect(args) -> int:
     model = model_io.load_model(Path(args.model))
     if not isinstance(model, PointCloudModel):
         model = model.model
-    params = DetectParams(**{**cfg.get("detect", {}), "seed": args.seed or 0})
+    params = _params(DetectParams, cfg.get("detect", {}), seed=args.seed or 0)
     labeling = detect_structures(model.xyz, params)
     model.labeling = labeling
     out = _out_dir(args)
@@ -107,7 +114,7 @@ def cmd_compress(args) -> int:
         return 1
     labeling = model.labeling
     if labeling is None and args.method != "set_kcover":
-        params = DetectParams(**{**cfg.get("detect", {}), "seed": args.seed or 0})
+        params = _params(DetectParams, cfg.get("detect", {}), seed=args.seed or 0)
         labeling = detect_structures(model.xyz, params)
         model.labeling = labeling
     if args.method == "weighted_kcover":
@@ -133,8 +140,8 @@ def cmd_localize(args) -> int:
     model = model_io.load_model(Path(args.model))
     scene = model_io.load_scene(Path(args.scene))
     index = build_index(model, cfg.get("num_words"), seed=args.seed or 0)
-    match_params = MatchParams(**cfg.get("match", {}))
-    ransac_params = RansacParams(**{**cfg.get("ransac", {}), "seed": args.seed or 0})
+    match_params = _params(MatchParams, cfg.get("match", {}))
+    ransac_params = _params(RansacParams, cfg.get("ransac", {}), seed=args.seed or 0)
     view = render_view(scene, args.view, seed=args.seed or 0)
     try:
         result = localize(view, index, match_params, ransac_params)
@@ -162,7 +169,7 @@ def cmd_track(args) -> int:
     measurements = [
         (float(t), None if z is None else np.asarray(z, dtype=np.float64)) for t, z in raw
     ]
-    params = TrackParams(**cfg.get("track", {}))
+    params = _params(TrackParams, cfg.get("track", {}))
     states = smooth_trajectory(measurements, params)
     records = [
         {

@@ -1,20 +1,21 @@
 """2D-to-3D correspondence search over a visual-word index.
 
-Model descriptors are clustered into visual words (seeded k-means); a query
-feature searches only its nearest word's candidate list. Features are
-visited cheapest-word-first and the search stops once `max_matches` distinct
-points are matched, the vocabulary-based prioritized search of Li, Snavely &
-Huttenlocher (ECCV 2010) and Sattler, Leibe & Kobbelt (ICCV 2011).
+Model descriptors are clustered into visual words (seeded k-means), and
+each word lists every point with a sample in it once, under the mean of
+those samples (Sattler, Leibe & Kobbelt, ICCV 2011). A query feature
+searches only its nearest word's list. Features are visited
+cheapest-word-first and the search stops once `max_matches` distinct points
+are matched, the vocabulary-based prioritized search of Li, Snavely &
+Huttenlocher (ECCV 2010).
 
 Distances are computed lazily along that order, one candidate-list length
 class (the features whose words have lists of one length) at a time, so the
 early stop skips every class after the one it stops in. A class holds whole
 words, so each word is evaluated once, on all of its features: the same
 rows and the same matrix product as a full scan, hence bit-identical
-distances. A match is accepted when the nearest and second-nearest
-candidates from *distinct* 3D points pass the ratio test; this is evaluated
-on per-point minimum distances, which is equivalent and vectorizes over a
-word's whole candidate list.
+distances. A match is accepted when the nearest and second-nearest points
+of the word pass the ratio test; as each point has one row per word, these
+are the two smallest distances of the feature's row.
 """
 
 from __future__ import annotations
@@ -39,15 +40,11 @@ _BLOCK_ELEMENTS = 1 << 20
 
 @dataclass(frozen=True)
 class MatchParams:
-    """Correspondence search parameters.
-
-    `exact_mode` bypasses the word index and scans every model descriptor;
-    it is the oracle the quantized search is validated against.
-    """
+    """Correspondence search parameters: the ratio test's threshold and the
+    number of distinct points after which the search stops."""
 
     ratio_threshold: float = 0.7
     max_matches: int = 200
-    exact_mode: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.ratio_threshold < 1.0:
@@ -58,7 +55,8 @@ class MatchParams:
 
 @dataclass(frozen=True)
 class Correspondence:
-    """An accepted 2D-3D match."""
+    """An accepted 2D-3D match; `distance` is to the point's mean
+    descriptor in the feature's word."""
 
     feature_index: int
     point_id: int
@@ -103,58 +101,44 @@ def _sq_distances(x: np.ndarray, y: np.ndarray, y_sq: np.ndarray, out: np.ndarra
 
 
 def _nearest_two_points(
-    features: np.ndarray,
-    descriptors: np.ndarray,
-    sq_norms: np.ndarray,
-    group_ids: np.ndarray,
-    group_starts: np.ndarray,
+    features: np.ndarray, descriptors: np.ndarray, sq_norms: np.ndarray, owners: np.ndarray
 ):
-    """Per feature: (nearest point id, its distance, distance to the nearest
-    *other* point) over candidates grouped contiguously by point.
+    """Per feature: (nearest point id, its distance, distance to the
+    second-nearest point) over candidate rows of distinct points.
 
-    `group_starts` are the first rows of each point's run in `descriptors`,
-    `group_ids` their point ids. Rows with fewer than two candidate points
-    get distances of +inf.
+    `owners` is the point id of each row of `descriptors`. With fewer than
+    two candidate points every distance is +inf.
     """
     f = np.asarray(features, dtype=np.float64)
     n = len(f)
     best_pid = np.zeros(n, dtype=np.int64)
     best_d = np.full(n, np.inf)
     second_d = np.full(n, np.inf)
-    if len(group_ids) < 2:
+    if len(owners) < 2:
         return best_pid, best_d, second_d
     blocks = _row_blocks(n, len(descriptors))
     buf = _block_buffer(blocks, len(descriptors))
     for rows in blocks:
         d2 = _sq_distances(f[rows], descriptors, sq_norms, buf)
         np.maximum(d2, 0.0, out=d2)
-        per_point = np.minimum.reduceat(d2, group_starts, axis=1)
-        nearest = np.argmin(per_point, axis=1)
-        best_pid[rows] = group_ids[nearest]
-        two = np.partition(per_point, 1, axis=1)[:, :2]
+        best_pid[rows] = owners[np.argmin(d2, axis=1)]
+        two = np.partition(d2, 1, axis=1)[:, :2]
         best_d[rows] = np.sqrt(two[:, 0])
         second_d[rows] = np.sqrt(two[:, 1])
     return best_pid, best_d, second_d
 
 
-def _group_starts(owners: np.ndarray, word_indptr: np.ndarray) -> np.ndarray:
-    """First row of each point group: a run of equal owners inside one word."""
-    starts = np.zeros(len(owners), dtype=bool)
-    starts[word_indptr[:-1][np.diff(word_indptr) > 0]] = True
-    starts[1:] |= owners[1:] != owners[:-1]
-    return np.flatnonzero(starts)
-
-
 @dataclass
 class MatchIndex:
-    """Visual-word index over all descriptors of a model, as an inverted file.
+    """Visual-word index over a model's descriptors, as an inverted file.
 
     Every model descriptor is assigned to exactly one word (nearest centroid,
-    ties to the lowest word id). `descriptors` holds them word-major, rows
-    `word_indptr[w]:word_indptr[w + 1]` for word w; within a word, rows are
-    sorted by point id, ties in model-row order. `owners` is the point id of
-    each row. Point positions ride along so localization needs only the
-    index. Immutable after build; concurrent queries are safe.
+    ties to the lowest word id). Each word holds one row per point with
+    samples in it: the mean of those samples. `descriptors` holds the rows
+    word-major, rows `word_indptr[w]:word_indptr[w + 1]` for word w, and
+    `owners` is the point id of each row, strictly increasing within a word.
+    Point positions ride along so localization needs only the index.
+    Immutable after build; concurrent queries are safe.
     """
 
     centroids: np.ndarray
@@ -186,46 +170,11 @@ class MatchIndex:
         for rows in _row_blocks(len(self.descriptors), self.descriptor_dim):
             block = self.descriptors[rows]
             self._sq_norms[rows] = np.sum(block * block, axis=1)
-        group_starts = _group_starts(self.owners, self.word_indptr)
-        self._group_ids = self.owners[group_starts]
-        # Word w's groups are entries word_groups[w]:word_groups[w + 1].
-        self._word_groups = np.searchsorted(group_starts, self.word_indptr)
-        self._group_offsets = group_starts - np.repeat(
-            self.word_indptr[:-1], np.diff(self._word_groups)
-        )
-        self._exact = None
 
     def _word_candidates(self, word: int):
         """Arguments of `_nearest_two_points` for one word's candidates."""
         rows = slice(self.word_indptr[word], self.word_indptr[word + 1])
-        groups = slice(self._word_groups[word], self._word_groups[word + 1])
-        return (
-            self.descriptors[rows],
-            self._sq_norms[rows],
-            self._group_ids[groups],
-            self._group_offsets[groups],
-        )
-
-    def _all_candidates(self):
-        """Arguments of `_nearest_two_points` for every descriptor, grouped
-        by point (ties in word-major order); cached for exact mode."""
-        if self._exact is None:
-            order = np.argsort(self.owners, kind="stable")
-            owners = self.owners[order]
-            group_starts = _group_starts(owners, np.array([0, len(owners)]))
-            # Zero rows at +inf distance pad the columns to a multiple of 8.
-            # BLAS computes a ragged last column block with an edge kernel
-            # whose rounding depends on the row count of the product; with
-            # no ragged block, each distance is the same whatever the row
-            # blocking or thread count.
-            pad = -len(order) % 8
-            self._exact = (
-                np.concatenate([self.descriptors[order], np.zeros((pad, self.descriptor_dim))]),
-                np.concatenate([self._sq_norms[order], np.full(pad, np.inf)]),
-                owners[group_starts],
-                group_starts,
-            )
-        return self._exact
+        return self.descriptors[rows], self._sq_norms[rows], self.owners[rows]
 
 
 def default_num_words(num_points: int) -> int:
@@ -243,6 +192,14 @@ def _nearest_centroid(desc: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     for rows in blocks:
         out[rows] = np.argmin(_sq_distances(desc[rows], centroids, c_sq, buf), axis=1)
     return out
+
+
+def _label_sums(labels: np.ndarray, num_labels: int, rows: np.ndarray) -> np.ndarray:
+    """The sum of the rows of each label, added in row order: one product
+    with the (num_labels, n) membership matrix."""
+    n = len(labels)
+    members = sparse.csr_matrix((np.ones(n), (labels, np.arange(n))), shape=(num_labels, n))
+    return members @ rows
 
 
 def _kmeans(
@@ -264,11 +221,7 @@ def _kmeans(
             break
         assign = new_assign
         counts = np.bincount(assign, minlength=k)
-        # One product with the (k, n) membership matrix adds each word's
-        # rows in row order, as the per-word sums did.
-        n = len(assign)
-        members = sparse.csr_matrix((np.ones(n), (assign, np.arange(n))), shape=(k, n))
-        sums = members @ train
+        sums = _label_sums(assign, k, train)
         filled = counts > 0  # empty words keep their previous centroid
         c = sums[filled] / counts[filled, None]
         # The per-row dot product rounds as `np.linalg.norm` of one row does.
@@ -285,7 +238,8 @@ def build_index(
     max_iterations: int = 20,
     train_cap: int = 20000,
 ) -> MatchIndex:
-    """Cluster all model descriptors into visual words.
+    """Cluster all model descriptors into visual words and list each point
+    once per word it has samples in, under the mean of those samples.
 
     k-means is initialized from randomly chosen distinct descriptor rows and
     capped at `max_iterations` Lloyd steps; with more than `train_cap`
@@ -302,20 +256,22 @@ def build_index(
         raise ValueError("num_words must be positive")
 
     all_desc = model.descriptors
-    owner = np.repeat(model.point_ids, model.descriptor_counts)
     if len(all_desc) < w:
         raise TooFewDescriptorsError(f"{len(all_desc)} descriptors for {w} words")
 
     centroids = _kmeans(all_desc, w, seed, max_iterations, train_cap)
     assign = _nearest_centroid(all_desc, centroids)
-    # Word-major; within a word by point id, ties in model-row order.
-    order = np.lexsort((owner, assign))
+    # Number each (word, point) pair word-major, by point id within a word.
+    ids, rank = np.unique(model.point_ids, return_inverse=True)
+    pair = assign * len(ids) + np.repeat(rank, model.descriptor_counts)
+    pairs, group, sizes = np.unique(pair, return_inverse=True, return_counts=True)
+    words, ranks = np.divmod(pairs, len(ids))
     word_indptr = np.zeros(w + 1, dtype=np.int64)
-    np.cumsum(np.bincount(assign, minlength=w), out=word_indptr[1:])
+    np.cumsum(np.bincount(words, minlength=w), out=word_indptr[1:])
     return MatchIndex(
         centroids=centroids,
-        descriptors=all_desc[order],
-        owners=owner[order],
+        descriptors=_label_sums(group, len(pairs), all_desc) / sizes[:, None],
+        owners=ids[ranks],
         word_indptr=word_indptr,
         point_ids=model.point_ids.copy(),
         point_xyz=model.xyz.copy(),
@@ -323,9 +279,7 @@ def build_index(
     )
 
 
-def _prioritized_walk(
-    desc: np.ndarray, index: MatchIndex, params: MatchParams, tally: dict[str, int]
-):
+def _prioritized_walk(desc: np.ndarray, index: MatchIndex, tally: dict[str, int]):
     """Yield (feature, nearest point id, d1, d2) in priority order, computing
     distances one length class at a time, only when the walk reaches it.
 
@@ -333,15 +287,10 @@ def _prioritized_walk(
     makes each word's features one run, and the runs of a length class are
     contiguous and end where the class ends in the priority order. Each
     word is evaluated once, on all of its features, into per-feature
-    arrays; the class is then yielded. Exact mode is one pass over every
-    feature in feature order. `tally` counts the features and words
+    arrays; the class is then yielded. `tally` counts the features and words
     evaluated so far.
     """
     n = len(desc)
-    if params.exact_mode:
-        tally["features_scanned"] = n
-        yield from zip(range(n), *_nearest_two_points(desc, *index._all_candidates()))
-        return
     words = _nearest_centroid(desc, index.centroids)
     lengths = np.diff(index.word_indptr)[words]
     order = np.argsort(lengths, kind="stable")
@@ -380,17 +329,17 @@ def match_features(
     """Match query features against the index.
 
     Features are processed in ascending order of their word's candidate-list
-    length (ties by feature index). At most one correspondence is kept per 3D
-    point (the smallest descriptor distance wins) and the search stops once
-    `max_matches` points are matched. Distances are computed lazily, one
-    length class (the features whose words have lists of one length) at a
-    time, so no word past the class the search stops in is evaluated. Each
-    word is evaluated once, on all of its features, so every distance equals
-    the one a full scan computes. In exact mode every feature scans the full
-    descriptor set in feature order.
+    length (ties by feature index). A feature's distance to a point is to
+    the point's mean descriptor in the feature's word. At most one
+    correspondence is kept per 3D point (the smallest distance wins) and the
+    search stops once `max_matches` points are matched. Distances are
+    computed lazily, one length class (the features whose words have lists
+    of one length) at a time, so no word past the class the search stops in
+    is evaluated. Each word is evaluated once, on all of its features, so
+    every distance equals the one a full scan computes.
 
     If `counters` is given, it receives `features_scanned` (features whose
-    distances were computed) and `words_evaluated` (0 in exact mode).
+    distances were computed) and `words_evaluated`.
 
     Raises:
         EmptyQueryError: the query has no features.
@@ -404,7 +353,7 @@ def match_features(
 
     tally = {"features_scanned": 0, "words_evaluated": 0}
     best_by_point: dict[int, Correspondence] = {}
-    for f, nearest, d1, d2 in _prioritized_walk(desc, index, params, tally):
+    for f, nearest, d1, d2 in _prioritized_walk(desc, index, tally):
         if not np.isfinite(d2):
             continue  # fewer than two distinct points in scope
         ratio = 1.0 if d2 == 0.0 else float(d1 / d2)

@@ -200,9 +200,23 @@ class TestSessionsCommand:
 
 
 class TestErrorPaths:
-    def test_bad_config_fails_cleanly(self, tmp_path):
-        cfg = write_cfg(tmp_path, {"scene": {"num_planes": -1}})
-        assert main(["gen", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("gen", {"scene": {"num_planes": -1}}),
+            ("gen", {"scene": {"bogus": 1}}),
+            ("localize", {"match": {"exact_mode": True}}),
+        ],
+        ids=["gen-bad-value", "gen-unknown-key", "localize-exact-mode"],
+    )
+    def test_bad_config_fails_cleanly(self, tmp_path, request, capsys, command, payload):
+        cfg = write_cfg(tmp_path, payload, name="bad.json")
+        args = [command, "--config", cfg, "--out", str(tmp_path / "x")]
+        if command == "localize":
+            model, scene = (request.getfixturevalue(f) for f in ("model_file", "scene_file"))
+            args += ["--model", str(model), "--scene", str(scene)]
+        assert main(args) == 1
+        assert capsys.readouterr().err.startswith("error[ConfigError]")
 
     def test_missing_model_file(self, tmp_path):
         rc = main(

@@ -45,11 +45,6 @@ def word_owners(index):
     return np.split(index.owners, index.word_indptr[1:-1])
 
 
-def sorted_rows(owners, descriptors):
-    table = np.column_stack([owners, descriptors])
-    return table[np.lexsort(table.T[::-1])]
-
-
 def query_of(descriptors, dim):
     descriptors = np.asarray(descriptors, dtype=np.float64).reshape(-1, dim)
     pose = CameraPose(rotation=np.eye(3), translation=np.zeros(3))
@@ -71,7 +66,7 @@ class TestBuildIndex:
         expected = stacked.mean(axis=0)
         expected /= np.linalg.norm(expected)
         np.testing.assert_allclose(index.centroids[0], expected, atol=1e-12)
-        assert sum(len(ids) for ids in word_owners(index)) == 15
+        assert sum(len(ids) for ids in word_owners(index)) == 5  # one row per point
 
     def test_planted_clusters_pure(self):
         rng = np.random.default_rng(3)
@@ -119,14 +114,12 @@ class TestBuildIndex:
 
 
 class TestIndexLayout:
-    # sha256 of the arrays of `build_index(small_model, 16, seed=1)`. The
-    # descriptor, owner and indptr hashes equal those of the word-major
-    # concatenation of the per-word lists the index was once stored as.
+    # sha256 of the arrays of `build_index(small_model, 16, seed=1)`.
     GOLDEN = {
         "centroids": "dda5625e79f9e2dfa4bc06c0d328a5e4e3c5ddd04a5d5c1c55028aef7b727a23",
-        "descriptors": "0733b3f93850fb907edab03500251d76310ffa764fe1a1ee56fa874862f0688a",
-        "owners": "dacf5f8d818b6473fcfb00a6e1f71d3a0f3308a6ed84730f6d749e2526aa53ee",
-        "word_indptr": "679681272e9e5a818103a58c3139c67948e1435bf390d43794dc253dbca2df77",
+        "descriptors": "3796d1c9949496c5223200ad24e47bd63e4aceee6cba2c7149d1d1ebcf5ee4fc",
+        "owners": "615395edd876cc4db9d0f7623c42511b859858b857218ef0f1051e4d85e3546f",
+        "word_indptr": "66922094875ce5dee14fad037d39bef6a2dbce644f798acc91b45697cf0b7fd9",
     }
 
     def test_golden_arrays(self, small_model):
@@ -141,20 +134,20 @@ class TestIndexLayout:
             rows = np.random.default_rng(0).permutation(small_model.num_points)
             small_model = small_model.subset(rows)
         index = build_index(small_model, num_words=16, seed=1)
-        # The same (point id, descriptor) rows, each exactly once.
-        np.testing.assert_array_equal(
-            sorted_rows(index.owners, index.descriptors),
-            sorted_rows(
-                np.repeat(small_model.point_ids, small_model.descriptor_counts),
-                small_model.descriptors,
-            ),
-        )
-        for ids in word_owners(index):
-            assert np.all(np.diff(ids) >= 0)
+        owner = np.repeat(small_model.point_ids, small_model.descriptor_counts)
         assign = matching._nearest_centroid(small_model.descriptors, index.centroids)
+        for ids in word_owners(index):
+            assert np.all(np.diff(ids) > 0)
         np.testing.assert_array_equal(
-            np.diff(index.word_indptr), np.bincount(assign, minlength=index.num_words)
+            np.diff(index.word_indptr),
+            [len(np.unique(owner[assign == w])) for w in range(index.num_words)],
         )
+        # Each row is the mean of its point's samples assigned to its word.
+        word = np.repeat(np.arange(index.num_words), np.diff(index.word_indptr))
+        for w, point_id, row in zip(word, index.owners, index.descriptors):
+            samples = small_model.descriptors[(assign == w) & (owner == point_id)]
+            assert len(samples) > 0
+            np.testing.assert_allclose(row, samples.mean(axis=0), rtol=0, atol=1e-12)
 
     def test_positions_of_matches_per_id_lookup(self, small_model):
         rows = np.random.default_rng(0).permutation(small_model.num_points)
@@ -205,39 +198,13 @@ class TestMatchFeatures:
         view = render_view(
             small_scene, 1, pixel_noise_sigma=0.0, descriptor_noise_sigma=0.0, seed=4
         )
-        params = MatchParams(exact_mode=True, max_matches=10_000)
+        params = MatchParams(max_matches=10_000)
         matches = match_features(view, index, params)
         correct = sum(
             1 for m in matches if view.true_point_ids[m.feature_index] == m.point_id
         )
         assert len(matches) >= 0.9 * view.num_features
         assert correct >= 0.95 * len(matches)
-
-    def test_exact_mode_invariant_to_word_count(self, small_scene, small_model):
-        view = render_view(small_scene, 2, seed=5)
-        params = MatchParams(exact_mode=True, max_matches=10_000)
-        results = []
-        for w in (4, 16, 64):
-            index = build_index(small_model, num_words=w, seed=6)
-            matches = match_features(view, index, params)
-            results.append(sorted((m.feature_index, m.point_id) for m in matches))
-        assert results[0] == results[1] == results[2]
-
-    @pytest.mark.parametrize("budget_rows", [1, 7, 100])
-    def test_exact_mode_independent_of_block_budget(
-        self, small_scene, small_model, monkeypatch, budget_rows
-    ):
-        index = build_index(small_model, num_words=16, seed=12)
-        params = MatchParams(exact_mode=True, max_matches=10_000)
-        view = render_view(small_scene, 4, seed=13)
-        # 15 features leave one row over after blocks of 2 and of 7 rows.
-        queries = [view, query_of(view.descriptors[:15], view.descriptors.shape[1])]
-        monkeypatch.setattr(matching, "_BLOCK_ELEMENTS", 1 << 62)  # one block
-        want = [match_features(q, index, params) for q in queries]
-        columns = len(index._all_candidates()[0])
-        monkeypatch.setattr(matching, "_BLOCK_ELEMENTS", budget_rows * columns)
-        assert [match_features(q, index, params) for q in queries] == want
-        assert len(want[0]) > 50
 
     def test_row_blocks_cover_rows_within_budget(self, monkeypatch):
         monkeypatch.setattr(matching, "_BLOCK_ELEMENTS", 30)
