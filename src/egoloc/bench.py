@@ -29,7 +29,7 @@ from .compression import (
     compress_top_visibility,
     compress_weighted_kcover,
 )
-from .errors import ConfigError, RegistrationFailedError, TooFewVisibleError
+from .errors import ConfigError, RegistrationFailedError, TooFewVisibleError, parse_config
 from .geometry import pose_looking_at
 from .matching import MatchParams, build_index
 from .model import PointCloudModel
@@ -66,6 +66,7 @@ class BenchConfig:
     seed: int = 0
 
     def __post_init__(self):
+        self.methods = tuple(self.methods)
         unknown = set(self.methods) - set(ALL_METHODS)
         if unknown:
             raise ConfigError(f"unknown methods: {sorted(unknown)}")
@@ -76,20 +77,13 @@ class BenchConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "BenchConfig":
-        try:
-            scene = SceneSpec(**raw.get("scene", {}))
-            kwargs = {k: v for k, v in raw.items() if k not in ("scene", "detect", "match", "ransac")}
-            if "methods" in kwargs:
-                kwargs["methods"] = tuple(kwargs["methods"])
-            return cls(
-                scene=scene,
-                detect=DetectParams(**raw.get("detect", {})),
-                match=MatchParams(**raw.get("match", {})),
-                ransac=RansacParams(**raw.get("ransac", {})),
-                **kwargs,
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid benchmark config: {exc}") from exc
+        sections = {
+            "scene": SceneSpec,
+            "detect": DetectParams,
+            "match": MatchParams,
+            "ransac": RansacParams,
+        }
+        return parse_config(cls, raw, sections=sections)
 
 
 @dataclass
@@ -293,6 +287,8 @@ class SessionSimConfig:
     seed: int = 0
 
     def __post_init__(self):
+        self.pool_regimes = tuple(self.pool_regimes)
+        self.schedule = tuple(self.schedule)
         if not self.pool_regimes:
             raise ConfigError("pool must be seeded with at least one regime")
         if not self.schedule:
@@ -302,20 +298,8 @@ class SessionSimConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SessionSimConfig":
-        try:
-            scene = SceneSpec(**raw.get("scene", {}))
-            kwargs = {k: v for k, v in raw.items() if k not in ("scene", "match", "ransac")}
-            for key in ("pool_regimes", "schedule"):
-                if key in kwargs:
-                    kwargs[key] = tuple(kwargs[key])
-            return cls(
-                scene=scene,
-                match=MatchParams(**raw.get("match", {})),
-                ransac=RansacParams(**raw.get("ransac", {})),
-                **kwargs,
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid session sim config: {exc}") from exc
+        sections = {"scene": SceneSpec, "match": MatchParams, "ransac": RansacParams}
+        return parse_config(cls, raw, sections=sections)
 
 
 @dataclass
@@ -388,20 +372,23 @@ def run_session_sim(config: SessionSimConfig) -> SessionSimReport:
             regime_scenes[regime] = resample_descriptors(base, regime)
         return regime_scenes[regime]
 
-    def record_for(regime: int, created: float) -> ModelRecord:
-        scene = scene_for(regime)
-        model = build_model(scene, 0.0, seed=regime, model_id=f"regime-{regime}")
-        index = build_index(model, config.num_words, seed=config.seed)
-        return ModelRecord(
-            record_id=f"regime-{regime}",
-            model=model,
-            index=index,
-            created=created,
-            last_used=created,
-            condition=f"regime {regime}",
-        )
+    def model_for(regime: int):
+        model = build_model(scene_for(regime), 0.0, seed=regime, model_id=f"regime-{regime}")
+        return model, build_index(model, config.num_words, seed=config.seed)
 
-    records = [record_for(r, created=float(i)) for i, r in enumerate(config.pool_regimes)]
+    records = []
+    for i, regime in enumerate(config.pool_regimes):
+        model, index = model_for(regime)
+        records.append(
+            ModelRecord(
+                record_id=f"regime-{regime}",
+                model=model,
+                index=index,
+                created=float(i),
+                last_used=float(i),
+                condition=f"regime {regime}",
+            )
+        )
     pool = ModelPool(
         records=records,
         active_id=records[0].record_id,
@@ -414,19 +401,10 @@ def run_session_sim(config: SessionSimConfig) -> SessionSimReport:
     )
     fixed_index = records[0].index
 
-    current_regime = config.pool_regimes[0]
-
-    def build_from_session(session: SessionBatch):
-        scene = scene_for(current_regime)
-        model = build_model(scene, 0.0, seed=current_regime, model_id=f"regime-{current_regime}")
-        index = build_index(model, config.num_words, seed=config.seed)
-        return model, index
-
     rows: list[SessionRow] = []
     all_events: list[dict] = []
     session_start = float(len(records))
     for s, regime in enumerate(config.schedule):
-        current_regime = regime
         scene = scene_for(regime)
         views = []
         for i in range(config.views_per_session):
@@ -441,7 +419,7 @@ def run_session_sim(config: SessionSimConfig) -> SessionSimReport:
             session,
             config.match,
             config.ransac,
-            build_model_fn=build_from_session,
+            build_model_fn=lambda _session: model_for(regime),
             score_views=config.score_views,
         )
         updated_errors = [

@@ -23,9 +23,10 @@ from .compression import (
     compress_top_visibility,
     compress_weighted_kcover,
 )
-from .errors import ConfigError, EgolocError, RegistrationFailedError
+from .errors import ConfigError, EgolocError, RegistrationFailedError, parse_config
 from .matching import MatchParams, build_index
 from .model import PointCloudModel
+from .pool import prune
 from .pose import RansacParams, localize
 from .structures import DetectParams, detect_structures
 from .synthetic import SceneSpec, build_model, generate_scene, render_view
@@ -35,16 +36,10 @@ from .tracking import TrackParams, smooth_trajectory
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    return json.loads(Path(path).read_text())
-
-
-def _params(cls, values, **overrides):
-    """`cls(**values, **overrides)`; an unknown key or a bad value in a
-    config section raises `ConfigError`."""
-    try:
-        return cls(**{**values, **overrides})
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid {cls.__name__} config: {exc}") from exc
+    cfg = json.loads(Path(path).read_text())
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(cfg).__name__}")
+    return cfg
 
 
 def _out_dir(args) -> Path:
@@ -60,7 +55,7 @@ def _write_records(path: Path, records: list[dict]):
 def cmd_gen(args) -> int:
     cfg = _load_config(args.config)
     seed = {} if args.seed is None else {"seed": args.seed}
-    spec = _params(SceneSpec, cfg.get("scene", {}), **seed)
+    spec = parse_config(SceneSpec, cfg.get("scene", {}), **seed)
     scene = generate_scene(spec)
     out = _out_dir(args)
     model_io.save_scene(scene, out / "scene.npz")
@@ -93,7 +88,7 @@ def cmd_detect(args) -> int:
     model = model_io.load_model(Path(args.model))
     if not isinstance(model, PointCloudModel):
         model = model.model
-    params = _params(DetectParams, cfg.get("detect", {}), seed=args.seed or 0)
+    params = parse_config(DetectParams, cfg.get("detect", {}), seed=args.seed or 0)
     labeling = detect_structures(model.xyz, params)
     model.labeling = labeling
     out = _out_dir(args)
@@ -114,18 +109,15 @@ def cmd_compress(args) -> int:
         return 1
     labeling = model.labeling
     if labeling is None and args.method != "set_kcover":
-        params = _params(DetectParams, cfg.get("detect", {}), seed=args.seed or 0)
+        params = parse_config(DetectParams, cfg.get("detect", {}), seed=args.seed or 0)
         labeling = detect_structures(model.xyz, params)
         model.labeling = labeling
     if args.method == "weighted_kcover":
         compressed = compress_weighted_kcover(model, labeling, int(args.parameter))
     elif args.method == "set_kcover":
         compressed = compress_set_kcover(model, int(args.parameter))
-    elif args.method == "top_visibility":
-        compressed = compress_top_visibility(model, labeling, float(args.parameter))
     else:
-        print(f"error: unknown method {args.method}", file=sys.stderr)
-        return 1
+        compressed = compress_top_visibility(model, labeling, float(args.parameter))
     out = _out_dir(args)
     n = model_io.save_model(compressed, out / "compressed.eglm")
     print(
@@ -140,8 +132,8 @@ def cmd_localize(args) -> int:
     model = model_io.load_model(Path(args.model))
     scene = model_io.load_scene(Path(args.scene))
     index = build_index(model, cfg.get("num_words"), seed=args.seed or 0)
-    match_params = _params(MatchParams, cfg.get("match", {}))
-    ransac_params = _params(RansacParams, cfg.get("ransac", {}), seed=args.seed or 0)
+    match_params = parse_config(MatchParams, cfg.get("match", {}))
+    ransac_params = parse_config(RansacParams, cfg.get("ransac", {}), seed=args.seed or 0)
     view = render_view(scene, args.view, seed=args.seed or 0)
     try:
         result = localize(view, index, match_params, ransac_params)
@@ -169,7 +161,7 @@ def cmd_track(args) -> int:
     measurements = [
         (float(t), None if z is None else np.asarray(z, dtype=np.float64)) for t, z in raw
     ]
-    params = _params(TrackParams, cfg.get("track", {}))
+    params = parse_config(TrackParams, cfg.get("track", {}))
     states = smooth_trajectory(measurements, params)
     records = [
         {
@@ -197,15 +189,10 @@ def cmd_pool(args) -> int:
                 f"condition '{r.condition}'"
             )
         return 0
-    if args.action == "prune":
-        from .pool import prune
-
-        removed = prune(pool, now=float(args.now))
-        model_io.save_pool(pool, Path(args.pool_dir))
-        print(f"pruned: {removed if removed else 'nothing'}")
-        return 0
-    print(f"error: unknown pool action {args.action}", file=sys.stderr)
-    return 1
+    removed = prune(pool, now=float(args.now))
+    model_io.save_pool(pool, Path(args.pool_dir))
+    print(f"pruned: {removed if removed else 'nothing'}")
+    return 0
 
 
 def cmd_bench(args) -> int:

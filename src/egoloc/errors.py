@@ -1,4 +1,5 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package, and the config-section parser
+that turns a bad config into a `ConfigError`."""
 
 
 class EgolocError(Exception):
@@ -72,3 +73,22 @@ class TruncatedPayloadError(ModelIOError):
 
 class ConfigError(EgolocError):
     """Benchmark or CLI configuration is invalid."""
+
+
+def parse_config(cls, values, *, sections: dict[str, type] | None = None, **fixed):
+    """`cls(**values, **fixed)` for one config section, a JSON object.
+
+    Each key named in `sections` holds a nested section, parsed into its
+    class the same way; an absent one gives that class's defaults. `fixed`
+    overrides keys of the section. A section that is not an object, an
+    unknown key or a bad value raises `ConfigError`.
+    """
+    if not isinstance(values, dict):
+        raise ConfigError(
+            f"{cls.__name__} config must be a JSON object, got {type(values).__name__}"
+        )
+    nested = {k: parse_config(kind, values.get(k, {})) for k, kind in (sections or {}).items()}
+    try:
+        return cls(**{**values, **nested, **fixed})
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid {cls.__name__} config: {exc}") from exc

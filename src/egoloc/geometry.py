@@ -200,14 +200,15 @@ class VisibilityMatrix:
         return f"VisibilityMatrix({self.num_points} points, {self.num_cameras} cameras)"
 
 
-def look_at_rotation(eye: np.ndarray, target: np.ndarray, up: np.ndarray | None = None) -> np.ndarray:
+def look_at_rotation(eye: np.ndarray, target: np.ndarray) -> np.ndarray:
     """World-to-camera rotation for a camera at `eye` looking toward `target`.
 
-    Camera +Z points at the target, +X right, +Y down (image convention).
+    Camera +Z points at the target, +X right, +Y down (image convention),
+    with world +Z up.
     """
     eye = np.asarray(eye, dtype=np.float64).reshape(3)
     target = np.asarray(target, dtype=np.float64).reshape(3)
-    up = np.array([0.0, 0.0, 1.0]) if up is None else np.asarray(up, dtype=np.float64)
+    up = np.array([0.0, 0.0, 1.0])
     forward = target - eye
     norm = np.linalg.norm(forward)
     if norm < 1e-12:

@@ -21,6 +21,7 @@ are the two smallest distances of the feature's row.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -36,6 +37,10 @@ if TYPE_CHECKING:
 # Distance elements (block rows x candidate columns) per block of the large
 # distance computations: 8 MB per distance buffer.
 _BLOCK_ELEMENTS = 1 << 20
+# k-means runs at most this many Lloyd steps, on a seeded subsample of at
+# most this many descriptors.
+_KMEANS_ITERATIONS = 20
+_KMEANS_TRAIN_CAP = 20000
 
 
 @dataclass(frozen=True)
@@ -202,20 +207,18 @@ def _label_sums(labels: np.ndarray, num_labels: int, rows: np.ndarray) -> np.nda
     return members @ rows
 
 
-def _kmeans(
-    data: np.ndarray, k: int, seed: int, max_iterations: int, train_cap: int
-) -> np.ndarray:
+def _kmeans(data: np.ndarray, k: int, seed: int) -> np.ndarray:
     """Seeded Lloyd iterations; centroids renormalized to unit length."""
     rng = np.random.default_rng((seed, 0))
     train = data
-    if len(data) > train_cap:
-        rows = np.sort(rng.choice(len(data), size=train_cap, replace=False))
+    if len(data) > _KMEANS_TRAIN_CAP:
+        rows = np.sort(rng.choice(len(data), size=_KMEANS_TRAIN_CAP, replace=False))
         train = data[rows]
     init_rows = np.sort(rng.choice(len(train), size=k, replace=False))
     centroids = train[init_rows].copy()
 
     assign = None
-    for _ in range(max_iterations):
+    for _ in range(_KMEANS_ITERATIONS):
         new_assign = _nearest_centroid(train, centroids)
         if assign is not None and np.array_equal(new_assign, assign):
             break
@@ -234,17 +237,16 @@ def build_index(
     model: PointCloudModel | CompressedModel,
     num_words: int | None = None,
     seed: int = 0,
-    *,
-    max_iterations: int = 20,
-    train_cap: int = 20000,
 ) -> MatchIndex:
     """Cluster all model descriptors into visual words and list each point
     once per word it has samples in, under the mean of those samples.
 
+    `num_words` is a positive integer, or None for `default_num_words`.
     k-means is initialized from randomly chosen distinct descriptor rows and
-    capped at `max_iterations` Lloyd steps; with more than `train_cap`
-    descriptors the centroids are fit on a seeded subsample and all
-    descriptors are then assigned. Deterministic under (inputs, seed).
+    capped at `_KMEANS_ITERATIONS` Lloyd steps; with more than
+    `_KMEANS_TRAIN_CAP` descriptors the centroids are fit on a seeded
+    subsample and all descriptors are then assigned. Deterministic under
+    (inputs, seed).
 
     Raises:
         TooFewDescriptorsError: model holds fewer descriptors than words.
@@ -252,14 +254,14 @@ def build_index(
     if isinstance(model, CompressedModel):
         model = model.model
     w = default_num_words(model.num_points) if num_words is None else num_words
-    if w < 1:
-        raise ValueError("num_words must be positive")
+    if not isinstance(w, Integral) or w < 1:
+        raise ValueError(f"num_words must be a positive integer or None, not {w!r}")
 
     all_desc = model.descriptors
     if len(all_desc) < w:
         raise TooFewDescriptorsError(f"{len(all_desc)} descriptors for {w} words")
 
-    centroids = _kmeans(all_desc, w, seed, max_iterations, train_cap)
+    centroids = _kmeans(all_desc, w, seed)
     assign = _nearest_centroid(all_desc, centroids)
     # Number each (word, point) pair word-major, by point id within a word.
     ids, rank = np.unique(model.point_ids, return_inverse=True)

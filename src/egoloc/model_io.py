@@ -369,7 +369,7 @@ def load_scene(path: str | Path) -> GroundTruthScene:
         )
 
 
-def save_pool(pool: ModelPool, directory: str | Path, *, num_words: int | None = None) -> Path:
+def save_pool(pool: ModelPool, directory: str | Path) -> Path:
     """Persist a pool as manifest.json plus one model file per record.
 
     Match indexes are not stored; they are rebuilt deterministically from the
@@ -388,7 +388,7 @@ def save_pool(pool: ModelPool, directory: str | Path, *, num_words: int | None =
                 "created": r.created,
                 "last_used": r.last_used,
                 "condition": r.condition,
-                "index_num_words": num_words if num_words is not None else r.index.num_words,
+                "index_num_words": r.index.num_words,
                 "index_seed": r.index.build_seed,
             }
         )

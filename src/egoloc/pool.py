@@ -262,15 +262,12 @@ def _score_records(
     return scores, {r.record_id: scored[k] for k, r in enumerate(records)}
 
 
-def prune(pool: ModelPool, now: float, ttl: float | None = None) -> list[str]:
-    """Drop non-active records unused for longer than the TTL."""
-    limit = pool.ttl if ttl is None else ttl
-    if limit <= 0:
-        raise ValueError("ttl must be positive")
+def prune(pool: ModelPool, now: float) -> list[str]:
+    """Drop non-active records unused for longer than `pool.ttl`."""
     removed = [
         r.record_id
         for r in pool.records
-        if r.record_id != pool.active_id and now - r.last_used > limit
+        if r.record_id != pool.active_id and now - r.last_used > pool.ttl
     ]
     pool.records = [r for r in pool.records if r.record_id not in removed]
     return removed

@@ -237,15 +237,13 @@ def project_with_matrix(p: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, 
     return pixels, depth
 
 
-def decompose(
-    p: np.ndarray, image_size: tuple[int, int] | None = None
-) -> tuple[CameraIntrinsics, CameraPose]:
+def decompose(p: np.ndarray) -> tuple[CameraIntrinsics, CameraPose]:
     """RQ-decompose a projection matrix into intrinsics and pose.
 
     The triangular factor is sign-fixed to a positive diagonal and the
-    rotation to determinant +1. With no `image_size`, the image is assumed
-    centered on the principal point. Skew is not part of the camera model
-    and is dropped from the reported intrinsics.
+    rotation to determinant +1. The reported image is centered on the
+    principal point. Skew is not part of the camera model and is dropped
+    from the reported intrinsics.
 
     Raises:
         SingularBlockError: the left 3x3 block is not invertible.
@@ -267,18 +265,13 @@ def decompose(
     t = scipy.linalg.solve_triangular(k, p[:, 3])
     k = k / k[2, 2]
 
-    if image_size is None:
-        width = max(int(round(2 * abs(k[0, 2]))), 1)
-        height = max(int(round(2 * abs(k[1, 2]))), 1)
-    else:
-        width, height = image_size
     intr = CameraIntrinsics(
         focal_x=float(k[0, 0]),
         focal_y=float(k[1, 1]),
         principal_x=float(k[0, 2]),
         principal_y=float(k[1, 2]),
-        image_width=width,
-        image_height=height,
+        image_width=max(int(round(2 * abs(k[0, 2]))), 1),
+        image_height=max(int(round(2 * abs(k[1, 2]))), 1),
     )
     return intr, CameraPose(rotation=r, translation=t)
 
@@ -298,7 +291,6 @@ def ransac_pose(
     points: np.ndarray,
     params: RansacParams | None = None,
     *,
-    image_size: tuple[int, int] | None = None,
     counters: dict[str, int] | None = None,
 ) -> PoseEstimate:
     """Robust pose from 2D-3D correspondences via 6-point DLT + RANSAC.
@@ -393,7 +385,7 @@ def ransac_pose(
     # decomposition drops DLT skew, so errors are recomputed with the
     # reconstructed skew-free matrix to keep the certification (and any
     # downstream refinement comparison) consistent.
-    intr, pose = decompose(final_p, image_size=image_size)
+    intr, pose = decompose(final_p)
     p_report = intr.matrix @ np.column_stack([pose.rotation, pose.translation])
     err = _reprojection_errors(p_report, px, pts)
     report_inliers = err <= params.inlier_threshold
@@ -623,13 +615,7 @@ def localize(
 
     t0 = time.perf_counter()
     try:
-        estimate = ransac_pose(
-            px,
-            pts,
-            ransac_params,
-            image_size=(query.intrinsics.image_width, query.intrinsics.image_height),
-            counters=counters,
-        )
+        estimate = ransac_pose(px, pts, ransac_params, counters=counters)
     except NoModelFoundError as exc:
         raise RegistrationFailedError("ransac", str(exc)) from exc
     timings["ransac"] = time.perf_counter() - t0

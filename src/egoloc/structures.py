@@ -204,28 +204,22 @@ def _inlier_counts(
     return counts
 
 
-def _members_collinear(
-    points: np.ndarray,
-    threshold: float,
-    rng: np.random.Generator,
-    fraction: float = 0.8,
-    num_probes: int = 8,
-) -> bool:
+def _members_collinear(points: np.ndarray, threshold: float, rng: np.random.Generator) -> bool:
     """True when most points lie within `threshold` of one line.
 
     Guards plane detection against a degenerate consensus: any line plus a
     few stray points spans a perfect plane, which would swallow planted
-    lines before line detection ever runs. Probes with a handful of 2-point
+    lines before line detection ever runs. Probes with eight 2-point
     member lines (a least-squares fit would be dragged off by the strays);
     a genuine plane has only a few percent of its members near any one line,
     so the 0.8 bar is conservative.
     """
     if len(points) < 3:
         return True
-    probes = points[_draw_samples(rng, len(points), num_probes, 2)]
+    probes = points[_draw_samples(rng, len(points), 8, 2)]
     anchors, directions, valid = _fit_lines(probes)
     near = _line_distances(points, anchors[valid], directions[valid]) <= threshold
-    return bool(np.any(near.mean(axis=0) >= fraction))
+    return bool(np.any(near.mean(axis=0) >= 0.8))
 
 
 def _detect_one(

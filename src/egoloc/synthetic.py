@@ -11,7 +11,9 @@ drive geometry, descriptors, and visibility so related scenes stay aligned.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -339,44 +341,31 @@ def resample_descriptors(scene: GroundTruthScene, regime_seed: int) -> GroundTru
     )
 
 
-def render_view(
-    scene: GroundTruthScene,
-    camera: int | CameraPose,
-    *,
-    intrinsics: CameraIntrinsics | None = None,
-    pixel_noise_sigma: float | None = None,
-    descriptor_noise_sigma: float | None = None,
-    outlier_fraction: float | None = None,
-    max_features: int | None = None,
-    seed: int = 0,
-) -> QueryView:
+def render_view(scene: GroundTruthScene, camera: int | CameraPose, *, seed: int = 0) -> QueryView:
     """Render a noisy query view from a scene camera or a novel pose.
 
-    Features are the projections of visible points with Gaussian pixel noise
-    and perturbed (renormalized) descriptors, plus spurious outlier features.
-    Noisy pixels that leave the image are dropped, as a real detector would
-    never report them. When more points are visible than the feature budget,
-    a seeded subset is kept, emulating a detector's feature cap.
+    A novel pose is rendered with `default_intrinsics()`. Noise, outliers
+    and the feature budget come from `scene.spec`. Features are the
+    projections of visible points with Gaussian pixel noise and perturbed
+    (renormalized) descriptors, plus spurious outlier features. Noisy pixels
+    that leave the image are dropped, as a real detector would never report
+    them. When more points are visible than the feature budget, a seeded
+    subset is kept, emulating a detector's feature cap.
 
     Raises:
         TooFewVisibleError: fewer than 6 points project into the view.
     """
     spec = scene.spec
-    sigma_px = spec.pixel_noise_sigma if pixel_noise_sigma is None else pixel_noise_sigma
-    sigma_desc = (
-        spec.descriptor_noise_sigma if descriptor_noise_sigma is None else descriptor_noise_sigma
-    )
-    out_frac = spec.outlier_fraction if outlier_fraction is None else outlier_fraction
+    out_frac = spec.outlier_fraction
     if not 0.0 <= out_frac < 1.0:
         raise ValueError("outlier_fraction must be in [0, 1) when rendering")
-    budget = spec.max_features_per_view if max_features is None else max_features
 
     if isinstance(camera, int):
         pose, intr = scene.cameras[camera]
         visible = scene.visibility.points_in_camera[camera]
     else:
         pose = camera
-        intr = intrinsics or default_intrinsics()
+        intr = default_intrinsics()
         mask = _geometric_visibility(scene.xyz, [(pose, intr)])[:, 0]
         visible = np.flatnonzero(mask)
 
@@ -384,11 +373,11 @@ def render_view(
         raise TooFewVisibleError(f"view sees {len(visible)} points; need at least 6")
 
     rng = np.random.default_rng((seed, 3))
-    if len(visible) > budget:
-        visible = np.sort(rng.choice(visible, size=budget, replace=False))
+    if len(visible) > spec.max_features_per_view:
+        visible = np.sort(rng.choice(visible, size=spec.max_features_per_view, replace=False))
     pixels, _ = project_array(pose, intr, scene.xyz[visible])
-    if sigma_px > 0:
-        pixels = pixels + rng.normal(scale=sigma_px, size=pixels.shape)
+    if spec.pixel_noise_sigma > 0:
+        pixels = pixels + rng.normal(scale=spec.pixel_noise_sigma, size=pixels.shape)
     in_bounds = (
         (pixels[:, 0] >= 0)
         & (pixels[:, 0] < intr.image_width)
@@ -399,8 +388,8 @@ def render_view(
     kept_ids = visible[in_bounds]
 
     desc = scene.descriptors[kept_ids]
-    if sigma_desc > 0:
-        desc = desc + rng.normal(scale=sigma_desc, size=desc.shape)
+    if spec.descriptor_noise_sigma > 0:
+        desc = desc + rng.normal(scale=spec.descriptor_noise_sigma, size=desc.shape)
         norms = np.linalg.norm(desc, axis=1, keepdims=True)
         norms[norms == 0] = 1.0
         desc = desc / norms
@@ -414,7 +403,7 @@ def render_view(
                 rng.uniform(0, intr.image_height, size=n_out),
             ]
         )
-        out_desc = _unit_rows(rng, n_out, scene.spec.descriptor_dim)
+        out_desc = _unit_rows(rng, n_out, spec.descriptor_dim)
         pixels = np.vstack([pixels, out_px])
         desc = np.vstack([desc, out_desc])
 
@@ -441,10 +430,13 @@ def build_model(
     point gets one noisy descriptor sample per camera that sees it,
     emulating the multi-view descriptors of a reconstructed model.
     """
+    jitter = reconstruction_noise_sigma
+    if not (isinstance(jitter, Real) and math.isfinite(jitter) and jitter >= 0):
+        raise ValueError(f"reconstruction_noise_sigma must be a finite number >= 0, not {jitter!r}")
     rng = np.random.default_rng((seed, 4))
     xyz = scene.xyz.copy()
-    if reconstruction_noise_sigma > 0:
-        xyz = xyz + rng.normal(scale=reconstruction_noise_sigma, size=xyz.shape)
+    if jitter > 0:
+        xyz = xyz + rng.normal(scale=jitter, size=xyz.shape)
 
     sigma = scene.spec.descriptor_noise_sigma
     counts = scene.visibility.track_lengths()

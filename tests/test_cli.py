@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from egoloc import ModelPool, ModelRecord, build_index, save_pool
 from egoloc.cli import main
 
 SCENE_CFG = {
@@ -201,22 +202,40 @@ class TestSessionsCommand:
 
 class TestErrorPaths:
     @pytest.mark.parametrize(
-        "command, payload",
+        "command, payload, error",
         [
-            ("gen", {"scene": {"num_planes": -1}}),
-            ("gen", {"scene": {"bogus": 1}}),
-            ("localize", {"match": {"exact_mode": True}}),
+            ("gen", {"scene": {"num_planes": -1}}, "ConfigError"),
+            ("gen", {"scene": {"bogus": 1}}, "ConfigError"),
+            ("localize", {"match": {"exact_mode": True}}, "ConfigError"),
+            ("gen", [1], "ConfigError"),
+            ("bench", [1], "ConfigError"),
+            ("bench", {"num_words": "16"}, "ValueError"),
+            ("localize", {"num_words": "16"}, "ValueError"),
+            ("bench", {"reconstruction_noise": "x"}, "ValueError"),
+            ("build", {"reconstruction_noise": "x"}, "ValueError"),
         ],
-        ids=["gen-bad-value", "gen-unknown-key", "localize-exact-mode"],
+        ids=[
+            "gen-bad-value",
+            "gen-unknown-key",
+            "localize-exact-mode",
+            "gen-not-object",
+            "bench-not-object",
+            "bench-num-words",
+            "localize-num-words",
+            "bench-reconstruction-noise",
+            "build-reconstruction-noise",
+        ],
     )
-    def test_bad_config_fails_cleanly(self, tmp_path, request, capsys, command, payload):
+    def test_bad_config_fails_cleanly(self, tmp_path, request, capsys, command, payload, error):
         cfg = write_cfg(tmp_path, payload, name="bad.json")
         args = [command, "--config", cfg, "--out", str(tmp_path / "x")]
+        if command in ("build", "localize"):
+            args += ["--scene", str(request.getfixturevalue("scene_file"))]
         if command == "localize":
-            model, scene = (request.getfixturevalue(f) for f in ("model_file", "scene_file"))
-            args += ["--model", str(model), "--scene", str(scene)]
+            args += ["--model", str(request.getfixturevalue("model_file"))]
         assert main(args) == 1
-        assert capsys.readouterr().err.startswith("error[ConfigError]")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[{error}]") and err.count("\n") == 1
 
     def test_missing_model_file(self, tmp_path):
         rc = main(
@@ -229,3 +248,34 @@ class TestErrorPaths:
             ]
         )
         assert rc == 1
+
+
+class TestPoolCommand:
+    def test_show_then_prune(self, tmp_path, capsys, small_model):
+        index = build_index(small_model, 16, seed=1)
+        records = [
+            ModelRecord("old", small_model, index, created=0.0, last_used=5.0, condition="sunny"),
+            ModelRecord("live", small_model, index, created=1.0, last_used=900.0, condition="rain"),
+        ]
+        pool_dir = tmp_path / "pool"
+        save_pool(ModelPool(records=records, active_id="live", ttl=100.0), pool_dir)
+        capsys.readouterr()
+
+        assert main(["pool", "--pool-dir", str(pool_dir), "--action", "show"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "old: created 0.0, last used 5.0, condition 'sunny'",
+            "live [active]: created 1.0, last used 900.0, condition 'rain'",
+        ]
+
+        prune = ["pool", "--pool-dir", str(pool_dir), "--action", "prune", "--now", "1000"]
+        assert main(prune) == 0
+        assert capsys.readouterr().out == "pruned: ['old']\n"
+        manifest = json.loads((pool_dir / "manifest.json").read_text())
+        assert manifest["active_id"] == "live"
+        assert manifest["ttl"] == 100.0
+        assert [r["record_id"] for r in manifest["records"]] == ["live"]
+        assert manifest["records"][0]["index_num_words"] == 16
+        assert manifest["records"][0]["index_seed"] == 1
+
+        assert main(prune) == 0
+        assert capsys.readouterr().out == "pruned: nothing\n"

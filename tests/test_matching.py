@@ -1,6 +1,7 @@
 """Visual-word index construction and ratio-test correspondence search."""
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -195,9 +196,8 @@ class TestMatchFeatures:
 
         model = build_model(small_scene, 0.0, seed=9)
         index = build_index(model, num_words=16, seed=3)
-        view = render_view(
-            small_scene, 1, pixel_noise_sigma=0.0, descriptor_noise_sigma=0.0, seed=4
-        )
+        spec = replace(small_scene.spec, pixel_noise_sigma=0.0, descriptor_noise_sigma=0.0)
+        view = render_view(replace(small_scene, spec=spec), 1, seed=4)
         params = MatchParams(max_matches=10_000)
         matches = match_features(view, index, params)
         correct = sum(

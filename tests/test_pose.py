@@ -142,7 +142,7 @@ class TestDecompose:
             pose = random_pose(rng, translation_scale=2.0)
             intr = make_intrinsics(f=rng.uniform(300, 900))
             p = projection_matrix(intr, pose)
-            got_intr, got_pose = decompose(2.5 * p, image_size=(640, 480))
+            got_intr, got_pose = decompose(2.5 * p)
             assert got_intr.focal_x == pytest.approx(intr.focal_x, abs=1e-9)
             assert got_intr.focal_y == pytest.approx(intr.focal_y, abs=1e-9)
             assert got_intr.principal_x == pytest.approx(intr.principal_x, abs=1e-9)
@@ -160,7 +160,7 @@ class TestDecompose:
         )
         pose = CameraPose(rotation=np.eye(3), translation=np.array([0.0, 0.0, 5.0]))
         p = projection_matrix(intr, pose)
-        _, got = decompose(p, image_size=(2, 2))
+        _, got = decompose(p)
         np.testing.assert_allclose(got.center, [0.0, 0.0, -5.0], atol=1e-12)
 
     def test_reconstruction_residual(self):
@@ -169,7 +169,7 @@ class TestDecompose:
             pose = random_pose(rng)
             intr = make_intrinsics(f=rng.uniform(200, 1000), cx=rng.uniform(100, 500))
             p = rng.uniform(0.5, 2.0) * projection_matrix(intr, pose)
-            k, got_pose = decompose(p, image_size=(640, 480))
+            k, got_pose = decompose(p)
             rebuilt = k.matrix @ np.column_stack([got_pose.rotation, got_pose.translation])
             scale = p[2, :3] @ got_pose.rotation[2, :3]
             np.testing.assert_allclose(rebuilt * scale, p, atol=1e-9 * np.linalg.norm(p))
@@ -325,7 +325,7 @@ def reference_errors(p, px, pts):
     return err
 
 
-def reference_ransac(px, pts, params, image_size=None):
+def reference_ransac(px, pts, params):
     """The sequential loop: one hypothesis per iteration, each solved and
     scored on its own. Returns (rotation, translation, inlier_ids,
     mean_error), or None where no model explains 6 correspondences, and the
@@ -372,7 +372,7 @@ def reference_ransac(px, pts, params, image_size=None):
             final_p, inliers = refit, refit_inliers
     except DegenerateConfigurationError:
         pass
-    intr, pose = decompose(final_p, image_size=image_size)
+    intr, pose = decompose(final_p)
     err = reference_errors(intr.matrix @ np.column_stack([pose.rotation, pose.translation]), px, pts)
     if int((err <= params.inlier_threshold).sum()) >= 6:
         inliers = err <= params.inlier_threshold
@@ -413,13 +413,13 @@ class TestRansacOracle:
             pixels, points = oracle_case(seed)
             params = RansacParams(max_iterations=max_iterations, seed=seed)
             counters = {}
-            want, want_counters = reference_ransac(pixels, points, params, (640, 480))
+            want, want_counters = reference_ransac(pixels, points, params)
             if want is None:
                 with pytest.raises(NoModelFoundError):
-                    ransac_pose(pixels, points, params, image_size=(640, 480), counters=counters)
+                    ransac_pose(pixels, points, params, counters=counters)
                 assert counters == want_counters
                 continue
-            got = ransac_pose(pixels, points, params, image_size=(640, 480), counters=counters)
+            got = ransac_pose(pixels, points, params, counters=counters)
             rotation, translation, inlier_ids, mean_error = want
             np.testing.assert_array_equal(got.pose.rotation, rotation)
             np.testing.assert_array_equal(got.pose.translation, translation)

@@ -1,5 +1,7 @@
 """Scene generator: determinism, geometry exactness, noise statistics."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -104,31 +106,33 @@ def noise_scene():
     )
 
 
+def respecified(scene, **changes):
+    """The scene with some spec fields changed; geometry, cameras and
+    descriptors are kept."""
+    return replace(scene, spec=replace(scene.spec, **changes))
+
+
 class TestRenderView:
     def test_noise_free_pixels_exact(self, noise_scene):
-        view = render_view(
-            noise_scene, 0, pixel_noise_sigma=0.0, descriptor_noise_sigma=0.0, seed=1
-        )
+        scene = respecified(noise_scene, pixel_noise_sigma=0.0, descriptor_noise_sigma=0.0)
+        view = render_view(scene, 0, seed=1)
         pose, intr = noise_scene.cameras[0]
         expected, _ = project_array(pose, intr, noise_scene.xyz[view.true_point_ids])
         np.testing.assert_allclose(view.pixels, expected, atol=1e-12)
 
     def test_outlier_construction(self, noise_scene):
-        view = render_view(
-            noise_scene,
-            1,
-            pixel_noise_sigma=0.0,
-            descriptor_noise_sigma=0.0,
-            outlier_fraction=0.5,
-            seed=2,
+        scene = respecified(
+            noise_scene, pixel_noise_sigma=0.0, descriptor_noise_sigma=0.0, outlier_fraction=0.5
         )
+        view = render_view(scene, 1, seed=2)
         n_true = int((view.true_point_ids >= 0).sum())
         n_out = int((view.true_point_ids == -1).sum())
         assert n_out == n_true
         assert view.num_features == n_true + n_out
 
     def test_pixel_noise_statistics(self, noise_scene):
-        view = render_view(noise_scene, 0, pixel_noise_sigma=1.0, seed=3)
+        assert noise_scene.spec.pixel_noise_sigma == 1.0
+        view = render_view(noise_scene, 0, seed=3)
         pose, intr = noise_scene.cameras[0]
         assert view.num_features >= 1000
         deltas = view.pixels - project_array(pose, intr, noise_scene.xyz[view.true_point_ids])[0]
@@ -136,7 +140,8 @@ class TestRenderView:
         assert 0.9 <= deltas[:, 1].std() <= 1.1
 
     def test_pixels_in_bounds(self, noise_scene):
-        view = render_view(noise_scene, 2, pixel_noise_sigma=3.0, outlier_fraction=0.2, seed=4)
+        scene = respecified(noise_scene, pixel_noise_sigma=3.0, outlier_fraction=0.2)
+        view = render_view(scene, 2, seed=4)
         _, intr = noise_scene.cameras[2]
         assert (view.pixels[:, 0] >= 0).all() and (view.pixels[:, 0] < intr.image_width).all()
         assert (view.pixels[:, 1] >= 0).all() and (view.pixels[:, 1] < intr.image_height).all()
