@@ -10,7 +10,6 @@ spans with a verification-driven model pool.
 from .compression import (
     CompressedModel,
     CoverageStats,
-    WeightAssignment,
     assign_weights,
     compress_set_kcover,
     compress_top_visibility,
@@ -87,7 +86,6 @@ __all__ = [
     "TrackParams",
     "TrackState",
     "VisibilityMatrix",
-    "WeightAssignment",
     "assign_weights",
     "build_index",
     "build_model",

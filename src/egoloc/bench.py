@@ -47,7 +47,6 @@ from .synthetic import (
     resample_descriptors,
 )
 
-KCOVER_METHODS = ("weighted_kcover", "set_kcover")
 ALL_METHODS = ("full", "weighted_kcover", "set_kcover", "top_visibility")
 
 

@@ -42,6 +42,11 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
+def _seed(args) -> dict:
+    """`--seed` as a config-section override; none when it is not given."""
+    return {} if args.seed is None else {"seed": args.seed}
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -54,8 +59,7 @@ def _write_records(path: Path, records: list[dict]):
 
 def cmd_gen(args) -> int:
     cfg = _load_config(args.config)
-    seed = {} if args.seed is None else {"seed": args.seed}
-    spec = parse_config(SceneSpec, cfg.get("scene", {}), **seed)
+    spec = parse_config(SceneSpec, cfg.get("scene", {}), **_seed(args))
     scene = generate_scene(spec)
     out = _out_dir(args)
     model_io.save_scene(scene, out / "scene.npz")
@@ -88,7 +92,7 @@ def cmd_detect(args) -> int:
     model = model_io.load_model(Path(args.model))
     if not isinstance(model, PointCloudModel):
         model = model.model
-    params = parse_config(DetectParams, cfg.get("detect", {}), seed=args.seed or 0)
+    params = parse_config(DetectParams, cfg.get("detect", {}), **_seed(args))
     labeling = detect_structures(model.xyz, params)
     model.labeling = labeling
     out = _out_dir(args)
@@ -109,7 +113,7 @@ def cmd_compress(args) -> int:
         return 1
     labeling = model.labeling
     if labeling is None and args.method != "set_kcover":
-        params = parse_config(DetectParams, cfg.get("detect", {}), seed=args.seed or 0)
+        params = parse_config(DetectParams, cfg.get("detect", {}), **_seed(args))
         labeling = detect_structures(model.xyz, params)
         model.labeling = labeling
     if args.method == "weighted_kcover":
@@ -133,7 +137,7 @@ def cmd_localize(args) -> int:
     scene = model_io.load_scene(Path(args.scene))
     index = build_index(model, cfg.get("num_words"), seed=args.seed or 0)
     match_params = parse_config(MatchParams, cfg.get("match", {}))
-    ransac_params = parse_config(RansacParams, cfg.get("ransac", {}), seed=args.seed or 0)
+    ransac_params = parse_config(RansacParams, cfg.get("ransac", {}), **_seed(args))
     view = render_view(scene, args.view, seed=args.seed or 0)
     try:
         result = localize(view, index, match_params, ransac_params)

@@ -23,43 +23,33 @@ from .structures import StructureLabeling
 
 
 @dataclass
-class WeightAssignment:
-    """Per-point selection weights derived from structure membership."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64).reshape(-1)
-        if np.any(self.weights < 0):
-            raise ValueError("weights must be non-negative")
-
-
-@dataclass
 class CompressedModel:
     """Subset of a source model selected by a compression strategy.
 
-    `selected_ids` are source point ids in selection order; `model` is the
-    materialized sub-model carrying the selected points' descriptor rows
-    unchanged. `achieved_counts[j]` is the number of selected points visible
-    in camera j of the source model.
+    `model` is the materialized sub-model: its points are the selected
+    source points in selection order, with their descriptor rows unchanged
+    and visibility over the source model's cameras. The selection is read
+    from it: `selected_ids` are the selected source point ids in selection
+    order, and `achieved_counts[j]` is the number of selected points
+    visible in camera j.
     """
 
     model: PointCloudModel
-    selected_ids: np.ndarray
     source_model_id: str
     method: str
     parameter: float
-    achieved_counts: np.ndarray
 
-    def __post_init__(self):
-        self.selected_ids = np.asarray(self.selected_ids, dtype=np.int64).reshape(-1)
-        if len(np.unique(self.selected_ids)) != len(self.selected_ids):
-            raise ValueError("selected ids must be unique")
-        self.achieved_counts = np.asarray(self.achieved_counts, dtype=np.int64).reshape(-1)
+    @property
+    def selected_ids(self) -> np.ndarray:
+        return self.model.point_ids
+
+    @property
+    def achieved_counts(self) -> np.ndarray:
+        return self.model.visibility.camera_counts()
 
     @property
     def num_points(self) -> int:
-        return len(self.selected_ids)
+        return self.model.num_points
 
 
 @dataclass
@@ -73,7 +63,7 @@ class CoverageStats:
     retained_fraction: float
 
 
-def assign_weights(labeling: StructureLabeling, num_points: int) -> WeightAssignment:
+def assign_weights(labeling: StructureLabeling, num_points: int) -> np.ndarray:
     """Initial weights: each point gets its group's share of the cloud.
 
     A point in a plane/line with ``n`` members gets ``n / N``; residual points
@@ -86,7 +76,7 @@ def assign_weights(labeling: StructureLabeling, num_points: int) -> WeightAssign
     for s in labeling.structures:
         w[s.member_ids] = len(s.member_ids) / num_points
     w[labeling.residual_ids] = len(labeling.residual_ids) / num_points
-    return WeightAssignment(weights=w)
+    return w
 
 
 def _check_model(model: PointCloudModel):
@@ -97,16 +87,11 @@ def _check_model(model: PointCloudModel):
 def _finalize(
     model: PointCloudModel, order: list[int], method: str, parameter: float
 ) -> CompressedModel:
-    rows = np.asarray(order, dtype=np.int64)
-    sub = model.subset(rows, model_id=f"{model.model_id}/{method}")
-    counts = sub.visibility.camera_counts()
     return CompressedModel(
-        model=sub,
-        selected_ids=model.point_ids[rows],
+        model=model.subset(np.asarray(order, dtype=np.int64), f"{model.model_id}/{method}"),
         source_model_id=model.model_id,
         method=method,
         parameter=float(parameter),
-        achieved_counts=counts,
     )
 
 
@@ -132,16 +117,15 @@ def _greedy_kcover(
     n, m = model.num_points, model.num_cameras
     vis = model.visibility.to_dense()
     vis_f = vis.astype(np.float64)
-    cam_rows = model.visibility.points_in_camera
 
     counts = np.zeros(m, dtype=np.int64)
     selected = np.zeros(n, dtype=bool)
     # Unselected visible points per camera; zero means the camera is
     # saturated and can no longer make progress.
-    remaining = model.visibility.camera_counts().copy()
+    remaining = model.visibility.camera_counts()
     under = np.ones(m, dtype=bool) if k >= 1 else np.zeros(m, dtype=bool)
     cover = vis_f[:, under].sum(axis=1)
-    w = None if weights is None else weights.astype(np.float64).copy()
+    w = None if weights is None else weights.copy()
     order: list[int] = []
 
     while True:
@@ -176,13 +160,9 @@ def _greedy_kcover(
                 step["weights_after_halving"] = w.copy()
             useless = ~selected & (cover == 0)
             w[useless] = 0.0
-            if step is not None:
-                step["weights_after_zeroing"] = w.copy()
             total = w.sum()
             if total > 0:
                 w = w / total
-            if step is not None:
-                step["weights_after_norm"] = w.copy()
         if trace is not None:
             trace.append(step)
     return order
@@ -203,7 +183,7 @@ def compress_weighted_kcover(
     _check_model(model)
     if k < 1:
         raise ValueError("k must be at least 1")
-    weights = assign_weights(labeling, model.num_points).weights
+    weights = assign_weights(labeling, model.num_points)
     labels = labeling.labels()
     order = _greedy_kcover(model, k, weights, labels, trace)
     return _finalize(model, order, "weighted_kcover", k)

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import VisibilityMatrix
-from .structures import StructureLabeling
+from .structures import StructureLabeling, _encode_structure
 
 
 @dataclass
@@ -112,21 +112,16 @@ class PointCloudModel:
 
 
 def _labeling_equal(a: StructureLabeling, b: StructureLabeling) -> bool:
-    from .structures import LineStructure, PlaneStructure
-
+    """Equal point counts, residuals, and encoded (kind, parameters, members)
+    of every structure in order."""
     if a.num_points != b.num_points or len(a.structures) != len(b.structures):
         return False
     if not np.array_equal(a.residual_ids, b.residual_ids):
         return False
     for sa, sb in zip(a.structures, b.structures):
-        if type(sa) is not type(sb) or not np.array_equal(sa.member_ids, sb.member_ids):
+        (kind_a, params_a), (kind_b, params_b) = _encode_structure(sa), _encode_structure(sb)
+        if kind_a != kind_b or not np.array_equal(params_a, params_b):
             return False
-        if isinstance(sa, PlaneStructure):
-            if not np.array_equal(sa.normal, sb.normal) or sa.offset != sb.offset:
-                return False
-        elif isinstance(sa, LineStructure):
-            if not np.array_equal(sa.anchor, sb.anchor) or not np.array_equal(
-                sa.direction, sb.direction
-            ):
-                return False
+        if not np.array_equal(sa.member_ids, sb.member_ids):
+            return False
     return True

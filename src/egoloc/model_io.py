@@ -33,7 +33,7 @@ from .geometry import CameraIntrinsics, CameraPose, VisibilityMatrix
 from .matching import build_index
 from .model import PointCloudModel
 from .pool import ModelPool, ModelRecord
-from .structures import LineStructure, PlaneStructure, StructureLabeling
+from .structures import StructureLabeling, _decode_structure, _encode_structure
 from .synthetic import GroundTruthScene, SceneSpec
 
 MAGIC = b"EGLM"
@@ -111,25 +111,6 @@ class _Reader:
             raise TruncatedPayloadError(
                 f"{len(self.data) - self.offset} unread trailing payload bytes"
             )
-
-
-def _encode_structure(s: PlaneStructure | LineStructure) -> tuple[int, np.ndarray]:
-    """`(kind, 7 parameters)`: kind 0 is a plane (normal, offset), kind 1 a
-    line (anchor, direction); unused parameters are zero."""
-    if isinstance(s, PlaneStructure):
-        return 0, np.concatenate([s.normal, [s.offset], np.zeros(3)])
-    return 1, np.concatenate([s.anchor, s.direction, np.zeros(1)])
-
-
-def _decode_structure(
-    kind: int, params: np.ndarray, member_ids: np.ndarray
-) -> PlaneStructure | LineStructure:
-    """Inverse of `_encode_structure`."""
-    if kind == 0:
-        return PlaneStructure(normal=params[:3], offset=float(params[3]), member_ids=member_ids)
-    if kind == 1:
-        return LineStructure(anchor=params[:3], direction=params[3:6], member_ids=member_ids)
-    raise ModelIOError(f"unknown structure kind {kind}")
 
 
 def _write_labeling(w: _Writer, labeling: StructureLabeling):
@@ -275,14 +256,12 @@ def load_model(path: str | Path) -> PointCloudModel | CompressedModel:
     source_model_id = r.string()
     achieved = r.array(num_cameras, "<i8")
     r.done()
-    return CompressedModel(
-        model=pcm,
-        selected_ids=point_ids.copy(),
-        source_model_id=source_model_id,
-        method=method,
-        parameter=parameter,
-        achieved_counts=achieved,
+    compressed = CompressedModel(
+        model=pcm, source_model_id=source_model_id, method=method, parameter=parameter
     )
+    if not np.array_equal(achieved, compressed.achieved_counts):
+        raise ModelIOError("stored per-camera counts disagree with the visibility")
+    return compressed
 
 
 def _offsets(arrays: list[np.ndarray]) -> np.ndarray:

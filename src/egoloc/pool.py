@@ -354,53 +354,34 @@ def ingest_session(
                 )
             )
             best_score = max(scores.values())
+            chosen = None
             if best_score >= pool.swap_threshold:
                 # Ties between equal scores go to the most recently used record.
                 candidates = [r for r in pool.records if scores.get(r.record_id) == best_score]
                 chosen = max(candidates, key=lambda r: r.last_used)
-                previous = pool.active_id
-                pool.active_id = chosen.record_id
-                chosen.last_used = max(chosen.last_used, now)
-                events.append(
-                    PoolEvent(
-                        kind="activate",
-                        time=now,
-                        details={
-                            "from": previous,
-                            "to": chosen.record_id,
-                            "score": best_score,
-                            "reason": "swap",
-                        },
-                    )
-                )
+                reason = "swap"
             elif build_model_fn is not None:
                 model, index = build_model_fn(session)
                 new_id = f"{session.session_id or 'session'}-new-{len(pool.records)}"
-                record = ModelRecord(
-                    record_id=new_id,
-                    model=model,
-                    index=index,
-                    created=now,
-                    last_used=now,
-                )
-                pool.records.append(record)
-                previous = pool.active_id
-                pool.active_id = new_id
-                events.append(
-                    PoolEvent(kind="new_model", time=now, details={"record_id": new_id})
-                )
+                chosen = ModelRecord(new_id, model, index, created=now, last_used=now)
+                pool.records.append(chosen)
+                reason = "new_model"
+                events.append(PoolEvent(kind="new_model", time=now, details={"record_id": new_id}))
+            if chosen is not None:
                 events.append(
                     PoolEvent(
                         kind="activate",
                         time=now,
                         details={
-                            "from": previous,
-                            "to": new_id,
+                            "from": pool.active_id,
+                            "to": chosen.record_id,
                             "score": best_score,
-                            "reason": "new_model",
+                            "reason": reason,
                         },
                     )
                 )
+                pool.active_id = chosen.record_id
+                chosen.last_used = max(chosen.last_used, now)
             window.clear()
 
     end_time = float(session.timestamps[-1])

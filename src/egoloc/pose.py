@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -109,10 +109,6 @@ class LocalizationResult:
     mean_reprojection_error: float
     timings: dict[str, float]
     counters: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def inlier_ratio(self) -> float:
-        return self.n_inliers / self.n_correspondences if self.n_correspondences else 0.0
 
 
 def _center(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -286,6 +282,22 @@ def _reprojection_errors(p: np.ndarray, pixels: np.ndarray, points: np.ndarray) 
     return err
 
 
+def _camera_matrix(intr: CameraIntrinsics, pose: CameraPose) -> np.ndarray:
+    """The projection matrix K[R|t] of a calibrated camera."""
+    return intr.matrix @ np.column_stack([pose.rotation, pose.translation])
+
+
+def _certify(
+    p: np.ndarray, pixels: np.ndarray, points: np.ndarray, threshold: float
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """Inliers under `p`: the ids of the correspondences that reproject
+    within `threshold`, or None when fewer than 6 do (each caller then keeps
+    its previous set), and every correspondence's error under `p`."""
+    err = _reprojection_errors(p, pixels, points)
+    inlier_ids = np.flatnonzero(err <= threshold)
+    return (inlier_ids if len(inlier_ids) >= 6 else None), err
+
+
 def ransac_pose(
     pixels: np.ndarray,
     points: np.ndarray,
@@ -370,14 +382,14 @@ def ransac_pose(
             f"{params.inlier_threshold} px"
         )
 
+    threshold = params.inlier_threshold
     final_p = best_p
-    inliers = _reprojection_errors(best_p, px, pts) <= params.inlier_threshold
+    inlier_ids = np.flatnonzero(_reprojection_errors(best_p, px, pts) <= threshold)
     try:
-        refit = dlt_pose(px[inliers], pts[inliers])
-        refit_inliers = _reprojection_errors(refit, px, pts) <= params.inlier_threshold
-        if int(refit_inliers.sum()) >= 6:
-            final_p = refit
-            inliers = refit_inliers
+        refit = dlt_pose(px[inlier_ids], pts[inlier_ids])
+        refit_ids, _ = _certify(refit, px, pts, threshold)
+        if refit_ids is not None:
+            final_p, inlier_ids = refit, refit_ids
     except (DegenerateConfigurationError, ValueError):
         pass
 
@@ -386,12 +398,9 @@ def ransac_pose(
     # reconstructed skew-free matrix to keep the certification (and any
     # downstream refinement comparison) consistent.
     intr, pose = decompose(final_p)
-    p_report = intr.matrix @ np.column_stack([pose.rotation, pose.translation])
-    err = _reprojection_errors(p_report, px, pts)
-    report_inliers = err <= params.inlier_threshold
-    if int(report_inliers.sum()) >= 6:
-        inliers = report_inliers
-    inlier_ids = np.flatnonzero(inliers)
+    report_ids, err = _certify(_camera_matrix(intr, pose), px, pts, threshold)
+    if report_ids is not None:
+        inlier_ids = report_ids
     return PoseEstimate(
         pose=pose,
         intrinsics=intr,
@@ -466,56 +475,6 @@ def _mean_pixel_error(r: np.ndarray) -> float:
     return float(np.sqrt(r[:n] * r[:n] + r[n:] * r[n:]).mean())
 
 
-def _levenberg_marquardt(
-    rot: np.ndarray,
-    t: np.ndarray,
-    intr: CameraIntrinsics,
-    pixels: np.ndarray,
-    points: np.ndarray,
-    max_iterations: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """LM over the pose from a start with every point in front of the
-    camera. Returns the last accepted rotation, translation and residuals
-    (the start's own `rot` object if no step was accepted) and the number
-    of steps solved."""
-    cam = points @ rot.T + t
-    r = _pixel_residuals(cam, intr, pixels)
-    cost = float(r @ r)
-    damping = _INITIAL_DAMPING
-    moved = True
-    iterations = 0
-    while iterations < max_iterations:
-        if moved:
-            jac = _jacobian(cam, intr)
-            jtj = jac.T @ jac
-            grad = jac.T @ r
-            scale = np.diag(jtj)
-        iterations += 1
-        # Cholesky solve of the damped normal equations, which are positive
-        # definite unless the points leave the pose undetermined.
-        _, step, info = scipy.linalg.lapack.dposv(jtj + np.diag(damping * scale), -grad)
-        if info:
-            break
-        # Decrease of the linearized cost: |r|² - |r + J step|².
-        if -(2.0 * grad @ step + step @ jtj @ step) <= _COST_TOL * cost:
-            break
-        turn = _exp_rotation(step[:3])
-        rot_new = turn @ rot
-        t_new = turn @ t + step[3:]
-        cam_new = points @ rot_new.T + t_new
-        moved = False
-        if cam_new[:, 2].min() > DEPTH_EPSILON:
-            r_new = _pixel_residuals(cam_new, intr, pixels)
-            cost_new = float(r_new @ r_new)
-            moved = cost_new < cost
-        if moved:
-            rot, t, cam, r, cost = rot_new, t_new, cam_new, r_new, cost_new
-            damping = max(damping * 0.1, _MIN_DAMPING)
-        else:
-            damping *= 10.0
-    return rot, t, r, iterations
-
-
 def refine_pose(
     estimate: PoseEstimate,
     pixels: np.ndarray,
@@ -533,16 +492,17 @@ def refine_pose(
     ``dt``: ``R <- exp(w) R`` and ``t <- exp(w) t + dt``, with the
     closed-form Jacobian of `_jacobian`. Damping multiplies the diagonal of
     ``JᵀJ``; it falls tenfold after an accepted step and rises tenfold
-    after a rejected one. A step is rejected if it raises the cost or puts
-    a point at depth <= DEPTH_EPSILON. The loop stops at the first step
-    whose linearized cost decrease is at most _COST_TOL of the cost, or
-    after `max_iterations` steps. A start with a point at depth <=
-    DEPTH_EPSILON is returned unchanged.
+    after a rejected one. A step is rejected if it does not lower the cost
+    or puts a point at depth <= DEPTH_EPSILON. The loop stops at the first
+    step whose linearized cost decrease is at most _COST_TOL of the cost,
+    or after `max_iterations` steps. A start with a point at depth <=
+    DEPTH_EPSILON is not refined.
 
-    The refined pose is kept only if neither the squared-error objective
-    nor the mean pixel error increased, so refinement never degrades an
-    estimate. If `counters` is given, it receives `refine_iterations`: the
-    steps solved, accepted or not.
+    Every accepted step lowers the squared-error objective, so refinement
+    never raises it. The refined pose is kept only if the mean pixel error
+    did not increase either; otherwise, and when no step was accepted,
+    `estimate` itself is returned. If `counters` is given, it receives
+    `refine_iterations`: the steps solved, accepted or not.
     """
     px = np.asarray(pixels, dtype=np.float64).reshape(-1, 2)
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
@@ -550,32 +510,58 @@ def refine_pose(
         raise ValueError("refinement needs at least 6 inlier correspondences")
 
     intr = estimate.intrinsics
-    start = estimate.pose
-    cam = pts @ start.rotation.T + start.translation
-    if cam[:, 2].min() <= DEPTH_EPSILON:
-        rot, iterations = start.rotation, 0
-    else:
-        rot, t, r1, iterations = _levenberg_marquardt(
-            start.rotation, start.translation, intr, px, pts, max_iterations
-        )
+    rot, t = estimate.pose.rotation, estimate.pose.translation
+    cam = pts @ rot.T + t
+    iterations = 0
+    accepted = False
+    if cam[:, 2].min() > DEPTH_EPSILON:
+        r = r0 = _pixel_residuals(cam, intr, px)
+        cost = float(r @ r)
+        damping = _INITIAL_DAMPING
+        moved = True
+        while iterations < max_iterations:
+            if moved:
+                jac = _jacobian(cam, intr)
+                jtj = jac.T @ jac
+                grad = jac.T @ r
+                scale = np.diag(jtj)
+            iterations += 1
+            # Cholesky solve of the damped normal equations, which are
+            # positive definite unless the points leave the pose undetermined.
+            _, step, info = scipy.linalg.lapack.dposv(jtj + np.diag(damping * scale), -grad)
+            if info:
+                break
+            # Decrease of the linearized cost: |r|² - |r + J step|².
+            if -(2.0 * grad @ step + step @ jtj @ step) <= _COST_TOL * cost:
+                break
+            turn = _exp_rotation(step[:3])
+            rot_new = turn @ rot
+            t_new = turn @ t + step[3:]
+            cam_new = pts @ rot_new.T + t_new
+            moved = False
+            if cam_new[:, 2].min() > DEPTH_EPSILON:
+                r_new = _pixel_residuals(cam_new, intr, px)
+                cost_new = float(r_new @ r_new)
+                moved = cost_new < cost
+            if moved:
+                rot, t, cam, r, cost = rot_new, t_new, cam_new, r_new, cost_new
+                damping = max(damping * 0.1, _MIN_DAMPING)
+                accepted = True
+            else:
+                damping *= 10.0
     if counters is not None:
         counters["refine_iterations"] = iterations
-    if rot is start.rotation:
+    if not accepted:
         return estimate
-
-    r0 = _pixel_residuals(cam, intr, px)
-    mean1 = _mean_pixel_error(r1)
-    if r1 @ r1 > r0 @ r0 or mean1 > _mean_pixel_error(r0):
+    mean_error = _mean_pixel_error(r)
+    if mean_error > _mean_pixel_error(r0):
         return estimate
-    return PoseEstimate(
-        # A product of Rodrigues rotations stays orthonormal to rounding,
-        # far inside CameraPose's check.
+    # A product of Rodrigues rotations stays orthonormal to rounding, far
+    # inside CameraPose's check.
+    return replace(
+        estimate,
         pose=CameraPose(rotation=rot, translation=t),
-        intrinsics=intr,
-        inlier_ids=estimate.inlier_ids,
-        n_correspondences=estimate.n_correspondences,
-        n_inliers=estimate.n_inliers,
-        mean_reprojection_error=mean1,
+        mean_reprojection_error=mean_error,
     )
 
 
@@ -620,14 +606,7 @@ def localize(
         raise RegistrationFailedError("ransac", str(exc)) from exc
     timings["ransac"] = time.perf_counter() - t0
 
-    estimate = PoseEstimate(
-        pose=estimate.pose,
-        intrinsics=query.intrinsics,
-        inlier_ids=estimate.inlier_ids,
-        n_correspondences=estimate.n_correspondences,
-        n_inliers=estimate.n_inliers,
-        mean_reprojection_error=estimate.mean_reprojection_error,
-    )
+    estimate = replace(estimate, intrinsics=query.intrinsics)
 
     t0 = time.perf_counter()
     refined = refine_pose(
@@ -637,16 +616,13 @@ def localize(
 
     # Re-certify inliers under the refined pose so the reported counts hold
     # for the pose actually returned.
-    k = refined.intrinsics.matrix
-    p_final = k @ np.column_stack([refined.pose.rotation, refined.pose.translation])
-    err = _reprojection_errors(p_final, px, pts)
-    inliers = err <= ransac_params.inlier_threshold
-    if int(inliers.sum()) >= 6:
-        inlier_ids = np.flatnonzero(inliers)
-        mean_err = float(err[inlier_ids].mean())
+    inlier_ids, err = _certify(
+        _camera_matrix(refined.intrinsics, refined.pose), px, pts, ransac_params.inlier_threshold
+    )
+    if inlier_ids is None:
+        inlier_ids, mean_err = refined.inlier_ids, refined.mean_reprojection_error
     else:
-        inlier_ids = refined.inlier_ids
-        mean_err = refined.mean_reprojection_error
+        mean_err = float(err[inlier_ids].mean())
 
     timings["total"] = sum(timings.values())
     return LocalizationResult(

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ModelIOError
+
 
 @dataclass(frozen=True)
 class PlaneStructure:
@@ -65,6 +67,23 @@ class LineStructure:
 Structure = PlaneStructure | LineStructure
 
 
+def _encode_structure(s: Structure) -> tuple[int, np.ndarray]:
+    """`(kind, 7 parameters)`: kind 0 is a plane (normal, offset), kind 1 a
+    line (anchor, direction); unused parameters are zero."""
+    if isinstance(s, PlaneStructure):
+        return 0, np.concatenate([s.normal, [s.offset], np.zeros(3)])
+    return 1, np.concatenate([s.anchor, s.direction, np.zeros(1)])
+
+
+def _decode_structure(kind: int, params: np.ndarray, member_ids: np.ndarray) -> Structure:
+    """Inverse of `_encode_structure`."""
+    if kind == 0:
+        return PlaneStructure(normal=params[:3], offset=float(params[3]), member_ids=member_ids)
+    if kind == 1:
+        return LineStructure(anchor=params[:3], direction=params[3:6], member_ids=member_ids)
+    raise ModelIOError(f"unknown structure kind {kind}")
+
+
 @dataclass
 class StructureLabeling:
     """Partition of point ids into detected structures plus a residual group."""
@@ -98,7 +117,8 @@ class StructureLabeling:
 class DetectParams:
     """RANSAC parameters for structure detection.
 
-    `min_members` of None applies the default policy max(20, 1% of N).
+    `min_members` of None applies the default policy max(20, 1% of N);
+    a given count must be at least 3, the points a plane sample needs.
     """
 
     inlier_threshold: float = 0.05
@@ -112,13 +132,8 @@ class DetectParams:
             raise ValueError("inlier_threshold must be positive")
         if self.max_iterations_per_structure < 1 or self.max_structures < 0:
             raise ValueError("iteration and structure budgets must be positive")
-
-    def resolved_min_members(self, n_points: int, floor: int) -> int:
-        if self.min_members is not None:
-            if self.min_members < floor:
-                raise ValueError(f"min_members must be >= {floor}")
-            return self.min_members
-        return max(20, int(np.ceil(0.01 * n_points)))
+        if self.min_members is not None and self.min_members < 3:
+            raise ValueError("min_members must be at least 3")
 
 
 # Points x hypotheses evaluated per block when scoring a round; keeps the
@@ -290,35 +305,25 @@ def _detect_one(
     return LineStructure(anchor=model[0], direction=model[1], member_ids=member_ids)
 
 
-def _detect_kind(
-    points: np.ndarray,
-    candidate_ids: np.ndarray,
-    params: DetectParams,
-    kind: str,
-    round_offset: int,
-) -> tuple[list[Structure], np.ndarray]:
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    min_members = params.resolved_min_members(len(pts), 3 if kind == "plane" else 2)
-    found: list[Structure] = []
-    remaining = np.asarray(candidate_ids, dtype=np.int64)
-    for r in range(params.max_structures):
-        structure = _detect_one(pts, remaining, params, kind, round_offset + r, min_members)
-        if structure is None:
-            break
-        found.append(structure)
-        keep = ~np.isin(remaining, structure.member_ids)
-        remaining = remaining[keep]
-    return found, remaining
-
-
 def detect_structures(points: np.ndarray, params: DetectParams | None = None) -> StructureLabeling:
-    """Detect planes, then lines on the remaining points; leftovers are residual."""
+    """Detect planes, then lines on the remaining points; leftovers are residual.
+
+    Each kind runs up to `max_structures` rounds and stops at the first that
+    finds nothing. Plane rounds are numbered from 0 and line rounds from
+    `max_structures`.
+    """
     params = params or DetectParams()
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     if len(pts) == 0:
         raise ValueError("point set must be non-empty")
-    planes, remaining = _detect_kind(pts, np.arange(len(pts)), params, "plane", 0)
-    lines, residual = _detect_kind(pts, remaining, params, "line", params.max_structures)
-    return StructureLabeling(
-        structures=[*planes, *lines], residual_ids=residual, num_points=len(pts)
-    )
+    min_members = params.min_members or max(20, int(np.ceil(0.01 * len(pts))))
+    found: list[Structure] = []
+    remaining = np.arange(len(pts))
+    for i, kind in enumerate(("plane", "line")):
+        for r in range(i * params.max_structures, (i + 1) * params.max_structures):
+            structure = _detect_one(pts, remaining, params, kind, r, min_members)
+            if structure is None:
+                break
+            found.append(structure)
+            remaining = remaining[~np.isin(remaining, structure.member_ids)]
+    return StructureLabeling(structures=found, residual_ids=remaining, num_points=len(pts))

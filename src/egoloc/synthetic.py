@@ -21,7 +21,6 @@ from .errors import InfeasibleSpecError, TooFewVisibleError
 from .geometry import (
     CameraIntrinsics,
     CameraPose,
-    DEPTH_EPSILON,
     VisibilityMatrix,
     pose_looking_at,
     project_array,
@@ -157,11 +156,22 @@ def default_intrinsics() -> CameraIntrinsics:
     )
 
 
-def _unit_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
-    v = rng.normal(size=(n, dim))
+def _normalize_rows(v: np.ndarray) -> np.ndarray:
+    """Scale the rows of `v` to unit length in place; zero rows stay zero."""
     norms = np.linalg.norm(v, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
-    return v / norms
+    v /= norms
+    return v
+
+
+def _unit_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
+    return _normalize_rows(rng.normal(size=(n, dim)))
+
+
+def _perturb_rows(rng: np.random.Generator, v: np.ndarray, sigma: float) -> np.ndarray:
+    """Add N(0, sigma²) noise to the rows of `v` in place and renormalize them."""
+    v += rng.normal(scale=sigma, size=v.shape)
+    return _normalize_rows(v)
 
 
 def _sample_geometry(spec: SceneSpec, rng: np.random.Generator):
@@ -253,21 +263,24 @@ def _place_cameras(spec: SceneSpec) -> list[tuple[CameraPose, CameraIntrinsics]]
     return cameras
 
 
+def _in_image(pixels: np.ndarray, intr: CameraIntrinsics) -> np.ndarray:
+    """Mask of pixels inside the image. `project_array` gives NaN pixels for
+    points behind the camera, and NaN fails every comparison."""
+    return (
+        (pixels[:, 0] >= 0)
+        & (pixels[:, 0] < intr.image_width)
+        & (pixels[:, 1] >= 0)
+        & (pixels[:, 1] < intr.image_height)
+    )
+
+
 def _geometric_visibility(
     xyz: np.ndarray, cameras: list[tuple[CameraPose, CameraIntrinsics]]
 ) -> np.ndarray:
     """Dense mask of points projecting inside each camera's image."""
     vis = np.zeros((len(xyz), len(cameras)), dtype=bool)
     for j, (pose, intr) in enumerate(cameras):
-        pixels, depth = project_array(pose, intr, xyz)
-        in_front = depth > DEPTH_EPSILON
-        in_bounds = (
-            (pixels[:, 0] >= 0)
-            & (pixels[:, 0] < intr.image_width)
-            & (pixels[:, 1] >= 0)
-            & (pixels[:, 1] < intr.image_height)
-        )
-        vis[:, j] = in_front & np.where(np.isfinite(pixels[:, 0]), in_bounds, False)
+        vis[:, j] = _in_image(project_array(pose, intr, xyz)[0], intr)
     return vis
 
 
@@ -378,21 +391,13 @@ def render_view(scene: GroundTruthScene, camera: int | CameraPose, *, seed: int 
     pixels, _ = project_array(pose, intr, scene.xyz[visible])
     if spec.pixel_noise_sigma > 0:
         pixels = pixels + rng.normal(scale=spec.pixel_noise_sigma, size=pixels.shape)
-    in_bounds = (
-        (pixels[:, 0] >= 0)
-        & (pixels[:, 0] < intr.image_width)
-        & (pixels[:, 1] >= 0)
-        & (pixels[:, 1] < intr.image_height)
-    )
+    in_bounds = _in_image(pixels, intr)
     pixels = pixels[in_bounds]
     kept_ids = visible[in_bounds]
 
     desc = scene.descriptors[kept_ids]
     if spec.descriptor_noise_sigma > 0:
-        desc = desc + rng.normal(scale=spec.descriptor_noise_sigma, size=desc.shape)
-        norms = np.linalg.norm(desc, axis=1, keepdims=True)
-        norms[norms == 0] = 1.0
-        desc = desc / norms
+        desc = _perturb_rows(rng, desc, spec.descriptor_noise_sigma)
 
     n_true = len(kept_ids)
     n_out = int(round(n_true * out_frac / (1.0 - out_frac))) if out_frac > 0 else 0
@@ -442,10 +447,7 @@ def build_model(
     counts = scene.visibility.track_lengths()
     descriptors = np.repeat(scene.descriptors, counts, axis=0)
     if sigma > 0:
-        descriptors += rng.normal(scale=sigma, size=descriptors.shape)
-        norms = np.linalg.norm(descriptors, axis=1, keepdims=True)
-        norms[norms == 0] = 1.0
-        descriptors /= norms
+        descriptors = _perturb_rows(rng, descriptors, sigma)
 
     return PointCloudModel(
         xyz=xyz,

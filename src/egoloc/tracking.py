@@ -123,8 +123,8 @@ def smooth_trajectory(
     if np.any(np.diff(times) <= 0):
         raise ValueError("timestamps must be strictly increasing")
 
-    h = np.zeros((3, 6))
-    h[:, :3] = np.eye(3)
+    # The measurement is the position, x[:3]; products with the selector
+    # matrix [I 0] are taken as slices.
     r = params.measurement_variance * np.eye(3)
     q_density = params.process_noise
 
@@ -156,13 +156,14 @@ def smooth_trajectory(
         gated = restarted = False
         if z is not None:
             z = np.asarray(z, dtype=np.float64).reshape(3)
-            innovation = z - h @ x
-            s = h @ p @ h.T + r
+            innovation = z - x[:3]
+            s = p[:3, :3] + r
             maha2 = float(innovation @ np.linalg.solve(s, innovation))
             if maha2 <= params.gate_threshold**2:
-                k = np.linalg.solve(s.T, (p @ h.T).T).T
+                k = np.linalg.solve(s.T, p[:, :3].T).T
                 x = x + k @ innovation
-                ikh = np.eye(6) - k @ h
+                ikh = np.eye(6)
+                ikh[:, :3] -= k
                 p = ikh @ p @ ikh.T + k @ r @ k.T
                 p = 0.5 * (p + p.T)
                 gated_run = 0

@@ -1,12 +1,21 @@
 """CLI subcommands: end-to-end flows and byte-reproducible outputs."""
 
+import hashlib
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from egoloc import ModelPool, ModelRecord, build_index, save_pool
+from egoloc import (
+    DetectParams,
+    ModelPool,
+    ModelRecord,
+    build_index,
+    detect_structures,
+    load_model,
+    save_pool,
+)
 from egoloc.cli import main
 
 SCENE_CFG = {
@@ -22,6 +31,21 @@ SCENE_CFG = {
         "seed": 9,
     }
 }
+
+
+# sha256 of the JSONL files `bench` and `sessions` write under the CFGs of
+# TestBenchCommand and TestSessionsCommand, at one or two BLAS threads. A
+# refactor keeps these bytes; a change that alters them on purpose updates
+# the hashes and says why.
+GOLDEN_SHA256 = {
+    "bench.jsonl": "4351c4ab74a0d54c4e79495268740d1f9a43f96dff2050e6c32e500de2b37552",
+    "sessions.jsonl": "41c7afe83578485380798a5f7ea0f424ab57529600ebaf3f8181694839661895",
+    "events.jsonl": "b2ac825bef57d3c3b4c3a438980d26d7659039f58196d24d71e7037c3abd1819",
+}
+
+
+def sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def write_cfg(tmp_path, payload, name="cfg.json"):
@@ -114,6 +138,14 @@ class TestPipelineCommands:
         )
         assert (out / "compressed.eglm").exists()
 
+    def test_detect_keeps_config_seed_without_flag(self, tmp_path, model_file):
+        cfg = write_cfg(tmp_path, {"detect": {"seed": 8}})
+        out = tmp_path / "detected"
+        assert main(["detect", "--model", str(model_file), "--config", cfg, "--out", str(out)]) == 0
+        model = load_model(model_file)
+        model.labeling = detect_structures(model.xyz, DetectParams(seed=8))
+        assert load_model(out / "model.eglm").equals(model)
+
 
 class TestTrackCommand:
     def test_smooths_measurements(self, tmp_path):
@@ -168,6 +200,11 @@ class TestBenchCommand:
         full = next(r for r in rows if r["method"] == "full")
         assert full["registration_rate"] == 1.0
 
+    def test_bench_output_matches_golden(self, tmp_path):
+        cfg = write_cfg(tmp_path, self.CFG)
+        assert main(["bench", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert sha256(tmp_path / "bench.jsonl") == GOLDEN_SHA256["bench.jsonl"]
+
 
 class TestSessionsCommand:
     CFG = {
@@ -199,6 +236,12 @@ class TestSessionsCommand:
         assert rows[0]["triggers"] == 0  # first session matches the active model
         assert rows[1]["active_after"] == "regime-2"
 
+    def test_sessions_output_matches_golden(self, tmp_path):
+        cfg = write_cfg(tmp_path, self.CFG)
+        assert main(["sessions", "--config", cfg, "--out", str(tmp_path)]) == 0
+        for name in ("sessions.jsonl", "events.jsonl"):
+            assert sha256(tmp_path / name) == GOLDEN_SHA256[name], name
+
 
 class TestErrorPaths:
     @pytest.mark.parametrize(
@@ -213,6 +256,7 @@ class TestErrorPaths:
             ("localize", {"num_words": "16"}, "ValueError"),
             ("bench", {"reconstruction_noise": "x"}, "ValueError"),
             ("build", {"reconstruction_noise": "x"}, "ValueError"),
+            ("detect", {"detect": {"min_members": 2}}, "ConfigError"),
         ],
         ids=[
             "gen-bad-value",
@@ -224,6 +268,7 @@ class TestErrorPaths:
             "localize-num-words",
             "bench-reconstruction-noise",
             "build-reconstruction-noise",
+            "detect-min-members",
         ],
     )
     def test_bad_config_fails_cleanly(self, tmp_path, request, capsys, command, payload, error):
@@ -231,7 +276,7 @@ class TestErrorPaths:
         args = [command, "--config", cfg, "--out", str(tmp_path / "x")]
         if command in ("build", "localize"):
             args += ["--scene", str(request.getfixturevalue("scene_file"))]
-        if command == "localize":
+        if command in ("detect", "localize"):
             args += ["--model", str(request.getfixturevalue("model_file"))]
         assert main(args) == 1
         err = capsys.readouterr().err

@@ -140,11 +140,11 @@ def random_instance(rng):
 class TestAssignWeights:
     def test_single_group_weight_one(self):
         labeling = make_labeling([0] * 7, 7)
-        np.testing.assert_array_equal(assign_weights(labeling, 7).weights, np.ones(7))
+        np.testing.assert_array_equal(assign_weights(labeling, 7), np.ones(7))
 
     def test_spec_shares(self):
         group_of = [0] * 6 + [1] * 3 + [-1]
-        weights = assign_weights(make_labeling(group_of, 10), 10).weights
+        weights = assign_weights(make_labeling(group_of, 10), 10)
         np.testing.assert_allclose(weights[:6], 0.6)
         np.testing.assert_allclose(weights[6:9], 0.3)
         np.testing.assert_allclose(weights[9], 0.1)
@@ -155,7 +155,7 @@ class TestAssignWeights:
             n = int(rng.integers(3, 30))
             num_groups = int(rng.integers(1, 5))
             group_of = [int(g) for g in rng.integers(-1, num_groups, size=n)]
-            weights = assign_weights(make_labeling(group_of, n), n).weights
+            weights = assign_weights(make_labeling(group_of, n), n)
             sizes = {}
             for g in group_of:
                 sizes[g] = sizes.get(g, 0) + 1

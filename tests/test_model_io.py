@@ -325,6 +325,21 @@ class TestZeroCopyLoad:
                 load_model(path)
 
 
+    def test_stored_counts_must_match_visibility(self, saved):
+        path, original = saved
+        data = path.read_bytes()
+        payload = bytearray(data[_HEADER_SIZE:])
+        # A compressed model's payload ends with its per-camera counts.
+        at = len(payload) - 8 * original.model.num_cameras
+        counts = np.frombuffer(payload[at:], dtype="<i8").copy()
+        assert np.array_equal(counts, original.achieved_counts)
+        counts[0] += 1
+        payload[at:] = counts.tobytes()
+        path.write_bytes(with_payload(data, bytes(payload)))
+        with pytest.raises(ModelIOError, match="per-camera counts"):
+            load_model(path)
+
+
 class TestSizes:
     def test_compressed_file_size_ratio(self, tmp_path):
         scene = generate_scene(

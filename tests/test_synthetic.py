@@ -65,7 +65,7 @@ class TestGenerateScene:
             seed=5,
         )
         scene = generate_scene(spec)
-        weights = assign_weights(scene.true_labeling, scene.num_points).weights
+        weights = assign_weights(scene.true_labeling, scene.num_points)
         for structure, share in zip(scene.true_labeling.structures, (0.6, 0.3, 0.1)):
             np.testing.assert_allclose(weights[structure.member_ids], share)
 
