@@ -19,7 +19,7 @@ from .compression import (
 from .geometry import CameraIntrinsics, CameraPose, VisibilityMatrix
 from .matching import Correspondence, MatchIndex, MatchParams, build_index, match_features
 from .model import PointCloudModel
-from .model_io import load_model, load_pool, load_scene, save_model, save_pool, save_scene
+from .model_io import load_model, load_pool, save_model, save_pool
 from .pool import (
     ModelPool,
     ModelRecord,
@@ -100,7 +100,6 @@ __all__ = [
     "ingest_session",
     "load_model",
     "load_pool",
-    "load_scene",
     "localize",
     "match_features",
     "prune",
@@ -110,7 +109,6 @@ __all__ = [
     "resample_descriptors",
     "save_model",
     "save_pool",
-    "save_scene",
     "score_model",
     "smooth_trajectory",
     "verify",

@@ -55,7 +55,6 @@ class BenchConfig:
     scene: SceneSpec
     methods: tuple[str, ...] = ALL_METHODS
     target_fraction: float = 0.1
-    count_tolerance: float = 0.05
     num_queries: int = 20
     reconstruction_noise: float = 0.0
     num_words: int | None = None
@@ -244,7 +243,7 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
                 if method == "weighted_kcover"
                 else (lambda k: compress_set_kcover(model, k))
             )
-            k, variant = tune_k(fn, target, visible_anywhere, config.count_tolerance)
+            k, variant = tune_k(fn, target, visible_anywhere)
             parameter = float(k)
             num_points = variant.num_points
 

@@ -10,6 +10,7 @@ on failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -29,14 +30,17 @@ from .model import PointCloudModel
 from .pool import prune
 from .pose import RansacParams, localize
 from .structures import DetectParams, detect_structures
-from .synthetic import SceneSpec, build_model, generate_scene, render_view
+from .synthetic import GroundTruthScene, SceneSpec, build_model, generate_scene, render_view
 from .tracking import TrackParams, smooth_trajectory
 
 
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    cfg = json.loads(Path(path).read_text())
+    try:
+        cfg = json.loads(Path(path).read_text())
+    except ValueError as exc:  # not UTF-8 or not JSON, such as a binary file
+        raise ConfigError(f"{path} is not a JSON file: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config must be a JSON object, got {type(cfg).__name__}")
     return cfg
@@ -45,6 +49,11 @@ def _load_config(path: str | None) -> dict:
 def _seed(args) -> dict:
     """`--seed` as a config-section override; none when it is not given."""
     return {} if args.seed is None else {"seed": args.seed}
+
+
+def _load_scene(path: str) -> GroundTruthScene:
+    """Regenerate the scene of a scene file (the `scene` section `gen` writes)."""
+    return generate_scene(parse_config(SceneSpec, _load_config(path).get("scene", {})))
 
 
 def _out_dir(args) -> Path:
@@ -62,17 +71,17 @@ def cmd_gen(args) -> int:
     spec = parse_config(SceneSpec, cfg.get("scene", {}), **_seed(args))
     scene = generate_scene(spec)
     out = _out_dir(args)
-    model_io.save_scene(scene, out / "scene.npz")
+    (out / "scene.json").write_text(json.dumps({"scene": dataclasses.asdict(spec)}, indent=2))
     print(
         f"scene: {scene.num_points} points, {scene.num_cameras} cameras, "
-        f"{scene.true_labeling.num_structures} structures -> {out / 'scene.npz'}"
+        f"{scene.true_labeling.num_structures} structures -> {out / 'scene.json'}"
     )
     return 0
 
 
 def cmd_build(args) -> int:
     cfg = _load_config(args.config)
-    scene = model_io.load_scene(Path(args.scene))
+    scene = _load_scene(args.scene)
     model = build_model(
         scene,
         reconstruction_noise_sigma=cfg.get("reconstruction_noise", 0.0),
@@ -134,7 +143,7 @@ def cmd_compress(args) -> int:
 def cmd_localize(args) -> int:
     cfg = _load_config(args.config)
     model = model_io.load_model(Path(args.model))
-    scene = model_io.load_scene(Path(args.scene))
+    scene = _load_scene(args.scene)
     index = build_index(model, cfg.get("num_words"), seed=args.seed or 0)
     match_params = parse_config(MatchParams, cfg.get("match", {}))
     ransac_params = parse_config(RansacParams, cfg.get("ransac", {}), **_seed(args))
@@ -239,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build", help="build a model from a scene")
     common(p)
-    p.add_argument("--scene", required=True)
+    p.add_argument("--scene", required=True, help="scene.json written by gen")
     p.set_defaults(fn=cmd_build)
 
     p = sub.add_parser("detect", help="detect planes/lines in a model")
@@ -261,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("localize", help="localize a rendered view against a model")
     common(p)
     p.add_argument("--model", required=True)
-    p.add_argument("--scene", required=True)
+    p.add_argument("--scene", required=True, help="scene.json written by gen")
     p.add_argument("--view", type=int, default=0, help="scene camera index to render")
     p.set_defaults(fn=cmd_localize)
 

@@ -1,4 +1,4 @@
-"""Model, scene, and pool persistence.
+"""Model and pool persistence.
 
 The model file is a little-endian, magic-prefixed, versioned binary format
 with CRC-protected header and payload, so truncation and bit corruption
@@ -8,13 +8,11 @@ slices of the file's bytes, so the payload is never copied as a whole; each
 loaded array is one copy of its bytes. Reported sizes use decimal megabytes
 (10^6 bytes).
 
-Scenes are stored as compressed numpy archives; a model pool persists as a
-manifest JSON next to one model file per record.
+A model pool persists as a manifest JSON next to one model file per record.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import struct
 import zlib
@@ -29,12 +27,11 @@ from .errors import (
     TruncatedPayloadError,
     VersionMismatchError,
 )
-from .geometry import CameraIntrinsics, CameraPose, VisibilityMatrix
+from .geometry import VisibilityMatrix
 from .matching import build_index
 from .model import PointCloudModel
 from .pool import ModelPool, ModelRecord
 from .structures import StructureLabeling, _decode_structure, _encode_structure
-from .synthetic import GroundTruthScene, SceneSpec
 
 MAGIC = b"EGLM"
 FORMAT_VERSION = 1
@@ -187,6 +184,7 @@ def load_model(path: str | Path) -> PointCloudModel | CompressedModel:
         TruncatedPayloadError: the file is shorter than its header declares.
         CorruptHeaderError: bad magic or a failed CRC check.
         VersionMismatchError: unsupported format version.
+        ModelIOError: the payload decodes to an inconsistent model or labeling.
     """
     data = memoryview(Path(path).read_bytes())
     if len(data) < _HEADER_SIZE:
@@ -230,11 +228,8 @@ def load_model(path: str | Path) -> PointCloudModel | CompressedModel:
     for _ in range(num_cameras):
         cam_lists.append(r.array(r.u32(), "<i8"))
 
-    labeling = None
-    if flags & _FLAG_LABELING:
-        labeling = _read_labeling(r, num_points)
-
     try:
+        labeling = _read_labeling(r, num_points) if flags & _FLAG_LABELING else None
         visibility = VisibilityMatrix(num_points, cam_lists)
         pcm = PointCloudModel(
             xyz=xyz,
@@ -262,90 +257,6 @@ def load_model(path: str | Path) -> PointCloudModel | CompressedModel:
     if not np.array_equal(achieved, compressed.achieved_counts):
         raise ModelIOError("stored per-camera counts disagree with the visibility")
     return compressed
-
-
-def _offsets(arrays: list[np.ndarray]) -> np.ndarray:
-    """Start offsets of `arrays` laid end to end, plus the total length."""
-    return np.cumsum([0, *(len(a) for a in arrays)], dtype=np.int64)
-
-
-def save_scene(scene: GroundTruthScene, path: str | Path):
-    """Store a ground-truth scene as a numpy archive (bit-exact round trip)."""
-    lab = scene.true_labeling
-    encoded = [_encode_structure(s) for s in lab.structures]
-    members = [s.member_ids for s in lab.structures]
-    vis_ids = scene.visibility.points_in_camera
-
-    rotations = np.stack([pose.rotation for pose, _ in scene.cameras])
-    translations = np.stack([pose.translation for pose, _ in scene.cameras])
-    intr = np.array(
-        [
-            [i.focal_x, i.focal_y, i.principal_x, i.principal_y, i.image_width, i.image_height]
-            for _, i in scene.cameras
-        ]
-    )
-    np.savez_compressed(
-        path,
-        spec=np.frombuffer(
-            json.dumps(dataclasses.asdict(scene.spec)).encode("utf-8"), dtype=np.uint8
-        ),
-        xyz=scene.xyz,
-        descriptors=scene.descriptors,
-        rotations=rotations,
-        translations=translations,
-        intrinsics=intr,
-        vis_ids=np.concatenate(vis_ids) if vis_ids else np.zeros(0, dtype=np.int64),
-        vis_offsets=_offsets(vis_ids),
-        structure_kinds=np.array([kind for kind, _ in encoded], dtype=np.int64),
-        structure_params=np.stack([p for _, p in encoded]) if encoded else np.zeros((0, 7)),
-        structure_members=np.concatenate(members) if members else np.zeros(0, dtype=np.int64),
-        member_offsets=_offsets(members),
-        residual_ids=lab.residual_ids,
-    )
-
-
-def load_scene(path: str | Path) -> GroundTruthScene:
-    with np.load(path) as data:
-        spec = SceneSpec(**json.loads(bytes(data["spec"]).decode("utf-8")))
-        xyz = data["xyz"]
-        n = len(xyz)
-        params, members = data["structure_params"], data["structure_members"]
-        offsets = data["member_offsets"]
-        structures = [
-            _decode_structure(kind, params[idx], members[offsets[idx] : offsets[idx + 1]])
-            for idx, kind in enumerate(data["structure_kinds"])
-        ]
-        labeling = StructureLabeling(
-            structures=structures, residual_ids=data["residual_ids"], num_points=n
-        )
-        vis_ids, vis_offsets = data["vis_ids"], data["vis_offsets"]
-        cam_lists = [
-            vis_ids[vis_offsets[j] : vis_offsets[j + 1]] for j in range(len(vis_offsets) - 1)
-        ]
-        cameras = []
-        for j in range(len(data["rotations"])):
-            i = data["intrinsics"][j]
-            cameras.append(
-                (
-                    CameraPose(rotation=data["rotations"][j], translation=data["translations"][j]),
-                    CameraIntrinsics(
-                        focal_x=float(i[0]),
-                        focal_y=float(i[1]),
-                        principal_x=float(i[2]),
-                        principal_y=float(i[3]),
-                        image_width=int(i[4]),
-                        image_height=int(i[5]),
-                    ),
-                )
-            )
-        return GroundTruthScene(
-            xyz=xyz,
-            true_labeling=labeling,
-            descriptors=data["descriptors"],
-            cameras=cameras,
-            visibility=VisibilityMatrix(n, cam_lists, min_track_length=2),
-            spec=spec,
-        )
 
 
 def save_pool(pool: ModelPool, directory: str | Path) -> Path:
@@ -388,32 +299,44 @@ def save_pool(pool: ModelPool, directory: str | Path) -> Path:
 
 
 def load_pool(directory: str | Path) -> ModelPool:
+    """Load a pool written by `save_pool`, rebuilding each record's index.
+
+    Raises:
+        VersionMismatchError: unsupported manifest version.
+        ModelIOError: a manifest that is not an object, misses a key, holds
+            a bad value, or whose `active_id` names no record.
+    """
     directory = Path(directory)
     manifest = json.loads((directory / "manifest.json").read_text())
+    if not isinstance(manifest, dict):
+        raise ModelIOError("pool manifest must be a JSON object")
     if manifest.get("format_version") != 1:
         raise VersionMismatchError("unsupported pool manifest version")
-    records = []
-    for entry in manifest["records"]:
-        model = load_model(directory / entry["file"])
-        index = build_index(model, entry["index_num_words"], entry["index_seed"])
-        records.append(
-            ModelRecord(
-                record_id=entry["record_id"],
-                model=model,
-                index=index,
-                created=entry["created"],
-                last_used=entry["last_used"],
-                condition=entry.get("condition", ""),
+    try:
+        records = []
+        for entry in manifest["records"]:
+            model = load_model(directory / entry["file"])
+            index = build_index(model, entry["index_num_words"], entry["index_seed"])
+            records.append(
+                ModelRecord(
+                    record_id=entry["record_id"],
+                    model=model,
+                    index=index,
+                    created=entry["created"],
+                    last_used=entry["last_used"],
+                    condition=entry.get("condition", ""),
+                )
             )
+        ttl = manifest.get("ttl")
+        return ModelPool(
+            records=records,
+            active_id=manifest["active_id"],
+            t1=manifest["t1"],
+            t2=manifest["t2"],
+            swap_threshold=manifest["swap_threshold"],
+            invalid_window=manifest["invalid_window"],
+            invalid_quota=manifest["invalid_quota"],
+            ttl=float("inf") if ttl is None else ttl,
         )
-    ttl = manifest.get("ttl")
-    return ModelPool(
-        records=records,
-        active_id=manifest["active_id"],
-        t1=manifest["t1"],
-        t2=manifest["t2"],
-        swap_threshold=manifest["swap_threshold"],
-        invalid_window=manifest["invalid_window"],
-        invalid_quota=manifest["invalid_quota"],
-        ttl=float("inf") if ttl is None else ttl,
-    )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ModelIOError(f"bad pool manifest: {exc!r}") from exc

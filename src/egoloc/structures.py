@@ -124,17 +124,19 @@ class DetectParams:
     inlier_threshold: float = 0.05
     min_members: int | None = None
     max_iterations_per_structure: int = 1000
-    max_structures: int = 50
     seed: int = 0
 
     def __post_init__(self):
         if self.inlier_threshold <= 0:
             raise ValueError("inlier_threshold must be positive")
-        if self.max_iterations_per_structure < 1 or self.max_structures < 0:
-            raise ValueError("iteration and structure budgets must be positive")
+        if self.max_iterations_per_structure < 1:
+            raise ValueError("max_iterations_per_structure must be positive")
         if self.min_members is not None and self.min_members < 3:
             raise ValueError("min_members must be at least 3")
 
+
+# Detection rounds per structure kind.
+_MAX_STRUCTURES = 50
 
 # Points x hypotheses evaluated per block when scoring a round; keeps the
 # temporaries cache-sized and the memory bounded for any model size.
@@ -308,9 +310,9 @@ def _detect_one(
 def detect_structures(points: np.ndarray, params: DetectParams | None = None) -> StructureLabeling:
     """Detect planes, then lines on the remaining points; leftovers are residual.
 
-    Each kind runs up to `max_structures` rounds and stops at the first that
+    Each kind runs up to `_MAX_STRUCTURES` rounds and stops at the first that
     finds nothing. Plane rounds are numbered from 0 and line rounds from
-    `max_structures`.
+    `_MAX_STRUCTURES`.
     """
     params = params or DetectParams()
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
@@ -320,7 +322,7 @@ def detect_structures(points: np.ndarray, params: DetectParams | None = None) ->
     found: list[Structure] = []
     remaining = np.arange(len(pts))
     for i, kind in enumerate(("plane", "line")):
-        for r in range(i * params.max_structures, (i + 1) * params.max_structures):
+        for r in range(i * _MAX_STRUCTURES, (i + 1) * _MAX_STRUCTURES):
             structure = _detect_one(pts, remaining, params, kind, r, min_members)
             if structure is None:
                 break

@@ -31,6 +31,7 @@ from .structures import LineStructure, PlaneStructure, StructureLabeling
 DEFAULT_IMAGE_WIDTH = 900
 DEFAULT_IMAGE_HEIGHT = 600
 DEFAULT_FOCAL = 500.0  # ~84 degree horizontal field of view at 900 px
+MAX_FEATURES_PER_VIEW = 1200  # a rendered view's feature budget
 
 
 @dataclass(frozen=True)
@@ -38,11 +39,12 @@ class SceneSpec:
     """Parameters of a generated scene.
 
     `points_per_plane` / `points_per_line` take either one count for all
-    structures or a per-structure sequence. `outlier_fraction` is the
-    fraction of rendered features that are spurious (random pixel, random
-    descriptor). `visibility_dropout` is the chance a geometrically visible
-    point is dropped from a camera's track list, emulating failed
-    detections; points are always kept in at least two views.
+    structures or a per-structure sequence, stored as a tuple.
+    `outlier_fraction`, in [0, 1), is the fraction of rendered features that
+    are spurious (random pixel, random descriptor). `visibility_dropout` is
+    the chance a geometrically visible point is dropped from a camera's
+    track list, emulating failed detections; points are always kept in at
+    least two views.
     """
 
     num_planes: int = 2
@@ -58,10 +60,13 @@ class SceneSpec:
     outlier_fraction: float = 0.0
     visibility_dropout: float = 0.25
     min_points_per_camera: int = 6
-    max_features_per_view: int = 1200
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("points_per_plane", "points_per_line"):
+            value = getattr(self, name)
+            if not isinstance(value, int):
+                object.__setattr__(self, name, tuple(int(v) for v in value))
         counts = (
             self.num_planes,
             self.num_lines,
@@ -75,20 +80,17 @@ class SceneSpec:
             raise ValueError("counts must be non-negative")
         if self.descriptor_noise_sigma < 0 or self.pixel_noise_sigma < 0:
             raise ValueError("noise sigmas must be non-negative")
-        if not 0.0 <= self.outlier_fraction <= 1.0:
-            raise ValueError("outlier_fraction must be in [0, 1]")
+        if not 0.0 <= self.outlier_fraction < 1.0:
+            raise ValueError("outlier_fraction must be in [0, 1)")
         if not 0.0 <= self.visibility_dropout < 1.0:
             raise ValueError("visibility_dropout must be in [0, 1)")
         if self.scene_extent <= 0:
             raise ValueError("scene_extent must be positive")
-        if self.max_features_per_view < 6:
-            raise ValueError("max_features_per_view must be at least 6")
 
     @staticmethod
     def _counts(value, n: int, label: str) -> tuple[int, ...]:
         if isinstance(value, int):
             return (value,) * n
-        value = tuple(int(v) for v in value)
         if len(value) != n:
             raise ValueError(f"{label} must give one count per structure")
         return value
@@ -357,21 +359,19 @@ def resample_descriptors(scene: GroundTruthScene, regime_seed: int) -> GroundTru
 def render_view(scene: GroundTruthScene, camera: int | CameraPose, *, seed: int = 0) -> QueryView:
     """Render a noisy query view from a scene camera or a novel pose.
 
-    A novel pose is rendered with `default_intrinsics()`. Noise, outliers
-    and the feature budget come from `scene.spec`. Features are the
-    projections of visible points with Gaussian pixel noise and perturbed
-    (renormalized) descriptors, plus spurious outlier features. Noisy pixels
-    that leave the image are dropped, as a real detector would never report
-    them. When more points are visible than the feature budget, a seeded
-    subset is kept, emulating a detector's feature cap.
+    A novel pose is rendered with `default_intrinsics()`. Noise and
+    outliers come from `scene.spec`. Features are the projections of visible
+    points with Gaussian pixel noise and perturbed (renormalized)
+    descriptors, plus spurious outlier features. Noisy pixels that leave the
+    image are dropped, as a real detector would never report them. When more
+    than `MAX_FEATURES_PER_VIEW` points are visible, a seeded subset of that
+    many is kept, emulating a detector's feature cap.
 
     Raises:
         TooFewVisibleError: fewer than 6 points project into the view.
     """
     spec = scene.spec
     out_frac = spec.outlier_fraction
-    if not 0.0 <= out_frac < 1.0:
-        raise ValueError("outlier_fraction must be in [0, 1) when rendering")
 
     if isinstance(camera, int):
         pose, intr = scene.cameras[camera]
@@ -386,8 +386,8 @@ def render_view(scene: GroundTruthScene, camera: int | CameraPose, *, seed: int 
         raise TooFewVisibleError(f"view sees {len(visible)} points; need at least 6")
 
     rng = np.random.default_rng((seed, 3))
-    if len(visible) > spec.max_features_per_view:
-        visible = np.sort(rng.choice(visible, size=spec.max_features_per_view, replace=False))
+    if len(visible) > MAX_FEATURES_PER_VIEW:
+        visible = np.sort(rng.choice(visible, size=MAX_FEATURES_PER_VIEW, replace=False))
     pixels, _ = project_array(pose, intr, scene.xyz[visible])
     if spec.pixel_noise_sigma > 0:
         pixels = pixels + rng.normal(scale=spec.pixel_noise_sigma, size=pixels.shape)

@@ -43,6 +43,16 @@ GOLDEN_SHA256 = {
     "events.jsonl": "b2ac825bef57d3c3b4c3a438980d26d7659039f58196d24d71e7037c3abd1819",
 }
 
+# sha256 of the files the gen -> build (--seed 1) -> detect (--seed 2) ->
+# compress -> localize (--seed 3) pipeline of TestPipelineCommands writes on
+# SCENE_CFG, at one or two BLAS threads; pinned like GOLDEN_SHA256.
+PIPELINE_SHA256 = {
+    "build": "0aaa77c5ca417f6c35ea281b08405268081bfc107a0fd7e9d6a1d4436676aec8",
+    "detect": "3f40f72b2fa5df371d74652716bf4daae72326c8f99c6ba6a7758796b8e332d3",
+    "compress": "b5a04c82d336fbfe20f709a43a44777440a57a8ca66b22a810736d0ba5197ec9",
+    "localize": "9f55c4dfca737ebc7723c5b4096f2921adf26dae0874dd6e2ce8d9c2f864b507",
+}
+
 
 def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -59,7 +69,7 @@ def scene_file(tmp_path):
     cfg = write_cfg(tmp_path, SCENE_CFG)
     out = tmp_path / "gen"
     assert main(["gen", "--config", cfg, "--out", str(out)]) == 0
-    return out / "scene.npz"
+    return out / "scene.json"
 
 
 @pytest.fixture()
@@ -117,6 +127,21 @@ class TestPipelineCommands:
         assert record["words_evaluated"] >= 1
         assert record["ransac_stop"] >= 1
         assert 0 <= record["ransac_degenerate"] < record["ransac_hypotheses"]
+        written = {
+            "build": model_file,
+            "detect": detected / "model.eglm",
+            "compress": compressed / "compressed.eglm",
+            "localize": loc / "localization.jsonl",
+        }
+        assert {k: sha256(path) for k, path in written.items()} == PIPELINE_SHA256
+
+    def test_scene_file_is_a_gen_config(self, tmp_path, scene_file):
+        written = json.loads(scene_file.read_text())
+        assert list(written) == ["scene"]
+        assert written["scene"].items() >= SCENE_CFG["scene"].items()
+        again = tmp_path / "again"
+        assert main(["gen", "--config", str(scene_file), "--out", str(again)]) == 0
+        assert (again / "scene.json").read_bytes() == scene_file.read_bytes()
 
     def test_compress_set_kcover(self, tmp_path, model_file):
         out = tmp_path / "sk"
@@ -257,6 +282,10 @@ class TestErrorPaths:
             ("bench", {"reconstruction_noise": "x"}, "ValueError"),
             ("build", {"reconstruction_noise": "x"}, "ValueError"),
             ("detect", {"detect": {"min_members": 2}}, "ConfigError"),
+            ("gen", {"scene": {"outlier_fraction": 1.0}}, "ConfigError"),
+            ("gen", {"scene": {"max_features_per_view": 1200}}, "ConfigError"),
+            ("detect", {"detect": {"max_structures": 50}}, "ConfigError"),
+            ("bench", {"count_tolerance": 0.05}, "ConfigError"),
         ],
         ids=[
             "gen-bad-value",
@@ -269,6 +298,10 @@ class TestErrorPaths:
             "bench-reconstruction-noise",
             "build-reconstruction-noise",
             "detect-min-members",
+            "gen-outlier-fraction",
+            "gen-max-features-per-view",
+            "detect-max-structures",
+            "bench-count-tolerance",
         ],
     )
     def test_bad_config_fails_cleanly(self, tmp_path, request, capsys, command, payload, error):
@@ -281,6 +314,26 @@ class TestErrorPaths:
         assert main(args) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error[{error}]") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command, scene",
+        [
+            ("build", b"[1]"),
+            ("build", b'{"scene": {"bogus": 1}}'),
+            ("localize", b'{"scene": {"outlier_fraction": 1.0}}'),
+            ("build", b"PK\x03\x04\x14\x00\x00\x00\x08\x00\xa1\x9b"),
+        ],
+        ids=["build-not-object", "build-unknown-key", "localize-bad-value", "build-not-json"],
+    )
+    def test_bad_scene_file_fails_cleanly(self, tmp_path, request, capsys, command, scene):
+        path = tmp_path / "bad.json"
+        path.write_bytes(scene)
+        args = [command, "--scene", str(path), "--out", str(tmp_path / "x")]
+        if command == "localize":
+            args += ["--model", str(request.getfixturevalue("model_file"))]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[ConfigError]") and err.count("\n") == 1
 
     def test_missing_model_file(self, tmp_path):
         rc = main(
@@ -296,7 +349,8 @@ class TestErrorPaths:
 
 
 class TestPoolCommand:
-    def test_show_then_prune(self, tmp_path, capsys, small_model):
+    @pytest.fixture()
+    def pool_dir(self, tmp_path, small_model):
         index = build_index(small_model, 16, seed=1)
         records = [
             ModelRecord("old", small_model, index, created=0.0, last_used=5.0, condition="sunny"),
@@ -304,8 +358,9 @@ class TestPoolCommand:
         ]
         pool_dir = tmp_path / "pool"
         save_pool(ModelPool(records=records, active_id="live", ttl=100.0), pool_dir)
-        capsys.readouterr()
+        return pool_dir
 
+    def test_show_then_prune(self, capsys, pool_dir):
         assert main(["pool", "--pool-dir", str(pool_dir), "--action", "show"]) == 0
         assert capsys.readouterr().out.splitlines() == [
             "old: created 0.0, last used 5.0, condition 'sunny'",
@@ -324,3 +379,20 @@ class TestPoolCommand:
 
         assert main(prune) == 0
         assert capsys.readouterr().out == "pruned: nothing\n"
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda m: {k: v for k, v in m.items() if k != "t1"},
+            lambda m: {**m, "active_id": "gone"},
+            lambda m: {**m, "records": 5},
+            lambda m: [m],
+        ],
+        ids=["missing-key", "unknown-active-id", "records-not-list", "not-object"],
+    )
+    def test_bad_manifest_fails_cleanly(self, capsys, pool_dir, change):
+        path = pool_dir / "manifest.json"
+        path.write_text(json.dumps(change(json.loads(path.read_text()))))
+        assert main(["pool", "--pool-dir", str(pool_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[ModelIOError]") and err.count("\n") == 1

@@ -18,10 +18,8 @@ from egoloc import (
     generate_scene,
     load_model,
     load_pool,
-    load_scene,
     save_model,
     save_pool,
-    save_scene,
 )
 from egoloc.errors import (
     CorruptHeaderError,
@@ -88,19 +86,6 @@ class TestRoundTrip:
         loaded = load_model(path)
         assert isinstance(loaded, CompressedModel)
         assert compressed_equal(loaded, compressed)
-
-    def test_scene_round_trip(self, tmp_path, small_scene):
-        path = tmp_path / "scene.npz"
-        save_scene(small_scene, path)
-        loaded = load_scene(path)
-        assert np.array_equal(loaded.xyz, small_scene.xyz)
-        assert np.array_equal(loaded.descriptors, small_scene.descriptors)
-        assert loaded.visibility == small_scene.visibility
-        assert loaded.spec == small_scene.spec
-        for (pa, ia), (pb, ib) in zip(loaded.cameras, small_scene.cameras):
-            assert np.array_equal(pa.rotation, pb.rotation)
-            assert np.array_equal(pa.translation, pb.translation)
-            assert ia == ib
 
     def test_pool_round_trip(self, tmp_path, small_model):
         index = build_index(small_model, 16, seed=3)
@@ -337,6 +322,30 @@ class TestZeroCopyLoad:
         payload[at:] = counts.tobytes()
         path.write_bytes(with_payload(data, bytes(payload)))
         with pytest.raises(ModelIOError, match="per-camera counts"):
+            load_model(path)
+
+    def test_labeling_that_fails_to_decode(self, saved):
+        path, original = saved
+        data = path.read_bytes()
+        payload = bytearray(data[_HEADER_SIZE:])
+        pcm = original.model
+        # model id, point ids, xyz, descriptor counts, descriptors, camera
+        # lists, structure count, then the first structure's kind and normal.
+        at = (
+            4
+            + len(pcm.model_id.encode("utf-8"))
+            + pcm.num_points * (8 + 24 + 4)
+            + pcm.descriptors.nbytes
+            + sum(4 + 8 * len(ids) for ids in pcm.visibility.points_in_camera)
+            + 4
+        )
+        assert payload[at] == 0  # a plane
+        assert np.frombuffer(payload, "<f8", 3, at + 1).tolist() == (
+            pcm.labeling.structures[0].normal.tolist()
+        )
+        payload[at + 1 : at + 9] = np.array([2.0], dtype="<f8").tobytes()
+        path.write_bytes(with_payload(data, bytes(payload)))
+        with pytest.raises(ModelIOError, match="unit length"):
             load_model(path)
 
 

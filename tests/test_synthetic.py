@@ -1,6 +1,7 @@
 """Scene generator: determinism, geometry exactness, noise statistics."""
 
-from dataclasses import replace
+import json
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -53,6 +54,11 @@ class TestGenerateScene:
         a = generate_scene(SceneSpec(num_cameras=5, descriptor_dim=16, seed=1))
         b = generate_scene(SceneSpec(num_cameras=5, descriptor_dim=16, seed=2))
         assert not scenes_equal(a, b)
+
+    def test_spec_survives_json(self):
+        spec = SceneSpec(num_planes=2, points_per_plane=[60, 30], num_cameras=4, seed=5)
+        assert spec.points_per_plane == (60, 30)
+        assert SceneSpec(**json.loads(json.dumps(asdict(spec)))) == spec
 
     def test_structure_proportions_via_weights(self):
         spec = SceneSpec(
