@@ -140,38 +140,44 @@ def tune_k(
 ) -> tuple[int, CompressedModel]:
     """Find k whose selection count lands within tolerance of the target.
 
-    Retained count grows with k, so an exponential bracket plus bisection
-    converges in a handful of compression runs; if no k lands inside the
-    band (count jumps across it), the closest k wins.
+    The retained count grows with k, almost linearly, so the search
+    interpolates on it. It keeps a bracket: `lo`, the largest k probed whose
+    count is below the target (at first the implicit count(0) = 0), and `hi`,
+    the smallest whose count is above it. Until some count is above the
+    target, the next k extrapolates the line through (0, 0) and
+    (lo, count(lo)), clamped to [lo + 1, max_count]; after that it
+    interpolates between the two ends, clamped to [lo + 1, hi - 1]. The
+    bracket shrinks with every call, so the search ends even when the count
+    jumps across the band, and no k runs twice. Returns the first k probed
+    within tolerance, else the closest k probed (ties to the smaller k).
     """
     cache: dict[int, CompressedModel] = {}
 
-    def run(k: int) -> int:
-        if k not in cache:
-            cache[k] = compress_fn(k)
-        return cache[k].num_points
+    def within(count: int) -> bool:
+        return abs(count - target_count) <= tolerance * target_count
 
-    def within(k: int) -> bool:
-        return abs(cache[k].num_points - target_count) <= tolerance * target_count
-
-    count = run(1)
-    if within(1):
-        return 1, cache[1]
-    lo, hi = 1, 1
-    while count < target_count and hi < max_count:
-        lo, hi = hi, min(hi * 2, max_count)
-        count = run(hi)
-        if within(hi):
-            return hi, cache[hi]
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        c = run(mid)
-        if within(mid):
-            return mid, cache[mid]
-        if c < target_count:
-            lo = mid
+    lo, lo_count = 0, 0
+    hi = hi_count = None
+    k = 1
+    while True:
+        cache[k] = compress_fn(k)
+        count = cache[k].num_points
+        if within(count):
+            return k, cache[k]
+        if count < target_count:
+            lo, lo_count = k, count
         else:
-            hi = mid
+            hi, hi_count = k, count
+        if hi is None:
+            if lo >= max_count:
+                break
+            guess = lo * target_count / lo_count if lo_count else 2 * lo
+            k = min(max(round(guess), lo + 1), max_count)
+        else:
+            if hi - lo <= 1:
+                break
+            guess = lo + (hi - lo) * (target_count - lo_count) / (hi_count - lo_count)
+            k = min(max(round(guess), lo + 1), hi - 1)
     best = min(cache, key=lambda k: (abs(cache[k].num_points - target_count), k))
     return best, cache[best]
 

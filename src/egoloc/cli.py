@@ -144,6 +144,10 @@ def cmd_localize(args) -> int:
     cfg = _load_config(args.config)
     model = model_io.load_model(Path(args.model))
     scene = _load_scene(args.scene)
+    if not 0 <= args.view < len(scene.cameras):
+        raise ConfigError(
+            f"--view {args.view} is not a camera of the scene (0..{len(scene.cameras) - 1})"
+        )
     index = build_index(model, cfg.get("num_words"), seed=args.seed or 0)
     match_params = parse_config(MatchParams, cfg.get("match", {}))
     ransac_params = parse_config(RansacParams, cfg.get("ransac", {}), **_seed(args))
@@ -171,6 +175,11 @@ def cmd_localize(args) -> int:
 def cmd_track(args) -> int:
     cfg = _load_config(args.config)
     raw = json.loads(Path(args.measurements).read_text())
+    if not isinstance(raw, list):
+        raise ValueError("measurements must be a JSON list of [t, z] rows")
+    for i, row in enumerate(raw):
+        if not (isinstance(row, list) and len(row) == 2):
+            raise ValueError(f"measurement row {i} is not a [t, z] pair: {row!r}")
     measurements = [
         (float(t), None if z is None else np.asarray(z, dtype=np.float64)) for t, z in raw
     ]

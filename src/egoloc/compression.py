@@ -98,21 +98,29 @@ def _finalize(
 def _greedy_kcover(
     model: PointCloudModel,
     k: int,
-    weights: np.ndarray | None,
-    labels: np.ndarray | None,
+    labeling: StructureLabeling | None,
     trace: list | None = None,
 ) -> list[int]:
     """Greedy selection loop shared by the weighted and unweighted methods.
 
     Runs until every camera has k selected points or has had all of its
-    visible points selected (saturated). With `weights` given, applies the
-    adaptive halving / zeroing / renormalization schedule after each pick.
+    visible points selected (saturated). With a `labeling` given, weights
+    start at `assign_weights` and follow the adaptive halving / zeroing /
+    renormalization schedule after each pick.
 
     `cover[i]` (selected points excluded) counts the under-covered cameras
     seeing point i and is maintained incrementally: when a camera reaches k
     its visibility column is subtracted. All cover arithmetic is small
     integers in float64, so the scores equal a full per-iteration rescan
     bit for bit.
+
+    On the weighted path a selected point's weight is 0 and stays 0 (halving
+    and renormalizing keep it there), so its score cannot win and needs no
+    mask; halving rewrites only the picked point's structure, through member
+    arrays built once; and weights are zeroed where `cover` is 0 only after
+    the first pick and after a pick that brings a camera to k, the only
+    times `cover` changes (a zeroed weight stays 0). Each step leaves
+    exactly the weights of the full per-pick rescan.
     """
     n, m = model.num_points, model.num_cameras
     vis = model.visibility.to_dense()
@@ -125,15 +133,21 @@ def _greedy_kcover(
     remaining = model.visibility.camera_counts()
     under = np.ones(m, dtype=bool) if k >= 1 else np.zeros(m, dtype=bool)
     cover = vis_f[:, under].sum(axis=1)
-    w = None if weights is None else weights.copy()
+    w = None
+    if labeling is not None:
+        w = assign_weights(labeling, n)
+        labels = labeling.labels()
+        members = [s.member_ids for s in labeling.structures]
     order: list[int] = []
 
     while True:
         if not (under & (remaining > 0)).any():
             break
 
-        scores = cover if w is None else w * cover
-        scores = np.where(selected, -np.inf, scores)
+        if w is None:
+            scores = np.where(selected, -np.inf, cover)
+        else:
+            scores = w * cover
         best = int(np.argmax(scores))
         if scores[best] <= 0:
             raise AssertionError("greedy invariant violated: no useful candidate")
@@ -145,24 +159,26 @@ def _greedy_kcover(
         counts[seen_by] += 1
         remaining[seen_by] -= 1
         crossed = seen_by & under & (counts >= k)
+        cover_changed = len(order) == 1
         if crossed.any():
             under = under & ~crossed
             cover = cover - vis_f[:, crossed].sum(axis=1)
+            cover_changed = True
 
         if w is not None:
             if step is not None:
                 step["weights_before"] = w.copy()
             w[best] = 0.0
-            if labels is not None and labels[best] >= 0:
-                members = (labels == labels[best]) & ~selected
-                w[members] = w[members] / 2.0
+            if labels[best] >= 0:
+                ids = members[labels[best]]
+                w[ids] = w[ids] / 2.0
             if step is not None:
                 step["weights_after_halving"] = w.copy()
-            useless = ~selected & (cover == 0)
-            w[useless] = 0.0
+            if cover_changed:
+                w[cover == 0] = 0.0
             total = w.sum()
             if total > 0:
-                w = w / total
+                w /= total
         if trace is not None:
             trace.append(step)
     return order
@@ -183,9 +199,7 @@ def compress_weighted_kcover(
     _check_model(model)
     if k < 1:
         raise ValueError("k must be at least 1")
-    weights = assign_weights(labeling, model.num_points)
-    labels = labeling.labels()
-    order = _greedy_kcover(model, k, weights, labels, trace)
+    order = _greedy_kcover(model, k, labeling, trace)
     return _finalize(model, order, "weighted_kcover", k)
 
 
@@ -195,7 +209,7 @@ def compress_set_kcover(model: PointCloudModel, k: int) -> CompressedModel:
     _check_model(model)
     if k < 1:
         raise ValueError("k must be at least 1")
-    order = _greedy_kcover(model, k, None, None)
+    order = _greedy_kcover(model, k, None)
     return _finalize(model, order, "set_kcover", k)
 
 
@@ -230,15 +244,17 @@ def coverage_report(
     Per-structure counts are included when the source model carries a
     labeling.
     """
-    id_to_row = {int(pid): r for r, pid in enumerate(model.point_ids)}
-    rows = np.array([id_to_row[int(i)] for i in compressed.selected_ids], dtype=np.int64)
+    by_id = np.argsort(model.point_ids)
+    pos = np.searchsorted(model.point_ids, compressed.selected_ids, sorter=by_id)
+    rows = by_id[np.minimum(pos, model.num_points - 1)]
+    if not np.array_equal(model.point_ids[rows], compressed.selected_ids):
+        raise ValueError("compressed model selects points the source model lacks")
     selected = np.zeros(model.num_points, dtype=bool)
     selected[rows] = True
-    covered = np.array(
-        [int(selected[ids].sum()) for ids in model.visibility.points_in_camera],
-        dtype=np.int64,
-    )
     full = model.visibility.camera_counts()
+    flat = np.concatenate([np.zeros(0, dtype=np.int64), *model.visibility.points_in_camera])
+    camera_of = np.repeat(np.arange(model.num_cameras), full)
+    covered = np.bincount(camera_of[selected[flat]], minlength=model.num_cameras)
     saturated = full < k
     per_structure = None
     if model.labeling is not None:

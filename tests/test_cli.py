@@ -38,7 +38,7 @@ SCENE_CFG = {
 # refactor keeps these bytes; a change that alters them on purpose updates
 # the hashes and says why.
 GOLDEN_SHA256 = {
-    "bench.jsonl": "4351c4ab74a0d54c4e79495268740d1f9a43f96dff2050e6c32e500de2b37552",
+    "bench.jsonl": "3f84b1a5e66c8d6923d292f05869deb0516946cc9ad85ac1508e8e9c63928dc8",
     "sessions.jsonl": "41c7afe83578485380798a5f7ea0f424ab57529600ebaf3f8181694839661895",
     "events.jsonl": "b2ac825bef57d3c3b4c3a438980d26d7659039f58196d24d71e7037c3abd1819",
 }
@@ -334,6 +334,25 @@ class TestErrorPaths:
         assert main(args) == 1
         err = capsys.readouterr().err
         assert err.startswith("error[ConfigError]") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("view", ["99", "5", "-1"])
+    def test_view_outside_scene_fails_cleanly(self, tmp_path, scene_file, model_file, capsys, view):
+        args = ["localize", "--scene", str(scene_file), "--model", str(model_file)]
+        assert main(args + ["--view", view, "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[ConfigError]") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[1, 2], [[0.0, [1.0, 0.0, 0.0]], [0.1]], [[0.0, None, 3]], {"t": 0}],
+        ids=["bare-numbers", "short-row", "long-row", "not-list"],
+    )
+    def test_malformed_measurements_fail_cleanly(self, tmp_path, capsys, rows):
+        meas = tmp_path / "meas.json"
+        meas.write_text(json.dumps(rows))
+        assert main(["track", "--measurements", str(meas), "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[ValueError]") and err.count("\n") == 1
 
     def test_missing_model_file(self, tmp_path):
         rc = main(

@@ -48,7 +48,9 @@ def make_labeling(group_of: list[int], num_points: int) -> StructureLabeling:
 # code with the library implementation.
 
 
-def naive_weighted_kcover(dense, group_of, k):
+def naive_weighted_kcover(dense, group_of, k, trace=None):
+    """With a list as `trace`, appends each pick's `selected`,
+    `weights_before` and `weights_after_halving`, as the library does."""
     n, m = dense.shape
     group_sizes = {}
     for g in group_of:
@@ -81,11 +83,16 @@ def naive_weighted_kcover(dense, group_of, k):
         for j in range(m):
             if dense[best, j]:
                 counts[j] += 1
+        before = w.copy()
         w[best] = 0.0
         if group_of[best] >= 0:
             for i in range(n):
                 if i not in selected and group_of[i] == group_of[best]:
                     w[i] = w[i] / 2.0
+        if trace is not None:
+            trace.append(
+                {"selected": best, "weights_before": before, "weights_after_halving": w.copy()}
+            )
         under2 = [j for j in range(m) if counts[j] < k]
         for i in range(n):
             if i not in selected and not any(dense[i, j] for j in under2):
@@ -134,6 +141,17 @@ def random_instance(rng):
     dense = rng.random((n, m)) < 0.5
     num_groups = int(rng.integers(1, 4))
     group_of = [int(g) for g in rng.integers(-1, num_groups, size=n)]
+    return make_model(dense), make_labeling(group_of, n), group_of, dense, k
+
+
+def skewed_instance(rng):
+    """One structure holding most points and a large k: the greedy halves
+    that structure again and again, and cameras reach k mid-run."""
+    n = int(rng.integers(25, 45))
+    m = int(rng.integers(3, 7))
+    k = int(rng.integers(4, 13))
+    dense = rng.random((n, m)) < float(rng.uniform(0.3, 0.7))
+    group_of = [0 if rng.random() < 0.8 else int(rng.integers(-1, 3)) for _ in range(n)]
     return make_model(dense), make_labeling(group_of, n), group_of, dense, k
 
 
@@ -193,6 +211,31 @@ class TestWeightedKCover:
             got = compress_weighted_kcover(model, labeling, k).selected_ids.tolist()
             want = naive_weighted_kcover(dense, group_of, k)
             assert got == want
+
+    def test_matches_naive_oracle_with_one_dominant_structure(self):
+        rng = np.random.default_rng(1616)
+        dominant_repicks = 0
+        mid_run_crossings = 0
+        for _ in range(12):
+            model, labeling, group_of, dense, k = skewed_instance(rng)
+            trace: list = []
+            got = compress_weighted_kcover(model, labeling, k, trace=trace)
+            want_trace: list = []
+            want = naive_weighted_kcover(dense, group_of, k, trace=want_trace)
+            assert got.selected_ids.tolist() == want
+            assert len(trace) == len(want_trace)
+            for step, ref in zip(trace, want_trace):
+                assert step["selected"] == ref["selected"]
+                for key in ("weights_before", "weights_after_halving"):
+                    assert np.array_equal(step[key], ref[key]), key
+            dominant_repicks += sum(group_of[i] == 0 for i in want) > 1
+            # A camera that reaches k before the last pick.
+            counts = np.cumsum(dense[want], axis=0)
+            first_at_k = np.argmax(counts >= k, axis=0)
+            mid_run_crossings += bool(((counts[-1] >= k) & (first_at_k < len(want) - 1)).any())
+        # The instances exercise what they are for.
+        assert dominant_repicks >= 10
+        assert mid_run_crossings >= 6
 
     def test_degenerate_model_rejected(self):
         dense = np.zeros((3, 0), dtype=bool)
