@@ -8,9 +8,9 @@ registration rate, point counts, and serialized sizes.
 `run_session_sim` drives the model pool across a schedule of appearance
 regimes and compares the update-applied errors with a fixed-model baseline.
 
-Reports render as aligned text tables and as machine-readable JSON records;
-records carry only seed-deterministic fields so a repeated run is
-byte-identical.
+Both drivers return plain JSON records holding only seed-deterministic
+fields, so a repeated run is byte-identical; `table` prints them as aligned
+text.
 """
 
 from __future__ import annotations
@@ -73,63 +73,36 @@ class BenchConfig:
         if self.num_queries < 1:
             raise ConfigError("num_queries must be positive")
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "BenchConfig":
-        sections = {
-            "scene": SceneSpec,
-            "detect": DetectParams,
-            "match": MatchParams,
-            "ransac": RansacParams,
-        }
-        return parse_config(cls, raw, sections=sections)
+
+# (header, record key, width, format) of each printed column.
+BENCH_COLUMNS = (
+    ("method", "method", "<18", ""),
+    ("param", "parameter", ">9", ".4g"),
+    ("points", "num_points", ">8", "d"),
+    ("size MB", "size_mb", ">8", ".3f"),
+    ("mean cm", "mean_error_cm", ">9", ".2f"),
+    ("stdev cm", "stdev_error_cm", ">9", ".2f"),
+    ("reg rate", "registration_rate", ">9", ".3f"),
+    ("time s", "time_s", ">8", ".2f"),
+)
+SESSION_COLUMNS = (
+    ("session", "session_index", ">8", "d"),
+    ("regime", "regime", ">8", "d"),
+    ("active after", "active_after", "<22", ""),
+    ("trig", "triggers", ">4", "d"),
+    ("new", "new_models", ">3", "d"),
+    ("updated cm", "updated_mean_cm", ">11", ".1f"),
+    ("fixed cm", "fixed_mean_cm", ">11", ".1f"),
+)
 
 
-@dataclass
-class BenchRow:
-    method: str
-    parameter: float
-    num_points: int
-    size_mb: float
-    mean_error_cm: float
-    stdev_error_cm: float
-    registration_rate: float
-    num_queries: int
-    wall_time_s: float
-
-    def record(self) -> dict:
-        """Seed-deterministic fields only (no wall time)."""
-        return {
-            "method": self.method,
-            "parameter": self.parameter,
-            "num_points": self.num_points,
-            "size_mb": round(self.size_mb, 6),
-            "mean_error_cm": round(self.mean_error_cm, 6),
-            "stdev_error_cm": round(self.stdev_error_cm, 6),
-            "registration_rate": round(self.registration_rate, 6),
-            "num_queries": self.num_queries,
-        }
-
-
-@dataclass
-class BenchReport:
-    rows: list[BenchRow]
-
-    def records(self) -> list[dict]:
-        return [r.record() for r in self.rows]
-
-    def table(self) -> str:
-        header = (
-            f"{'method':<18}{'param':>10}{'points':>9}{'size MB':>9}"
-            f"{'mean cm':>10}{'stdev cm':>10}{'reg rate':>10}{'time s':>9}"
-        )
-        lines = [header, "-" * len(header)]
-        for r in self.rows:
-            lines.append(
-                f"{r.method:<18}{r.parameter:>10.4g}{r.num_points:>9d}{r.size_mb:>9.3f}"
-                f"{r.mean_error_cm:>10.2f}{r.stdev_error_cm:>10.2f}"
-                f"{r.registration_rate:>10.3f}{r.wall_time_s:>9.2f}"
-            )
-        return "\n".join(lines)
+def table(columns, rows: list[dict]) -> str:
+    """Aligned text table of `rows`, one `columns` entry per column."""
+    header = " ".join(f"{title:{width}}" for title, _, width, _ in columns)
+    lines = [header, "-" * len(header)]
+    for row in rows:
+        lines.append(" ".join(f"{row[key]:{width}{fmt}}" for _, key, width, fmt in columns))
+    return "\n".join(lines)
 
 
 def tune_k(
@@ -221,8 +194,12 @@ def _serialized_size_mb(model) -> float:
     return n / BYTES_PER_MB
 
 
-def run_benchmark(config: BenchConfig) -> BenchReport:
-    """Compression trade-off benchmark over one seeded scene."""
+def run_benchmark(config: BenchConfig) -> tuple[list[dict], list[float]]:
+    """Compression trade-off benchmark over one seeded scene.
+
+    Returns one JSON record per method, holding only seed-deterministic
+    fields, and each method's wall time in seconds.
+    """
     scene = generate_scene(config.scene)
     model = build_model(scene, config.reconstruction_noise, seed=config.seed)
     labeling = detect_structures(model.xyz, config.detect)
@@ -232,17 +209,15 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
     target = max(1, int(round(config.target_fraction * model.num_points)))
     visible_anywhere = int((model.visibility.track_lengths() > 0).sum())
 
-    rows = []
+    records, wall_times = [], []
     for method in config.methods:
         t0 = time.perf_counter()
         if method == "full":
             variant: PointCloudModel | CompressedModel = model
             parameter = 1.0
-            num_points = model.num_points
         elif method == "top_visibility":
             variant = compress_top_visibility(model, labeling, config.target_fraction)
             parameter = config.target_fraction
-            num_points = variant.num_points
         else:
             fn = (
                 (lambda k: compress_weighted_kcover(model, labeling, k))
@@ -251,25 +226,23 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
             )
             k, variant = tune_k(fn, target, visible_anywhere)
             parameter = float(k)
-            num_points = variant.num_points
 
         index = build_index(variant, config.num_words, seed=config.seed)
         errors, registered = _localize_views(index, views, config.match, config.ransac)
-        wall = time.perf_counter() - t0
-        rows.append(
-            BenchRow(
-                method=method,
-                parameter=parameter,
-                num_points=num_points,
-                size_mb=_serialized_size_mb(variant),
-                mean_error_cm=float(np.mean(errors)) if errors else float("nan"),
-                stdev_error_cm=float(np.std(errors)) if errors else float("nan"),
-                registration_rate=registered / len(views),
-                num_queries=len(views),
-                wall_time_s=wall,
-            )
+        wall_times.append(time.perf_counter() - t0)
+        records.append(
+            {
+                "method": method,
+                "parameter": parameter,
+                "num_points": variant.num_points,
+                "size_mb": round(_serialized_size_mb(variant), 6),
+                "mean_error_cm": round(float(np.mean(errors)) if errors else float("nan"), 6),
+                "stdev_error_cm": round(float(np.std(errors)) if errors else float("nan"), 6),
+                "registration_rate": round(registered / len(views), 6),
+                "num_queries": len(views),
+            }
         )
-    return BenchReport(rows=rows)
+    return records, wall_times
 
 
 @dataclass
@@ -300,68 +273,16 @@ class SessionSimConfig:
         if self.views_per_session < 1:
             raise ConfigError("views_per_session must be positive")
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "SessionSimConfig":
-        sections = {"scene": SceneSpec, "match": MatchParams, "ransac": RansacParams}
-        return parse_config(cls, raw, sections=sections)
-
-
-@dataclass
-class SessionRow:
-    session_index: int
-    regime: int
-    active_before: str
-    active_after: str
-    triggers: int
-    new_models: int
-    updated_mean_cm: float
-    fixed_mean_cm: float
-    updated_registered: int
-    fixed_registered: int
-
-    def record(self) -> dict:
-        return {
-            "session_index": self.session_index,
-            "regime": self.regime,
-            "active_before": self.active_before,
-            "active_after": self.active_after,
-            "triggers": self.triggers,
-            "new_models": self.new_models,
-            "updated_mean_cm": round(self.updated_mean_cm, 6),
-            "fixed_mean_cm": round(self.fixed_mean_cm, 6),
-            "updated_registered": self.updated_registered,
-            "fixed_registered": self.fixed_registered,
-        }
-
-
-@dataclass
-class SessionSimReport:
-    rows: list[SessionRow]
-    events: list[dict]
-
-    def records(self) -> list[dict]:
-        return [r.record() for r in self.rows]
-
-    def table(self) -> str:
-        header = (
-            f"{'session':>8}{'regime':>8}  {'active after':<22}{'trig':>5}{'new':>4}"
-            f"{'updated cm':>12}{'fixed cm':>12}"
-        )
-        lines = [header, "-" * len(header)]
-        for r in self.rows:
-            lines.append(
-                f"{r.session_index:>8d}{r.regime:>8d}  {r.active_after:<22}{r.triggers:>5d}"
-                f"{r.new_models:>4d}{r.updated_mean_cm:>12.1f}{r.fixed_mean_cm:>12.1f}"
-            )
-        return "\n".join(lines)
-
 
 def _mean_error(errors: list[float]) -> float:
     return float(np.mean(errors)) if errors else float("inf")
 
 
-def run_session_sim(config: SessionSimConfig) -> SessionSimReport:
+def run_session_sim(config: SessionSimConfig) -> tuple[list[dict], list[dict]]:
     """Drive the model pool across appearance-regime sessions.
+
+    Returns one JSON record per session and the pool's decision events,
+    each tagged with its session's index.
 
     Pool records are built for `pool_regimes`; each scheduled session renders
     views under its own regime. The fixed-model baseline always localizes
@@ -405,8 +326,8 @@ def run_session_sim(config: SessionSimConfig) -> SessionSimReport:
     )
     fixed_index = records[0].index
 
-    rows: list[SessionRow] = []
-    all_events: list[dict] = []
+    rows: list[dict] = []
+    events: list[dict] = []
     session_start = float(len(records))
     for s, regime in enumerate(config.schedule):
         scene = scene_for(regime)
@@ -435,21 +356,21 @@ def run_session_sim(config: SessionSimConfig) -> SessionSimReport:
             fixed_index, views, config.match, config.ransac
         )
         rows.append(
-            SessionRow(
-                session_index=s,
-                regime=regime,
-                active_before=active_before,
-                active_after=pool.active_id,
-                triggers=outcome.num_triggers,
-                new_models=outcome.num_new_models,
-                updated_mean_cm=_mean_error(updated_errors),
-                fixed_mean_cm=_mean_error(fixed_errors),
-                updated_registered=len(updated_errors),
-                fixed_registered=fixed_registered,
-            )
+            {
+                "session_index": s,
+                "regime": regime,
+                "active_before": active_before,
+                "active_after": pool.active_id,
+                "triggers": outcome.num_triggers,
+                "new_models": outcome.num_new_models,
+                "updated_mean_cm": round(_mean_error(updated_errors), 6),
+                "fixed_mean_cm": round(_mean_error(fixed_errors), 6),
+                "updated_registered": len(updated_errors),
+                "fixed_registered": fixed_registered,
+            }
         )
         for e in outcome.events:
-            all_events.append(
+            events.append(
                 {"session_index": s, "kind": e.kind, "time": e.time, "details": e.details}
             )
-    return SessionSimReport(rows=rows, events=all_events)
+    return rows, events

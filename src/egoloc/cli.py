@@ -143,15 +143,10 @@ def cmd_compress(args) -> int:
 def cmd_localize(args) -> int:
     cfg = _load_config(args.config)
     model = model_io.load_model(Path(args.model))
-    scene = _load_scene(args.scene)
-    if not 0 <= args.view < len(scene.cameras):
-        raise ConfigError(
-            f"--view {args.view} is not a camera of the scene (0..{len(scene.cameras) - 1})"
-        )
+    view = render_view(_load_scene(args.scene), args.view, seed=args.seed or 0)
     index = build_index(model, cfg.get("num_words"), seed=args.seed or 0)
     match_params = parse_config(MatchParams, cfg.get("match", {}))
     ransac_params = parse_config(RansacParams, cfg.get("ransac", {}), **_seed(args))
-    view = render_view(scene, args.view, seed=args.seed or 0)
     try:
         result = localize(view, index, match_params, ransac_params)
     except RegistrationFailedError as exc:
@@ -177,12 +172,13 @@ def cmd_track(args) -> int:
     raw = json.loads(Path(args.measurements).read_text())
     if not isinstance(raw, list):
         raise ValueError("measurements must be a JSON list of [t, z] rows")
+    measurements = []
     for i, row in enumerate(raw):
-        if not (isinstance(row, list) and len(row) == 2):
-            raise ValueError(f"measurement row {i} is not a [t, z] pair: {row!r}")
-    measurements = [
-        (float(t), None if z is None else np.asarray(z, dtype=np.float64)) for t, z in raw
-    ]
+        try:
+            t, z = row if isinstance(row, list) else ()
+            measurements.append((float(t), None if z is None else np.asarray(z, dtype=np.float64)))
+        except (TypeError, ValueError):
+            raise ValueError(f"measurement row {i} is not a [t, z] pair: {row!r}") from None
     params = parse_config(TrackParams, cfg.get("track", {}))
     states = smooth_trajectory(measurements, params)
     records = [
@@ -218,27 +214,22 @@ def cmd_pool(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    raw = _load_config(args.config)
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    config = bench_mod.BenchConfig.from_dict(raw)
-    report = bench_mod.run_benchmark(config)
+    config = parse_config(bench_mod.BenchConfig, _load_config(args.config), **_seed(args))
+    records, wall_times = bench_mod.run_benchmark(config)
     out = _out_dir(args)
-    _write_records(out / "bench.jsonl", report.records())
-    print(report.table())
+    _write_records(out / "bench.jsonl", records)
+    rows = [{**r, "time_s": t} for r, t in zip(records, wall_times)]
+    print(bench_mod.table(bench_mod.BENCH_COLUMNS, rows))
     return 0
 
 
 def cmd_sessions(args) -> int:
-    raw = _load_config(args.config)
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    config = bench_mod.SessionSimConfig.from_dict(raw)
-    report = bench_mod.run_session_sim(config)
+    config = parse_config(bench_mod.SessionSimConfig, _load_config(args.config), **_seed(args))
+    records, events = bench_mod.run_session_sim(config)
     out = _out_dir(args)
-    _write_records(out / "sessions.jsonl", report.records())
-    _write_records(out / "events.jsonl", report.events)
-    print(report.table())
+    _write_records(out / "sessions.jsonl", records)
+    _write_records(out / "events.jsonl", events)
+    print(bench_mod.table(bench_mod.SESSION_COLUMNS, records))
     return 0
 
 

@@ -5,8 +5,9 @@ The weighted greedy selects, at each step, the point maximizing
 halves the weights of its plane/line's remaining points so later picks spread
 across the scene's structures, zeroes the weights of points that can no
 longer help any under-covered camera, and renormalizes. Two baselines are
-provided for comparison: the unweighted set k-cover greedy and per-structure
-top-visibility ranking.
+provided for comparison: the unweighted set k-cover greedy, which is the same
+loop over one group of equal weights, and per-structure top-visibility
+ranking.
 
 All selection is deterministic: score ties break to the lowest point id.
 """
@@ -79,11 +80,6 @@ def assign_weights(labeling: StructureLabeling, num_points: int) -> np.ndarray:
     return w
 
 
-def _check_model(model: PointCloudModel):
-    if model.num_points == 0 or model.num_cameras == 0:
-        raise DegenerateModelError("model must have at least one point and one camera")
-
-
 def _finalize(
     model: PointCloudModel, order: list[int], method: str, parameter: float
 ) -> CompressedModel:
@@ -98,63 +94,57 @@ def _finalize(
 def _greedy_kcover(
     model: PointCloudModel,
     k: int,
-    labeling: StructureLabeling | None,
+    labeling: StructureLabeling,
     trace: list | None = None,
 ) -> list[int]:
-    """Greedy selection loop shared by the weighted and unweighted methods.
+    """Greedy loop of both k-cover methods.
 
     Runs until every camera has k selected points or has had all of its
-    visible points selected (saturated). With a `labeling` given, weights
-    start at `assign_weights` and follow the adaptive halving / zeroing /
-    renormalization schedule after each pick.
+    visible points selected (saturated). Weights start at `assign_weights`
+    and follow the adaptive halving / zeroing / renormalization schedule
+    after each pick. Over a labeling with no structures every live point
+    shares one weight c, and ``c * cover`` orders points exactly as the
+    small-integer ``cover`` does, ties included: the unweighted greedy.
 
-    `cover[i]` (selected points excluded) counts the under-covered cameras
-    seeing point i and is maintained incrementally: when a camera reaches k
-    its visibility column is subtracted. All cover arithmetic is small
-    integers in float64, so the scores equal a full per-iteration rescan
-    bit for bit.
+    `cover[i]` counts the under-covered cameras seeing point i and is
+    maintained incrementally: when a camera reaches k its visibility column
+    is subtracted. All cover arithmetic is small integers in float64, so the
+    scores equal a full per-iteration rescan bit for bit.
 
-    On the weighted path a selected point's weight is 0 and stays 0 (halving
-    and renormalizing keep it there), so its score cannot win and needs no
-    mask; halving rewrites only the picked point's structure, through member
-    arrays built once; and weights are zeroed where `cover` is 0 only after
-    the first pick and after a pick that brings a camera to k, the only
-    times `cover` changes (a zeroed weight stays 0). Each step leaves
-    exactly the weights of the full per-pick rescan.
+    A selected point's weight is 0 and stays 0 (halving and renormalizing
+    keep it there), so its score cannot win while a useful point is left and
+    needs no mask; halving rewrites only the picked point's structure,
+    through member arrays built once; and weights are zeroed where `cover`
+    is 0 only after the first pick and after a pick that brings a camera to
+    k, the only times `cover` changes (a zeroed weight stays 0). Each step
+    leaves exactly the weights of the full per-pick rescan.
     """
     n, m = model.num_points, model.num_cameras
+    if n == 0 or m == 0:
+        raise DegenerateModelError("model must have at least one point and one camera")
+    if k < 1:
+        raise ValueError("k must be at least 1")
     vis = model.visibility.to_dense()
     vis_f = vis.astype(np.float64)
 
     counts = np.zeros(m, dtype=np.int64)
-    selected = np.zeros(n, dtype=bool)
     # Unselected visible points per camera; zero means the camera is
     # saturated and can no longer make progress.
     remaining = model.visibility.camera_counts()
-    under = np.ones(m, dtype=bool) if k >= 1 else np.zeros(m, dtype=bool)
-    cover = vis_f[:, under].sum(axis=1)
-    w = None
-    if labeling is not None:
-        w = assign_weights(labeling, n)
-        labels = labeling.labels()
-        members = [s.member_ids for s in labeling.structures]
+    under = np.ones(m, dtype=bool)
+    cover = vis_f.sum(axis=1)
+    w = assign_weights(labeling, n)
+    labels = labeling.labels()
+    members = [s.member_ids for s in labeling.structures]
     order: list[int] = []
 
-    while True:
-        if not (under & (remaining > 0)).any():
-            break
-
-        if w is None:
-            scores = np.where(selected, -np.inf, cover)
-        else:
-            scores = w * cover
+    while (under & (remaining > 0)).any():
+        scores = w * cover
         best = int(np.argmax(scores))
         if scores[best] <= 0:
             raise AssertionError("greedy invariant violated: no useful candidate")
 
-        step = {"selected": best} if trace is not None else None
         order.append(best)
-        selected[best] = True
         seen_by = vis[best]
         counts[seen_by] += 1
         remaining[seen_by] -= 1
@@ -165,22 +155,19 @@ def _greedy_kcover(
             cover = cover - vis_f[:, crossed].sum(axis=1)
             cover_changed = True
 
-        if w is not None:
-            if step is not None:
-                step["weights_before"] = w.copy()
-            w[best] = 0.0
-            if labels[best] >= 0:
-                ids = members[labels[best]]
-                w[ids] = w[ids] / 2.0
-            if step is not None:
-                step["weights_after_halving"] = w.copy()
-            if cover_changed:
-                w[cover == 0] = 0.0
-            total = w.sum()
-            if total > 0:
-                w /= total
-        if trace is not None:
+        step = {"selected": best, "weights_before": w.copy()} if trace is not None else None
+        w[best] = 0.0
+        if labels[best] >= 0:
+            ids = members[labels[best]]
+            w[ids] = w[ids] / 2.0
+        if step is not None:
+            step["weights_after_halving"] = w.copy()
             trace.append(step)
+        if cover_changed:
+            w[cover == 0] = 0.0
+        total = w.sum()
+        if total > 0:
+            w /= total
     return order
 
 
@@ -196,20 +183,17 @@ def compress_weighted_kcover(
     Pass a list as `trace` to capture the per-iteration weight schedule
     (used by the oracle and invariant tests).
     """
-    _check_model(model)
-    if k < 1:
-        raise ValueError("k must be at least 1")
     order = _greedy_kcover(model, k, labeling, trace)
     return _finalize(model, order, "weighted_kcover", k)
 
 
 def compress_set_kcover(model: PointCloudModel, k: int) -> CompressedModel:
-    """Unweighted set k-cover greedy: pick the point covering the most
-    under-covered cameras; ties go to the lowest point id."""
-    _check_model(model)
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    order = _greedy_kcover(model, k, None)
+    """Unweighted set k-cover greedy (Li, Snavely & Huttenlocher, ECCV 2010):
+    pick the point covering the most under-covered cameras; ties go to the
+    lowest point id. It is the weighted greedy over one group of equal
+    weights."""
+    one_group = StructureLabeling([], np.arange(model.num_points), model.num_points)
+    order = _greedy_kcover(model, k, one_group)
     return _finalize(model, order, "set_kcover", k)
 
 

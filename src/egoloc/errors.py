@@ -1,6 +1,10 @@
 """Exception types raised across the package, and the config-section parser
 that turns a bad config into a `ConfigError`."""
 
+import dataclasses
+import typing
+from numbers import Integral
+
 
 class EgolocError(Exception):
     """Base class for all package-specific errors."""
@@ -72,23 +76,35 @@ class TruncatedPayloadError(ModelIOError):
 
 
 class ConfigError(EgolocError):
-    """Benchmark or CLI configuration is invalid."""
+    """Benchmark or CLI configuration, or a requested scene camera, is invalid."""
 
 
-def parse_config(cls, values, *, sections: dict[str, type] | None = None, **fixed):
+def parse_config(cls, values, **fixed):
     """`cls(**values, **fixed)` for one config section, a JSON object.
 
-    Each key named in `sections` holds a nested section, parsed into its
-    class the same way; an absent one gives that class's defaults. `fixed`
-    overrides keys of the section. A section that is not an object, an
-    unknown key or a bad value raises `ConfigError`.
+    A field whose type is itself a dataclass holds a nested section, parsed
+    into that class the same way; an absent one gives that class's
+    defaults. `fixed` overrides keys of the section. A section that is not
+    an object, an unknown key, a bad value, or a bool or non-integer number
+    for a field typed `int` raises `ConfigError`.
     """
     if not isinstance(values, dict):
         raise ConfigError(
             f"{cls.__name__} config must be a JSON object, got {type(values).__name__}"
         )
-    nested = {k: parse_config(kind, values.get(k, {})) for k, kind in (sections or {}).items()}
+    hints = typing.get_type_hints(cls)
+    nested = {
+        k: parse_config(kind, values.get(k, {}))
+        for k, kind in hints.items()
+        if dataclasses.is_dataclass(kind)
+    }
+    kwargs = {**values, **nested, **fixed}
+    for key, value in kwargs.items():
+        if hints.get(key) is int and (isinstance(value, bool) or not isinstance(value, Integral)):
+            raise ConfigError(
+                f"invalid {cls.__name__} config: {key} must be an integer, not {value!r}"
+            )
     try:
-        return cls(**{**values, **nested, **fixed})
+        return cls(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid {cls.__name__} config: {exc}") from exc

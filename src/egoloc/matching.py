@@ -254,7 +254,7 @@ def build_index(
     if isinstance(model, CompressedModel):
         model = model.model
     w = default_num_words(model.num_points) if num_words is None else num_words
-    if not isinstance(w, Integral) or w < 1:
+    if isinstance(w, bool) or not isinstance(w, Integral) or w < 1:
         raise ValueError(f"num_words must be a positive integer or None, not {w!r}")
 
     all_desc = model.descriptors

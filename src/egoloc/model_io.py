@@ -303,11 +303,14 @@ def load_pool(directory: str | Path) -> ModelPool:
 
     Raises:
         VersionMismatchError: unsupported manifest version.
-        ModelIOError: a manifest that is not an object, misses a key, holds
-            a bad value, or whose `active_id` names no record.
+        ModelIOError: a manifest that is not JSON or not an object, misses a
+            key, holds a bad value, or whose `active_id` names no record.
     """
     directory = Path(directory)
-    manifest = json.loads((directory / "manifest.json").read_text())
+    try:
+        manifest = json.loads((directory / "manifest.json").read_text())
+    except ValueError as exc:  # not UTF-8 or not JSON
+        raise ModelIOError(f"pool manifest is not a JSON file: {exc}") from exc
     if not isinstance(manifest, dict):
         raise ModelIOError("pool manifest must be a JSON object")
     if manifest.get("format_version") != 1:

@@ -34,10 +34,6 @@ class PlaneStructure:
         object.__setattr__(self, "normal", n)
         object.__setattr__(self, "member_ids", ids)
 
-    def distances(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-        return _plane_distances(pts, self.normal[None], np.array([self.offset]))[:, 0]
-
 
 @dataclass(frozen=True)
 class LineStructure:
@@ -58,10 +54,6 @@ class LineStructure:
         object.__setattr__(self, "direction", d)
         object.__setattr__(self, "anchor", a)
         object.__setattr__(self, "member_ids", ids)
-
-    def distances(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-        return _line_distances(pts, self.anchor[None], self.direction[None])[:, 0]
 
 
 Structure = PlaneStructure | LineStructure

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Real
+from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import InfeasibleSpecError, TooFewVisibleError
+from .errors import ConfigError, InfeasibleSpecError, TooFewVisibleError
 from .geometry import (
     CameraIntrinsics,
     CameraPose,
@@ -368,12 +368,17 @@ def render_view(scene: GroundTruthScene, camera: int | CameraPose, *, seed: int 
     many is kept, emulating a detector's feature cap.
 
     Raises:
+        ConfigError: a camera index outside ``0..num_cameras-1``.
         TooFewVisibleError: fewer than 6 points project into the view.
     """
     spec = scene.spec
     out_frac = spec.outlier_fraction
 
-    if isinstance(camera, int):
+    if isinstance(camera, Integral):
+        if not 0 <= camera < scene.num_cameras:
+            raise ConfigError(
+                f"camera {camera} is not a camera of the scene (0..{scene.num_cameras - 1})"
+            )
         pose, intr = scene.cameras[camera]
         visible = scene.visibility.points_in_camera[camera]
     else:

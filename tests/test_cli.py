@@ -286,6 +286,10 @@ class TestErrorPaths:
             ("gen", {"scene": {"max_features_per_view": 1200}}, "ConfigError"),
             ("detect", {"detect": {"max_structures": 50}}, "ConfigError"),
             ("bench", {"count_tolerance": 0.05}, "ConfigError"),
+            ("localize", {"ransac": {"max_iterations": 10.5}}, "ConfigError"),
+            ("gen", {"scene": {"num_cameras": 5.5}}, "ConfigError"),
+            ("detect", {"detect": {"max_iterations_per_structure": 10.5}}, "ConfigError"),
+            ("localize", {"num_words": True}, "ValueError"),
         ],
         ids=[
             "gen-bad-value",
@@ -302,6 +306,10 @@ class TestErrorPaths:
             "gen-max-features-per-view",
             "detect-max-structures",
             "bench-count-tolerance",
+            "localize-fractional-max-iterations",
+            "gen-fractional-num-cameras",
+            "detect-fractional-max-iterations",
+            "localize-bool-num-words",
         ],
     )
     def test_bad_config_fails_cleanly(self, tmp_path, request, capsys, command, payload, error):
@@ -344,8 +352,15 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize(
         "rows",
-        [[1, 2], [[0.0, [1.0, 0.0, 0.0]], [0.1]], [[0.0, None, 3]], {"t": 0}],
-        ids=["bare-numbers", "short-row", "long-row", "not-list"],
+        [
+            [1, 2],
+            [[0.0, [1.0, 0.0, 0.0]], [0.1]],
+            [[0.0, None, 3]],
+            {"t": 0},
+            [[None, [0, 0, 0]], [0.1, [0, 0, 0]]],
+            [[0.0, {"a": 1}], [0.1, [0, 0, 0]]],
+        ],
+        ids=["bare-numbers", "short-row", "long-row", "not-list", "null-time", "object-position"],
     )
     def test_malformed_measurements_fail_cleanly(self, tmp_path, capsys, rows):
         meas = tmp_path / "meas.json"
@@ -406,12 +421,14 @@ class TestPoolCommand:
             lambda m: {**m, "active_id": "gone"},
             lambda m: {**m, "records": 5},
             lambda m: [m],
+            lambda m: json.dumps(m)[:-1],
         ],
-        ids=["missing-key", "unknown-active-id", "records-not-list", "not-object"],
+        ids=["missing-key", "unknown-active-id", "records-not-list", "not-object", "not-json"],
     )
     def test_bad_manifest_fails_cleanly(self, capsys, pool_dir, change):
         path = pool_dir / "manifest.json"
-        path.write_text(json.dumps(change(json.loads(path.read_text()))))
+        manifest = change(json.loads(path.read_text()))
+        path.write_text(manifest if isinstance(manifest, str) else json.dumps(manifest))
         assert main(["pool", "--pool-dir", str(pool_dir)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error[ModelIOError]") and err.count("\n") == 1

@@ -84,7 +84,8 @@ class TestDetectPlanes:
         pts = pts + rng.normal(scale=0.01, size=pts.shape)
         params = DetectParams(inlier_threshold=0.05, seed=6)
         for plane in planes_found(pts, params):
-            assert np.all(plane.distances(pts[plane.member_ids]) <= params.inlier_threshold)
+            members = pts[plane.member_ids]
+            assert np.all(np.abs(members @ plane.normal - plane.offset) <= params.inlier_threshold)
 
 
 class TestDetectLines:

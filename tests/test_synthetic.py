@@ -14,7 +14,7 @@ from egoloc import (
     render_view,
     resample_descriptors,
 )
-from egoloc.errors import InfeasibleSpecError, TooFewVisibleError
+from egoloc.errors import ConfigError, InfeasibleSpecError, TooFewVisibleError
 from egoloc.geometry import pose_looking_at, project_array
 
 
@@ -44,7 +44,7 @@ class TestGenerateScene:
         scene = generate_scene(spec)
         assert scene.num_points == 100
         plane = scene.true_labeling.structures[0]
-        assert np.all(plane.distances(scene.xyz) < 1e-9)
+        assert np.all(np.abs(scene.xyz @ plane.normal - plane.offset) < 1e-9)
 
     def test_deterministic_under_seed(self):
         spec = SceneSpec(num_cameras=5, descriptor_dim=16, seed=21)
@@ -172,6 +172,19 @@ class TestRenderView:
         )
         with pytest.raises(TooFewVisibleError):
             render_view(noise_scene, away, seed=7)
+
+    @pytest.mark.parametrize(
+        "camera", [-1, 5, 99, np.int64(-1)], ids=["minus-one", "five", "99", "numpy-minus-one"]
+    )
+    def test_camera_outside_scene_rejected(self, noise_scene, camera):
+        with pytest.raises(ConfigError):
+            render_view(noise_scene, camera, seed=9)
+
+    def test_numpy_integer_camera(self, noise_scene):
+        a = render_view(noise_scene, np.int64(2), seed=9)
+        b = render_view(noise_scene, 2, seed=9)
+        assert np.array_equal(a.pixels, b.pixels)
+        assert np.array_equal(a.true_point_ids, b.true_point_ids)
 
     def test_deterministic(self, noise_scene):
         a = render_view(noise_scene, 0, seed=8)
