@@ -23,6 +23,7 @@ from .model_io import load_model, load_pool, save_model, save_pool
 from .pool import (
     ModelPool,
     ModelRecord,
+    PoolParams,
     SessionBatch,
     SessionOutcome,
     ingest_session,
@@ -76,6 +77,7 @@ __all__ = [
     "ModelRecord",
     "PlaneStructure",
     "PointCloudModel",
+    "PoolParams",
     "PoseEstimate",
     "QueryView",
     "RansacParams",

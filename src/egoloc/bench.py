@@ -29,12 +29,12 @@ from .compression import (
     compress_top_visibility,
     compress_weighted_kcover,
 )
-from .errors import ConfigError, RegistrationFailedError, TooFewVisibleError, parse_config
+from .errors import ConfigError, RegistrationFailedError, TooFewVisibleError
 from .geometry import pose_looking_at
 from .matching import MatchParams, build_index
 from .model import PointCloudModel
 from .model_io import BYTES_PER_MB, save_model
-from .pool import ModelPool, ModelRecord, SessionBatch, ingest_session
+from .pool import ModelPool, ModelRecord, PoolParams, SessionBatch, ingest_session
 from .pose import RansacParams, localize
 from .structures import DetectParams, detect_structures
 from .synthetic import (
@@ -255,12 +255,7 @@ class SessionSimConfig:
     num_words: int | None = None
     match: MatchParams = field(default_factory=MatchParams)
     ransac: RansacParams = field(default_factory=RansacParams)
-    t1: int = 50
-    t2: float = 0.5
-    swap_threshold: float = 0.6
-    invalid_window: int = 5
-    invalid_quota: int = 3
-    ttl: float = float("inf")
+    pool: PoolParams = field(default_factory=PoolParams)
     seed: int = 0
 
     def __post_init__(self):
@@ -314,16 +309,7 @@ def run_session_sim(config: SessionSimConfig) -> tuple[list[dict], list[dict]]:
                 condition=f"regime {regime}",
             )
         )
-    pool = ModelPool(
-        records=records,
-        active_id=records[0].record_id,
-        t1=config.t1,
-        t2=config.t2,
-        swap_threshold=config.swap_threshold,
-        invalid_window=config.invalid_window,
-        invalid_quota=config.invalid_quota,
-        ttl=config.ttl,
-    )
+    pool = ModelPool(records=records, active_id=records[0].record_id, params=config.pool)
     fixed_index = records[0].index
 
     rows: list[dict] = []

@@ -29,7 +29,7 @@ from .matching import MatchParams, build_index
 from .model import PointCloudModel
 from .pool import prune
 from .pose import RansacParams, localize
-from .structures import DetectParams, detect_structures
+from .structures import DetectParams, StructureLabeling, detect_structures
 from .synthetic import GroundTruthScene, SceneSpec, build_model, generate_scene, render_view
 from .tracking import TrackParams, smooth_trajectory
 
@@ -54,6 +54,13 @@ def _seed(args) -> dict:
 def _load_scene(path: str) -> GroundTruthScene:
     """Regenerate the scene of a scene file (the `scene` section `gen` writes)."""
     return generate_scene(parse_config(SceneSpec, _load_config(path).get("scene", {})))
+
+
+def _detect(model: PointCloudModel, cfg: dict, args) -> StructureLabeling:
+    """Label `model` with the structures found under the config's `detect` section."""
+    params = parse_config(DetectParams, cfg.get("detect", {}), **_seed(args))
+    model.labeling = detect_structures(model.xyz, params)
+    return model.labeling
 
 
 def _out_dir(args) -> Path:
@@ -101,9 +108,7 @@ def cmd_detect(args) -> int:
     model = model_io.load_model(Path(args.model))
     if not isinstance(model, PointCloudModel):
         model = model.model
-    params = parse_config(DetectParams, cfg.get("detect", {}), **_seed(args))
-    labeling = detect_structures(model.xyz, params)
-    model.labeling = labeling
+    labeling = _detect(model, cfg, args)
     out = _out_dir(args)
     model_io.save_model(model, out / "model.eglm")
     sizes = ", ".join(str(len(s.member_ids)) for s in labeling.structures)
@@ -122,9 +127,7 @@ def cmd_compress(args) -> int:
         return 1
     labeling = model.labeling
     if labeling is None and args.method != "set_kcover":
-        params = parse_config(DetectParams, cfg.get("detect", {}), **_seed(args))
-        labeling = detect_structures(model.xyz, params)
-        model.labeling = labeling
+        labeling = _detect(model, cfg, args)
     if args.method == "weighted_kcover":
         compressed = compress_weighted_kcover(model, labeling, int(args.parameter))
     elif args.method == "set_kcover":

@@ -59,8 +59,6 @@ class CoverageStats:
 
     per_camera_covered: np.ndarray
     saturated: np.ndarray
-    num_saturated: int
-    per_structure_selected: np.ndarray | None
     retained_fraction: float
 
 
@@ -225,8 +223,6 @@ def coverage_report(
     """Exact per-camera coverage of a compressed model at level k.
 
     Saturated cameras are those that cannot reach k even in the full model.
-    Per-structure counts are included when the source model carries a
-    labeling.
     """
     by_id = np.argsort(model.point_ids)
     pos = np.searchsorted(model.point_ids, compressed.selected_ids, sorter=by_id)
@@ -239,17 +235,8 @@ def coverage_report(
     flat = np.concatenate([np.zeros(0, dtype=np.int64), *model.visibility.points_in_camera])
     camera_of = np.repeat(np.arange(model.num_cameras), full)
     covered = np.bincount(camera_of[selected[flat]], minlength=model.num_cameras)
-    saturated = full < k
-    per_structure = None
-    if model.labeling is not None:
-        lab = model.labeling
-        counts = [int(selected[s.member_ids].sum()) for s in lab.structures]
-        counts.append(int(selected[lab.residual_ids].sum()))
-        per_structure = np.asarray(counts, dtype=np.int64)
     return CoverageStats(
         per_camera_covered=covered,
-        saturated=saturated,
-        num_saturated=int(saturated.sum()),
-        per_structure_selected=per_structure,
+        saturated=full < k,
         retained_fraction=len(rows) / model.num_points if model.num_points else 0.0,
     )

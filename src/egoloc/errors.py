@@ -2,8 +2,9 @@
 that turns a bad config into a `ConfigError`."""
 
 import dataclasses
+import types
 import typing
-from numbers import Integral
+from numbers import Integral, Real
 
 
 class EgolocError(Exception):
@@ -79,14 +80,32 @@ class ConfigError(EgolocError):
     """Benchmark or CLI configuration, or a requested scene camera, is invalid."""
 
 
+_UNIONS = (typing.Union, types.UnionType)
+
+
+def _fits(kind, value) -> bool:
+    """Whether JSON `value` fits the field type `kind`. Only `int` (never a
+    bool), `float` (any non-bool number), `None` and `tuple[...]` (a list of
+    fitting items) are judged, alone or in a union; other kinds fit anything
+    and are left to the class."""
+    if typing.get_origin(kind) in _UNIONS:
+        return any(_fits(k, value) for k in typing.get_args(kind))
+    if typing.get_origin(kind) is tuple:
+        item = typing.get_args(kind)[0]
+        return isinstance(value, (list, tuple)) and all(_fits(item, v) for v in value)
+    if kind in (int, float):
+        return isinstance(value, Integral if kind is int else Real) and not isinstance(value, bool)
+    return kind is not type(None) or value is None
+
+
 def parse_config(cls, values, **fixed):
     """`cls(**values, **fixed)` for one config section, a JSON object.
 
     A field whose type is itself a dataclass holds a nested section, parsed
     into that class the same way; an absent one gives that class's
     defaults. `fixed` overrides keys of the section. A section that is not
-    an object, an unknown key, a bad value, or a bool or non-integer number
-    for a field typed `int` raises `ConfigError`.
+    an object, an unknown key, a bad value, or a value that does not fit
+    the field's type (see `_fits`) raises `ConfigError`.
     """
     if not isinstance(values, dict):
         raise ConfigError(
@@ -100,10 +119,10 @@ def parse_config(cls, values, **fixed):
     }
     kwargs = {**values, **nested, **fixed}
     for key, value in kwargs.items():
-        if hints.get(key) is int and (isinstance(value, bool) or not isinstance(value, Integral)):
-            raise ConfigError(
-                f"invalid {cls.__name__} config: {key} must be an integer, not {value!r}"
-            )
+        kind = hints.get(key)
+        if not _fits(kind, value):
+            name = kind.__name__ if isinstance(kind, type) else kind
+            raise ConfigError(f"invalid {cls.__name__} config: {key} must be {name}, not {value!r}")
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:

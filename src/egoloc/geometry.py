@@ -14,7 +14,7 @@ they are safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -200,8 +200,8 @@ class VisibilityMatrix:
         return f"VisibilityMatrix({self.num_points} points, {self.num_cameras} cameras)"
 
 
-def look_at_rotation(eye: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """World-to-camera rotation for a camera at `eye` looking toward `target`.
+def pose_looking_at(eye: np.ndarray, target: np.ndarray) -> CameraPose:
+    """Camera pose positioned at `eye` with the optical axis through `target`.
 
     Camera +Z points at the target, +X right, +Y down (image convention),
     with world +Z up.
@@ -220,11 +220,5 @@ def look_at_rotation(eye: np.ndarray, target: np.ndarray) -> np.ndarray:
         right = np.cross(forward, np.array([1.0, 0.0, 0.0]))
     right = right / np.linalg.norm(right)
     down = np.cross(forward, right)
-    return np.stack([right, down, forward])
-
-
-def pose_looking_at(eye: np.ndarray, target: np.ndarray) -> CameraPose:
-    """Camera pose positioned at `eye` with the optical axis through `target`."""
-    r = look_at_rotation(eye, target)
-    eye = np.asarray(eye, dtype=np.float64).reshape(3)
+    r = np.stack([right, down, forward])
     return CameraPose(rotation=r, translation=-r @ eye)

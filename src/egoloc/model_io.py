@@ -13,6 +13,7 @@ A model pool persists as a manifest JSON next to one model file per record.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import struct
 import zlib
@@ -30,7 +31,7 @@ from .errors import (
 from .geometry import VisibilityMatrix
 from .matching import build_index
 from .model import PointCloudModel
-from .pool import ModelPool, ModelRecord
+from .pool import ModelPool, ModelRecord, PoolParams
 from .structures import StructureLabeling, _decode_structure, _encode_structure
 
 MAGIC = b"EGLM"
@@ -282,17 +283,10 @@ def save_pool(pool: ModelPool, directory: str | Path) -> Path:
                 "index_seed": r.index.build_seed,
             }
         )
-    manifest = {
-        "format_version": 1,
-        "active_id": pool.active_id,
-        "t1": pool.t1,
-        "t2": pool.t2,
-        "swap_threshold": pool.swap_threshold,
-        "invalid_window": pool.invalid_window,
-        "invalid_quota": pool.invalid_quota,
-        "ttl": pool.ttl if np.isfinite(pool.ttl) else None,
-        "records": records,
-    }
+    policy = dataclasses.asdict(pool.params)
+    if policy["ttl"] == float("inf"):
+        policy["ttl"] = None  # JSON has no infinity
+    manifest = {"format_version": 1, "active_id": pool.active_id, **policy, "records": records}
     manifest_path = directory / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2))
     return manifest_path
@@ -330,16 +324,9 @@ def load_pool(directory: str | Path) -> ModelPool:
                     condition=entry.get("condition", ""),
                 )
             )
-        ttl = manifest.get("ttl")
-        return ModelPool(
-            records=records,
-            active_id=manifest["active_id"],
-            t1=manifest["t1"],
-            t2=manifest["t2"],
-            swap_threshold=manifest["swap_threshold"],
-            invalid_window=manifest["invalid_window"],
-            invalid_quota=manifest["invalid_quota"],
-            ttl=float("inf") if ttl is None else ttl,
-        )
+        policy = {f.name: manifest[f.name] for f in dataclasses.fields(PoolParams)}
+        if policy["ttl"] is None:
+            policy["ttl"] = float("inf")
+        return ModelPool(records, manifest["active_id"], PoolParams(**policy))
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelIOError(f"bad pool manifest: {exc!r}") from exc

@@ -50,12 +50,12 @@ class ModelRecord:
             raise ValueError("last_used must not precede created")
 
 
-@dataclass
-class ModelPool:
-    """Timestamped models for one area; exactly one active."""
+@dataclass(frozen=True)
+class PoolParams:
+    """The pool's policy: verification thresholds T1 and T2, the score a
+    stored record needs to be swapped in, the failed-view window that
+    triggers re-scoring, and the TTL of unused records."""
 
-    records: list[ModelRecord]
-    active_id: str
     t1: int = 50
     t2: float = 0.5
     swap_threshold: float = 0.6
@@ -68,8 +68,19 @@ class ModelPool:
             raise ValueError("t2 must be in (0, 1]")
         if self.invalid_quota < 1 or self.invalid_window < self.invalid_quota:
             raise ValueError("need 1 <= invalid_quota <= invalid_window")
-        if self.ttl <= 0:
+        if not self.ttl > 0:
             raise ValueError("ttl must be positive")
+
+
+@dataclass
+class ModelPool:
+    """Timestamped models for one area; exactly one active."""
+
+    records: list[ModelRecord]
+    active_id: str
+    params: PoolParams = field(default_factory=PoolParams)
+
+    def __post_init__(self):
         self.record(self.active_id)  # active id must resolve
 
     def record(self, record_id: str) -> ModelRecord:
@@ -136,7 +147,9 @@ class SessionOutcome:
         return sum(1 for e in self.events if e.kind == "new_model")
 
 
-def verify(result: LocalizationResult | None, t1: int = 50, t2: float = 0.5) -> bool:
+def verify(
+    result: LocalizationResult | None, t1: int = PoolParams.t1, t2: float = PoolParams.t2
+) -> bool:
     """Registration verification: ``N_c > T1`` and ``N_I / N_c > T2``.
 
     Both inequalities are strict; a failed registration (None) never
@@ -167,8 +180,8 @@ def score_model(
     match_params: MatchParams | None = None,
     ransac_params: RansacParams | None = None,
     *,
-    t1: int = 50,
-    t2: float = 0.5,
+    t1: int = PoolParams.t1,
+    t2: float = PoolParams.t2,
     num_views: int = 10,
 ) -> float:
     """Fraction of the session's first `num_views` views that verify."""
@@ -263,11 +276,11 @@ def _score_records(
 
 
 def prune(pool: ModelPool, now: float) -> list[str]:
-    """Drop non-active records unused for longer than `pool.ttl`."""
+    """Drop non-active records unused for longer than the pool's TTL."""
     removed = [
         r.record_id
         for r in pool.records
-        if r.record_id != pool.active_id and now - r.last_used > pool.ttl
+        if r.record_id != pool.active_id and now - r.last_used > pool.params.ttl
     ]
     pool.records = [r for r in pool.records if r.record_id not in removed]
     return removed
@@ -311,7 +324,7 @@ def ingest_session(
 
     events: list[PoolEvent] = []
     served: list[ServedView] = []
-    window: deque[bool] = deque(maxlen=pool.invalid_window)
+    window: deque[bool] = deque(maxlen=pool.params.invalid_window)
     swap_attempted = False
     results: dict[tuple[str, int], LocalizationResult | None] = {}
 
@@ -319,7 +332,7 @@ def ingest_session(
         now = float(session.timestamps[i])
         active = pool.active
         result = _localize_cached(results, active, session.views, i, match_params, ransac_params)
-        ok = verify(result, pool.t1, pool.t2)
+        ok = verify(result, pool.params.t1, pool.params.t2)
         served.append(
             ServedView(view_index=i, record_id=active.record_id, result=result, verified=ok)
         )
@@ -328,7 +341,7 @@ def ingest_session(
         window.append(not ok)
 
         failures = sum(window)
-        if failures >= pool.invalid_quota and not swap_attempted:
+        if failures >= pool.params.invalid_quota and not swap_attempted:
             swap_attempted = True
             scores, views_scored = _score_records(
                 pool.records,
@@ -336,8 +349,8 @@ def ingest_session(
                 results,
                 match_params,
                 ransac_params,
-                t1=pool.t1,
-                t2=pool.t2,
+                t1=pool.params.t1,
+                t2=pool.params.t2,
                 num_views=score_views,
                 next_view=i + 1,
             )
@@ -355,7 +368,7 @@ def ingest_session(
             )
             best_score = max(scores.values())
             chosen = None
-            if best_score >= pool.swap_threshold:
+            if best_score >= pool.params.swap_threshold:
                 # Ties between equal scores go to the most recently used record.
                 candidates = [r for r in pool.records if scores.get(r.record_id) == best_score]
                 chosen = max(candidates, key=lambda r: r.last_used)

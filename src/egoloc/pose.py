@@ -60,7 +60,7 @@ class RansacParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.inlier_threshold <= 0:
+        if not self.inlier_threshold > 0:
             raise ValueError("inlier threshold must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
@@ -274,10 +274,10 @@ def decompose(p: np.ndarray) -> tuple[CameraIntrinsics, CameraPose]:
 
 def _reprojection_errors(p: np.ndarray, pixels: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Pixel error of each point under `p`, (n,) or (H, n) for a stack of
-    matrices; inf where a point is behind the camera."""
-    proj, depth = project_with_matrix(p, points)
+    matrices; inf where a point is behind the camera, whose pixels
+    `project_with_matrix` gives as NaN."""
+    proj, _ = project_with_matrix(p, points)
     err = np.linalg.norm(proj - pixels, axis=-1)
-    err[~(depth > DEPTH_EPSILON)] = np.inf
     err[~np.isfinite(err)] = np.inf
     return err
 

@@ -119,7 +119,7 @@ class DetectParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.inlier_threshold <= 0:
+        if not self.inlier_threshold > 0:
             raise ValueError("inlier_threshold must be positive")
         if self.max_iterations_per_structure < 1:
             raise ValueError("max_iterations_per_structure must be positive")

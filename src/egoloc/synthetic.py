@@ -12,6 +12,7 @@ drive geometry, descriptors, and visibility so related scenes stay aligned.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from numbers import Integral, Real
 
@@ -63,10 +64,14 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self):
+        # `parse_config` checks these for a config; this guards library callers.
         for name in ("points_per_plane", "points_per_line"):
             value = getattr(self, name)
-            if not isinstance(value, int):
-                object.__setattr__(self, name, tuple(int(v) for v in value))
+            many = isinstance(value, Iterable)
+            counts = tuple(value) if many else (value,)
+            if not all(isinstance(c, Integral) and not isinstance(c, bool) for c in counts):
+                raise ValueError(f"{name} must be a count or a list of counts, not {value!r}")
+            object.__setattr__(self, name, tuple(map(int, counts)) if many else int(value))
         counts = (
             self.num_planes,
             self.num_lines,
@@ -78,13 +83,13 @@ class SceneSpec:
         )
         if any(c < 0 for c in counts):
             raise ValueError("counts must be non-negative")
-        if self.descriptor_noise_sigma < 0 or self.pixel_noise_sigma < 0:
+        if not (self.descriptor_noise_sigma >= 0 and self.pixel_noise_sigma >= 0):
             raise ValueError("noise sigmas must be non-negative")
         if not 0.0 <= self.outlier_fraction < 1.0:
             raise ValueError("outlier_fraction must be in [0, 1)")
         if not 0.0 <= self.visibility_dropout < 1.0:
             raise ValueError("visibility_dropout must be in [0, 1)")
-        if self.scene_extent <= 0:
+        if not self.scene_extent > 0:
             raise ValueError("scene_extent must be positive")
 
     @staticmethod
@@ -176,6 +181,13 @@ def _perturb_rows(rng: np.random.Generator, v: np.ndarray, sigma: float) -> np.n
     return _normalize_rows(v)
 
 
+def _structure_center(rng: np.random.Generator, extent: float) -> np.ndarray:
+    """A plane's centre or a line's anchor, uniform in the box of half-widths
+    0.2, 0.2 and 0.1 extent about the origin (one draw per axis, x first)."""
+    half = np.array([0.2, 0.2, 0.1]) * extent
+    return rng.uniform(-half, half)
+
+
 def _sample_geometry(spec: SceneSpec, rng: np.random.Generator):
     """Points on planes, then lines, then uniform clutter; exact labels.
 
@@ -193,13 +205,7 @@ def _sample_geometry(spec: SceneSpec, rng: np.random.Generator):
         tilt = rng.uniform(-0.3, 0.3)
         normal = np.array([np.cos(azimuth), np.sin(azimuth), tilt])
         normal /= np.linalg.norm(normal)
-        center = np.array(
-            [
-                rng.uniform(-0.2 * extent, 0.2 * extent),
-                rng.uniform(-0.2 * extent, 0.2 * extent),
-                rng.uniform(-0.1 * extent, 0.1 * extent),
-            ]
-        )
+        center = _structure_center(rng, extent)
         # In-plane basis: u horizontal, v the steepest in-plane direction.
         u = np.cross(normal, np.array([0.0, 0.0, 1.0]))
         u /= np.linalg.norm(u)
@@ -220,13 +226,7 @@ def _sample_geometry(spec: SceneSpec, rng: np.random.Generator):
 
     for count in spec.line_counts:
         direction = _unit_rows(rng, 1, 3)[0]
-        anchor = np.array(
-            [
-                rng.uniform(-0.2 * extent, 0.2 * extent),
-                rng.uniform(-0.2 * extent, 0.2 * extent),
-                rng.uniform(-0.1 * extent, 0.1 * extent),
-            ]
-        )
+        anchor = _structure_center(rng, extent)
         t = rng.uniform(-0.35 * extent, 0.35 * extent, size=(count, 1))
         pts = anchor + t * direction
         ids = np.arange(next_id, next_id + len(pts))
@@ -441,7 +441,8 @@ def build_model(
     emulating the multi-view descriptors of a reconstructed model.
     """
     jitter = reconstruction_noise_sigma
-    if not (isinstance(jitter, Real) and math.isfinite(jitter) and jitter >= 0):
+    number = isinstance(jitter, Real) and not isinstance(jitter, bool)
+    if not (number and math.isfinite(jitter) and jitter >= 0):
         raise ValueError(f"reconstruction_noise_sigma must be a finite number >= 0, not {jitter!r}")
     rng = np.random.default_rng((seed, 4))
     xyz = scene.xyz.copy()

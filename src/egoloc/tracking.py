@@ -11,7 +11,7 @@ first frame) or a diverged velocity cannot lock the gate shut for good.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -40,12 +40,7 @@ class TrackParams:
     frame_interval: float = 0.1
 
     def __post_init__(self):
-        if min(
-            self.process_noise,
-            self.measurement_variance,
-            self.gate_threshold,
-            self.frame_interval,
-        ) <= 0:
+        if not all(getattr(self, f.name) > 0 for f in fields(self)):
             raise ValueError("all tracking parameters must be positive")
 
 

@@ -416,7 +416,7 @@ def _pool_trial(trial: int):
             r = localize(v, fixed_index, match_params, ransac_params)
         except RegistrationFailedError:
             continue
-        if verify(r, pool.t1, pool.t2):
+        if verify(r, pool.params.t1, pool.params.t2):
             fixed_errors[i] = float(np.linalg.norm(r.pose.center - v.true_pose.center))
 
     # Novel session in regime C: expect exactly one new-model construction.

@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import importlib
+import inspect
 import sys
 from pathlib import Path
 
@@ -43,6 +44,25 @@ def test_benchmark_names_resolve():
     missing = [f"{m}.{n}" for m, n in imported if not _has(importlib.import_module(m), n)]
     assert missing == []
 
+    # Each call to one of those names binds to its signature: the same
+    # number of positional arguments and the same keyword names.
+    package = {n: getattr(importlib.import_module(m), n) for m, n in imported}
+    calls = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in package
+    ]
+    assert {"ModelPool", "ModelRecord", "ingest_session"} <= {c.func.id for c in calls}
+    unbound = []
+    for call in calls:
+        try:
+            inspect.signature(package[call.func.id]).bind(
+                *call.args, **{k.arg: k.value for k in call.keywords}
+            )
+        except TypeError as exc:
+            unbound.append(f"workloads.py:{call.lineno} {call.func.id}: {exc}")
+    assert unbound == []
+
     if str(ROOT) not in sys.path:
         sys.path.insert(0, str(ROOT))
     from egobench.layers import TRACED
@@ -60,3 +80,28 @@ def test_benchmark_names_resolve():
         (CompressedModel, "num_points"),
     ]
     assert [f"{c.__name__}.{a}" for c, a in read if not _has(c, a)] == []
+
+
+def test_no_unused_imports():
+    """Every name a module imports is used in it (`__init__.py` re-exports)."""
+    unused = []
+    for path in sorted((ROOT / "src" / "egoloc").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {
+            (alias.asname or alias.name).split(".")[0]: node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        # A quoted annotation, such as a name imported under TYPE_CHECKING.
+        used |= {
+            node.value
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        }
+        unused += [f"{path.name}:{line} {n}" for n, line in imported.items() if n not in used]
+    assert unused == []

@@ -11,6 +11,7 @@ from egoloc import (
     DetectParams,
     ModelPool,
     ModelRecord,
+    PoolParams,
     build_index,
     detect_structures,
     load_model,
@@ -277,9 +278,9 @@ class TestErrorPaths:
             ("localize", {"match": {"exact_mode": True}}, "ConfigError"),
             ("gen", [1], "ConfigError"),
             ("bench", [1], "ConfigError"),
-            ("bench", {"num_words": "16"}, "ValueError"),
+            ("bench", {"num_words": "16"}, "ConfigError"),
             ("localize", {"num_words": "16"}, "ValueError"),
-            ("bench", {"reconstruction_noise": "x"}, "ValueError"),
+            ("bench", {"reconstruction_noise": "x"}, "ConfigError"),
             ("build", {"reconstruction_noise": "x"}, "ValueError"),
             ("detect", {"detect": {"min_members": 2}}, "ConfigError"),
             ("gen", {"scene": {"outlier_fraction": 1.0}}, "ConfigError"),
@@ -290,6 +291,26 @@ class TestErrorPaths:
             ("gen", {"scene": {"num_cameras": 5.5}}, "ConfigError"),
             ("detect", {"detect": {"max_iterations_per_structure": 10.5}}, "ConfigError"),
             ("localize", {"num_words": True}, "ValueError"),
+            ("detect", {"detect": {"min_members": 30.5}}, "ConfigError"),
+            ("gen", {"scene": {"points_per_plane": [150.5, 100]}}, "ConfigError"),
+            ("gen", {"scene": {"points_per_plane": 150.5}}, "ConfigError"),
+            ("gen", {"scene": {"points_per_plane": True}}, "ConfigError"),
+            ("track", {"track": {"gate_threshold": True}}, "ConfigError"),
+            ("build", {"reconstruction_noise": True}, "ValueError"),
+            ("bench", {"reconstruction_noise": True}, "ConfigError"),
+            ("sessions", {"pool_regimes": [1.5]}, "ConfigError"),
+            ("sessions", {"ttl": 100.0}, "ConfigError"),
+            ("track", {"track": {"process_noise": float("nan")}}, "ConfigError"),
+            ("localize", {"ransac": {"inlier_threshold": float("nan")}}, "ConfigError"),
+            ("gen", {"scene": {"pixel_noise_sigma": float("nan")}}, "ConfigError"),
+            ("gen", {"scene": {"scene_extent": float("nan")}}, "ConfigError"),
+            ("detect", {"detect": {"inlier_threshold": float("nan")}}, "ConfigError"),
+            ("sessions", {"pool": {"ttl": float("nan")}}, "ConfigError"),
+            ("gen", {"scene": {"seed": "7"}}, "ConfigError"),
+            ("gen", {"scene": {"seed": None}}, "ConfigError"),
+            ("sessions", {"pool": {"t1": "50"}}, "ConfigError"),
+            ("sessions", {"pool_regimes": ["a"]}, "ConfigError"),
+            ("sessions", {"score_views": [10]}, "ConfigError"),
         ],
         ids=[
             "gen-bad-value",
@@ -310,11 +331,33 @@ class TestErrorPaths:
             "gen-fractional-num-cameras",
             "detect-fractional-max-iterations",
             "localize-bool-num-words",
+            "detect-fractional-min-members",
+            "gen-fractional-plane-counts",
+            "gen-fractional-plane-count",
+            "gen-bool-plane-count",
+            "track-bool-gate-threshold",
+            "build-bool-reconstruction-noise",
+            "bench-bool-reconstruction-noise",
+            "sessions-fractional-regime",
+            "sessions-top-level-ttl",
+            "track-nan-process-noise",
+            "localize-nan-inlier-threshold",
+            "gen-nan-pixel-noise",
+            "gen-nan-scene-extent",
+            "detect-nan-inlier-threshold",
+            "sessions-nan-ttl",
+            "gen-string-seed",
+            "gen-null-seed",
+            "sessions-string-t1",
+            "sessions-string-regime",
+            "sessions-list-score-views",
         ],
     )
     def test_bad_config_fails_cleanly(self, tmp_path, request, capsys, command, payload, error):
         cfg = write_cfg(tmp_path, payload, name="bad.json")
         args = [command, "--config", cfg, "--out", str(tmp_path / "x")]
+        if command == "track":
+            args += ["--measurements", write_cfg(tmp_path, [[0.0, [0, 0, 0]]], name="meas.json")]
         if command in ("build", "localize"):
             args += ["--scene", str(request.getfixturevalue("scene_file"))]
         if command in ("detect", "localize"):
@@ -391,7 +434,7 @@ class TestPoolCommand:
             ModelRecord("live", small_model, index, created=1.0, last_used=900.0, condition="rain"),
         ]
         pool_dir = tmp_path / "pool"
-        save_pool(ModelPool(records=records, active_id="live", ttl=100.0), pool_dir)
+        save_pool(ModelPool(records, "live", PoolParams(ttl=100.0)), pool_dir)
         return pool_dir
 
     def test_show_then_prune(self, capsys, pool_dir):
@@ -418,12 +461,22 @@ class TestPoolCommand:
         "change",
         [
             lambda m: {k: v for k, v in m.items() if k != "t1"},
+            lambda m: {k: v for k, v in m.items() if k != "ttl"},
+            lambda m: {**m, "ttl": float("nan")},
             lambda m: {**m, "active_id": "gone"},
             lambda m: {**m, "records": 5},
             lambda m: [m],
             lambda m: json.dumps(m)[:-1],
         ],
-        ids=["missing-key", "unknown-active-id", "records-not-list", "not-object", "not-json"],
+        ids=[
+            "missing-key",
+            "missing-ttl",
+            "nan-ttl",
+            "unknown-active-id",
+            "records-not-list",
+            "not-object",
+            "not-json",
+        ],
     )
     def test_bad_manifest_fails_cleanly(self, capsys, pool_dir, change):
         path = pool_dir / "manifest.json"

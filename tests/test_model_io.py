@@ -28,7 +28,7 @@ from egoloc.errors import (
     VersionMismatchError,
 )
 from egoloc.model_io import _HEADER_SIZE, FORMAT_VERSION
-from egoloc.pool import ModelPool, ModelRecord
+from egoloc.pool import ModelPool, ModelRecord, PoolParams
 from egoloc.structures import DetectParams, detect_structures
 
 from conftest import compressed_equal
@@ -97,11 +97,11 @@ class TestRoundTrip:
             last_used=2.0,
             condition="sunny",
         )
-        pool = ModelPool(records=[record], active_id="r1", ttl=100.0)
+        pool = ModelPool(records=[record], active_id="r1", params=PoolParams(ttl=100.0))
         save_pool(pool, tmp_path / "pool")
         loaded = load_pool(tmp_path / "pool")
         assert loaded.active_id == "r1"
-        assert loaded.ttl == 100.0
+        assert loaded.params == PoolParams(ttl=100.0)
         assert loaded.records[0].condition == "sunny"
         assert loaded.records[0].model.equals(small_model)
         np.testing.assert_array_equal(loaded.records[0].index.centroids, index.centroids)

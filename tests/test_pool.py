@@ -13,6 +13,7 @@ from egoloc import (
     MatchParams,
     ModelPool,
     ModelRecord,
+    PoolParams,
     RansacParams,
     SceneSpec,
     SessionBatch,
@@ -112,9 +113,7 @@ def regime_world():
 
 
 def make_pool(records, active, **kwargs):
-    defaults = dict(t1=50, t2=0.5, swap_threshold=0.6, invalid_window=5, invalid_quota=3)
-    defaults.update(kwargs)
-    return ModelPool(records=list(records), active_id=active, **defaults)
+    return ModelPool(records=list(records), active_id=active, params=PoolParams(**kwargs))
 
 
 def session_views(scene, count, seed, start=100.0):
@@ -190,9 +189,7 @@ class TestIngestSession:
             bad = ModelPool.__new__(ModelPool)
             bad.records = []
             bad.active_id = "none"
-            bad.t1, bad.t2 = 50, 0.5
-            bad.swap_threshold, bad.invalid_window, bad.invalid_quota = 0.6, 5, 3
-            bad.ttl = float("inf")
+            bad.params = PoolParams()
             ingest_session(bad, session)
 
 
@@ -228,6 +225,11 @@ class TestPoolValidation:
         with pytest.raises(ValueError):
             make_pool([records[101]], "regime-101", t2=0.0)
 
+    @pytest.mark.parametrize("ttl", [0.0, -1.0, float("nan")])
+    def test_ttl_must_be_positive(self, ttl):
+        with pytest.raises(ValueError, match="ttl"):
+            PoolParams(ttl=ttl)
+
     def test_session_requires_views(self):
         with pytest.raises(ValueError):
             SessionBatch(views=[], timestamps=np.zeros(0))
@@ -254,20 +256,21 @@ def reference_ingest(
     score=score_model,
 ):
     """The pool loop with every record scored in full and no result reused."""
+    policy = pool.params
     events, served = [], []
-    window = deque(maxlen=pool.invalid_window)
+    window = deque(maxlen=policy.invalid_window)
     swap_attempted = False
     for i, view in enumerate(session.views):
         now = float(session.timestamps[i])
         active = pool.active
         result = pool_module._localize_or_none(view, active.index, match_params, ransac_params)
-        ok = verify(result, pool.t1, pool.t2)
+        ok = verify(result, policy.t1, policy.t2)
         served.append(ServedView(i, active.record_id, result, ok))
         if ok:
             active.last_used = max(active.last_used, now)
         window.append(not ok)
         failures = sum(window)
-        if failures >= pool.invalid_quota and not swap_attempted:
+        if failures >= policy.invalid_quota and not swap_attempted:
             swap_attempted = True
             details = {"view_index": i, "failures": failures, "window": len(window)}
             events.append(PoolEvent("trigger", now, details))
@@ -277,15 +280,15 @@ def reference_ingest(
                     session.views,
                     match_params,
                     ransac_params,
-                    t1=pool.t1,
-                    t2=pool.t2,
+                    t1=policy.t1,
+                    t2=policy.t2,
                     num_views=score_views,
                 )
                 for r in pool.records
             }
             best_score = max(scores.values())
             previous = pool.active_id
-            if best_score >= pool.swap_threshold:
+            if best_score >= policy.swap_threshold:
                 candidates = [r for r in pool.records if scores[r.record_id] == best_score]
                 chosen = max(candidates, key=lambda r: r.last_used)
                 pool.active_id = chosen.record_id

@@ -60,6 +60,22 @@ class TestGenerateScene:
         assert spec.points_per_plane == (60, 30)
         assert SceneSpec(**json.loads(json.dumps(asdict(spec)))) == spec
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("points_per_plane", 150.5, "points_per_plane"),
+            ("points_per_plane", (150.5, 100), "points_per_plane"),
+            ("points_per_line", True, "points_per_line"),
+            ("points_per_line", None, "points_per_line"),
+            ("pixel_noise_sigma", float("nan"), "sigmas"),
+            ("descriptor_noise_sigma", float("nan"), "sigmas"),
+            ("scene_extent", float("nan"), "scene_extent"),
+        ],
+    )
+    def test_bad_spec_value_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            SceneSpec(**{field: value})
+
     def test_structure_proportions_via_weights(self):
         spec = SceneSpec(
             num_planes=3,
