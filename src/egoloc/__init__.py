@@ -2,8 +2,8 @@
 
 Pipeline: synthesize (or load) a point-cloud scene model, detect its planar
 and linear structure, compress it with a structure-preserving weighted set
-k-cover, localize query views by 2D-3D matching plus robust DLT pose
-estimation, smooth video tracks, and keep models current over long time
+k-cover, localize query views by 2D-3D matching plus calibrated 3-point
+RANSAC pose estimation, smooth video tracks, and keep models current over long time
 spans with a verification-driven model pool.
 """
 

@@ -64,8 +64,14 @@ class PoolParams:
     ttl: float = float("inf")
 
     def __post_init__(self):
+        if self.t1 < 0:
+            raise ValueError("t1 must be non-negative")
         if not 0.0 < self.t2 <= 1.0:
             raise ValueError("t2 must be in (0, 1]")
+        # A score is a share of verified views; outside [0, 1] no record
+        # ever reaches it and the pool never swaps.
+        if not 0.0 <= self.swap_threshold <= 1.0:
+            raise ValueError("swap_threshold must be in [0, 1]")
         if self.invalid_quota < 1 or self.invalid_window < self.invalid_quota:
             raise ValueError("need 1 <= invalid_quota <= invalid_window")
         if not self.ttl > 0:

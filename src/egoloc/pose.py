@@ -1,11 +1,13 @@
-"""Camera localization: 6-point DLT, RANSAC, nonlinear refinement, pipeline.
+"""Camera localization: P3P and 6-point DLT, RANSAC, refinement, pipeline.
 
-The DLT estimates a 3x4 projection matrix from normalized correspondences;
-RANSAC wraps it with counter-seeded minimal samples and adaptive stopping.
-Refinement is a Levenberg–Marquardt loop over the six pose parameters with
-a closed-form Jacobian and the intrinsics held fixed. `localize` chains
-matching, RANSAC, and refinement into the query-to-pose pipeline. It
-refines and certifies under the query's own calibration and reports the
+RANSAC draws minimal samples with adaptive stopping and solves them with
+one of two solvers. With the camera's intrinsics known, a batched P3P
+gives up to four poses per 3-point sample; without them, the DLT estimates
+a 3x4 projection matrix from 6 normalized correspondences, which is then
+RQ-decomposed. Refinement is a Levenberg–Marquardt loop over the six pose
+parameters with a closed-form Jacobian and the intrinsics held fixed.
+`localize` chains matching, calibrated RANSAC and refinement into the
+query-to-pose pipeline under the query's own calibration, and reports the
 correspondence and inlier counts the model-maintenance layer verifies
 against.
 """
@@ -95,10 +97,12 @@ class LocalizationResult:
     """Outcome of localizing one query view.
 
     `timings` holds wall times in seconds; `counters` holds deterministic
-    work counts (the matching stage's `features_scanned` and
-    `words_evaluated`, RANSAC's `ransac_hypotheses`, `ransac_degenerate`
-    and `ransac_stop`, and refinement's `refine_iterations`), kept apart so
-    seeded records stay reproducible.
+    work counts, kept apart so seeded records stay reproducible: the
+    matching stage's `features_scanned` and `words_evaluated`; calibrated
+    RANSAC's `ransac_hypotheses` (3-point samples drawn), `ransac_degenerate`
+    (samples P3P gave no pose: collinear or coincident points, coincident
+    rays, or no real root with all three points in front) and `ransac_stop`;
+    and `refine_iterations`, the refinement steps of both passes.
     """
 
     pose: CameraPose
@@ -187,6 +191,128 @@ def _dlt_batch(pixels: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.n
     p[flip] = -p[flip]
     p[reason != 0] = 0.0
     return p, reason
+
+
+def _bearings(pixels: np.ndarray, intr: CameraIntrinsics) -> np.ndarray:
+    """Unit camera-frame rays K⁻¹[u, v, 1] of pixels (n, 2), as (n, 3)."""
+    rays = np.ones((len(pixels), 3))
+    rays[:, 0] = (pixels[:, 0] - intr.principal_x) / intr.focal_x
+    rays[:, 1] = (pixels[:, 1] - intr.principal_y) / intr.focal_y
+    return rays / np.sqrt(np.add.reduce(rays * rays, axis=1))[:, None]
+
+
+# Vectors below are stored coordinate-first, (3, ...), so each coordinate
+# is one array; a cross product pairs each coordinate with the next two.
+_NEXT = [1, 2, 0]
+_PREV = [2, 0, 1]
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.add.reduce(a * b, axis=0)
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a[_NEXT] * b[_PREV] - a[_PREV] * b[_NEXT]
+
+
+def _frame(edge: np.ndarray, normal: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The orthonormal frame of a triangle: its unit first edge, the in-plane
+    unit vector normal to it, and the unit normal of its plane."""
+    e1 = edge / np.sqrt(_dot(edge, edge))
+    e3 = normal / np.sqrt(_dot(normal, normal))
+    return e1, _cross(e3, e1), e3
+
+
+def _p3p_batch(rays: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Grunert's three-point pose over H samples, up to four poses each.
+
+    `rays` (H, 3, 3) are unit bearings and `points` (H, 3, 3) the world
+    points they observe. With the ray distances ``s2 = u·s1`` and ``s3 =
+    v·s1``, the law of cosines on the three sides gives ``u`` as a rational
+    function of ``v`` and a quartic in ``v`` (Haralick et al., IJCV 1994).
+    Its roots, the eigenvalues of the companion matrix, give the ray
+    distances, which one Newton step on the three law-of-cosines equations
+    polishes; aligning the orthonormal frames of the world and camera-frame
+    triangles gives the pose. Returns the (H, 4, 3, 4) world-to-camera
+    matrices [R|t] and an (H, 4) mask of the real roots that put all three
+    points in front of the camera; masked-out matrices are zero. A sample
+    whose points are collinear or coincident, or whose rays coincide, has
+    none.
+    """
+    j = rays.transpose(1, 2, 0)  # (point, coordinate, sample)
+    x = points.transpose(1, 2, 0)
+    edge, far = x[1] - x[0], x[2] - x[0]
+    normal = _cross(edge, far)
+    a2 = _dot(x[2] - x[1], x[2] - x[1])
+    b2 = _dot(far, far)
+    c2 = _dot(edge, edge)
+    ca, cb, cg = _dot(j[1], j[2]), _dot(j[0], j[2]), _dot(j[0], j[1])
+    ok = (np.sqrt(_dot(normal, normal)) > _PLANAR_TOL * np.maximum(np.maximum(a2, b2), c2)) & (
+        np.maximum(np.maximum(ca, cb), cg) < 1.0 - 1e-12
+    )
+    b2 = np.where(ok, b2, 1.0)
+    q = (a2 - c2) / b2
+    r = c2 / b2
+    # u = N(v) / D(v); substituted into the c-side equation times D² this is
+    # F = N² - 2·cos γ·N·D + (1 - r·(v² - 2·cos β·v + 1))·D² = 0.
+    n2, n1, n0 = q - 1.0, -2.0 * q * cb, 1.0 + q
+    d1, d0 = -2.0 * ca, 2.0 * cg
+    lead = n2 * n2 - r * d1 * d1
+    ok &= np.abs(lead) > 1e-12 * (np.abs(n2 * n2) + np.abs(r * d1 * d1))
+    companion = np.zeros((len(q), 4, 4))
+    top = companion[:, 0]
+    top[:, 0] = 2.0 * (n2 * n1 - cg * n2 * d1 + r * d1 * (cb * d1 - d0))
+    top[:, 1] = (
+        n1 * n1 + 2.0 * n2 * n0 - 2.0 * cg * (n2 * d0 + n1 * d1)
+        + 4.0 * r * cb * d1 * d0 + (1.0 - r) * d1 * d1 - r * d0 * d0
+    )
+    top[:, 2] = 2.0 * (n1 * n0 - cg * (n1 * d0 + n0 * d1) + r * cb * d0 * d0 + (1.0 - r) * d1 * d0)
+    top[:, 3] = n0 * n0 - 2.0 * cg * n0 * d0 + (1.0 - r) * d0 * d0
+    top /= -np.where(ok, lead, 1.0)[:, None]
+    top[~ok] = 0.0
+    companion[:, [1, 2, 3], [0, 1, 2]] = 1.0
+    roots = np.linalg.eigvals(companion)
+    v = roots.real
+    ca, cb, cg, a2, b2, c2 = (y[:, None] for y in (ca, cb, cg, a2, b2, c2))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        u = ((n2[:, None] * v + n1[:, None]) * v + n0[:, None]) / (d1[:, None] * v + d0[:, None])
+        s1 = np.sqrt(b2 / ((v - 2.0 * cb) * v + 1.0))
+        s2, s3 = u * s1, v * s1
+        # Newton step on f = (s2² + s3² - 2·s2·s3·cos α - a², and the b and
+        # c sides alike), whose Jacobian 2·[[0, A, B], [C, 0, D], [E, F, 0]]
+        # is inverted by its adjugate.
+        pa, pb = s2 - s3 * ca, s3 - s2 * ca
+        pc, pd = s1 - s3 * cb, s3 - s1 * cb
+        pe, pf = s1 - s2 * cg, s2 - s1 * cg
+        f0 = s2 * pa + s3 * pb - a2
+        f1 = s1 * pc + s3 * pd - b2
+        f2 = s1 * pe + s2 * pf - c2
+        half = 0.5 / (pa * pd * pe + pb * pc * pf)
+        dist = np.stack(
+            [
+                s1 - (pf * (pb * f1 - pd * f0) + pa * pd * f2) * half,
+                s2 - (pe * (pd * f0 - pb * f1) + pb * pc * f2) * half,
+                s3 - (pc * (pf * f0 - pa * f2) + pa * pe * f1) * half,
+            ]
+        )
+        cam = dist[:, None] * j[:, :, :, None]  # (point, coordinate, sample, root)
+        world = _frame(edge, normal)
+        cam_edge = cam[1] - cam[0]
+        camera = _frame(cam_edge, _cross(cam_edge, cam[2] - cam[0]))
+        rot = sum(c[:, None] * w[None, :, :, None] for c, w in zip(camera, world))
+        shift = np.add.reduce(rot * (x.sum(axis=0) / 3.0)[None, :, :, None], axis=1)
+        rt = np.empty(v.shape + (3, 4))
+        rt[..., :3] = rot.transpose(2, 3, 0, 1)
+        rt[..., 3] = (cam.sum(axis=0) / 3.0 - shift).transpose(1, 2, 0)
+        valid = (
+            ok[:, None]
+            & (np.abs(roots.imag) <= 1e-8 * (1.0 + np.abs(v)))
+            & (v > 0)
+            & (u > 0)
+            & np.isfinite(rt).all(axis=(2, 3))
+        )
+    rt[~valid] = 0.0
+    return rt, valid
 
 
 def dlt_pose(pixels: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -298,26 +424,64 @@ def _certify(
     return (inlier_ids if len(inlier_ids) >= 6 else None), err
 
 
+def _stop_bound(ratio: float, sample_size: int, params: RansacParams, drawn: int) -> int:
+    """Hypotheses needed to draw one all-inlier sample with `params.confidence`
+    at inlier ratio `ratio`: ``log(1 - p) / log(1 - ratio^s)``, capped at
+    `params.max_iterations`; `drawn` (stop now) when every point is an
+    inlier."""
+    if ratio >= 1.0:
+        return drawn
+    denom = np.log1p(-min(ratio**sample_size, 1 - 1e-12))
+    return min(params.max_iterations, int(np.ceil(np.log(1 - params.confidence) / denom)))
+
+
+def _draw_triples(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
+    """`size` samples (size, 3) of three distinct indices below n, from three
+    doubles per sample, so sample h is the same whatever the batch sizes.
+    The k-th double picks among the n - k indices the sample does not hold
+    yet: it is scaled to that range, then shifted past each held index it
+    reaches, in increasing order."""
+    u = rng.random((size, 3))
+    idx = np.minimum((u * (n - np.arange(3))).astype(np.int64), n - 1 - np.arange(3))
+    first, second = idx[:, 0], idx[:, 1] + (idx[:, 1] >= idx[:, 0])
+    low, high = np.minimum(first, second), np.maximum(first, second)
+    third = idx[:, 2] + (idx[:, 2] >= low)
+    third += third >= high
+    return np.column_stack([first, second, third])
+
+
 def ransac_pose(
     pixels: np.ndarray,
     points: np.ndarray,
     params: RansacParams | None = None,
     *,
+    intrinsics: CameraIntrinsics | None = None,
     counters: dict[str, int] | None = None,
 ) -> PoseEstimate:
-    """Robust pose from 2D-3D correspondences via 6-point DLT + RANSAC.
+    """Robust pose from 2D-3D correspondences by RANSAC.
 
-    Hypothesis h samples from its own generator, seeded `(seed, h)`.
-    Hypotheses are solved and scored in batches, one stacked DLT and one
-    stacked reprojection per batch, then replayed in hypothesis order, so
-    the reported best is the sequential (count, mean error, hypothesis
-    index) winner and adaptive stopping fires at the same hypothesis
-    whatever the batch size. The final model is refit on all inliers and
-    inliers are re-certified under it.
+    With `intrinsics` set, each hypothesis is a 3-point sample solved by
+    P3P (`_p3p_batch`), which gives up to four poses, each scored as its own
+    candidate. Every sample is drawn from one `default_rng(seed)` stream,
+    three doubles per sample. The best candidate's inliers are certified
+    under it and it is returned as is, with `intrinsics`.
 
-    If `counters` is given, it receives `ransac_hypotheses` (hypotheses
-    drawn before the stop), `ransac_degenerate` (those whose sample had no
-    DLT solution) and `ransac_stop` (the final stopping bound).
+    Without them, each hypothesis is a 6-point sample solved by the DLT,
+    and hypothesis h samples from its own generator, seeded `(seed, h)`.
+    The best projection matrix is refit on all its inliers, RQ-decomposed,
+    and the inliers are certified under the decomposed camera.
+
+    Hypotheses are solved and scored in batches, one stacked solve and one
+    stacked reprojection per batch, then replayed in (hypothesis,
+    candidate) order, so the reported best is the sequential (count, mean
+    error, first) winner and adaptive stopping, at the sample size of the
+    path, fires at the same hypothesis whatever the batch size.
+
+    If `counters` is given, it receives `ransac_hypotheses` (samples drawn
+    before the stop), `ransac_degenerate` (samples whose minimal solver gave
+    no pose: no DLT solution, or, for P3P, collinear or coincident points,
+    coincident rays, or no real root with all three points in front) and
+    `ransac_stop` (the final stopping bound).
 
     Raises:
         NoModelFoundError: every sample was degenerate or the best model
@@ -330,7 +494,29 @@ def ransac_pose(
     if n < 6:
         raise ValueError("RANSAC needs at least 6 correspondences")
 
-    best_p = None
+    if intrinsics is None:
+        sample_size = 6
+
+        def solve(h: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+            samples = np.stack(
+                [
+                    np.random.default_rng((params.seed, g)).choice(n, size=6, replace=False)
+                    for g in range(h, h + size)
+                ]
+            )
+            p, reason = _dlt_batch(px[samples], pts[samples])
+            return p[:, None], (reason == 0)[:, None]
+
+    else:
+        sample_size = 3
+        rays = _bearings(px, intrinsics)
+        rng = np.random.default_rng(params.seed)
+
+        def solve(h: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+            samples = _draw_triples(rng, n, size)
+            return _p3p_batch(rays[samples], pts[samples])
+
+    best_cam = best_p = None
     best_count = 0
     best_mean = np.inf
     iterations_needed = params.max_iterations
@@ -339,38 +525,32 @@ def ransac_pose(
     while h < iterations_needed:
         size = max(h // 4, _MIN_BATCH) if h else _FIRST_BATCH
         size = min(size, iterations_needed - h, _MAX_BATCH)
-        samples = np.stack(
-            [
-                np.random.default_rng((params.seed, g)).choice(n, size=6, replace=False)
-                for g in range(h, h + size)
-            ]
-        )
-        batch_p, reason = _dlt_batch(px[samples], pts[samples])
+        # cams: (size, C, 3, 4) candidate matrices; valid: (size, C) mask.
+        cams, valid = solve(h, size)
+        cams = cams[valid]
+        batch_p = cams if intrinsics is None else intrinsics.matrix @ cams
         err = _reprojection_errors(batch_p, px, pts)
         inliers = err <= params.inlier_threshold
         counts = inliers.sum(axis=1)
+        ends = np.cumsum(valid.sum(axis=1)).tolist()
         for i in range(size):
             if h >= iterations_needed:
                 break
             h += 1
-            if reason[i]:
+            first = ends[i - 1] if i else 0
+            if first == ends[i]:
                 degenerate += 1
                 continue
-            count = int(counts[i])
-            if count == 0 or count < best_count:
-                continue
-            mean_err = float(err[i][inliers[i]].mean())
-            if count > best_count or mean_err < best_mean:
-                best_p = batch_p[i]
-                best_count = count
-                best_mean = mean_err
-                ratio = count / n
-                if ratio >= 1.0:
-                    iterations_needed = h
-                else:
-                    denom = np.log1p(-min(ratio**6, 1 - 1e-12))
-                    needed = np.log(1 - params.confidence) / denom
-                    iterations_needed = min(params.max_iterations, int(np.ceil(needed)))
+            for row in range(first, ends[i]):
+                count = int(counts[row])
+                if count == 0 or count < best_count:
+                    continue
+                mean_err = float(err[row][inliers[row]].mean())
+                if count > best_count or mean_err < best_mean:
+                    best_cam, best_p = cams[row], batch_p[row]
+                    best_count = count
+                    best_mean = mean_err
+                    iterations_needed = _stop_bound(count / n, sample_size, params, h)
 
     if counters is not None:
         counters["ransac_hypotheses"] = h
@@ -383,24 +563,28 @@ def ransac_pose(
         )
 
     threshold = params.inlier_threshold
-    final_p = best_p
-    inlier_ids = np.flatnonzero(_reprojection_errors(best_p, px, pts) <= threshold)
-    try:
-        refit = dlt_pose(px[inlier_ids], pts[inlier_ids])
-        refit_ids, _ = _certify(refit, px, pts, threshold)
-        if refit_ids is not None:
-            final_p, inlier_ids = refit, refit_ids
-    except (DegenerateConfigurationError, ValueError):
-        pass
+    if intrinsics is not None:
+        inlier_ids, err = _certify(best_p, px, pts, threshold)
+        intr, pose = intrinsics, CameraPose(rotation=best_cam[:, :3], translation=best_cam[:, 3])
+    else:
+        final_p = best_p
+        inlier_ids = np.flatnonzero(_reprojection_errors(best_p, px, pts) <= threshold)
+        try:
+            refit = dlt_pose(px[inlier_ids], pts[inlier_ids])
+            refit_ids, _ = _certify(refit, px, pts, threshold)
+            if refit_ids is not None:
+                final_p, inlier_ids = refit, refit_ids
+        except (DegenerateConfigurationError, ValueError):
+            pass
 
-    # Certify the inliers under the camera model actually reported: the
-    # decomposition drops DLT skew, so errors are recomputed with the
-    # reconstructed skew-free matrix to keep the certification (and any
-    # downstream refinement comparison) consistent.
-    intr, pose = decompose(final_p)
-    report_ids, err = _certify(_camera_matrix(intr, pose), px, pts, threshold)
-    if report_ids is not None:
-        inlier_ids = report_ids
+        # Certify the inliers under the camera model actually reported: the
+        # decomposition drops DLT skew, so errors are recomputed with the
+        # reconstructed skew-free matrix to keep the certification (and any
+        # downstream refinement comparison) consistent.
+        intr, pose = decompose(final_p)
+        report_ids, err = _certify(_camera_matrix(intr, pose), px, pts, threshold)
+        if report_ids is not None:
+            inlier_ids = report_ids
     return PoseEstimate(
         pose=pose,
         intrinsics=intr,
@@ -573,12 +757,15 @@ def localize(
 ) -> LocalizationResult:
     """Full query-to-pose pipeline: match, RANSAC, refine, re-certify.
 
-    RANSAC estimates the full projection matrix; refinement and the final
-    inlier certification then run under the query's own calibration,
-    `query.intrinsics`, which the result reports.
+    RANSAC runs the 3-point calibrated path under the query's own
+    calibration, `query.intrinsics`, which the result reports. The pose is
+    then refined on the RANSAC inliers and the inliers re-certified under
+    the refined pose; if that changed the set, the pose is refined once more
+    on the new set and certified again. Both stages are called through their
+    `egoloc.pose` names, so a tracer that rebinds them sees each call.
 
     `counters` carries the matching and RANSAC counters and
-    `refine_iterations` from `refine_pose`.
+    `refine_iterations`, summed over the refinement passes.
 
     Raises:
         RegistrationFailedError: tagged with the stage ("matching" or
@@ -601,37 +788,50 @@ def localize(
 
     t0 = time.perf_counter()
     try:
-        estimate = ransac_pose(px, pts, ransac_params, counters=counters)
+        estimate = ransac_pose(
+            px, pts, ransac_params, intrinsics=query.intrinsics, counters=counters
+        )
     except NoModelFoundError as exc:
         raise RegistrationFailedError("ransac", str(exc)) from exc
     timings["ransac"] = time.perf_counter() - t0
 
-    estimate = replace(estimate, intrinsics=query.intrinsics)
-
+    # Refine on the inliers and re-certify under the refined pose, so the
+    # reported counts hold for the pose returned. If that changed the inlier
+    # set, refine once more on the new set and certify again.
     t0 = time.perf_counter()
-    refined = refine_pose(
-        estimate, px[estimate.inlier_ids], pts[estimate.inlier_ids], counters=counters
-    )
+    refined = estimate
+    steps = 0
+    for _ in range(2):
+        used = refined.inlier_ids
+        refined = refine_pose(refined, px[used], pts[used], counters=counters)
+        steps += counters["refine_iterations"]
+        inlier_ids, err = _certify(
+            _camera_matrix(refined.intrinsics, refined.pose),
+            px,
+            pts,
+            ransac_params.inlier_threshold,
+        )
+        if inlier_ids is None:
+            break
+        refined = replace(
+            refined,
+            inlier_ids=inlier_ids,
+            n_inliers=len(inlier_ids),
+            mean_reprojection_error=float(err[inlier_ids].mean()),
+        )
+        if np.array_equal(inlier_ids, used):
+            break
+    counters["refine_iterations"] = steps
     timings["refine"] = time.perf_counter() - t0
-
-    # Re-certify inliers under the refined pose so the reported counts hold
-    # for the pose actually returned.
-    inlier_ids, err = _certify(
-        _camera_matrix(refined.intrinsics, refined.pose), px, pts, ransac_params.inlier_threshold
-    )
-    if inlier_ids is None:
-        inlier_ids, mean_err = refined.inlier_ids, refined.mean_reprojection_error
-    else:
-        mean_err = float(err[inlier_ids].mean())
 
     timings["total"] = sum(timings.values())
     return LocalizationResult(
         pose=refined.pose,
         intrinsics=refined.intrinsics,
         n_correspondences=len(matches),
-        n_inliers=len(inlier_ids),
-        inlier_point_ids=point_ids[inlier_ids],
-        mean_reprojection_error=mean_err,
+        n_inliers=refined.n_inliers,
+        inlier_point_ids=point_ids[refined.inlier_ids],
+        mean_reprojection_error=refined.mean_reprojection_error,
         timings=timings,
         counters=counters,
     )

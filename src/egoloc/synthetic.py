@@ -65,6 +65,11 @@ class SceneSpec:
 
     def __post_init__(self):
         # `parse_config` checks these for a config; this guards library callers.
+        for name in ("num_planes", "num_lines", "num_clutter", "num_cameras", "descriptor_dim"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{name} must be a count, not {value!r}")
+            object.__setattr__(self, name, int(value))
         for name in ("points_per_plane", "points_per_line"):
             value = getattr(self, name)
             many = isinstance(value, Iterable)

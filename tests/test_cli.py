@@ -40,7 +40,7 @@ SCENE_CFG = {
 # the hashes and says why.
 GOLDEN_SHA256 = {
     "bench.jsonl": "3f84b1a5e66c8d6923d292f05869deb0516946cc9ad85ac1508e8e9c63928dc8",
-    "sessions.jsonl": "41c7afe83578485380798a5f7ea0f424ab57529600ebaf3f8181694839661895",
+    "sessions.jsonl": "8fc381878b1ae38124c03c786fa9564bceab7981659044c077c50d1035e037a4",
     "events.jsonl": "b2ac825bef57d3c3b4c3a438980d26d7659039f58196d24d71e7037c3abd1819",
 }
 
@@ -51,7 +51,7 @@ PIPELINE_SHA256 = {
     "build": "0aaa77c5ca417f6c35ea281b08405268081bfc107a0fd7e9d6a1d4436676aec8",
     "detect": "3f40f72b2fa5df371d74652716bf4daae72326c8f99c6ba6a7758796b8e332d3",
     "compress": "b5a04c82d336fbfe20f709a43a44777440a57a8ca66b22a810736d0ba5197ec9",
-    "localize": "9f55c4dfca737ebc7723c5b4096f2921adf26dae0874dd6e2ce8d9c2f864b507",
+    "localize": "dcf9b0ad2fab1adf998387f7a3aa927bd450e602c3367f3a3fac5a2e7c31bad5",
 }
 
 
@@ -311,6 +311,7 @@ class TestErrorPaths:
             ("sessions", {"pool": {"t1": "50"}}, "ConfigError"),
             ("sessions", {"pool_regimes": ["a"]}, "ConfigError"),
             ("sessions", {"score_views": [10]}, "ConfigError"),
+            ("sessions", {"pool": {"swap_threshold": 1.5}}, "ConfigError"),
         ],
         ids=[
             "gen-bad-value",
@@ -351,6 +352,7 @@ class TestErrorPaths:
             "sessions-string-t1",
             "sessions-string-regime",
             "sessions-list-score-views",
+            "sessions-swap-threshold-above-one",
         ],
     )
     def test_bad_config_fails_cleanly(self, tmp_path, request, capsys, command, payload, error):

@@ -230,6 +230,20 @@ class TestPoolValidation:
         with pytest.raises(ValueError, match="ttl"):
             PoolParams(ttl=ttl)
 
+    @pytest.mark.parametrize("threshold", [-0.1, 1.5, float("nan")])
+    def test_swap_threshold_must_be_a_share(self, threshold):
+        with pytest.raises(ValueError, match="swap_threshold"):
+            PoolParams(swap_threshold=threshold)
+
+    def test_swap_threshold_bounds_are_allowed(self):
+        assert PoolParams(swap_threshold=0.0).swap_threshold == 0.0
+        assert PoolParams(swap_threshold=1.0).swap_threshold == 1.0
+
+    def test_t1_must_be_non_negative(self):
+        with pytest.raises(ValueError, match="t1"):
+            PoolParams(t1=-3)
+        assert PoolParams(t1=0).t1 == 0
+
     def test_session_requires_views(self):
         with pytest.raises(ValueError):
             SessionBatch(views=[], timestamps=np.zeros(0))

@@ -34,7 +34,7 @@ from egoloc.errors import (
 )
 from egoloc.geometry import DEPTH_EPSILON
 from egoloc.pool import verify
-from egoloc.pose import project_with_matrix
+from egoloc.pose import _bearings, _draw_triples, _p3p_batch, project_with_matrix
 
 from conftest import random_pose, random_rotation
 
@@ -457,6 +457,192 @@ class TestRansacOracle:
             np.testing.assert_array_equal(dlt_pose(pixels, points), reference_dlt(pixels, points))
 
 
+class TestP3P:
+    def test_noise_free_recovers_pose(self):
+        rng = np.random.default_rng(31)
+        intr = make_intrinsics()
+        for _ in range(100):
+            pose = random_pose(rng, translation_scale=3.0)
+            points = front_facing_points(rng, pose, 3)
+            rays = _bearings(correspondences_for(pose, intr, points), intr)
+            rt, valid = _p3p_batch(rays[None], points[None])
+            assert 1 <= valid.sum() <= 4
+            errors = [
+                max(
+                    np.abs(cam[:, :3] - pose.rotation).max(),
+                    np.abs(cam[:, 3] - pose.translation).max(),
+                )
+                for cam in rt[0][valid[0]]
+            ]
+            assert min(errors) < 1e-9
+
+    def test_collinear_or_coincident_sample_has_no_candidate(self):
+        rng = np.random.default_rng(32)
+        intr = make_intrinsics()
+        pose = random_pose(rng, translation_scale=2.0)
+        points = front_facing_points(rng, pose, 3)
+        pixels = correspondences_for(pose, intr, points)
+        collinear = points.copy()
+        collinear[2] = 0.3 * points[0] + 0.7 * points[1]
+        coincident = points.copy()
+        coincident[2] = points[0]
+        same_pixel = pixels.copy()
+        same_pixel[2] = pixels[0]
+        rays = np.stack(
+            [
+                _bearings(correspondences_for(pose, intr, collinear), intr),
+                _bearings(pixels, intr),
+                _bearings(same_pixel, intr),
+            ]
+        )
+        rt, valid = _p3p_batch(rays, np.stack([collinear, coincident, points]))
+        assert not valid.any()
+        assert np.array_equal(rt, np.zeros_like(rt))
+
+    def test_degenerate_samples_are_counted_and_never_scored(self, monkeypatch):
+        import egoloc.pose as pose_module
+
+        scored = []
+        original = pose_module._reprojection_errors
+
+        def finite_only(p, pixels, points):
+            assert np.isfinite(p).all()
+            scored.append(len(p))
+            return original(p, pixels, points)
+
+        monkeypatch.setattr(pose_module, "_reprojection_errors", finite_only)
+        rng = np.random.default_rng(33)
+        intr = make_intrinsics()
+        pose = random_pose(rng, translation_scale=2.0)
+        points = front_facing_points(rng, pose, 30)
+        on_line = points[0] + np.linspace(0.0, 1.0, 30)[:, None] * (points[1] - points[0])
+        pixels = correspondences_for(pose, intr, on_line)
+        params = RansacParams(max_iterations=50, seed=3)
+        counters = {}
+        with pytest.raises(NoModelFoundError):
+            ransac_pose(pixels, on_line, params, intrinsics=intr, counters=counters)
+        assert counters == {"ransac_hypotheses": 50, "ransac_degenerate": 50, "ransac_stop": 50}
+        assert sum(scored) == 0
+
+        # Most points on the line: samples drawn only from it are counted, the
+        # first sample with a point off it stops the run, and every candidate
+        # scored is finite.
+        mixed = np.vstack([on_line[:24], points[24:]])
+        pixels = correspondences_for(pose, intr, mixed)
+        degenerate = 0
+        for seed in range(10):
+            params = RansacParams(max_iterations=50, seed=seed)
+            estimate = ransac_pose(pixels, mixed, params, intrinsics=intr, counters=counters)
+            assert counters["ransac_degenerate"] == counters["ransac_hypotheses"] - 1
+            degenerate += counters["ransac_degenerate"]
+            assert estimate.n_inliers == 30
+            assert np.linalg.norm(estimate.pose.center - pose.center) < 1e-6
+        assert degenerate > 0
+
+    def test_draw_triples_is_uniform_and_batch_independent(self):
+        samples = _draw_triples(np.random.default_rng(34), 5, 6000)
+        assert samples.min() >= 0 and samples.max() < 5
+        assert (np.diff(np.sort(samples, axis=1), axis=1) > 0).all()
+        _, counts = np.unique(samples, axis=0, return_counts=True)
+        assert len(counts) == 60 and counts.min() > 50
+        rng = np.random.default_rng(35)
+        parts = np.vstack([_draw_triples(rng, 40, k) for k in (1, 8, 16)])
+        np.testing.assert_array_equal(parts, _draw_triples(np.random.default_rng(35), 40, 25))
+
+
+def reference_calibrated_ransac(px, pts, intr, params):
+    """The sequential calibrated loop: one 3-point sample per iteration,
+    three doubles at a time from one stream, each index picked among those
+    the sample does not hold yet, solved on its own and its candidates scored
+    one by one. Returns (rotation, translation, inlier_ids, mean_error), or
+    None where no candidate explains 6 correspondences, and the counters."""
+    n = len(px)
+    rays = _bearings(px, intr)
+    rng = np.random.default_rng(params.seed)
+    best, best_count, best_mean = None, 0, np.inf
+    needed = params.max_iterations
+    degenerate = h = 0
+    while h < needed:
+        remaining = list(range(n))
+        sample = [remaining.pop(int(x * (n - k))) for k, x in enumerate(rng.random(3))]
+        h += 1
+        rt, valid = _p3p_batch(rays[sample][None], pts[sample][None])
+        if not valid.any():
+            degenerate += 1
+            continue
+        for cam in rt[0][valid[0]]:
+            err = reference_errors(intr.matrix @ cam, px, pts)
+            inliers = err <= params.inlier_threshold
+            count = int(inliers.sum())
+            if count == 0:
+                continue
+            mean_err = float(err[inliers].mean())
+            if count > best_count or (count == best_count and mean_err < best_mean):
+                best, best_count, best_mean = cam, count, mean_err
+                ratio = count / n
+                if ratio >= 1.0:
+                    needed = h
+                else:
+                    denom = np.log1p(-min(ratio**3, 1 - 1e-12))
+                    needed = min(
+                        params.max_iterations,
+                        int(np.ceil(np.log(1 - params.confidence) / denom)),
+                    )
+    counters = {"ransac_hypotheses": h, "ransac_degenerate": degenerate, "ransac_stop": needed}
+    if best is None or best_count < 6:
+        return None, counters
+    err = reference_errors(intr.matrix @ best, px, pts)
+    ids = np.flatnonzero(err <= params.inlier_threshold)
+    return (best[:, :3], best[:, 3], ids, float(err[ids].mean())), counters
+
+
+def calibrated_oracle_case(seed):
+    """`oracle_case`, with every third set's first half moved onto one line,
+    so samples drawn from it are collinear."""
+    pixels, points = oracle_case(seed)
+    if seed % 3 == 0:
+        half = len(points) // 2
+        points = points.copy()
+        points[:half] = points[0] + np.linspace(0.0, 1.0, half)[:, None] * (points[1] - points[0])
+    return pixels, points
+
+
+class TestCalibratedRansacOracle:
+    """With intrinsics, the batched `ransac_pose` returns, bit for bit, what
+    the sequential per-sample loop returns, and reports the same counters."""
+
+    @pytest.mark.parametrize("max_iterations", [5, 100, 1000])
+    def test_matches_sequential_loop(self, max_iterations):
+        intr = make_intrinsics()
+        stops = set()
+        degenerate = 0
+        for seed in range(50):
+            pixels, points = calibrated_oracle_case(seed)
+            params = RansacParams(max_iterations=max_iterations, seed=seed)
+            counters = {}
+            want, want_counters = reference_calibrated_ransac(pixels, points, intr, params)
+            degenerate += want_counters["ransac_degenerate"]
+            if want is None:
+                with pytest.raises(NoModelFoundError):
+                    ransac_pose(pixels, points, params, intrinsics=intr, counters=counters)
+                assert counters == want_counters
+                continue
+            got = ransac_pose(pixels, points, params, intrinsics=intr, counters=counters)
+            rotation, translation, inlier_ids, mean_error = want
+            assert got.intrinsics is intr
+            np.testing.assert_array_equal(got.pose.rotation, rotation)
+            np.testing.assert_array_equal(got.pose.translation, translation)
+            np.testing.assert_array_equal(got.inlier_ids, inlier_ids)
+            assert got.mean_reprojection_error == mean_error
+            assert counters == want_counters
+            stops.add((counters["ransac_hypotheses"], counters["ransac_stop"]))
+        assert (1, 1) in stops
+        assert degenerate > 0
+        if max_iterations == 1000:
+            hypotheses = {h for h, _ in stops}
+            assert min(hypotheses) < 10 and max(hypotheses) > 100
+
+
 def pixel_distances(r):
     return np.linalg.norm(r.reshape(2, -1), axis=0)
 
@@ -866,3 +1052,23 @@ def test_confusable_view_wrong_pose_fails_verify_or_is_close():
     result = localize(view, build_index(served, None, seed=0), MatchParams(), RansacParams(seed=96))
     error = np.linalg.norm(result.pose.center - view.true_pose.center)
     assert not verify(result) or error <= 1.0, f"verified pose {error:.2f} m off"
+
+
+def test_localize_calls_its_stages_through_the_module(loc_setup, monkeypatch):
+    """Tracing rebinds `egoloc.pose.ransac_pose` and `refine_pose`; `localize`
+    must reach both through those names, RANSAC once and refinement once or
+    twice, or their spans go silent."""
+    import egoloc.pose as pose_module
+
+    calls = {"ransac_pose": 0, "refine_pose": 0}
+    for name in calls:
+
+        def counting(*args, _name=name, _original=getattr(pose_module, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(pose_module, name, counting)
+    scene, _, index = loc_setup
+    localize(render_view(scene, 0, seed=3), index, MatchParams(), RansacParams(seed=4))
+    assert calls["ransac_pose"] == 1
+    assert 1 <= calls["refine_pose"] <= 2

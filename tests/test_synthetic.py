@@ -70,6 +70,11 @@ class TestGenerateScene:
             ("pixel_noise_sigma", float("nan"), "sigmas"),
             ("descriptor_noise_sigma", float("nan"), "sigmas"),
             ("scene_extent", float("nan"), "scene_extent"),
+            ("num_planes", 2.5, "num_planes"),
+            ("num_lines", True, "num_lines"),
+            ("num_clutter", "40", "num_clutter"),
+            ("num_cameras", 5.5, "num_cameras"),
+            ("descriptor_dim", None, "descriptor_dim"),
         ],
     )
     def test_bad_spec_value_rejected(self, field, value, message):
