@@ -8,14 +8,21 @@ cheapest-word-first and the search stops once `max_matches` distinct points
 are matched, the vocabulary-based prioritized search of Li, Snavely &
 Huttenlocher (ECCV 2010).
 
-Distances are computed lazily along that order, one candidate-list length
-class (the features whose words have lists of one length) at a time, so the
-early stop skips every class after the one it stops in. A class holds whole
-words, so each word is evaluated once, on all of its features: the same
-rows and the same matrix product as a full scan, hence bit-identical
-distances. A match is accepted when the nearest and second-nearest points
-of the word pass the ratio test; as each point has one row per word, these
-are the two smallest distances of the feature's row.
+The nearest word is found in float32, by one product per block of rows
+(`_nearest_centroid`); k-means, the index's assignment of model descriptors
+and each query's word lookup share that one function. The centroid update,
+the index's mean rows and every ratio-test distance stay float64.
+
+Distances are computed lazily along the priority order, one candidate-list
+length class (the features whose words have lists of one length) at a time,
+so the early stop skips every class after the one it stops in. A class
+holds whole words, and each word's distance product runs once, on all of
+its features: the same rows and the same matrix product as a full scan,
+hence bit-identical distances. The elementwise steps and the ratio test
+then run once over the whole class. A match is accepted when the nearest
+and second-nearest points of the word pass the ratio test; as each point
+has one row per word, these are the two smallest distances of the
+feature's row.
 """
 
 from __future__ import annotations
@@ -34,9 +41,10 @@ from .model import PointCloudModel
 if TYPE_CHECKING:
     from .synthetic import QueryView
 
-# Distance elements (block rows x candidate columns) per block of the large
-# distance computations: 8 MB per distance buffer.
-_BLOCK_ELEMENTS = 1 << 20
+# Elements (block rows x columns) per block of the row-blocked loops: 1 MB
+# of float32 word scores, which stays in cache between its product and its
+# argmin.
+_BLOCK_ELEMENTS = 1 << 18
 # k-means runs at most this many Lloyd steps, on a seeded subsample of at
 # most this many descriptors.
 _KMEANS_ITERATIONS = 20
@@ -69,76 +77,14 @@ class Correspondence:
     ratio: float
 
 
-def _row_blocks(rows: int, columns: int) -> list[slice]:
-    """Row slices holding about `_BLOCK_ELEMENTS` distance elements each.
-
-    A block has at least two rows, and a lone last row joins the block
-    before it: a one-row product takes BLAS's matrix-vector path, whose sums
-    round differently, so only a one-row input is computed that way.
-    """
-    if rows * columns <= _BLOCK_ELEMENTS:
-        return [slice(0, rows)]
-    step = max(2, _BLOCK_ELEMENTS // columns)
-    stops = [*range(step, rows - 1, step), rows]
-    return [slice(a, b) for a, b in zip([0, *stops], stops)]
-
-
-def _block_buffer(blocks: list[slice], columns: int) -> np.ndarray:
-    """One distance buffer that fits the largest of `blocks`; a lone last
-    row makes the last block one row longer than the others."""
-    return np.empty((max(b.stop - b.start for b in blocks), columns))
-
-
-def _sq_distances(x: np.ndarray, y: np.ndarray, y_sq: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Squared distances `(|x|² - 2.0·x@yᵀ) + |y|²` from each row of x to each
-    row of y, computed in place in the leading rows of `out`.
-
-    The operands and the order of operations are those of the out-of-place
-    expression, so every element is bit-identical to it; writing into one
-    reused buffer saves allocating and faulting in three block-sized arrays
-    per block. Returns the view of `out` holding the result.
-    """
-    d2 = out[: len(x)]
-    np.matmul(2.0 * x, y.T, out=d2)
-    np.subtract(np.sum(x * x, axis=1)[:, None], d2, out=d2)
-    d2 += y_sq
-    return d2
-
-
-def _nearest_two_points(
-    features: np.ndarray, descriptors: np.ndarray, sq_norms: np.ndarray, owners: np.ndarray
-):
-    """Per feature: (nearest point id, its distance, distance to the
-    second-nearest point) over candidate rows of distinct points.
-
-    `owners` is the point id of each row of `descriptors`. With fewer than
-    two candidate points every distance is +inf.
-    """
-    f = np.asarray(features, dtype=np.float64)
-    n = len(f)
-    best_pid = np.zeros(n, dtype=np.int64)
-    best_d = np.full(n, np.inf)
-    second_d = np.full(n, np.inf)
-    if len(owners) < 2:
-        return best_pid, best_d, second_d
-    blocks = _row_blocks(n, len(descriptors))
-    buf = _block_buffer(blocks, len(descriptors))
-    for rows in blocks:
-        d2 = _sq_distances(f[rows], descriptors, sq_norms, buf)
-        np.maximum(d2, 0.0, out=d2)
-        best_pid[rows] = owners[np.argmin(d2, axis=1)]
-        two = np.partition(d2, 1, axis=1)[:, :2]
-        best_d[rows] = np.sqrt(two[:, 0])
-        second_d[rows] = np.sqrt(two[:, 1])
-    return best_pid, best_d, second_d
-
-
 @dataclass
 class MatchIndex:
     """Visual-word index over a model's descriptors, as an inverted file.
 
-    Every model descriptor is assigned to exactly one word (nearest centroid,
-    ties to the lowest word id). Each word holds one row per point with
+    Every model descriptor is assigned to exactly one word by
+    `_nearest_centroid`, the function that also finds a query feature's
+    word, so a model descriptor sent as a query feature lands in a word that
+    lists its point. Each word holds one row per point with
     samples in it: the mean of those samples. `descriptors` holds the rows
     word-major, rows `word_indptr[w]:word_indptr[w + 1]` for word w, and
     `owners` is the point id of each row, strictly increasing within a word.
@@ -163,8 +109,16 @@ class MatchIndex:
         return self.centroids.shape[1]
 
     def positions_of(self, point_ids: np.ndarray) -> np.ndarray:
-        """The (n, 3) positions of the points with the given ids."""
-        rows = np.searchsorted(self._sorted_ids, point_ids)
+        """The (n, 3) positions of the points with the given ids.
+
+        Raises:
+            ValueError: an id is not a point of the index.
+        """
+        point_ids = np.asarray(point_ids)
+        rows = np.minimum(np.searchsorted(self._sorted_ids, point_ids), len(self._sorted_ids) - 1)
+        missing = self._sorted_ids[rows] != point_ids
+        if missing.any():
+            raise ValueError(f"point id {point_ids[missing][0]} is not in the index")
         return self.point_xyz[self._sorted_rows[rows]]
 
     def __post_init__(self):
@@ -172,14 +126,10 @@ class MatchIndex:
         self._sorted_ids = self.point_ids[order]
         self._sorted_rows = order
         self._sq_norms = np.empty(len(self.descriptors))
-        for rows in _row_blocks(len(self.descriptors), self.descriptor_dim):
-            block = self.descriptors[rows]
-            self._sq_norms[rows] = np.sum(block * block, axis=1)
-
-    def _word_candidates(self, word: int):
-        """Arguments of `_nearest_two_points` for one word's candidates."""
-        rows = slice(self.word_indptr[word], self.word_indptr[word + 1])
-        return self.descriptors[rows], self._sq_norms[rows], self.owners[rows]
+        step = max(1, _BLOCK_ELEMENTS // self.descriptor_dim)
+        for start in range(0, len(self.descriptors), step):
+            block = self.descriptors[start : start + step]
+            self._sq_norms[start : start + step] = np.sum(block * block, axis=1)
 
 
 def default_num_words(num_points: int) -> int:
@@ -189,13 +139,29 @@ def default_num_words(num_points: int) -> int:
 
 
 def _nearest_centroid(desc: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Index of the nearest centroid per row; ties go to the lowest word id."""
+    """Index of the nearest centroid per row; ties go to the lowest word id.
+
+    The nearest centroid c minimizes |x - c|², and so `0.5·|c|² - x·c`,
+    which is scored in float32: per block of rows, one product and one
+    subtract. A float32 near-tie (about 1e-6 of |x|² + |c|²) can pick a
+    word whose float64 distance is a hair above the minimum.
+    """
+    c = centroids.astype(np.float32)
+    half_sq = 0.5 * np.sum(c * c, axis=1)
+    step = max(2, _BLOCK_ELEMENTS // len(c))
+    # A one-row product takes BLAS's matrix-vector path, which can round
+    # equal centroids' scores differently; a lone row is scored as the
+    # first of two, so that ties always go to the lowest word id.
+    x = np.zeros((max(2, min(step, len(desc))), c.shape[1]), dtype=np.float32)
+    scores = np.empty((len(x), len(c)), dtype=np.float32)
     out = np.empty(len(desc), dtype=np.int64)
-    c_sq = np.sum(centroids * centroids, axis=1)
-    blocks = _row_blocks(len(desc), len(centroids))
-    buf = _block_buffer(blocks, len(centroids))
-    for rows in blocks:
-        out[rows] = np.argmin(_sq_distances(desc[rows], centroids, c_sq, buf), axis=1)
+    for start in range(0, len(desc), step):
+        stop = min(start + step, len(desc))
+        x[: stop - start] = desc[start:stop]
+        rows = max(2, stop - start)
+        products = np.matmul(x[:rows], c.T, out=scores[:rows])
+        np.subtract(half_sq, products, out=products)
+        out[start:stop] = np.argmin(products[: stop - start], axis=1)
     return out
 
 
@@ -207,8 +173,12 @@ def _label_sums(labels: np.ndarray, num_labels: int, rows: np.ndarray) -> np.nda
     return members @ rows
 
 
-def _kmeans(data: np.ndarray, k: int, seed: int) -> np.ndarray:
-    """Seeded Lloyd iterations; centroids renormalized to unit length."""
+def _kmeans(data: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, int, bool]:
+    """Seeded Lloyd iterations; centroids renormalized to unit length.
+
+    Returns the centroids, the number of assignment passes run and whether
+    the last pass left every assignment unchanged (converged).
+    """
     rng = np.random.default_rng((seed, 0))
     train = data
     if len(data) > _KMEANS_TRAIN_CAP:
@@ -218,10 +188,10 @@ def _kmeans(data: np.ndarray, k: int, seed: int) -> np.ndarray:
     centroids = train[init_rows].copy()
 
     assign = None
-    for _ in range(_KMEANS_ITERATIONS):
+    for iteration in range(1, _KMEANS_ITERATIONS + 1):
         new_assign = _nearest_centroid(train, centroids)
         if assign is not None and np.array_equal(new_assign, assign):
-            break
+            return centroids, iteration, True
         assign = new_assign
         counts = np.bincount(assign, minlength=k)
         sums = _label_sums(assign, k, train)
@@ -230,13 +200,15 @@ def _kmeans(data: np.ndarray, k: int, seed: int) -> np.ndarray:
         # The per-row dot product rounds as `np.linalg.norm` of one row does.
         norms = np.sqrt(c[:, None, :] @ c[:, :, None])[:, 0]
         centroids[filled] = np.divide(c, norms, out=c, where=norms > 0)
-    return centroids
+    return centroids, _KMEANS_ITERATIONS, False
 
 
 def build_index(
     model: PointCloudModel | CompressedModel,
     num_words: int | None = None,
     seed: int = 0,
+    *,
+    counters: dict[str, int] | None = None,
 ) -> MatchIndex:
     """Cluster all model descriptors into visual words and list each point
     once per word it has samples in, under the mean of those samples.
@@ -247,6 +219,10 @@ def build_index(
     `_KMEANS_TRAIN_CAP` descriptors the centroids are fit on a seeded
     subsample and all descriptors are then assigned. Deterministic under
     (inputs, seed).
+
+    If `counters` is given, it receives `kmeans_iterations` (assignment
+    passes run, at most `_KMEANS_ITERATIONS`) and `kmeans_converged`
+    (whether a pass left every assignment unchanged before the cap).
 
     Raises:
         TooFewDescriptorsError: model holds fewer descriptors than words.
@@ -261,7 +237,9 @@ def build_index(
     if len(all_desc) < w:
         raise TooFewDescriptorsError(f"{len(all_desc)} descriptors for {w} words")
 
-    centroids = _kmeans(all_desc, w, seed)
+    centroids, iterations, converged = _kmeans(all_desc, w, seed)
+    if counters is not None:
+        counters.update(kmeans_iterations=iterations, kmeans_converged=converged)
     assign = _nearest_centroid(all_desc, centroids)
     # Number each (word, point) pair word-major, by point id within a word.
     ids, rank = np.unique(model.point_ids, return_inverse=True)
@@ -281,44 +259,61 @@ def build_index(
     )
 
 
-def _prioritized_walk(desc: np.ndarray, index: MatchIndex, tally: dict[str, int]):
-    """Yield (feature, nearest point id, d1, d2) in priority order, computing
-    distances one length class at a time, only when the walk reaches it.
+def _prioritized_walk(
+    desc: np.ndarray, index: MatchIndex, ratio_threshold: float, tally: dict[str, int]
+):
+    """Yield (feature, nearest point id, distance, ratio) for each feature
+    that passes the ratio test, in priority order, computing distances one
+    length class at a time, only when the walk reaches it.
 
     The features are grouped once: a stable sort by (list length, word)
-    makes each word's features one run, and the runs of a length class are
-    contiguous and end where the class ends in the priority order. Each
-    word is evaluated once, on all of its features, into per-feature
-    arrays; the class is then yielded. `tally` counts the features and words
-    evaluated so far.
+    makes each word's features one run and each length class one span of
+    runs. In a class, each word's distance product runs once, on all of its
+    features, into that word's rows of one class buffer; every other step
+    runs once over the whole class. A class whose words list fewer than two
+    points yields nothing, as no feature of it can pass the ratio test.
+    `tally` counts the features and words evaluated so far.
     """
     n = len(desc)
     words = _nearest_centroid(desc, index.centroids)
-    lengths = np.diff(index.word_indptr)[words]
-    order = np.argsort(lengths, kind="stable")
+    first_row = index.word_indptr[words]
+    lengths = index.word_indptr[words + 1] - first_row
     by_word = np.lexsort((words, lengths))
-    sorted_words = words[by_word]
-    starts = np.flatnonzero(np.diff(sorted_words, prepend=-1))
-    stops = np.append(starts[1:], n)
-    # A run ends its class when the next run's words are longer.
-    ends_class = np.append(np.diff(lengths[by_word[starts]]) != 0, True)
-    pid = np.zeros(n, dtype=np.int64)
-    d1 = np.empty(n)
-    d2 = np.empty(n)
-    done = 0
-    for start, stop, word, last in zip(
-        starts.tolist(), stops.tolist(), sorted_words[starts].tolist(), ends_class.tolist()
-    ):
-        rows = by_word[start:stop]
-        pid[rows], d1[rows], d2[rows] = _nearest_two_points(
-            desc[rows], *index._word_candidates(word)
+    sorted_lengths = lengths[by_word]
+    run_starts = np.flatnonzero(np.diff(words[by_word], prepend=-1))
+    class_starts = np.flatnonzero(np.diff(sorted_lengths, prepend=-1))
+    class_runs = [*np.searchsorted(run_starts, class_starts).tolist(), len(run_starts)]
+    bounds = [*run_starts.tolist(), n]
+    run_rows = first_row[by_word[run_starts]].tolist()
+    twice = 2.0 * desc
+    x_sq = np.sum(desc * desc, axis=1)
+    for r0, r1 in zip(class_runs[:-1], class_runs[1:]):
+        lo, hi = bounds[r0], bounds[r1]
+        length = int(sorted_lengths[lo])
+        tally["words_evaluated"] += r1 - r0
+        tally["features_scanned"] = hi
+        if length < 2:
+            continue
+        features = by_word[lo:hi]
+        x = twice[features]
+        sq = np.empty((hi - lo, length))
+        for a, b, row in zip(bounds[r0:r1], bounds[r0 + 1 : r1 + 1], run_rows[r0:r1]):
+            word_rows = index.descriptors[row : row + length]
+            np.matmul(x[a - lo : b - lo], word_rows.T, out=sq[a - lo : b - lo])
+        np.subtract(x_sq[features, None], sq, out=sq)
+        class_rows = first_row[features, None] + np.arange(length)
+        sq += index._sq_norms[class_rows]
+        np.maximum(sq, 0.0, out=sq)
+        d1, d2 = np.sqrt(np.partition(sq, 1, axis=1)[:, :2]).T
+        # A second distance of zero (a tie at zero) or not finite gets ratio
+        # 1, which fails the test.
+        ratio = np.divide(d1, d2, out=np.ones_like(d1), where=np.isfinite(d2) & (d2 > 0.0))
+        passed = np.flatnonzero(ratio < ratio_threshold)
+        passed = passed[np.argsort(features[passed])]
+        nearest = index.owners[class_rows[passed, np.argmin(sq[passed], axis=1)]]
+        yield from zip(
+            features[passed].tolist(), nearest.tolist(), d1[passed].tolist(), ratio[passed].tolist()
         )
-        tally["words_evaluated"] += 1
-        if last:
-            tally["features_scanned"] = stop
-            features = order[done:stop]
-            yield from zip(features, pid[features], d1[features], d2[features])
-            done = stop
 
 
 def match_features(
@@ -337,8 +332,10 @@ def match_features(
     search stops once `max_matches` points are matched. Distances are
     computed lazily, one length class (the features whose words have lists
     of one length) at a time, so no word past the class the search stops in
-    is evaluated. Each word is evaluated once, on all of its features, so
-    every distance equals the one a full scan computes.
+    is evaluated. Each word's distance product runs once, on all of its
+    features, so every distance equals the one a full scan computes. The
+    ratio test runs over a whole class at once; only the features that pass
+    it reach the per-point bookkeeping.
 
     If `counters` is given, it receives `features_scanned` (features whose
     distances were computed) and `words_evaluated`.
@@ -355,18 +352,12 @@ def match_features(
 
     tally = {"features_scanned": 0, "words_evaluated": 0}
     best_by_point: dict[int, Correspondence] = {}
-    for f, nearest, d1, d2 in _prioritized_walk(desc, index, tally):
-        if not np.isfinite(d2):
-            continue  # fewer than two distinct points in scope
-        ratio = 1.0 if d2 == 0.0 else float(d1 / d2)
-        if ratio >= params.ratio_threshold:
-            continue
-        point_id = int(nearest)
-        distance = float(d1)
+    walk = _prioritized_walk(desc, index, params.ratio_threshold, tally)
+    for f, point_id, distance, ratio in walk:
         existing = best_by_point.get(point_id)
         if existing is None or distance < existing.distance:
             best_by_point[point_id] = Correspondence(
-                feature_index=int(f), point_id=point_id, distance=distance, ratio=ratio
+                feature_index=f, point_id=point_id, distance=distance, ratio=ratio
             )
         if existing is None and len(best_by_point) >= params.max_matches:
             break

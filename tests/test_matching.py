@@ -17,6 +17,7 @@ from egoloc import (
     render_view,
 )
 from egoloc import matching
+from egoloc.matching import MatchIndex
 from egoloc.errors import EmptyQueryError, TooFewDescriptorsError
 from egoloc.geometry import CameraPose
 
@@ -81,10 +82,23 @@ class TestBuildIndex:
             lists.append(noisy / np.linalg.norm(noisy, axis=1, keepdims=True))
             owners.append(0 if i < 10 else 1)
         model = model_from_descriptors(lists, 16)
-        index = build_index(model, num_words=2, seed=4)
+        counters = {}
+        index = build_index(model, num_words=2, seed=4, counters=counters)
         for ids in word_owners(index):
             clusters = {owners[int(i)] for i in ids}
             assert len(clusters) == 1
+        assert counters["kmeans_converged"] is True
+        assert 2 <= counters["kmeans_iterations"] < matching._KMEANS_ITERATIONS
+
+    def test_kmeans_counters_at_the_cap(self):
+        # 3,000 Gaussian samples in 60 words take 38 passes to settle, so
+        # the run stops at the cap unconverged.
+        rng = np.random.default_rng(3)
+        model = model_from_descriptors([rng.normal(size=(2, 8)) for _ in range(1500)], 8)
+        counters = {}
+        index = build_index(model, num_words=60, seed=3, counters=counters)
+        assert counters == {"kmeans_iterations": 20, "kmeans_converged": False}
+        assert index.descriptors.tobytes() == build_index(model, 60, seed=3).descriptors.tobytes()
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)
@@ -160,6 +174,96 @@ class TestIndexLayout:
         got = index.positions_of(ids)
         assert got.shape == (50, 3) and got.tobytes() == want.tobytes()
 
+    def test_positions_of_rejects_ids_not_held(self, small_model):
+        # Every third point only, so the held ids have gaps between them.
+        model = small_model.subset(np.arange(0, small_model.num_points, 3))
+        index = build_index(model, num_words=16, seed=1)
+        held = np.sort(model.point_ids)
+        gap = held[0] + 1
+        assert gap not in held and gap < held[-1]
+        for missing in (-5, gap, held[-1] + 1):
+            ids = np.array([held[1], missing, held[2]])
+            with pytest.raises(ValueError, match=f"point id {missing} "):
+                index.positions_of(ids)
+
+
+def exact_sq_distances(x, centroids):
+    """Float64 squared distances from each row of x to each centroid."""
+    return ((x[:, None, :] - centroids[None]) ** 2).sum(axis=2)
+
+
+class TestWordSearch:
+    """The float32 nearest-word search against exact float64 distances."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_chosen_word_is_nearest_within_float32_tolerance(self, seed):
+        rng = np.random.default_rng(seed)
+        dim = int(rng.choice([4, 16, 32, 64]))
+        k = int(rng.integers(2, 60))
+        centroids = rng.normal(size=(k, dim))
+        centroids /= np.linalg.norm(centroids, axis=1, keepdims=True)
+        # Near-twins of the first centroids, closer than float32 resolves.
+        twins = min(k // 2, 5)
+        centroids[k - twins :] = centroids[:twins] * (1.0 + 1e-9 * rng.normal(size=(twins, 1)))
+        x = np.vstack([
+            rng.normal(scale=rng.uniform(0.1, 3.0), size=(int(rng.integers(1, 300)), dim)),
+            centroids[:twins] + 1e-8 * rng.normal(size=(twins, dim)),
+        ])
+        sq = exact_sq_distances(x, centroids)
+        tolerance = 1e-5 * (np.sum(x * x, axis=1) + np.max(np.sum(centroids**2, axis=1)))
+        for got in (
+            matching._nearest_centroid(x, centroids),
+            np.concatenate([matching._nearest_centroid(row[None], centroids) for row in x]),
+        ):
+            chosen = sq[np.arange(len(x)), got]
+            assert np.all(chosen - sq.min(axis=1) <= tolerance)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_duplicate_centroids_tie_to_the_lowest_word(self, seed):
+        rng = np.random.default_rng(seed)
+        base = rng.normal(size=(int(rng.integers(2, 40)), 32))
+        source = np.concatenate([np.arange(len(base)), rng.integers(0, len(base), size=50)])
+        source = rng.permutation(source)
+        _, first = np.unique(source, return_index=True)
+        x = rng.normal(size=(700, 32))
+        for got in (
+            matching._nearest_centroid(x, base[source]),
+            np.concatenate([matching._nearest_centroid(row[None], base[source]) for row in x[:20]]),
+        ):
+            np.testing.assert_array_equal(got, first[source[got]])
+
+    @pytest.mark.parametrize("rows, columns, dim", [(21, 37, 64), (30, 16, 32), (13, 400, 8)])
+    def test_blocks_agree_with_one_block(self, monkeypatch, rows, columns, dim):
+        # Blocks of 4 rows: 21 and 13 rows end in a one-row block, scored as
+        # the first of two rows; 30 rows end in a two-row block.
+        rng = np.random.default_rng(rows)
+        x = rng.normal(size=(rows, dim))
+        centroids = rng.normal(size=(columns, dim))
+        centroids /= np.linalg.norm(centroids, axis=1, keepdims=True)
+        one_block = matching._nearest_centroid(x, centroids)
+        monkeypatch.setattr(matching, "_BLOCK_ELEMENTS", 4 * columns)
+        blocked = matching._nearest_centroid(x, centroids)
+        np.testing.assert_array_equal(blocked, one_block)
+        np.testing.assert_array_equal(blocked, np.argmin(exact_sq_distances(x, centroids), axis=1))
+
+    def test_model_descriptors_land_in_words_listing_their_point(self, small_model, monkeypatch):
+        index = build_index(small_model, num_words=16, seed=1)
+        query_words = []
+
+        def recording(desc, centroids):
+            words = nearest_centroid(desc, centroids)
+            query_words.append(words)
+            return words
+
+        nearest_centroid = matching._nearest_centroid
+        monkeypatch.setattr(matching, "_nearest_centroid", recording)
+        query = query_of(small_model.descriptors, small_model.descriptor_dim)
+        match_features(query, index, MatchParams(max_matches=10_000))
+        [words] = query_words
+        owner = np.repeat(small_model.point_ids, small_model.descriptor_counts)
+        lists = word_owners(index)
+        assert all(point in lists[w] for w, point in zip(words.tolist(), owner.tolist()))
+
 
 class TestMatchFeatures:
     def test_exact_match_accepted_with_small_ratio(self):
@@ -205,40 +309,6 @@ class TestMatchFeatures:
         )
         assert len(matches) >= 0.9 * view.num_features
         assert correct >= 0.95 * len(matches)
-
-    def test_row_blocks_cover_rows_within_budget(self, monkeypatch):
-        monkeypatch.setattr(matching, "_BLOCK_ELEMENTS", 30)
-        for columns in (1, 4, 7, 10, 30, 31):
-            step = max(2, 30 // columns)
-            for rows in range(1, 40):
-                blocks = matching._row_blocks(rows, columns)
-                assert [b.start for b in blocks[1:]] == [b.stop for b in blocks[:-1]]
-                assert blocks[0].start == 0 and blocks[-1].stop == rows
-                sizes = [b.stop - b.start for b in blocks]
-                assert all(2 <= size <= step + 1 for size in sizes) or sizes == [1]
-
-    @pytest.mark.parametrize("rows, columns, dim", [(21, 37, 64), (30, 16, 32), (13, 400, 8)])
-    def test_sq_distances_bit_identical_per_block(self, monkeypatch, rows, columns, dim):
-        # Blocks of 4 rows: 21 and 13 rows end in a lone row that joins the
-        # block before it, so the reused buffer must fit a last block one
-        # row longer than the first; 30 rows end in a shorter block.
-        monkeypatch.setattr(matching, "_BLOCK_ELEMENTS", 4 * columns)
-        rng = np.random.default_rng(rows)
-        x = rng.normal(size=(rows, dim))
-        y = rng.normal(size=(columns, dim))
-        y /= np.linalg.norm(y, axis=1, keepdims=True)
-        y_sq = np.sum(y * y, axis=1)
-        blocks = matching._row_blocks(rows, columns)
-        sizes = [b.stop - b.start for b in blocks]
-        assert len(blocks) > 2 and sizes[0] == 4
-        buf = matching._block_buffer(blocks, columns)
-        for b in blocks:
-            want = np.sum(x[b] * x[b], axis=1)[:, None] - 2.0 * x[b] @ y.T + y_sq[None, :]
-            got = matching._sq_distances(x[b], y, y_sq, buf)
-            assert np.shares_memory(got, buf)
-            assert got.shape == want.shape and got.tobytes() == want.tobytes()
-        if rows % 4 == 1:
-            assert sizes[-1] == 5 and len(buf) == 5
 
     def test_early_termination_cap(self, small_scene, small_model):
         index = build_index(small_model, num_words=16, seed=7)
@@ -373,3 +443,60 @@ class TestPrioritizedSearchMinimal:
                     distinct_lengths = len(np.unique(word_lengths[reached_words]))
                     shared_class_reached |= distinct_lengths < len(reached_words)
         assert shared_class_reached
+
+
+def hand_index(word_lengths, dim, rng):
+    """An index whose word w lists `word_lengths[w]` points, each under one
+    row near the word's centroid; the centroids are orthonormal."""
+    k = len(word_lengths)
+    centroids = np.linalg.qr(rng.normal(size=(dim, k)))[0].T.copy()
+    rows = [centroids[w] + 0.1 * rng.normal(size=(n, dim)) for w, n in enumerate(word_lengths)]
+    num_points = sum(word_lengths)
+    return MatchIndex(
+        centroids=centroids,
+        descriptors=np.vstack(rows),
+        owners=np.arange(num_points),
+        word_indptr=np.concatenate([[0], np.cumsum(word_lengths)]),
+        point_ids=np.arange(num_points),
+        point_xyz=rng.normal(size=(num_points, 3)),
+        build_seed=0,
+    )
+
+
+class TestClassWalkEdges:
+    """Hand-made length classes against the full scan."""
+
+    # Words 0-3 form the 3-point class with 4, 2, 1 and 3 features; word 2's
+    # one feature takes the matrix-vector product. Words 4 and 5 form the
+    # 1-point class and word 6 lists no point.
+    WORD_LENGTHS = [3, 3, 3, 3, 1, 1, 0, 5, 2]
+    FEATURES_PER_WORD = [4, 2, 1, 3, 2, 1, 1, 6, 3]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_full_scan(self, seed):
+        rng = np.random.default_rng(seed)
+        index = hand_index(self.WORD_LENGTHS, 16, rng)
+        words = rng.permutation(np.repeat(np.arange(9), self.FEATURES_PER_WORD))
+        # Each feature lies near one of its word's rows (or its centroid, if
+        # the word lists none), so most features pass the ratio test.
+        anchors = []
+        for w in words:
+            lo, hi = index.word_indptr[w], index.word_indptr[w + 1]
+            anchor = index.descriptors[rng.integers(lo, hi)] if hi > lo else index.centroids[w]
+            anchors.append(anchor)
+        view = query_of(np.array(anchors) + 0.02 * rng.normal(size=(len(words), 16)), 16)
+        for ratio_threshold in (0.7, 0.95):
+            for max_matches in (6, 10_000):
+                params = MatchParams(ratio_threshold=ratio_threshold, max_matches=max_matches)
+                counters = {}
+                got = match_features(view, index, params, counters=counters)
+                want, visited, num_view_words = full_scan_match(view, index, params)
+                assert got == want
+                if len(want) < max_matches:
+                    assert counters == {
+                        "features_scanned": len(words),
+                        "words_evaluated": num_view_words,
+                    }
+                else:
+                    assert visited <= counters["features_scanned"]
+        assert any(m.feature_index in np.flatnonzero(words == 2) for m in got)
