@@ -8,9 +8,11 @@ spans with a verification-driven model pool.
 """
 
 from .compression import (
+    METHODS,
     CompressedModel,
     CoverageStats,
     assign_weights,
+    compress,
     compress_set_kcover,
     compress_top_visibility,
     compress_weighted_kcover,
@@ -62,6 +64,7 @@ from .tracking import TrackParams, TrackState, smooth_trajectory
 __version__ = "0.1.0"
 
 __all__ = [
+    "METHODS",
     "CameraIntrinsics",
     "CameraPose",
     "CompressedModel",
@@ -91,6 +94,7 @@ __all__ = [
     "assign_weights",
     "build_index",
     "build_model",
+    "compress",
     "compress_set_kcover",
     "compress_top_visibility",
     "compress_weighted_kcover",

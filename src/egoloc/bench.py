@@ -23,16 +23,10 @@ from typing import Callable
 
 import numpy as np
 
-from .compression import (
-    CompressedModel,
-    compress_set_kcover,
-    compress_top_visibility,
-    compress_weighted_kcover,
-)
+from .compression import METHODS, CompressedModel, compress
 from .errors import ConfigError, RegistrationFailedError, TooFewVisibleError
 from .geometry import pose_looking_at
 from .matching import MatchParams, build_index
-from .model import PointCloudModel
 from .model_io import BYTES_PER_MB, save_model
 from .pool import ModelPool, ModelRecord, PoolParams, SessionBatch, ingest_session
 from .pose import RansacParams, localize
@@ -47,7 +41,8 @@ from .synthetic import (
     resample_descriptors,
 )
 
-ALL_METHODS = ("full", "weighted_kcover", "set_kcover", "top_visibility")
+# The uncompressed model, then each compression method.
+ALL_METHODS = ("full", *METHODS)
 
 
 @dataclass
@@ -212,19 +207,14 @@ def run_benchmark(config: BenchConfig) -> tuple[list[dict], list[float]]:
     records, wall_times = [], []
     for method in config.methods:
         t0 = time.perf_counter()
-        if method == "full":
-            variant: PointCloudModel | CompressedModel = model
-            parameter = 1.0
-        elif method == "top_visibility":
-            variant = compress_top_visibility(model, labeling, config.target_fraction)
+        variant, parameter = model, 1.0
+        if method == "top_visibility":  # its parameter is the target fraction itself
             parameter = config.target_fraction
-        else:
-            fn = (
-                (lambda k: compress_weighted_kcover(model, labeling, k))
-                if method == "weighted_kcover"
-                else (lambda k: compress_set_kcover(model, k))
+            variant = compress(model, labeling, method, parameter)
+        elif method != "full":
+            k, variant = tune_k(
+                lambda k: compress(model, labeling, method, k), target, visible_anywhere
             )
-            k, variant = tune_k(fn, target, visible_anywhere)
             parameter = float(k)
 
         index = build_index(variant, config.num_words, seed=config.seed)

@@ -19,11 +19,7 @@ import numpy as np
 
 from . import bench as bench_mod
 from . import model_io
-from .compression import (
-    compress_set_kcover,
-    compress_top_visibility,
-    compress_weighted_kcover,
-)
+from .compression import METHODS, compress
 from .errors import ConfigError, EgolocError, RegistrationFailedError, parse_config
 from .matching import MatchParams, build_index
 from .model import PointCloudModel
@@ -106,9 +102,8 @@ def cmd_build(args) -> int:
 def cmd_detect(args) -> int:
     cfg = _load_config(args.config)
     model = model_io.load_model(Path(args.model))
-    if not isinstance(model, PointCloudModel):
-        model = model.model
-    labeling = _detect(model, cfg, args)
+    # A compressed model keeps its selection; its sample-level model is labeled.
+    labeling = _detect(model if isinstance(model, PointCloudModel) else model.model, cfg, args)
     out = _out_dir(args)
     model_io.save_model(model, out / "model.eglm")
     sizes = ", ".join(str(len(s.member_ids)) for s in labeling.structures)
@@ -123,17 +118,11 @@ def cmd_compress(args) -> int:
     cfg = _load_config(args.config)
     model = model_io.load_model(Path(args.model))
     if not isinstance(model, PointCloudModel):
-        print("error: compress expects an uncompressed model file", file=sys.stderr)
-        return 1
+        raise ConfigError(f"{args.model} is already compressed; compress expects a full model")
     labeling = model.labeling
     if labeling is None and args.method != "set_kcover":
         labeling = _detect(model, cfg, args)
-    if args.method == "weighted_kcover":
-        compressed = compress_weighted_kcover(model, labeling, int(args.parameter))
-    elif args.method == "set_kcover":
-        compressed = compress_set_kcover(model, int(args.parameter))
-    else:
-        compressed = compress_top_visibility(model, labeling, float(args.parameter))
+    compressed = compress(model, labeling, args.method, float(args.parameter))
     out = _out_dir(args)
     n = model_io.save_model(compressed, out / "compressed.eglm")
     print(
@@ -150,11 +139,7 @@ def cmd_localize(args) -> int:
     index = build_index(model, cfg.get("num_words"), seed=args.seed or 0)
     match_params = parse_config(MatchParams, cfg.get("match", {}))
     ransac_params = parse_config(RansacParams, cfg.get("ransac", {}), **_seed(args))
-    try:
-        result = localize(view, index, match_params, ransac_params)
-    except RegistrationFailedError as exc:
-        print(f"error[{exc.stage}]: {exc}", file=sys.stderr)
-        return 1
+    result = localize(view, index, match_params, ransac_params)
     record = {
         "center": [round(x, 9) for x in result.pose.center.tolist()],
         "true_center": [round(x, 9) for x in view.true_pose.center.tolist()],
@@ -262,11 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compress", help="compress a model")
     common(p)
     p.add_argument("--model", required=True)
-    p.add_argument(
-        "--method",
-        default="weighted_kcover",
-        choices=["weighted_kcover", "set_kcover", "top_visibility"],
-    )
+    p.add_argument("--method", default="weighted_kcover", choices=METHODS)
     p.add_argument("--parameter", required=True, help="k for k-cover, fraction for top_visibility")
     p.set_defaults(fn=cmd_compress)
 
@@ -300,11 +281,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand. Every failure is reported here, as one
+    `error[<tag>]: <message>` line on stderr and exit code 1; the tag is the
+    stage of a `RegistrationFailedError`, else the exception's class."""
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (EgolocError, OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
+    except (EgolocError, OSError, ValueError) as exc:
+        tag = exc.stage if isinstance(exc, RegistrationFailedError) else type(exc).__name__
+        print(f"error[{tag}]: {exc}", file=sys.stderr)
         return 1
 
 

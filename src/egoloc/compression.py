@@ -22,6 +22,9 @@ from .errors import DegenerateModelError
 from .model import PointCloudModel
 from .structures import StructureLabeling
 
+# The compression methods `compress` runs, by name.
+METHODS = ("weighted_kcover", "set_kcover", "top_visibility")
+
 
 @dataclass
 class CompressedModel:
@@ -215,6 +218,24 @@ def compress_top_visibility(
         ranked = ids[np.lexsort((ids, -track[ids]))]
         order.extend(int(i) for i in ranked[:keep])
     return _finalize(model, order, "top_visibility", fraction)
+
+
+def compress(
+    model: PointCloudModel, labeling: StructureLabeling | None, method: str, parameter: float
+) -> CompressedModel:
+    """Compress `model` by one of `METHODS`: top visibility at the fraction
+    `parameter`, a k-cover method at the integer k = `parameter` (set k-cover
+    ignores `labeling`). An unknown method or a fractional k raises
+    ValueError."""
+    if method == "top_visibility":
+        return compress_top_visibility(model, labeling, parameter)
+    if method not in METHODS:
+        raise ValueError(f"unknown compression method {method!r}; methods: {METHODS}")
+    if not float(parameter).is_integer():
+        raise ValueError(f"{method} needs an integer k, not {parameter!r}")
+    if method == "set_kcover":
+        return compress_set_kcover(model, int(parameter))
+    return compress_weighted_kcover(model, labeling, int(parameter))
 
 
 def coverage_report(

@@ -80,6 +80,16 @@ class ConfigError(EgolocError):
     """Benchmark or CLI configuration, or a requested scene camera, is invalid."""
 
 
+def is_integer(value) -> bool:
+    """Whether `value` is an integer and not a bool (a JSON `true` is no count)."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    """Whether `value` is a real number and not a bool."""
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
 _UNIONS = (typing.Union, types.UnionType)
 
 
@@ -94,7 +104,7 @@ def _fits(kind, value) -> bool:
         item = typing.get_args(kind)[0]
         return isinstance(value, (list, tuple)) and all(_fits(item, v) for v in value)
     if kind in (int, float):
-        return isinstance(value, Integral if kind is int else Real) and not isinstance(value, bool)
+        return is_integer(value) if kind is int else is_number(value)
     return kind is not type(None) or value is None
 
 

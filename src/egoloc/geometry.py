@@ -22,6 +22,9 @@ import numpy as np
 # Minimum camera-frame depth for a projection to be defined.
 DEPTH_EPSILON = 1e-12
 
+# The fewest 2D-3D correspondences a pose is estimated from: the DLT's minimal sample.
+MIN_CORRESPONDENCES = 6
+
 # Tolerance for the rotation orthonormality check on pose construction.
 ROTATION_TOL = 1e-9
 

@@ -28,14 +28,14 @@ feature's row.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy import sparse
 
 from .compression import CompressedModel
-from .errors import EmptyQueryError, TooFewDescriptorsError
+from .errors import EmptyQueryError, TooFewDescriptorsError, is_integer
+from .geometry import MIN_CORRESPONDENCES
 from .model import PointCloudModel
 
 if TYPE_CHECKING:
@@ -62,8 +62,8 @@ class MatchParams:
     def __post_init__(self):
         if not 0.0 < self.ratio_threshold < 1.0:
             raise ValueError("ratio threshold must be in (0, 1)")
-        if self.max_matches < 6:
-            raise ValueError("max_matches must be at least 6")
+        if self.max_matches < MIN_CORRESPONDENCES:
+            raise ValueError(f"max_matches must be at least {MIN_CORRESPONDENCES}")
 
 
 @dataclass(frozen=True)
@@ -230,7 +230,7 @@ def build_index(
     if isinstance(model, CompressedModel):
         model = model.model
     w = default_num_words(model.num_points) if num_words is None else num_words
-    if isinstance(w, bool) or not isinstance(w, Integral) or w < 1:
+    if not is_integer(w) or w < 1:
         raise ValueError(f"num_words must be a positive integer or None, not {w!r}")
 
     all_desc = model.descriptors

@@ -28,8 +28,9 @@ from .errors import (
     RegistrationFailedError,
     SingularBlockError,
 )
-from .geometry import DEPTH_EPSILON, CameraIntrinsics, CameraPose
+from .geometry import DEPTH_EPSILON, MIN_CORRESPONDENCES, CameraIntrinsics, CameraPose
 from .matching import MatchIndex, MatchParams, match_features
+from .structures import _shift_distinct
 
 # Relative singular-value floor below which a correspondence set counts as
 # coplanar/collinear for the DLT.
@@ -115,17 +116,6 @@ class LocalizationResult:
     counters: dict[str, int] = field(default_factory=dict)
 
 
-def _center(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Centroids (H, d), centered sets and mean distances to the centroid (H,)
-    of stacked sets (H, n, d). The reductions are the ones `mean` and
-    `np.linalg.norm(..., axis=1)` run on a single set, so the bits agree."""
-    n = x.shape[1]
-    centroid = np.add.reduce(x, axis=1) / n
-    centered = x - centroid[:, None]
-    dist = np.sqrt(np.add.reduce(centered * centered, axis=2))
-    return centroid, centered, np.add.reduce(dist, axis=1) / n
-
-
 # Why a stacked DLT row has no solution, indexed by the reason it reports.
 _DEGENERATE = (
     None,
@@ -147,8 +137,11 @@ def _dlt_batch(pixels: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.n
     bit-identical to the H = 1 case.
     """
     n = pixels.shape[1]
-    c3, centered, d3 = _center(points)
-    c2, _, d2 = _center(pixels)
+    c3 = points.mean(axis=1)
+    centered = points - c3[:, None]
+    d3 = np.linalg.norm(centered, axis=2).mean(axis=1)
+    c2 = pixels.mean(axis=1)
+    d2 = np.linalg.norm(pixels - c2[:, None], axis=2).mean(axis=1)
     sv = np.linalg.svd(centered, compute_uv=False)
     coplanar = sv[:, 2] <= _PLANAR_TOL * np.maximum(sv[:, 0], 1e-300)
     coincident = d2 <= 0
@@ -326,17 +319,17 @@ def dlt_pose(pixels: np.ndarray, points: np.ndarray) -> np.ndarray:
     stacked solver RANSAC runs on its hypothesis batches.
 
     Raises:
-        DegenerateConfigurationError: fewer than 6 correspondences would be
-            needed, the points are coplanar/collinear, or the system is
-            rank-deficient.
+        ValueError: fewer than MIN_CORRESPONDENCES correspondences.
+        DegenerateConfigurationError: the points are coplanar/collinear, the
+            pixels coincide, or the system is rank-deficient.
     """
     px = np.asarray(pixels, dtype=np.float64).reshape(-1, 2)
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     n = len(px)
     if n != len(pts):
         raise ValueError("pixel and point counts differ")
-    if n < 6:
-        raise ValueError("DLT needs at least 6 correspondences")
+    if n < MIN_CORRESPONDENCES:
+        raise ValueError(f"DLT needs at least {MIN_CORRESPONDENCES} correspondences")
     p, reason = _dlt_batch(px[None], pts[None])
     if reason[0]:
         raise DegenerateConfigurationError(_DEGENERATE[reason[0]])
@@ -417,11 +410,11 @@ def _certify(
     p: np.ndarray, pixels: np.ndarray, points: np.ndarray, threshold: float
 ) -> tuple[np.ndarray | None, np.ndarray]:
     """Inliers under `p`: the ids of the correspondences that reproject
-    within `threshold`, or None when fewer than 6 do (each caller then keeps
-    its previous set), and every correspondence's error under `p`."""
+    within `threshold`, or None when fewer than MIN_CORRESPONDENCES do (the
+    caller keeps its previous set), and every correspondence's error."""
     err = _reprojection_errors(p, pixels, points)
     inlier_ids = np.flatnonzero(err <= threshold)
-    return (inlier_ids if len(inlier_ids) >= 6 else None), err
+    return (inlier_ids if len(inlier_ids) >= MIN_CORRESPONDENCES else None), err
 
 
 def _stop_bound(ratio: float, sample_size: int, params: RansacParams, drawn: int) -> int:
@@ -442,12 +435,9 @@ def _draw_triples(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
     yet: it is scaled to that range, then shifted past each held index it
     reaches, in increasing order."""
     u = rng.random((size, 3))
-    idx = np.minimum((u * (n - np.arange(3))).astype(np.int64), n - 1 - np.arange(3))
-    first, second = idx[:, 0], idx[:, 1] + (idx[:, 1] >= idx[:, 0])
-    low, high = np.minimum(first, second), np.maximum(first, second)
-    third = idx[:, 2] + (idx[:, 2] >= low)
-    third += third >= high
-    return np.column_stack([first, second, third])
+    return _shift_distinct(
+        np.minimum((u * (n - np.arange(3))).astype(np.int64), n - 1 - np.arange(3))
+    )
 
 
 def ransac_pose(
@@ -485,25 +475,21 @@ def ransac_pose(
 
     Raises:
         NoModelFoundError: every sample was degenerate or the best model
-            explains fewer than 6 correspondences.
+            explains fewer than MIN_CORRESPONDENCES correspondences.
     """
     params = params or RansacParams()
     px = np.asarray(pixels, dtype=np.float64).reshape(-1, 2)
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     n = len(px)
-    if n < 6:
-        raise ValueError("RANSAC needs at least 6 correspondences")
+    if n < MIN_CORRESPONDENCES:
+        raise ValueError(f"RANSAC needs at least {MIN_CORRESPONDENCES} correspondences")
 
     if intrinsics is None:
-        sample_size = 6
+        sample_size = MIN_CORRESPONDENCES
 
         def solve(h: int, size: int) -> tuple[np.ndarray, np.ndarray]:
-            samples = np.stack(
-                [
-                    np.random.default_rng((params.seed, g)).choice(n, size=6, replace=False)
-                    for g in range(h, h + size)
-                ]
-            )
+            rngs = (np.random.default_rng((params.seed, g)) for g in range(h, h + size))
+            samples = np.stack([g.choice(n, size=sample_size, replace=False) for g in rngs])
             p, reason = _dlt_batch(px[samples], pts[samples])
             return p[:, None], (reason == 0)[:, None]
 
@@ -556,9 +542,9 @@ def ransac_pose(
         counters["ransac_hypotheses"] = h
         counters["ransac_degenerate"] = degenerate
         counters["ransac_stop"] = iterations_needed
-    if best_p is None or best_count < 6:
+    if best_p is None or best_count < MIN_CORRESPONDENCES:
         raise NoModelFoundError(
-            f"no pose explains >= 6 of {n} correspondences within "
+            f"no pose explains >= {MIN_CORRESPONDENCES} of {n} correspondences within "
             f"{params.inlier_threshold} px"
         )
 
@@ -690,8 +676,8 @@ def refine_pose(
     """
     px = np.asarray(pixels, dtype=np.float64).reshape(-1, 2)
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    if len(px) < 6:
-        raise ValueError("refinement needs at least 6 inlier correspondences")
+    if len(px) < MIN_CORRESPONDENCES:
+        raise ValueError(f"refinement needs at least {MIN_CORRESPONDENCES} inliers")
 
     intr = estimate.intrinsics
     rot, t = estimate.pose.rotation, estimate.pose.translation
@@ -779,7 +765,7 @@ def localize(
     t0 = time.perf_counter()
     matches = match_features(query, index, match_params, counters=counters)
     timings["match"] = time.perf_counter() - t0
-    if len(matches) < 6:
+    if len(matches) < MIN_CORRESPONDENCES:
         raise RegistrationFailedError("matching", f"only {len(matches)} correspondences")
 
     px = query.pixels[[m.feature_index for m in matches]]

@@ -135,20 +135,20 @@ _MAX_STRUCTURES = 50
 _SCORE_BLOCK = 1 << 16
 
 
-def _draw_samples(rng: np.random.Generator, n: int, num: int, size: int) -> np.ndarray:
-    """(num, size) indices into range(n), distinct within each row.
-
-    Column j is drawn from the n - j values its row has not used yet and then
-    shifted past the used ones in increasing order, so memory stays
-    O(num * size) however large n is.
-    """
-    picks = np.empty((num, size), dtype=np.int64)
-    for j in range(size):
-        r = rng.integers(0, n - j, size=num)
+def _shift_distinct(picks: np.ndarray) -> np.ndarray:
+    """Rows of distinct indices below n, in place, from raw draws (num, size)
+    whose column j is below n - j: each draw is shifted past its row's earlier
+    picks in increasing order, so memory stays O(num * size) for any n."""
+    for j in range(1, picks.shape[1]):
+        column = picks[:, j]
         for used in np.sort(picks[:, :j], axis=1).T:
-            r += r >= used
-        picks[:, j] = r
+            column += column >= used
     return picks
+
+
+def _draw_samples(rng: np.random.Generator, n: int, num: int, size: int) -> np.ndarray:
+    """(num, size) indices into range(n), distinct within each row."""
+    return _shift_distinct(np.column_stack([rng.integers(0, n - j, size=num) for j in range(size)]))
 
 
 def _fit_planes(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

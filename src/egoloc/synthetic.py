@@ -14,12 +14,13 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
-from numbers import Integral, Real
+from numbers import Integral
 
 import numpy as np
 
-from .errors import ConfigError, InfeasibleSpecError, TooFewVisibleError
+from .errors import ConfigError, InfeasibleSpecError, TooFewVisibleError, is_integer, is_number
 from .geometry import (
+    MIN_CORRESPONDENCES,
     CameraIntrinsics,
     CameraPose,
     VisibilityMatrix,
@@ -60,21 +61,21 @@ class SceneSpec:
     pixel_noise_sigma: float = 0.5
     outlier_fraction: float = 0.0
     visibility_dropout: float = 0.25
-    min_points_per_camera: int = 6
+    min_points_per_camera: int = MIN_CORRESPONDENCES
     seed: int = 0
 
     def __post_init__(self):
         # `parse_config` checks these for a config; this guards library callers.
         for name in ("num_planes", "num_lines", "num_clutter", "num_cameras", "descriptor_dim"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral):
+            if not is_integer(value):
                 raise ValueError(f"{name} must be a count, not {value!r}")
             object.__setattr__(self, name, int(value))
         for name in ("points_per_plane", "points_per_line"):
             value = getattr(self, name)
             many = isinstance(value, Iterable)
             counts = tuple(value) if many else (value,)
-            if not all(isinstance(c, Integral) and not isinstance(c, bool) for c in counts):
+            if not all(map(is_integer, counts)):
                 raise ValueError(f"{name} must be a count or a list of counts, not {value!r}")
             object.__setattr__(self, name, tuple(map(int, counts)) if many else int(value))
         counts = (
@@ -374,7 +375,7 @@ def render_view(scene: GroundTruthScene, camera: int | CameraPose, *, seed: int 
 
     Raises:
         ConfigError: a camera index outside ``0..num_cameras-1``.
-        TooFewVisibleError: fewer than 6 points project into the view.
+        TooFewVisibleError: fewer than MIN_CORRESPONDENCES points are visible.
     """
     spec = scene.spec
     out_frac = spec.outlier_fraction
@@ -392,8 +393,8 @@ def render_view(scene: GroundTruthScene, camera: int | CameraPose, *, seed: int 
         mask = _geometric_visibility(scene.xyz, [(pose, intr)])[:, 0]
         visible = np.flatnonzero(mask)
 
-    if len(visible) < 6:
-        raise TooFewVisibleError(f"view sees {len(visible)} points; need at least 6")
+    if len(visible) < MIN_CORRESPONDENCES:
+        raise TooFewVisibleError(f"view sees {len(visible)} of {MIN_CORRESPONDENCES} points")
 
     rng = np.random.default_rng((seed, 3))
     if len(visible) > MAX_FEATURES_PER_VIEW:
@@ -446,8 +447,7 @@ def build_model(
     emulating the multi-view descriptors of a reconstructed model.
     """
     jitter = reconstruction_noise_sigma
-    number = isinstance(jitter, Real) and not isinstance(jitter, bool)
-    if not (number and math.isfinite(jitter) and jitter >= 0):
+    if not (is_number(jitter) and math.isfinite(jitter) and jitter >= 0):
         raise ValueError(f"reconstruction_noise_sigma must be a finite number >= 0, not {jitter!r}")
     rng = np.random.default_rng((seed, 4))
     xyz = scene.xyz.copy()

@@ -105,3 +105,33 @@ def test_no_unused_imports():
         }
         unused += [f"{path.name}:{line} {n}" for n, line in imported.items() if n not in used]
     assert unused == []
+
+
+def test_no_unreferenced_private_names():
+    """Every private module-level function, class or constant of the package
+    is read somewhere in it, as a name or an attribute; dunder names are
+    exempt. A helper left behind by a refactor fails here."""
+    paths = sorted((ROOT / "src" / "egoloc").glob("*.py"))
+    trees = {path.name: ast.parse(path.read_text()) for path in paths}
+    read = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            unread += [
+                f"{module}:{node.lineno} {name}"
+                for name in names
+                if name.startswith("_") and not name.endswith("__") and name not in read
+            ]
+    assert unread == []
