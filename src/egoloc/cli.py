@@ -164,7 +164,7 @@ def cmd_track(args) -> int:
     for i, row in enumerate(raw):
         try:
             t, z = row if isinstance(row, list) else ()
-            measurements.append((float(t), None if z is None else np.asarray(z, dtype=np.float64)))
+            measurements.append((float(t), z))
         except (TypeError, ValueError):
             raise ValueError(f"measurement row {i} is not a [t, z] pair: {row!r}") from None
     params = parse_config(TrackParams, cfg.get("track", {}))

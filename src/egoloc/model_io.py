@@ -264,10 +264,18 @@ def save_pool(pool: ModelPool, directory: str | Path) -> Path:
     """Persist a pool as manifest.json plus one model file per record.
 
     Match indexes are not stored; they are rebuilt deterministically from the
-    recorded (num_words, seed) on load.
+    recorded (num_words, seed) on load. The model files that the directory's
+    previous manifest names and this pool no longer uses, such as a pruned
+    record's, are deleted by those names; an unreadable previous manifest
+    deletes nothing.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    manifest_path = directory / "manifest.json"
+    try:
+        previous = [r["file"] for r in json.loads(manifest_path.read_text())["records"]]
+    except (OSError, ValueError, KeyError, TypeError):
+        previous = []
     records = []
     for r in pool.records:
         filename = f"{r.record_id}.eglm"
@@ -287,8 +295,13 @@ def save_pool(pool: ModelPool, directory: str | Path) -> Path:
     if policy["ttl"] == float("inf"):
         policy["ttl"] = None  # JSON has no infinity
     manifest = {"format_version": 1, "active_id": pool.active_id, **policy, "records": records}
-    manifest_path = directory / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2))
+    kept = {r["file"] for r in records}
+    for name in previous:
+        # Only a model file directly in this directory, never a path out of it.
+        plain = isinstance(name, str) and Path(name).name == name and name.endswith(".eglm")
+        if plain and name not in kept:
+            (directory / name).unlink(missing_ok=True)
     return manifest_path
 
 

@@ -94,6 +94,18 @@ def _initial_state(z: np.ndarray, params: TrackParams) -> tuple[np.ndarray, np.n
     return x, p
 
 
+def _position(row: int, z) -> np.ndarray:
+    """Measurement `z` as a (3,) array; a ValueError naming `row` unless it
+    is three finite numbers, since one NaN would poison every later state."""
+    try:
+        position = np.asarray(z, dtype=np.float64).reshape(-1)
+    except (TypeError, ValueError):
+        position = None
+    if position is None or len(position) != 3 or not np.isfinite(position).all():
+        raise ValueError(f"measurement row {row}: {z!r} is not three finite numbers")
+    return position
+
+
 def smooth_trajectory(
     measurements: Sequence[tuple[float, np.ndarray | None]],
     params: TrackParams | None = None,
@@ -110,6 +122,8 @@ def smooth_trajectory(
 
     Raises:
         EmptyInputError: no measurements given.
+        ValueError: timestamps that do not increase, or a position that is
+            neither None nor three finite numbers (named by its row).
     """
     params = params or TrackParams()
     if len(measurements) == 0:
@@ -117,6 +131,7 @@ def smooth_trajectory(
     times = np.array([t for t, _ in measurements], dtype=np.float64)
     if np.any(np.diff(times) <= 0):
         raise ValueError("timestamps must be strictly increasing")
+    positions = [None if z is None else _position(i, z) for i, (_, z) in enumerate(measurements)]
 
     # The measurement is the position, x[:3]; products with the selector
     # matrix [I 0] are taken as slices.
@@ -124,7 +139,7 @@ def smooth_trajectory(
     q_density = params.process_noise
 
     # Initialize on the first real measurement; leading gaps just replay it.
-    first_z = next((np.asarray(z, dtype=np.float64) for _, z in measurements if z is not None), None)
+    first_z = next((z for z in positions if z is not None), None)
     if first_z is None:
         raise ValueError("at least one measurement must be present")
 
@@ -134,7 +149,7 @@ def smooth_trajectory(
     initialized = False
     gated_run = 0
     prev_t = times[0]
-    for (t, z) in measurements:
+    for (t, _), z in zip(measurements, positions):
         if not initialized:
             if z is not None:
                 initialized = True
@@ -150,7 +165,6 @@ def smooth_trajectory(
 
         gated = restarted = False
         if z is not None:
-            z = np.asarray(z, dtype=np.float64).reshape(3)
             innovation = z - x[:3]
             s = p[:3, :3] + r
             maha2 = float(innovation @ np.linalg.solve(s, innovation))

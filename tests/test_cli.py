@@ -1,5 +1,6 @@
 """CLI subcommands: end-to-end flows and byte-reproducible outputs."""
 
+import argparse
 import hashlib
 import json
 from pathlib import Path
@@ -8,6 +9,8 @@ import numpy as np
 import pytest
 
 from egoloc import (
+    METHODS,
+    CompressedModel,
     DetectParams,
     ModelPool,
     ModelRecord,
@@ -15,9 +18,10 @@ from egoloc import (
     build_index,
     detect_structures,
     load_model,
+    load_pool,
     save_pool,
 )
-from egoloc.cli import main
+from egoloc.cli import build_parser, main
 
 SCENE_CFG = {
     "scene": {
@@ -164,6 +168,58 @@ class TestPipelineCommands:
         )
         assert (out / "compressed.eglm").exists()
 
+    @pytest.fixture()
+    def compressed_file(self, tmp_path, model_file):
+        args = ["compress", "--model", str(model_file), "--parameter", "25"]
+        assert main(args + ["--out", str(tmp_path / "c")]) == 0
+        return tmp_path / "c" / "compressed.eglm"
+
+    def test_detect_keeps_a_compressed_model(self, tmp_path, compressed_file):
+        source = load_model(compressed_file)
+        assert source.model.labeling is None
+        out = tmp_path / "d"
+        assert main(["detect", "--model", str(compressed_file), "--out", str(out)]) == 0
+        detected = load_model(out / "model.eglm")
+        assert isinstance(detected, CompressedModel)
+        np.testing.assert_array_equal(detected.selected_ids, source.selected_ids)
+        assert detected.source_model_id == source.source_model_id
+        assert detected.method == source.method == "weighted_kcover"
+        assert detected.parameter == source.parameter
+        assert detected.model.labeling is not None
+
+    def test_compress_refuses_a_compressed_model(self, tmp_path, capsys, compressed_file):
+        capsys.readouterr()
+        args = ["compress", "--model", str(compressed_file), "--parameter", "5"]
+        assert main(args + ["--out", str(tmp_path / "e")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error[ConfigError]") and captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not (tmp_path / "e" / "compressed.eglm").exists()
+
+    def test_method_choices_are_the_compression_methods(self):
+        commands = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        method = next(a for a in commands.choices["compress"]._actions if a.dest == "method")
+        assert tuple(method.choices) == METHODS
+        assert method.default in METHODS
+
+    @pytest.mark.parametrize("parameter", ["2.5", "k"])
+    def test_compress_bad_k_fails_cleanly(self, tmp_path, capsys, model_file, parameter):
+        args = ["compress", "--model", str(model_file), "--parameter", parameter]
+        assert main(args + ["--method", "set_kcover", "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[ValueError]") and err.count("\n") == 1
+
+    def test_localize_failure_is_tagged_with_its_stage(
+        self, tmp_path, capsys, scene_file, model_file
+    ):
+        cfg = write_cfg(tmp_path, {"match": {"ratio_threshold": 0.01}})
+        args = ["localize", "--model", str(model_file), "--scene", str(scene_file)]
+        assert main(args + ["--config", cfg, "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[matching]: registration failed") and err.count("\n") == 1
+
     def test_detect_keeps_config_seed_without_flag(self, tmp_path, model_file):
         cfg = write_cfg(tmp_path, {"detect": {"seed": 8}})
         out = tmp_path / "detected"
@@ -192,6 +248,16 @@ class TestTrackCommand:
         assert len(lines) == 50
         records = [json.loads(line) for line in lines]
         assert not any(r["gated"] or r["restarted"] for r in records)
+
+
+    def test_non_finite_position_fails_cleanly(self, tmp_path, capsys):
+        meas = tmp_path / "meas.json"
+        meas.write_text(json.dumps([[0, [float("nan"), 2, 3]], [1, [1, 2, 3]]]))
+        out = tmp_path / "track"
+        assert main(["track", "--measurements", str(meas), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[ValueError]: measurement row 0") and err.count("\n") == 1
+        assert not (out / "track.jsonl").exists()
 
 
 class TestBenchCommand:
@@ -487,3 +553,25 @@ class TestPoolCommand:
         assert main(["pool", "--pool-dir", str(pool_dir)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error[ModelIOError]") and err.count("\n") == 1
+
+    def test_prune_deletes_the_pruned_model_file(self, pool_dir):
+        prune = ["pool", "--pool-dir", str(pool_dir), "--action", "prune", "--now", "1000"]
+        assert main(prune) == 0
+        assert sorted(p.name for p in pool_dir.iterdir()) == ["live.eglm", "manifest.json"]
+        pool = load_pool(pool_dir)
+        assert [r.record_id for r in pool.records] == ["live"]
+        assert pool.records[0].model.num_points > 0
+
+    def test_save_deletes_only_model_files_named_in_this_directory(self, tmp_path, pool_dir):
+        outside = tmp_path / "outside.eglm"
+        outside.write_bytes(b"keep")
+        (pool_dir / "notes.txt").write_text("keep")
+        pool = load_pool(pool_dir)
+        path = pool_dir / "manifest.json"
+        manifest = json.loads(path.read_text())
+        extra = [{**manifest["records"][0], "file": f} for f in ("../outside.eglm", "notes.txt")]
+        path.write_text(json.dumps({**manifest, "records": manifest["records"] + extra}))
+        save_pool(pool, pool_dir)
+        assert outside.read_bytes() == b"keep"
+        assert (pool_dir / "notes.txt").read_text() == "keep"
+        assert (pool_dir / "old.eglm").exists() and (pool_dir / "live.eglm").exists()

@@ -4,17 +4,21 @@ import numpy as np
 import pytest
 
 from egoloc import (
+    METHODS,
     PointCloudModel,
     PlaneStructure,
     StructureLabeling,
     VisibilityMatrix,
     assign_weights,
+    compress,
     compress_set_kcover,
     compress_top_visibility,
     compress_weighted_kcover,
     coverage_report,
 )
 from egoloc.errors import DegenerateModelError
+
+from conftest import compressed_equal
 
 
 def make_model(dense_visibility: np.ndarray) -> PointCloudModel:
@@ -424,3 +428,32 @@ class TestCoverageReport:
             for j in range(dense.shape[1]):
                 want = sum(1 for i in range(dense.shape[0]) if dense[i, j] and i in chosen)
                 assert stats.per_camera_covered[j] == want
+
+
+class TestCompress:
+    def test_runs_each_method_as_its_own_function(self):
+        rng = np.random.default_rng(10)
+        model, labeling, _, _, k = random_instance(rng)
+        assert METHODS == ("weighted_kcover", "set_kcover", "top_visibility")
+        runs = {
+            "weighted_kcover": (k, compress_weighted_kcover(model, labeling, k)),
+            "set_kcover": (k, compress_set_kcover(model, k)),
+            "top_visibility": (0.3, compress_top_visibility(model, labeling, 0.3)),
+        }
+        for method, (parameter, want) in runs.items():
+            got = compress(model, labeling, method, parameter)
+            assert compressed_equal(got, want), method
+        # A k given as an integral float is the same k.
+        got = compress(model, labeling, "set_kcover", float(k))
+        assert compressed_equal(got, runs["set_kcover"][1])
+
+    @pytest.mark.parametrize(
+        "method, parameter",
+        [("bogus", 3), ("full", 3), ("weighted_kcover", 2.5), ("set_kcover", float("nan"))],
+        ids=["unknown", "full", "fractional-k", "nan-k"],
+    )
+    def test_rejects_unknown_method_or_fractional_k(self, method, parameter):
+        rng = np.random.default_rng(11)
+        model, labeling, _, _, _ = random_instance(rng)
+        with pytest.raises(ValueError):
+            compress(model, labeling, method, parameter)

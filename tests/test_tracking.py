@@ -121,3 +121,18 @@ class TestSmoothTrajectory:
         restarted = [i for i, s in enumerate(states) if s.restarted]
         assert gated == list(range(1, REINIT_AFTER_GATED + 1))
         assert restarted == [REINIT_AFTER_GATED]
+
+    @pytest.mark.parametrize(
+        "bad",
+        [[np.nan, 2.0, 3.0], [1.0, np.inf, 3.0], [1.0, 2.0], [1.0, 2.0, 3.0, 4.0], "abc"],
+        ids=["nan", "inf", "short", "long", "text"],
+    )
+    def test_rejects_a_position_that_is_not_three_finite_numbers(self, bad):
+        # One NaN would make every later state NaN; the row is named instead.
+        measurements = [(0.0, [1.0, 2.0, 3.0]), (0.1, None), (0.2, bad), (0.3, [1.0, 2.0, 3.0])]
+        with pytest.raises(ValueError, match="measurement row 2"):
+            smooth_trajectory(measurements)
+
+    def test_non_finite_first_measurement_rejected(self):
+        with pytest.raises(ValueError, match="measurement row 0"):
+            smooth_trajectory([(0.0, [np.nan, 2.0, 3.0]), (1.0, [1.0, 2.0, 3.0])])
