@@ -224,13 +224,15 @@ def compress(
     model: PointCloudModel, labeling: StructureLabeling | None, method: str, parameter: float
 ) -> CompressedModel:
     """Compress `model` by one of `METHODS`: top visibility at the fraction
-    `parameter`, a k-cover method at the integer k = `parameter` (set k-cover
-    ignores `labeling`). An unknown method or a fractional k raises
-    ValueError."""
-    if method == "top_visibility":
-        return compress_top_visibility(model, labeling, parameter)
+    `parameter`, a k-cover method at the integer k = `parameter`. Only set
+    k-cover runs without a `labeling`. An unknown method, a missing labeling
+    or a fractional k raises ValueError."""
     if method not in METHODS:
         raise ValueError(f"unknown compression method {method!r}; methods: {METHODS}")
+    if labeling is None and method != "set_kcover":
+        raise ValueError(f"{method} needs a structure labeling")
+    if method == "top_visibility":
+        return compress_top_visibility(model, labeling, parameter)
     if not float(parameter).is_integer():
         raise ValueError(f"{method} needs an integer k, not {parameter!r}")
     if method == "set_kcover":

@@ -457,3 +457,12 @@ class TestCompress:
         model, labeling, _, _, _ = random_instance(rng)
         with pytest.raises(ValueError):
             compress(model, labeling, method, parameter)
+
+    def test_only_set_kcover_runs_without_a_labeling(self):
+        rng = np.random.default_rng(12)
+        model, _, _, _, k = random_instance(rng)
+        got = compress(model, None, "set_kcover", k)
+        assert compressed_equal(got, compress_set_kcover(model, k))
+        for method, parameter in (("weighted_kcover", k), ("top_visibility", 0.5)):
+            with pytest.raises(ValueError, match="labeling"):
+                compress(model, None, method, parameter)
