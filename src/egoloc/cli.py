@@ -186,15 +186,17 @@ def cmd_track(args) -> int:
 
 
 def cmd_pool(args) -> int:
-    pool = model_io.load_pool(Path(args.pool_dir))
     if args.action == "show":
-        for r in pool.records:
-            tag = " [active]" if r.record_id == pool.active_id else ""
+        # Shows the manifest and loads each model file, but builds no index.
+        records, active_id, _ = model_io._read_pool_manifest(Path(args.pool_dir))
+        for r, _, _ in records:
+            tag = " [active]" if r["record_id"] == active_id else ""
             print(
-                f"{r.record_id}{tag}: created {r.created}, last used {r.last_used}, "
-                f"condition '{r.condition}'"
+                f"{r['record_id']}{tag}: created {r['created']}, last used {r['last_used']}, "
+                f"condition '{r['condition']}'"
             )
         return 0
+    pool = model_io.load_pool(Path(args.pool_dir))
     removed = prune(pool, now=float(args.now))
     model_io.save_pool(pool, Path(args.pool_dir))
     print(f"pruned: {removed if removed else 'nothing'}")

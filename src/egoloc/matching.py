@@ -13,21 +13,29 @@ The nearest word is found in float32, by one product per block of rows
 and each query's word lookup share that one function. The centroid update,
 the index's mean rows and every ratio-test distance stay float64.
 
-Distances are computed lazily along the priority order, one candidate-list
-length class (the features whose words have lists of one length) at a time,
-so the early stop skips every class after the one it stops in. A class
-holds whole words, and each word's distance product runs once, on all of
-its features: the same rows and the same matrix product as a full scan,
-hence bit-identical distances. The elementwise steps and the ratio test
-then run once over the whole class. A match is accepted when the nearest
-and second-nearest points of the word pass the ratio test; as each point
-has one row per word, these are the two smallest distances of the
-feature's row.
+Distances are computed lazily along the priority order, one batch of
+candidate-list length classes (the features whose words have lists of one
+length) at a time. A feature adds at most one point, so while D points are
+matched, every class before the first one whose live features (those whose
+word lists two points or more) reach `max_matches - D` is surely reached.
+A batch is those classes and the one that crosses the line, so the early
+stop can only fall in a batch's last class and skips every class after it.
+A class holds whole words, and each word's distance product runs once, on
+all of its features, into its block of the batch's buffer: the same rows
+and the same matrix product as a full scan, hence bit-identical distances.
+The elementwise steps and the ratio test then run once over the whole
+batch. A match is accepted when the nearest and second-nearest points of
+the word pass the ratio test; as each point has one row per word, these
+are the two smallest distances of the feature's row. The passing features
+are kept as arrays: the distinct points are counted, the walk is cut at
+the `max_matches`-th point and each point's winner is picked by sorting.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import starmap
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -259,61 +267,50 @@ def build_index(
     )
 
 
-def _prioritized_walk(
-    desc: np.ndarray, index: MatchIndex, ratio_threshold: float, tally: dict[str, int]
-):
-    """Yield (feature, nearest point id, distance, ratio) for each feature
-    that passes the ratio test, in priority order, computing distances one
-    length class at a time, only when the walk reaches it.
+def _batch_passes(
+    desc: np.ndarray,
+    index: MatchIndex,
+    by_word: np.ndarray,
+    runs: list[tuple[int, int, int, int]],
+    ratio_threshold: float,
+) -> tuple[np.ndarray, ...]:
+    """The features of one batch that pass the ratio test, with the column
+    of their nearest point in their word's list, its distance and the ratio.
 
-    The features are grouped once: a stable sort by (list length, word)
-    makes each word's features one run and each length class one span of
-    runs. In a class, each word's distance product runs once, on all of its
-    features, into that word's rows of one class buffer; every other step
-    runs once over the whole class. A class whose words list fewer than two
-    points yields nothing, as no feature of it can pass the ratio test.
-    `tally` counts the features and words evaluated so far.
+    `runs` are the batch's words, (start, stop, first row, list length) with
+    positions in `by_word`, the widest list last. Each word's product is
+    one matrix product over its features, of a full scan's shapes (hence
+    its distance bits), into its rows and first `length` columns of one
+    buffer as wide as the widest list. The columns past a word's list hold
+    product 0 and norm +inf, so they never hold one of the two smallest
+    distances.
     """
-    n = len(desc)
-    words = _nearest_centroid(desc, index.centroids)
-    first_row = index.word_indptr[words]
-    lengths = index.word_indptr[words + 1] - first_row
-    by_word = np.lexsort((words, lengths))
-    sorted_lengths = lengths[by_word]
-    run_starts = np.flatnonzero(np.diff(words[by_word], prepend=-1))
-    class_starts = np.flatnonzero(np.diff(sorted_lengths, prepend=-1))
-    class_runs = [*np.searchsorted(run_starts, class_starts).tolist(), len(run_starts)]
-    bounds = [*run_starts.tolist(), n]
-    run_rows = first_row[by_word[run_starts]].tolist()
-    twice = 2.0 * desc
-    x_sq = np.sum(desc * desc, axis=1)
-    for r0, r1 in zip(class_runs[:-1], class_runs[1:]):
-        lo, hi = bounds[r0], bounds[r1]
-        length = int(sorted_lengths[lo])
-        tally["words_evaluated"] += r1 - r0
-        tally["features_scanned"] = hi
-        if length < 2:
-            continue
-        features = by_word[lo:hi]
-        x = twice[features]
-        sq = np.empty((hi - lo, length))
-        for a, b, row in zip(bounds[r0:r1], bounds[r0 + 1 : r1 + 1], run_rows[r0:r1]):
-            word_rows = index.descriptors[row : row + length]
-            np.matmul(x[a - lo : b - lo], word_rows.T, out=sq[a - lo : b - lo])
-        np.subtract(x_sq[features, None], sq, out=sq)
-        class_rows = first_row[features, None] + np.arange(length)
-        sq += index._sq_norms[class_rows]
-        np.maximum(sq, 0.0, out=sq)
-        d1, d2 = np.sqrt(np.partition(sq, 1, axis=1)[:, :2]).T
-        # A second distance of zero (a tie at zero) or not finite gets ratio
-        # 1, which fails the test.
-        ratio = np.divide(d1, d2, out=np.ones_like(d1), where=np.isfinite(d2) & (d2 > 0.0))
-        passed = np.flatnonzero(ratio < ratio_threshold)
-        passed = passed[np.argsort(features[passed])]
-        nearest = index.owners[class_rows[passed, np.argmin(sq[passed], axis=1)]]
-        yield from zip(
-            features[passed].tolist(), nearest.tolist(), d1[passed].tolist(), ratio[passed].tolist()
-        )
+    lo = runs[0][0]
+    features = by_word[lo : runs[-1][1]]
+    x = desc[features]
+    x_sq = np.sum(x * x, axis=1)
+    x *= 2.0
+    sq = np.zeros((len(features), runs[-1][3]))
+    norms = np.full(sq.shape, np.inf)
+    for a, b, row, length in runs:
+        word_rows = index.descriptors[row : row + length]
+        np.matmul(x[a - lo : b - lo], word_rows.T, out=sq[a - lo : b - lo, :length])
+        norms[a - lo : b - lo, :length] = index._sq_norms[row : row + length]
+    np.subtract(x_sq[:, None], sq, out=sq)
+    sq += norms
+    np.maximum(sq, 0.0, out=sq)
+    # The second smallest distance is the smallest once the first (the
+    # earliest, on a tie) is set aside.
+    nearest = np.argmin(sq, axis=1)
+    rows = np.arange(len(features))
+    d1 = np.sqrt(sq[rows, nearest])
+    sq[rows, nearest] = np.inf
+    d2 = np.sqrt(np.min(sq, axis=1))
+    # A second distance of zero (a tie at zero) or not finite gets ratio 1,
+    # which fails the test.
+    ratio = np.divide(d1, d2, out=np.ones_like(d1), where=np.isfinite(d2) & (d2 > 0.0))
+    passed = np.flatnonzero(ratio < ratio_threshold)
+    return features[passed], nearest[passed], d1[passed], ratio[passed]
 
 
 def match_features(
@@ -328,17 +325,23 @@ def match_features(
     Features are processed in ascending order of their word's candidate-list
     length (ties by feature index). A feature's distance to a point is to
     the point's mean descriptor in the feature's word. At most one
-    correspondence is kept per 3D point (the smallest distance wins) and the
-    search stops once `max_matches` points are matched. Distances are
-    computed lazily, one length class (the features whose words have lists
-    of one length) at a time, so no word past the class the search stops in
-    is evaluated. Each word's distance product runs once, on all of its
-    features, so every distance equals the one a full scan computes. The
-    ratio test runs over a whole class at once; only the features that pass
-    it reach the per-point bookkeeping.
+    correspondence is kept per 3D point (the smallest distance wins, the
+    earliest on a tie) and the search stops once `max_matches` points are
+    matched.
 
-    If `counters` is given, it receives `features_scanned` (features whose
-    distances were computed) and `words_evaluated`.
+    Distances are computed lazily, one batch of length classes (the
+    features whose words have lists of one length) at a time: the classes
+    the walk surely reaches and the one that crosses the line (see the
+    module docstring). The search can only stop in a batch's last class,
+    so no word past the class it stops in is evaluated, and each word's
+    distance product runs once, on all of its features, so every distance
+    equals the one a full scan computes. The passes of the ratio test are
+    kept as arrays, cut at the `max_matches`-th distinct point, and each
+    point's winner is picked by one sort.
+
+    If `counters` is given, it receives `features_scanned` (the features
+    of every class reached, through the one the search stops in) and
+    `words_evaluated` (their words).
 
     Raises:
         EmptyQueryError: the query has no features.
@@ -350,20 +353,66 @@ def match_features(
     if desc.shape[1] != index.descriptor_dim:
         raise ValueError("query descriptor dimension does not match the index")
 
-    tally = {"features_scanned": 0, "words_evaluated": 0}
-    best_by_point: dict[int, Correspondence] = {}
-    walk = _prioritized_walk(desc, index, params.ratio_threshold, tally)
-    for f, point_id, distance, ratio in walk:
-        existing = best_by_point.get(point_id)
-        if existing is None or distance < existing.distance:
-            best_by_point[point_id] = Correspondence(
-                feature_index=f, point_id=point_id, distance=distance, ratio=ratio
-            )
-        if existing is None and len(best_by_point) >= params.max_matches:
-            break
-    if counters is not None:
-        counters.update(tally)
+    n = len(desc)
+    words = _nearest_centroid(desc, index.centroids)
+    first_row = index.word_indptr[words]
+    lengths = index.word_indptr[words + 1] - first_row
+    # A stable sort by (length, word) makes each word's features one run
+    # and each length class one span of runs, with ties by feature index.
+    by_word = np.argsort(lengths * index.num_words + words, kind="stable")
+    sorted_lengths = lengths[by_word]
+    run_starts = np.flatnonzero(np.diff(words[by_word], prepend=-1))
+    class_starts = np.flatnonzero(np.diff(sorted_lengths, prepend=-1))
+    class_ends = [*class_starts[1:].tolist(), n]
+    class_runs = [*np.searchsorted(run_starts, class_starts).tolist(), len(run_starts)]
+    run_lengths = sorted_lengths[run_starts].tolist()
+    run_rows = first_row[by_word[run_starts]].tolist()
+    runs = list(zip(run_starts.tolist(), [*run_starts[1:].tolist(), n], run_rows, run_lengths))
+    # Only a class whose lists hold two points or more has live features,
+    # ones that can pass the ratio test; the others come first.
+    first_live_run = bisect_left(run_lengths, 2)
+    live_sizes = np.subtract(class_ends, class_starts) * (sorted_lengths[class_starts] >= 2)
+    live_before = [0, *np.cumsum(live_sizes).tolist()]
 
-    matches = list(best_by_point.values())
-    matches.sort(key=lambda c: c.feature_index)
-    return matches
+    cap = params.max_matches
+    batches = []
+    num_passes = found = start = 0
+    while True:
+        target = live_before[start] + cap - found
+        last = min(bisect_left(live_before, target) - 1, len(class_ends) - 1)
+        batch_runs = runs[max(class_runs[start], first_live_run) : class_runs[last + 1]]
+        if batch_runs:
+            f, column, distance, ratio = _batch_passes(
+                desc, index, by_word, batch_runs, params.ratio_threshold
+            )
+            if len(f):
+                batches.append((f, index.owners[first_row[f] + column], distance, ratio))
+            num_passes += len(f)
+            # A pass adds at most one point, so until the passes reach the
+            # cap their count stands in for the points matched.
+            found = num_passes
+            if num_passes >= cap:
+                found = len(np.unique(np.concatenate([batch[1] for batch in batches])))
+        if found >= cap or last == len(class_ends) - 1:
+            break
+        start = last + 1
+    if counters is not None:
+        counters.update(features_scanned=class_ends[last], words_evaluated=class_runs[last + 1])
+    if not batches:
+        return []
+
+    f, points, distance, ratio = (np.concatenate(column) for column in zip(*batches))
+    walk = lengths[f] * n + f  # ascending in the order the walk visits features
+    if found >= cap:
+        # Cut after the pass that matched the cap-th distinct point.
+        in_walk = np.argsort(walk)
+        first_seen = np.unique(points[in_walk], return_index=True)[1]
+        kept = in_walk[: np.partition(first_seen, cap - 1)[cap - 1] + 1]
+        f, points, distance, ratio, walk = (a[kept] for a in (f, points, distance, ratio, walk))
+    # Each point's winner: its smallest distance, the earliest on a tie.
+    by_point = np.lexsort((walk, distance, points))
+    ordered = points[by_point]
+    winners = by_point[np.flatnonzero(np.diff(ordered, prepend=ordered[0] - 1))]
+    winners = winners[np.argsort(f[winners])]
+    columns = (f, points, distance, ratio)
+    return list(starmap(Correspondence, zip(*(a[winners].tolist() for a in columns))))

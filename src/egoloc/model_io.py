@@ -305,15 +305,16 @@ def save_pool(pool: ModelPool, directory: str | Path) -> Path:
     return manifest_path
 
 
-def load_pool(directory: str | Path) -> ModelPool:
-    """Load a pool written by `save_pool`, rebuilding each record's index.
+def _read_pool_manifest(directory: Path) -> tuple[list[tuple[dict, int, int]], str, PoolParams]:
+    """All that `load_pool` reads of the pool in `directory` but the match
+    indexes: per record, its `ModelRecord` fields but the index (its model
+    loaded) with the index's word count and seed; the active id, checked to
+    name a record; and the policy.
 
     Raises:
         VersionMismatchError: unsupported manifest version.
-        ModelIOError: a manifest that is not JSON or not an object, misses a
-            key, holds a bad value, or whose `active_id` names no record.
+        ModelIOError: as `load_pool`.
     """
-    directory = Path(directory)
     try:
         manifest = json.loads((directory / "manifest.json").read_text())
     except ValueError as exc:  # not UTF-8 or not JSON
@@ -325,21 +326,39 @@ def load_pool(directory: str | Path) -> ModelPool:
     try:
         records = []
         for entry in manifest["records"]:
-            model = load_model(directory / entry["file"])
-            index = build_index(model, entry["index_num_words"], entry["index_seed"])
-            records.append(
-                ModelRecord(
-                    record_id=entry["record_id"],
-                    model=model,
-                    index=index,
-                    created=entry["created"],
-                    last_used=entry["last_used"],
-                    condition=entry.get("condition", ""),
-                )
-            )
+            fields = {
+                "record_id": entry["record_id"],
+                "model": load_model(directory / entry["file"]),
+                "created": entry["created"],
+                "last_used": entry["last_used"],
+                "condition": entry.get("condition", ""),
+            }
+            records.append((fields, entry["index_num_words"], entry["index_seed"]))
+        active_id = manifest["active_id"]
+        if active_id not in [fields["record_id"] for fields, _, _ in records]:
+            raise KeyError(f"no record '{active_id}' in pool")
         policy = {f.name: manifest[f.name] for f in dataclasses.fields(PoolParams)}
         if policy["ttl"] is None:
             policy["ttl"] = float("inf")
-        return ModelPool(records, manifest["active_id"], PoolParams(**policy))
+        return records, active_id, PoolParams(**policy)
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelIOError(f"bad pool manifest: {exc!r}") from exc
+
+
+def load_pool(directory: str | Path) -> ModelPool:
+    """Load a pool written by `save_pool`, rebuilding each record's index.
+
+    Raises:
+        VersionMismatchError: unsupported manifest version.
+        ModelIOError: a manifest that is not JSON or not an object, misses a
+            key, holds a bad value, or whose `active_id` names no record.
+    """
+    records, active_id, params = _read_pool_manifest(Path(directory))
+    try:
+        pool_records = [
+            ModelRecord(**fields, index=build_index(fields["model"], num_words, seed))
+            for fields, num_words, seed in records
+        ]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ModelIOError(f"bad pool manifest: {exc!r}") from exc
+    return ModelPool(pool_records, active_id, params)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
@@ -374,24 +373,28 @@ def render_view(scene: GroundTruthScene, camera: int | CameraPose, *, seed: int 
     many is kept, emulating a detector's feature cap.
 
     Raises:
-        ConfigError: a camera index outside ``0..num_cameras-1``.
+        ConfigError: a camera that is neither an integer index (a bool is
+            not one) nor a `CameraPose`, or an index outside
+            ``0..num_cameras-1``.
         TooFewVisibleError: fewer than MIN_CORRESPONDENCES points are visible.
     """
     spec = scene.spec
     out_frac = spec.outlier_fraction
 
-    if isinstance(camera, Integral):
+    if is_integer(camera):
         if not 0 <= camera < scene.num_cameras:
             raise ConfigError(
                 f"camera {camera} is not a camera of the scene (0..{scene.num_cameras - 1})"
             )
         pose, intr = scene.cameras[camera]
         visible = scene.visibility.points_in_camera[camera]
-    else:
+    elif isinstance(camera, CameraPose):
         pose = camera
         intr = default_intrinsics()
         mask = _geometric_visibility(scene.xyz, [(pose, intr)])[:, 0]
         visible = np.flatnonzero(mask)
+    else:
+        raise ConfigError(f"camera must be a camera index or a CameraPose, not {camera!r}")
 
     if len(visible) < MIN_CORRESPONDENCES:
         raise TooFewVisibleError(f"view sees {len(visible)} of {MIN_CORRESPONDENCES} points")

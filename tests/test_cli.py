@@ -21,6 +21,7 @@ from egoloc import (
     load_pool,
     save_pool,
 )
+from egoloc import model_io
 from egoloc.cli import build_parser, main
 
 SCENE_CFG = {
@@ -553,6 +554,26 @@ class TestPoolCommand:
         assert main(["pool", "--pool-dir", str(pool_dir)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error[ModelIOError]") and err.count("\n") == 1
+
+    def test_show_builds_no_index(self, capsys, monkeypatch, pool_dir):
+        def no_index(*args, **kwargs):
+            raise AssertionError("show built a match index")
+
+        monkeypatch.setattr(model_io, "build_index", no_index)
+        assert main(["pool", "--pool-dir", str(pool_dir), "--action", "show"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "old: created 0.0, last used 5.0, condition 'sunny'",
+            "live [active]: created 1.0, last used 900.0, condition 'rain'",
+        ]
+
+    def test_show_reads_every_model_file(self, capsys, pool_dir):
+        path = pool_dir / "old.eglm"
+        data = bytearray(path.read_bytes())
+        data[len(data) // 2] ^= 0xFF
+        path.write_bytes(bytes(data))
+        assert main(["pool", "--pool-dir", str(pool_dir), "--action", "show"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[") and err.count("\n") == 1
 
     def test_prune_deletes_the_pruned_model_file(self, pool_dir):
         prune = ["pool", "--pool-dir", str(pool_dir), "--action", "prune", "--now", "1000"]

@@ -500,3 +500,81 @@ class TestClassWalkEdges:
                 else:
                     assert visited <= counters["features_scanned"]
         assert any(m.feature_index in np.flatnonzero(words == 2) for m in got)
+
+    # Lengths 2 to 8 in six classes of 4, 3, 7, 4, 5 and 6 features, each
+    # feature near its own point: every feature matches a new point, so a
+    # cap of 7, 12 or 20 is reached in the first batch, which spans two,
+    # three or five classes of different list lengths.
+    BATCH_WORD_LENGTHS = [2, 2, 3, 4, 4, 5, 6, 8]
+    BATCH_FEATURES_PER_WORD = [2, 2, 3, 3, 4, 4, 5, 6]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_cap_inside_a_batch_of_several_classes(self, seed):
+        rng = np.random.default_rng(seed)
+        index = hand_index(self.BATCH_WORD_LENGTHS, 16, rng)
+        lists = np.split(np.arange(len(index.descriptors)), index.word_indptr[1:-1])
+        per_word = zip(lists, self.BATCH_FEATURES_PER_WORD)
+        rows = rng.permutation(np.concatenate([rng.choice(r, f, replace=False) for r, f in per_word]))
+        words = np.searchsorted(index.word_indptr, rows, side="right") - 1
+        view = query_of(index.descriptors[rows] + 0.02 * rng.normal(size=(len(rows), 16)), 16)
+        lengths = np.diff(index.word_indptr)[words]
+        order = sorted(range(len(words)), key=lambda f: (lengths[f], f))
+        for max_matches in (7, 12, 20):
+            params = MatchParams(max_matches=max_matches)
+            counters = {}
+            got = match_features(view, index, params, counters=counters)
+            want, visited, _ = full_scan_match(view, index, params)
+            assert got == want and len(want) == visited == max_matches
+            stop_length = lengths[order[visited - 1]]
+            reached = lengths <= stop_length
+            assert counters == {
+                "features_scanned": np.count_nonzero(reached),
+                "words_evaluated": len(np.unique(words[reached])),
+            }
+            assert len(np.unique(lengths[reached])) > 1
+
+    def test_equal_distance_tie_goes_to_the_earlier_class(self):
+        """Point 0 is matched at the same distance by feature 1, in the
+        2-point class, and by feature 0, in the 3-point class; the walk
+        reaches feature 1 first, so it wins."""
+        e = np.eye(8)
+        index = MatchIndex(
+            centroids=e[:2],
+            descriptors=np.array(
+                [e[0] + e[3] / 2, e[0] - e[3] / 2, e[1] + e[4] / 2, e[1] - e[4] / 2, e[1] + e[5] / 2]
+            ),
+            owners=np.array([0, 1, 0, 2, 3]),
+            word_indptr=np.array([0, 2, 5]),
+            point_ids=np.arange(4),
+            point_xyz=np.zeros((4, 3)),
+            build_seed=0,
+        )
+        view = query_of([e[1] + 0.5 * e[4] + 0.25 * e[7], e[0] + 0.5 * e[3] + 0.25 * e[6]], 8)
+        got = match_features(view, index, MatchParams())
+        assert got == full_scan_match(view, index, MatchParams())[0]
+        assert got == [Correspondence(1, 0, 0.25, 0.25 / np.sqrt(1.0625))]
+
+    def test_better_match_after_the_cap_is_ignored(self):
+        """Features 0-5 match points 0-5 and reach the cap of 6; feature 6,
+        in the same class, matches point 0 more closely but comes after the
+        cap, so feature 0 keeps point 0."""
+        e = np.eye(16)
+        index = MatchIndex(
+            centroids=e[:1],
+            descriptors=np.array([e[0] + 0.5 * e[1 + j] for j in range(7)]),
+            owners=np.arange(7),
+            word_indptr=np.array([0, 7]),
+            point_ids=np.arange(7),
+            point_xyz=np.zeros((7, 3)),
+            build_seed=0,
+        )
+        features = [e[0] + 0.5 * e[1 + j] + 0.25 * e[9] for j in range(6)]
+        features.append(e[0] + 0.5 * e[1] + 0.125 * e[9])
+        view = query_of(features, 16)
+        params = MatchParams(max_matches=6)
+        counters = {}
+        got = match_features(view, index, params, counters=counters)
+        assert got == full_scan_match(view, index, params)[0]
+        got_pairs = [(m.feature_index, m.point_id, m.distance) for m in got]
+        assert got_pairs == [(j, j, 0.25) for j in range(6)]
+        assert counters == {"features_scanned": 7, "words_evaluated": 1}

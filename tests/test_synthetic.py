@@ -201,6 +201,13 @@ class TestRenderView:
         with pytest.raises(ConfigError):
             render_view(noise_scene, camera, seed=9)
 
+    @pytest.mark.parametrize(
+        "camera", [True, False, 1.0, "1"], ids=["true", "false", "float", "text"]
+    )
+    def test_camera_that_is_no_index_or_pose_rejected(self, noise_scene, camera):
+        with pytest.raises(ConfigError, match="camera must be"):
+            render_view(noise_scene, camera, seed=9)
+
     def test_numpy_integer_camera(self, noise_scene):
         a = render_view(noise_scene, np.int64(2), seed=9)
         b = render_view(noise_scene, 2, seed=9)
