@@ -19,7 +19,7 @@ from .compression import (
     coverage_report,
 )
 from .geometry import CameraIntrinsics, CameraPose, VisibilityMatrix
-from .matching import Correspondence, MatchIndex, MatchParams, build_index, match_features
+from .matching import MATCH_DTYPE, MatchIndex, MatchParams, build_index, match_features
 from .model import PointCloudModel
 from .model_io import load_model, load_pool, save_model, save_pool
 from .pool import (
@@ -64,11 +64,11 @@ from .tracking import TrackParams, TrackState, smooth_trajectory
 __version__ = "0.1.0"
 
 __all__ = [
+    "MATCH_DTYPE",
     "METHODS",
     "CameraIntrinsics",
     "CameraPose",
     "CompressedModel",
-    "Correspondence",
     "CoverageStats",
     "DetectParams",
     "GroundTruthScene",

@@ -170,17 +170,16 @@ def _error_cm(result, view: QueryView) -> float:
     return float(np.linalg.norm(result.pose.center - view.true_pose.center)) * 100.0
 
 
-def _localize_views(index, views, match_params, ransac_params) -> tuple[list[float], int]:
+def _localize_views(index, views, match_params, ransac_params) -> list[float]:
+    """The position error, in cm, of each view that registers."""
     errors = []
-    registered = 0
     for view in views:
         try:
             result = localize(view, index, match_params, ransac_params)
         except RegistrationFailedError:
             continue
-        registered += 1
         errors.append(_error_cm(result, view))
-    return errors, registered
+    return errors
 
 
 def _serialized_size_mb(model) -> float:
@@ -218,7 +217,7 @@ def run_benchmark(config: BenchConfig) -> tuple[list[dict], list[float]]:
             parameter = float(k)
 
         index = build_index(variant, config.num_words, seed=config.seed)
-        errors, registered = _localize_views(index, views, config.match, config.ransac)
+        errors = _localize_views(index, views, config.match, config.ransac)
         wall_times.append(time.perf_counter() - t0)
         records.append(
             {
@@ -228,7 +227,7 @@ def run_benchmark(config: BenchConfig) -> tuple[list[dict], list[float]]:
                 "size_mb": round(_serialized_size_mb(variant), 6),
                 "mean_error_cm": round(float(np.mean(errors)) if errors else float("nan"), 6),
                 "stdev_error_cm": round(float(np.std(errors)) if errors else float("nan"), 6),
-                "registration_rate": round(registered / len(views), 6),
+                "registration_rate": round(len(errors) / len(views), 6),
                 "num_queries": len(views),
             }
         )
@@ -328,9 +327,7 @@ def run_session_sim(config: SessionSimConfig) -> tuple[list[dict], list[dict]]:
             for sv in outcome.served
             if sv.result is not None
         ]
-        fixed_errors, fixed_registered = _localize_views(
-            fixed_index, views, config.match, config.ransac
-        )
+        fixed_errors = _localize_views(fixed_index, views, config.match, config.ransac)
         rows.append(
             {
                 "session_index": s,
@@ -342,7 +339,7 @@ def run_session_sim(config: SessionSimConfig) -> tuple[list[dict], list[dict]]:
                 "updated_mean_cm": round(_mean_error(updated_errors), 6),
                 "fixed_mean_cm": round(_mean_error(fixed_errors), 6),
                 "updated_registered": len(updated_errors),
-                "fixed_registered": fixed_registered,
+                "fixed_registered": len(fixed_errors),
             }
         )
         for e in outcome.events:

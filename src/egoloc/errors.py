@@ -2,6 +2,7 @@
 that turns a bad config into a `ConfigError`."""
 
 import dataclasses
+import sys
 import types
 import typing
 from numbers import Integral, Real
@@ -32,7 +33,7 @@ class EmptyQueryError(EgolocError):
 
 
 class DegenerateConfigurationError(EgolocError):
-    """Correspondence set is degenerate for DLT (coplanar/collinear/rank-deficient)."""
+    """A correspondence set is degenerate for DLT (coplanar/collinear/rank-deficient)."""
 
 
 class SingularBlockError(EgolocError):
@@ -88,6 +89,12 @@ def is_integer(value) -> bool:
 def is_number(value) -> bool:
     """Whether `value` is a real number and not a bool."""
     return isinstance(value, Real) and not isinstance(value, bool)
+
+
+def is_finite_number(value) -> bool:
+    """Whether `value` is a real number, not a bool, that a float holds
+    finitely: not NaN, not infinite and not an integer beyond float range."""
+    return is_number(value) and abs(value) <= sys.float_info.max
 
 
 _UNIONS = (typing.Union, types.UnionType)

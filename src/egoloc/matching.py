@@ -35,7 +35,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import starmap
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -61,7 +60,7 @@ _KMEANS_TRAIN_CAP = 20000
 
 @dataclass(frozen=True)
 class MatchParams:
-    """Correspondence search parameters: the ratio test's threshold and the
+    """The correspondence search's parameters: the ratio test's threshold and the
     number of distinct points after which the search stops."""
 
     ratio_threshold: float = 0.7
@@ -74,15 +73,12 @@ class MatchParams:
             raise ValueError(f"max_matches must be at least {MIN_CORRESPONDENCES}")
 
 
-@dataclass(frozen=True)
-class Correspondence:
-    """An accepted 2D-3D match; `distance` is to the point's mean
-    descriptor in the feature's word."""
-
-    feature_index: int
-    point_id: int
-    distance: float
-    ratio: float
+# One accepted 2D-3D match per row of `match_features`'s result: the query
+# feature, the matched point, the distance to the point's mean descriptor in
+# the feature's word, and the ratio of that distance to the second nearest.
+MATCH_DTYPE = np.dtype(
+    [("feature_index", "i8"), ("point_id", "i8"), ("distance", "f8"), ("ratio", "f8")]
+)
 
 
 @dataclass
@@ -319,25 +315,19 @@ def match_features(
     params: MatchParams | None = None,
     *,
     counters: dict[str, int] | None = None,
-) -> list[Correspondence]:
+) -> np.ndarray:
     """Match query features against the index.
+
+    Returns one `MATCH_DTYPE` row per accepted match, in ascending feature
+    order; a zero-length array when nothing matches.
 
     Features are processed in ascending order of their word's candidate-list
     length (ties by feature index). A feature's distance to a point is to
     the point's mean descriptor in the feature's word. At most one
     correspondence is kept per 3D point (the smallest distance wins, the
     earliest on a tie) and the search stops once `max_matches` points are
-    matched.
-
-    Distances are computed lazily, one batch of length classes (the
-    features whose words have lists of one length) at a time: the classes
-    the walk surely reaches and the one that crosses the line (see the
-    module docstring). The search can only stop in a batch's last class,
-    so no word past the class it stops in is evaluated, and each word's
-    distance product runs once, on all of its features, so every distance
-    equals the one a full scan computes. The passes of the ratio test are
-    kept as arrays, cut at the `max_matches`-th distinct point, and each
-    point's winner is picked by one sort.
+    matched. Distances are computed lazily, one batch of length classes at
+    a time, and equal a full scan's (see the module docstring).
 
     If `counters` is given, it receives `features_scanned` (the features
     of every class reached, through the one the search stops in) and
@@ -399,7 +389,7 @@ def match_features(
     if counters is not None:
         counters.update(features_scanned=class_ends[last], words_evaluated=class_runs[last + 1])
     if not batches:
-        return []
+        return np.zeros(0, MATCH_DTYPE)
 
     f, points, distance, ratio = (np.concatenate(column) for column in zip(*batches))
     walk = lengths[f] * n + f  # ascending in the order the walk visits features
@@ -414,5 +404,7 @@ def match_features(
     ordered = points[by_point]
     winners = by_point[np.flatnonzero(np.diff(ordered, prepend=ordered[0] - 1))]
     winners = winners[np.argsort(f[winners])]
-    columns = (f, points, distance, ratio)
-    return list(starmap(Correspondence, zip(*(a[winners].tolist() for a in columns))))
+    matches = np.empty(len(winners), MATCH_DTYPE)
+    for name, column in zip(MATCH_DTYPE.names, (f, points, distance, ratio)):
+        matches[name] = column[winners]
+    return matches

@@ -103,12 +103,9 @@ class PointCloudModel:
             or not np.array_equal(self.descriptors, other.descriptors)
         ):
             return False
-        if (self.labeling is None) != (other.labeling is None):
-            return False
-        if self.labeling is not None and other.labeling is not None:
-            if not _labeling_equal(self.labeling, other.labeling):
-                return False
-        return True
+        if self.labeling is None or other.labeling is None:
+            return self.labeling is other.labeling
+        return _labeling_equal(self.labeling, other.labeling)
 
 
 def _labeling_equal(a: StructureLabeling, b: StructureLabeling) -> bool:

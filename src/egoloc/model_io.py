@@ -27,6 +27,8 @@ from .errors import (
     ModelIOError,
     TruncatedPayloadError,
     VersionMismatchError,
+    is_finite_number,
+    is_integer,
 )
 from .geometry import VisibilityMatrix
 from .matching import build_index
@@ -225,9 +227,7 @@ def load_model(path: str | Path) -> PointCloudModel | CompressedModel:
     descriptors = r.array(num_descriptors * descriptor_dim, "<f8").reshape(
         num_descriptors, descriptor_dim
     )
-    cam_lists = []
-    for _ in range(num_cameras):
-        cam_lists.append(r.array(r.u32(), "<i8"))
+    cam_lists = [r.array(r.u32(), "<i8") for _ in range(num_cameras)]
 
     try:
         labeling = _read_labeling(r, num_points) if flags & _FLAG_LABELING else None
@@ -305,6 +305,14 @@ def save_pool(pool: ModelPool, directory: str | Path) -> Path:
     return manifest_path
 
 
+# The fields of a pool manifest's record, by what each must be.
+_RECORD_FIELDS = (
+    (("record_id", "file", "condition"), lambda value: isinstance(value, str), "a string"),
+    (("created", "last_used"), is_finite_number, "a finite number"),
+    (("index_num_words", "index_seed"), is_integer, "an integer"),
+)
+
+
 def _read_pool_manifest(directory: Path) -> tuple[list[tuple[dict, int, int]], str, PoolParams]:
     """All that `load_pool` reads of the pool in `directory` but the match
     indexes: per record, its `ModelRecord` fields but the index (its model
@@ -326,13 +334,13 @@ def _read_pool_manifest(directory: Path) -> tuple[list[tuple[dict, int, int]], s
     try:
         records = []
         for entry in manifest["records"]:
-            fields = {
-                "record_id": entry["record_id"],
-                "model": load_model(directory / entry["file"]),
-                "created": entry["created"],
-                "last_used": entry["last_used"],
-                "condition": entry.get("condition", ""),
-            }
+            entry = {"condition": "", **entry}
+            for keys, fits, kind in _RECORD_FIELDS:
+                for key in keys:
+                    if not fits(entry[key]):
+                        raise TypeError(f"record field {key} must be {kind}, not {entry[key]!r}")
+            fields = {key: entry[key] for key in ("record_id", "created", "last_used", "condition")}
+            fields["model"] = load_model(directory / entry["file"])
             records.append((fields, entry["index_num_words"], entry["index_seed"]))
         active_id = manifest["active_id"]
         if active_id not in [fields["record_id"] for fields, _, _ in records]:

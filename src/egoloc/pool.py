@@ -161,9 +161,7 @@ def verify(
     Both inequalities are strict; a failed registration (None) never
     verifies.
     """
-    if result is None:
-        return False
-    if result.n_correspondences <= t1:
+    if result is None or result.n_correspondences <= t1:
         return False
     return result.n_inliers / result.n_correspondences > t2
 
@@ -196,12 +194,8 @@ def score_model(
     prefix = list(views)[: max(num_views, 1)]
     if not prefix:
         raise ValueError("need at least one view to score")
-    passed = 0
-    for view in prefix:
-        result = _localize_or_none(view, record.index, match_params, ransac_params)
-        if verify(result, t1, t2):
-            passed += 1
-    return passed / len(prefix)
+    results = (_localize_or_none(v, record.index, match_params, ransac_params) for v in prefix)
+    return sum(verify(result, t1, t2) for result in results) / len(prefix)
 
 
 def _localize_cached(

@@ -77,20 +77,23 @@ class PoseEstimate:
 
     `inlier_ids` index into the correspondence arrays the estimate was
     computed from; every inlier reprojects within the RANSAC threshold under
-    this pose.
+    this pose, and `n_inliers` counts them.
     """
 
     pose: CameraPose
     intrinsics: CameraIntrinsics
     inlier_ids: np.ndarray
     n_correspondences: int
-    n_inliers: int
     mean_reprojection_error: float
 
     def __post_init__(self):
         self.inlier_ids = np.asarray(self.inlier_ids, dtype=np.int64).reshape(-1)
         if self.n_inliers > self.n_correspondences:
             raise ValueError("inlier count cannot exceed the correspondence count")
+
+    @property
+    def n_inliers(self) -> int:
+        return len(self.inlier_ids)
 
 
 @dataclass
@@ -109,11 +112,14 @@ class LocalizationResult:
     pose: CameraPose
     intrinsics: CameraIntrinsics
     n_correspondences: int
-    n_inliers: int
     inlier_point_ids: np.ndarray
     mean_reprojection_error: float
     timings: dict[str, float]
     counters: dict[str, int] = field(default_factory=dict)
+
+    @property
+    def n_inliers(self) -> int:
+        return len(self.inlier_point_ids)
 
 
 # Why a stacked DLT row has no solution, indexed by the reason it reports.
@@ -311,7 +317,7 @@ def _p3p_batch(rays: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.nda
 def dlt_pose(pixels: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Direct linear transform for the 3x4 projection matrix.
 
-    Correspondences are Hartley-normalized before stacking the 2n x 12
+    The correspondences are Hartley-normalized before stacking the 2n x 12
     system; the solution is the right singular vector of the smallest
     singular value, de-normalized, scaled so the third row's rotation part
     is unit (making ``P @ [X;1]`` yield true depths), and sign-fixed so the
@@ -576,7 +582,6 @@ def ransac_pose(
         intrinsics=intr,
         inlier_ids=inlier_ids,
         n_correspondences=n,
-        n_inliers=len(inlier_ids),
         mean_reprojection_error=float(err[inlier_ids].mean()),
     )
 
@@ -768,8 +773,8 @@ def localize(
     if len(matches) < MIN_CORRESPONDENCES:
         raise RegistrationFailedError("matching", f"only {len(matches)} correspondences")
 
-    px = query.pixels[[m.feature_index for m in matches]]
-    point_ids = np.array([m.point_id for m in matches], dtype=np.int64)
+    px = query.pixels[matches["feature_index"]]
+    point_ids = matches["point_id"]
     pts = index.positions_of(point_ids)
 
     t0 = time.perf_counter()
@@ -802,7 +807,6 @@ def localize(
         refined = replace(
             refined,
             inlier_ids=inlier_ids,
-            n_inliers=len(inlier_ids),
             mean_reprojection_error=float(err[inlier_ids].mean()),
         )
         if np.array_equal(inlier_ids, used):
@@ -815,7 +819,6 @@ def localize(
         pose=refined.pose,
         intrinsics=refined.intrinsics,
         n_correspondences=len(matches),
-        n_inliers=refined.n_inliers,
         inlier_point_ids=point_ids[refined.inlier_ids],
         mean_reprojection_error=refined.mean_reprojection_error,
         timings=timings,

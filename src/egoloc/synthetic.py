@@ -11,13 +11,18 @@ drive geometry, descriptors, and visibility so related scenes stay aligned.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, InfeasibleSpecError, TooFewVisibleError, is_integer, is_number
+from .errors import (
+    ConfigError,
+    InfeasibleSpecError,
+    TooFewVisibleError,
+    is_finite_number,
+    is_integer,
+)
 from .geometry import (
     MIN_CORRESPONDENCES,
     CameraIntrinsics,
@@ -350,15 +355,7 @@ def resample_descriptors(scene: GroundTruthScene, regime_seed: int) -> GroundTru
     model stop matching.
     """
     rng = np.random.default_rng((regime_seed, 1))
-    descriptors = _unit_rows(rng, scene.num_points, scene.spec.descriptor_dim)
-    return GroundTruthScene(
-        xyz=scene.xyz,
-        true_labeling=scene.true_labeling,
-        descriptors=descriptors,
-        cameras=scene.cameras,
-        visibility=scene.visibility,
-        spec=scene.spec,
-    )
+    return replace(scene, descriptors=_unit_rows(rng, scene.num_points, scene.spec.descriptor_dim))
 
 
 def render_view(scene: GroundTruthScene, camera: int | CameraPose, *, seed: int = 0) -> QueryView:
@@ -450,7 +447,7 @@ def build_model(
     emulating the multi-view descriptors of a reconstructed model.
     """
     jitter = reconstruction_noise_sigma
-    if not (is_number(jitter) and math.isfinite(jitter) and jitter >= 0):
+    if not (is_finite_number(jitter) and jitter >= 0):
         raise ValueError(f"reconstruction_noise_sigma must be a finite number >= 0, not {jitter!r}")
     rng = np.random.default_rng((seed, 4))
     xyz = scene.xyz.copy()

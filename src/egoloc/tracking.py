@@ -11,12 +11,12 @@ first frame) or a diverged velocity cannot lock the gate shut for good.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyInputError
+from .errors import EmptyInputError, is_finite_number
 
 # Consecutive gate rejections after which the track is declared lost and
 # restarted from the latest measurement: short enough that a lock-in costs a
@@ -40,8 +40,8 @@ class TrackParams:
     frame_interval: float = 0.1
 
     def __post_init__(self):
-        if not all(getattr(self, f.name) > 0 for f in fields(self)):
-            raise ValueError("all tracking parameters must be positive")
+        if not all(is_finite_number(v) and v > 0 for v in astuple(self)):
+            raise ValueError("all tracking parameters must be finite and positive")
 
 
 @dataclass
@@ -122,13 +122,17 @@ def smooth_trajectory(
 
     Raises:
         EmptyInputError: no measurements given.
-        ValueError: timestamps that do not increase, or a position that is
-            neither None nor three finite numbers (named by its row).
+        ValueError: a timestamp that is not finite (named by its row),
+            timestamps that do not increase, or a position that is neither
+            None nor three finite numbers (named by its row).
     """
     params = params or TrackParams()
     if len(measurements) == 0:
         raise EmptyInputError("no measurements to smooth")
     times = np.array([t for t, _ in measurements], dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(times))
+    if len(bad):
+        raise ValueError(f"measurement row {bad[0]}: timestamp {times[bad[0]]} is not finite")
     if np.any(np.diff(times) <= 0):
         raise ValueError("timestamps must be strictly increasing")
     positions = [None if z is None else _position(i, z) for i, (_, z) in enumerate(measurements)]

@@ -82,6 +82,32 @@ def test_benchmark_names_resolve():
     assert [f"{c.__name__}.{a}" for c, a in read if not _has(c, a)] == []
 
 
+def test_benchmark_counters_read_the_result_types(small_scene, small_model):
+    """The counters `egobench.layers.TRACED` takes from what `match_features`
+    and `ransac_pose` return (`matching.correspondences` and
+    `pose.inlier_ratio`) count the matches and the inliers of real results,
+    whatever form those results take."""
+    if str(ROOT) not in sys.path:
+        sys.path.insert(0, str(ROOT))
+    from egobench.layers import TRACED
+
+    counter = {attr: count for module, attr, _, count in TRACED if module is egoloc.pose}
+    index = egoloc.build_index(small_model, 16, seed=1)
+    view = egoloc.render_view(small_scene, 0, seed=2)
+    matches = egoloc.match_features(view, index, egoloc.MatchParams(max_matches=50))
+    n = len(matches["feature_index"])
+    assert counter["match_features"](matches) == {"correspondences": n}
+
+    px = view.pixels[matches["feature_index"]]
+    pts = index.positions_of(matches["point_id"])
+    estimate = egoloc.ransac_pose(px, pts, egoloc.RansacParams(), intrinsics=view.intrinsics)
+    assert 0 < len(estimate.inlier_ids) <= n
+    assert counter["ransac_pose"](estimate) == {
+        "inliers": len(estimate.inlier_ids),
+        "correspondences": n,
+    }
+
+
 def test_no_unused_imports():
     """Every name a module imports is used in it (`__init__.py` re-exports)."""
     unused = []

@@ -260,6 +260,16 @@ class TestTrackCommand:
         assert err.startswith("error[ValueError]: measurement row 0") and err.count("\n") == 1
         assert not (out / "track.jsonl").exists()
 
+    @pytest.mark.parametrize("t", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_timestamp_fails_cleanly(self, tmp_path, capsys, t):
+        meas = tmp_path / "meas.json"
+        meas.write_text(f"[[0, [0, 0, 0]], [{t}, [1, 1, 1]], [0.2, [2, 2, 2]]]")
+        out = tmp_path / "track"
+        assert main(["track", "--measurements", str(meas), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[ValueError]: measurement row 1") and err.count("\n") == 1
+        assert not (out / "track.jsonl").exists()
+
 
 class TestBenchCommand:
     CFG = {
@@ -368,6 +378,8 @@ class TestErrorPaths:
             ("sessions", {"pool_regimes": [1.5]}, "ConfigError"),
             ("sessions", {"ttl": 100.0}, "ConfigError"),
             ("track", {"track": {"process_noise": float("nan")}}, "ConfigError"),
+            ("track", {"track": {"process_noise": float("inf")}}, "ConfigError"),
+            ("build", {"reconstruction_noise": 10**400}, "ValueError"),
             ("localize", {"ransac": {"inlier_threshold": float("nan")}}, "ConfigError"),
             ("gen", {"scene": {"pixel_noise_sigma": float("nan")}}, "ConfigError"),
             ("gen", {"scene": {"scene_extent": float("nan")}}, "ConfigError"),
@@ -409,6 +421,8 @@ class TestErrorPaths:
             "sessions-fractional-regime",
             "sessions-top-level-ttl",
             "track-nan-process-noise",
+            "track-infinite-process-noise",
+            "build-huge-int-reconstruction-noise",
             "localize-nan-inlier-threshold",
             "gen-nan-pixel-noise",
             "gen-nan-scene-extent",
@@ -554,6 +568,18 @@ class TestPoolCommand:
         assert main(["pool", "--pool-dir", str(pool_dir)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error[ModelIOError]") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("action", ["show", "prune"])
+    def test_record_field_of_the_wrong_type_fails_cleanly(self, capsys, pool_dir, action):
+        path = pool_dir / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["records"][0].update(created="a", last_used="b")
+        path.write_text(json.dumps(manifest))
+        args = ["pool", "--pool-dir", str(pool_dir), "--action", action, "--now", "5"]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error[ModelIOError]") and captured.err.count("\n") == 1
 
     def test_show_builds_no_index(self, capsys, monkeypatch, pool_dir):
         def no_index(*args, **kwargs):

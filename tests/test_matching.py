@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from egoloc import (
-    Correspondence,
+    MATCH_DTYPE,
     MatchParams,
     PointCloudModel,
     QueryView,
@@ -274,16 +274,16 @@ class TestMatchFeatures:
         index = build_index(model, num_words=1, seed=0)
         matches = match_features(query_of([target], 16), index, MatchParams())
         assert len(matches) == 1
-        assert matches[0].point_id == 0
-        assert matches[0].ratio < 0.1
-        assert matches[0].distance == pytest.approx(0.0, abs=1e-12)
+        assert matches[0]["point_id"] == 0
+        assert matches[0]["ratio"] < 0.1
+        assert matches[0]["distance"] == pytest.approx(0.0, abs=1e-12)
 
     def test_identical_descriptors_of_two_points_rejected(self):
         d = unit(np.arange(1, 9))
         model = model_from_descriptors([d, d], 8)
         index = build_index(model, num_words=1, seed=0)
         matches = match_features(query_of([d], 8), index, MatchParams())
-        assert matches == []
+        assert len(matches) == 0
 
     def test_all_matches_pass_ratio_and_are_unique(self, small_scene, small_model):
         index = build_index(small_model, num_words=16, seed=1)
@@ -291,9 +291,8 @@ class TestMatchFeatures:
         params = MatchParams(ratio_threshold=0.7, max_matches=50)
         matches = match_features(view, index, params)
         assert 0 < len(matches) <= 50
-        point_ids = [m.point_id for m in matches]
-        assert len(point_ids) == len(set(point_ids))
-        assert all(m.ratio < 0.7 for m in matches)
+        assert len(np.unique(matches["point_id"])) == len(matches)
+        assert np.all(matches["ratio"] < 0.7)
 
     def test_noise_free_view_matches_ground_truth(self, small_scene):
         from egoloc import build_model
@@ -304,8 +303,8 @@ class TestMatchFeatures:
         view = render_view(replace(small_scene, spec=spec), 1, seed=4)
         params = MatchParams(max_matches=10_000)
         matches = match_features(view, index, params)
-        correct = sum(
-            1 for m in matches if view.true_point_ids[m.feature_index] == m.point_id
+        correct = np.count_nonzero(
+            view.true_point_ids[matches["feature_index"]] == matches["point_id"]
         )
         assert len(matches) >= 0.9 * view.num_features
         assert correct >= 0.95 * len(matches)
@@ -334,8 +333,8 @@ def full_scan_match(view, index, params):
 
     Each word's distances come from one product over all of its features, as
     in the index, so they are bit-identical to the index's own. Returns the
-    correspondences, the number of features the walk visited and the number
-    of distinct words of the view.
+    matches as a `MATCH_DTYPE` array, the number of features the walk
+    visited and the number of distinct words of the view.
     """
     desc = np.asarray(view.descriptors, dtype=np.float64)
     n = len(desc)
@@ -379,11 +378,12 @@ def full_scan_match(view, index, params):
         point_id = int(pid[f])
         distance = float(d1[f])
         existing = best_by_point.get(point_id)
-        if existing is None or distance < existing.distance:
-            best_by_point[point_id] = Correspondence(f, point_id, distance, ratio)
+        if existing is None or distance < existing[2]:
+            best_by_point[point_id] = (f, point_id, distance, ratio)
         if existing is None and len(best_by_point) >= params.max_matches:
             break
-    matches = sorted(best_by_point.values(), key=lambda c: c.feature_index)
+    # A feature matches at most one point, so the rows sort by feature.
+    matches = np.array(sorted(best_by_point.values()), dtype=MATCH_DTYPE)
     return matches, visited, len(set(words.tolist()))
 
 
@@ -399,7 +399,7 @@ class TestPrioritizedSearchOracle:
                 counters = {}
                 got = match_features(view, index, params, counters=counters)
                 want, visited, num_view_words = full_scan_match(view, index, params)
-                assert got == want
+                assert np.array_equal(got, want)
                 scanned = counters["features_scanned"]
                 if len(want) < max_matches:
                     assert scanned == n
@@ -434,7 +434,7 @@ class TestPrioritizedSearchMinimal:
                     counters = {}
                     got = match_features(view, index, params, counters=counters)
                     want, visited, _ = full_scan_match(view, index, params)
-                    assert got == want and len(want) == max_matches
+                    assert np.array_equal(got, want) and len(want) == max_matches
                     reached = lengths <= lengths[order[visited - 1]]
                     reached_words = np.unique(words[reached])
                     assert counters["features_scanned"] == np.count_nonzero(reached)
@@ -491,7 +491,7 @@ class TestClassWalkEdges:
                 counters = {}
                 got = match_features(view, index, params, counters=counters)
                 want, visited, num_view_words = full_scan_match(view, index, params)
-                assert got == want
+                assert np.array_equal(got, want)
                 if len(want) < max_matches:
                     assert counters == {
                         "features_scanned": len(words),
@@ -499,7 +499,7 @@ class TestClassWalkEdges:
                     }
                 else:
                     assert visited <= counters["features_scanned"]
-        assert any(m.feature_index in np.flatnonzero(words == 2) for m in got)
+        assert np.isin(got["feature_index"], np.flatnonzero(words == 2)).any()
 
     # Lengths 2 to 8 in six classes of 4, 3, 7, 4, 5 and 6 features, each
     # feature near its own point: every feature matches a new point, so a
@@ -524,7 +524,7 @@ class TestClassWalkEdges:
             counters = {}
             got = match_features(view, index, params, counters=counters)
             want, visited, _ = full_scan_match(view, index, params)
-            assert got == want and len(want) == visited == max_matches
+            assert np.array_equal(got, want) and len(want) == visited == max_matches
             stop_length = lengths[order[visited - 1]]
             reached = lengths <= stop_length
             assert counters == {
@@ -551,8 +551,9 @@ class TestClassWalkEdges:
         )
         view = query_of([e[1] + 0.5 * e[4] + 0.25 * e[7], e[0] + 0.5 * e[3] + 0.25 * e[6]], 8)
         got = match_features(view, index, MatchParams())
-        assert got == full_scan_match(view, index, MatchParams())[0]
-        assert got == [Correspondence(1, 0, 0.25, 0.25 / np.sqrt(1.0625))]
+        assert np.array_equal(got, full_scan_match(view, index, MatchParams())[0])
+        want = np.array([(1, 0, 0.25, 0.25 / np.sqrt(1.0625))], MATCH_DTYPE)
+        assert np.array_equal(got, want)
 
     def test_better_match_after_the_cap_is_ignored(self):
         """Features 0-5 match points 0-5 and reach the cap of 6; feature 6,
@@ -574,7 +575,7 @@ class TestClassWalkEdges:
         params = MatchParams(max_matches=6)
         counters = {}
         got = match_features(view, index, params, counters=counters)
-        assert got == full_scan_match(view, index, params)[0]
-        got_pairs = [(m.feature_index, m.point_id, m.distance) for m in got]
+        assert np.array_equal(got, full_scan_match(view, index, params)[0])
+        got_pairs = got[["feature_index", "point_id", "distance"]].tolist()
         assert got_pairs == [(j, j, 0.25) for j in range(6)]
         assert counters == {"features_scanned": 7, "words_evaluated": 1}

@@ -1,6 +1,7 @@
 """Binary model format: exact round trips, typed corruption errors, sizes."""
 
 import hashlib
+import json
 from pathlib import Path
 
 import numpy as np
@@ -105,6 +106,43 @@ class TestRoundTrip:
         assert loaded.records[0].condition == "sunny"
         assert loaded.records[0].model.equals(small_model)
         np.testing.assert_array_equal(loaded.records[0].index.centroids, index.centroids)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("record_id", 7),
+            ("file", ["r1.eglm"]),
+            ("condition", None),
+            ("created", "a"),
+            ("created", True),
+            ("last_used", float("nan")),
+            ("last_used", float("inf")),
+            ("last_used", 10**400),
+            ("index_num_words", 16.0),
+            ("index_seed", True),
+        ],
+        ids=[
+            "int-record-id",
+            "list-file",
+            "null-condition",
+            "text-created",
+            "bool-created",
+            "nan-last-used",
+            "inf-last-used",
+            "huge-int-last-used",
+            "float-num-words",
+            "bool-seed",
+        ],
+    )
+    def test_pool_record_field_of_the_wrong_type(self, tmp_path, small_model, key, value):
+        record = ModelRecord("r1", small_model, build_index(small_model, 16, seed=3), 1.0, 2.0)
+        save_pool(ModelPool(records=[record], active_id="r1"), tmp_path)
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["records"][0][key] = value
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ModelIOError, match=f"record field {key} must be"):
+            load_pool(tmp_path)
 
 
 class TestGoldenBytes:

@@ -41,7 +41,6 @@ def fake_result(n_c: int, n_i: int) -> LocalizationResult:
         pose=CameraPose(rotation=np.eye(3), translation=np.zeros(3)),
         intrinsics=unit_intrinsics(),
         n_correspondences=n_c,
-        n_inliers=n_i,
         inlier_point_ids=np.arange(n_i),
         mean_reprojection_error=1.0,
         timings={},

@@ -694,7 +694,6 @@ class TestRefinePose:
             intrinsics=intr,
             inlier_ids=np.arange(40),
             n_correspondences=40,
-            n_inliers=40,
             mean_reprojection_error=0.0,
         )
         refined = refine_pose(estimate, pixels, points)
@@ -719,7 +718,6 @@ class TestRefinePose:
             intrinsics=intr,
             inlier_ids=np.arange(40),
             n_correspondences=40,
-            n_inliers=40,
             mean_reprojection_error=1.0,
         )
         refined = refine_pose(estimate, pixels, points)
@@ -828,7 +826,7 @@ class TestRefinePose:
             return (projected - pixels).T.ravel()
 
         r = residuals(start)
-        estimate = PoseEstimate(start, intr, np.arange(40), 40, 40, pixel_distances(r).mean())
+        estimate = PoseEstimate(start, intr, np.arange(40), 40, pixel_distances(r).mean())
         refined = refine_pose(estimate, pixels, cam_pts)
         assert refined is not estimate
         assert np.all(np.isfinite(refined.pose.center))
@@ -880,7 +878,7 @@ class TestRefinePose:
 
         cam_pts, pixels, start = self._near_point_case(side, seed)
         intr = make_intrinsics()
-        estimate = PoseEstimate(start, intr, np.arange(40), 40, 40, 1e9)
+        estimate = PoseEstimate(start, intr, np.arange(40), 40, 1e9)
         costs = []
         for cap in range(1, 30):
             pose = refine_pose(estimate, pixels, cam_pts, max_iterations=cap).pose
@@ -902,7 +900,7 @@ class TestRefinePose:
         points = front_facing_points(rng, pose, 40)
         pixels = correspondences_for(pose, intr, points)
         pixels[0] += [60.0, 0.0]
-        estimate = PoseEstimate(pose, intr, np.arange(40), 40, 40, 1.5)
+        estimate = PoseEstimate(pose, intr, np.arange(40), 40, 1.5)
         optimum = _scipy_refine(estimate, pixels, points)
         assert np.array_equal(optimum, pose.center)
         assert refine_pose(estimate, pixels, points) is estimate
@@ -915,7 +913,7 @@ class TestRefinePose:
         points = points.copy()
         # Mirror the first point through the camera centre.
         points[0] = 2 * pose.center - points[0]
-        estimate = PoseEstimate(pose, intr, np.arange(40), 40, 40, 1.0)
+        estimate = PoseEstimate(pose, intr, np.arange(40), 40, 1.0)
         counters = {}
         refined = refine_pose(estimate, pixels, points, counters=counters)
         assert refined is estimate

@@ -101,6 +101,20 @@ class TestSmoothTrajectory:
         with pytest.raises(ValueError):
             TrackParams(process_noise=0.0)
 
+    @pytest.mark.parametrize(
+        "value", [np.inf, np.nan, 10**400, True], ids=["inf", "nan", "huge-int", "bool"]
+    )
+    @pytest.mark.parametrize("name", ["process_noise", "measurement_variance", "gate_threshold"])
+    def test_parameters_must_be_finite_numbers(self, name, value):
+        with pytest.raises(ValueError, match="finite and positive"):
+            TrackParams(**{name: value})
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_rejects_a_timestamp_that_is_not_finite(self, t):
+        measurements = [(0.0, [0.0, 0.0, 0.0]), (t, [1.0, 1.0, 1.0]), (0.2, [2.0, 2.0, 2.0])]
+        with pytest.raises(ValueError, match="measurement row 1: timestamp"):
+            smooth_trajectory(measurements)
+
     def test_recovers_from_outlier_at_first_frame(self):
         # A track started on an outlier gates out every true measurement that
         # follows; after REINIT_AFTER_GATED rejections it must restart and
