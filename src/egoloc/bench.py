@@ -9,8 +9,8 @@ registration rate, point counts, and serialized sizes.
 regimes and compares the update-applied errors with a fixed-model baseline.
 
 Both drivers return plain JSON records holding only seed-deterministic
-fields, so a repeated run is byte-identical; `table` prints them as aligned
-text.
+fields, so a repeated run is byte-identical; an error statistic over no
+registered view is None (JSON null). `table` prints them as aligned text.
 """
 
 from __future__ import annotations
@@ -92,11 +92,13 @@ SESSION_COLUMNS = (
 
 
 def table(columns, rows: list[dict]) -> str:
-    """Aligned text table of `rows`, one `columns` entry per column."""
+    """Aligned text table of `rows`, one `columns` entry per column; a None
+    value prints as `-`."""
     header = " ".join(f"{title:{width}}" for title, _, width, _ in columns)
     lines = [header, "-" * len(header)]
     for row in rows:
-        lines.append(" ".join(f"{row[key]:{width}{fmt}}" for _, key, width, fmt in columns))
+        cells = (("-" if row[k] is None else format(row[k], fmt), w) for _, k, w, fmt in columns)
+        lines.append(" ".join(f"{cell:{width}}" for cell, width in cells))
     return "\n".join(lines)
 
 
@@ -170,6 +172,12 @@ def _error_cm(result, view: QueryView) -> float:
     return float(np.linalg.norm(result.pose.center - view.true_pose.center)) * 100.0
 
 
+def _error_stat(stat: Callable, errors: list[float]) -> float | None:
+    """`stat` of the errors rounded to 6 places, or None (JSON null) when no
+    view registered."""
+    return round(float(stat(errors)), 6) if errors else None
+
+
 def _localize_views(index, views, match_params, ransac_params) -> list[float]:
     """The position error, in cm, of each view that registers."""
     errors = []
@@ -225,8 +233,8 @@ def run_benchmark(config: BenchConfig) -> tuple[list[dict], list[float]]:
                 "parameter": parameter,
                 "num_points": variant.num_points,
                 "size_mb": round(_serialized_size_mb(variant), 6),
-                "mean_error_cm": round(float(np.mean(errors)) if errors else float("nan"), 6),
-                "stdev_error_cm": round(float(np.std(errors)) if errors else float("nan"), 6),
+                "mean_error_cm": _error_stat(np.mean, errors),
+                "stdev_error_cm": _error_stat(np.std, errors),
                 "registration_rate": round(len(errors) / len(views), 6),
                 "num_queries": len(views),
             }
@@ -256,10 +264,6 @@ class SessionSimConfig:
             raise ConfigError("schedule must contain at least one session")
         if self.views_per_session < 1:
             raise ConfigError("views_per_session must be positive")
-
-
-def _mean_error(errors: list[float]) -> float:
-    return float(np.mean(errors)) if errors else float("inf")
 
 
 def run_session_sim(config: SessionSimConfig) -> tuple[list[dict], list[dict]]:
@@ -336,8 +340,8 @@ def run_session_sim(config: SessionSimConfig) -> tuple[list[dict], list[dict]]:
                 "active_after": pool.active_id,
                 "triggers": outcome.num_triggers,
                 "new_models": outcome.num_new_models,
-                "updated_mean_cm": round(_mean_error(updated_errors), 6),
-                "fixed_mean_cm": round(_mean_error(fixed_errors), 6),
+                "updated_mean_cm": _error_stat(np.mean, updated_errors),
+                "fixed_mean_cm": _error_stat(np.mean, fixed_errors),
                 "updated_registered": len(updated_errors),
                 "fixed_registered": len(fixed_errors),
             }

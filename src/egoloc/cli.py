@@ -165,7 +165,7 @@ def cmd_track(args) -> int:
         try:
             t, z = row if isinstance(row, list) else ()
             measurements.append((float(t), z))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ValueError(f"measurement row {i} is not a [t, z] pair: {row!r}") from None
     params = parse_config(TrackParams, cfg.get("track", {}))
     states = smooth_trajectory(measurements, params)
@@ -285,11 +285,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one subcommand. Every failure is reported here, as one
     `error[<tag>]: <message>` line on stderr and exit code 1; the tag is the
-    stage of a `RegistrationFailedError`, else the exception's class."""
+    stage of a `RegistrationFailedError`, else the exception's class. A
+    number too large for the code that reads it is an `OverflowError`."""
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (EgolocError, OSError, ValueError) as exc:
+    except (EgolocError, OSError, ValueError, OverflowError) as exc:
         tag = exc.stage if isinstance(exc, RegistrationFailedError) else type(exc).__name__
         print(f"error[{tag}]: {exc}", file=sys.stderr)
         return 1

@@ -129,17 +129,16 @@ def _greedy_kcover(
     vis_f = vis.astype(np.float64)
 
     counts = np.zeros(m, dtype=np.int64)
-    # Unselected visible points per camera; zero means the camera is
-    # saturated and can no longer make progress.
-    remaining = model.visibility.camera_counts()
-    under = np.ones(m, dtype=bool)
+    # A camera is done once it has k selected points or all of its visible
+    # points (saturated); it is under-covered while it has fewer than k.
+    target = np.minimum(model.visibility.camera_counts(), k)
     cover = vis_f.sum(axis=1)
     w = assign_weights(labeling, n)
     labels = labeling.labels()
     members = [s.member_ids for s in labeling.structures]
     order: list[int] = []
 
-    while (under & (remaining > 0)).any():
+    while (counts < target).any():
         scores = w * cover
         best = int(np.argmax(scores))
         if scores[best] <= 0:
@@ -148,11 +147,9 @@ def _greedy_kcover(
         order.append(best)
         seen_by = vis[best]
         counts[seen_by] += 1
-        remaining[seen_by] -= 1
-        crossed = seen_by & under & (counts >= k)
+        crossed = seen_by & (counts == k)
         cover_changed = len(order) == 1
         if crossed.any():
-            under = under & ~crossed
             cover = cover - vis_f[:, crossed].sum(axis=1)
             cover_changed = True
 

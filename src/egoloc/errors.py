@@ -102,16 +102,19 @@ _UNIONS = (typing.Union, types.UnionType)
 
 def _fits(kind, value) -> bool:
     """Whether JSON `value` fits the field type `kind`. Only `int` (never a
-    bool), `float` (any non-bool number), `None` and `tuple[...]` (a list of
-    fitting items) are judged, alone or in a union; other kinds fit anything
-    and are left to the class."""
+    bool), `float` (a float, or another non-bool number that a float holds
+    finitely), `None` and `tuple[...]` (a list of fitting items) are judged,
+    alone or in a union; other kinds fit anything and are left to the
+    class."""
     if typing.get_origin(kind) in _UNIONS:
         return any(_fits(k, value) for k in typing.get_args(kind))
     if typing.get_origin(kind) is tuple:
         item = typing.get_args(kind)[0]
         return isinstance(value, (list, tuple)) and all(_fits(item, v) for v in value)
-    if kind in (int, float):
-        return is_integer(value) if kind is int else is_number(value)
+    if kind is int:
+        return is_integer(value)
+    if kind is float:
+        return isinstance(value, float) or is_finite_number(value)
     return kind is not type(None) or value is None
 
 

@@ -117,13 +117,7 @@ class VisibilityMatrix:
     computed from those lists on demand.
     """
 
-    def __init__(
-        self,
-        num_points: int,
-        points_in_camera: Sequence[np.ndarray],
-        *,
-        min_track_length: int = 0,
-    ):
+    def __init__(self, num_points: int, points_in_camera: Sequence[np.ndarray]):
         if num_points < 0:
             raise ValueError("num_points must be non-negative")
         self.num_points = int(num_points)
@@ -139,23 +133,17 @@ class VisibilityMatrix:
                 raise ValueError(f"camera {j} references point ids out of range")
             arr.flags.writeable = False
             self.points_in_camera.append(arr)
-        if min_track_length > 0:
-            short = int(np.count_nonzero(self.track_lengths() < min_track_length))
-            if short:
-                raise ValueError(
-                    f"{short} points visible in fewer than {min_track_length} cameras"
-                )
 
     @property
     def num_cameras(self) -> int:
         return len(self.points_in_camera)
 
     @classmethod
-    def from_dense(cls, mask: np.ndarray, *, min_track_length: int = 0) -> "VisibilityMatrix":
+    def from_dense(cls, mask: np.ndarray) -> "VisibilityMatrix":
         """Build from a dense (num_points, num_cameras) boolean matrix."""
         m = np.asarray(mask, dtype=bool)
         lists = [np.flatnonzero(m[:, j]) for j in range(m.shape[1])]
-        return cls(m.shape[0], lists, min_track_length=min_track_length)
+        return cls(m.shape[0], lists)
 
     def to_dense(self) -> np.ndarray:
         dense = np.zeros((self.num_points, self.num_cameras), dtype=bool)

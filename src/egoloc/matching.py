@@ -13,13 +13,15 @@ The nearest word is found in float32, by one product per block of rows
 and each query's word lookup share that one function. The centroid update,
 the index's mean rows and every ratio-test distance stay float64.
 
-Distances are computed lazily along the priority order, one batch of
+Only a feature whose word lists two points or more can pass the ratio
+test; the others come first in the priority order, and the walk starts
+past them. Distances are computed lazily along that order, one batch of
 candidate-list length classes (the features whose words have lists of one
 length) at a time. A feature adds at most one point, so while D points are
-matched, every class before the first one whose live features (those whose
-word lists two points or more) reach `max_matches - D` is surely reached.
-A batch is those classes and the one that crosses the line, so the early
-stop can only fall in a batch's last class and skips every class after it.
+matched, every class that ends before `max_matches - D` more features are
+reached is surely reached. A batch is those classes and the one that
+crosses the line, so the early stop can only fall in a batch's last class
+and skips every class after it.
 A class holds whole words, and each word's distance product runs once, on
 all of its features, into its block of the batch's buffer: the same rows
 and the same matrix product as a full scan, hence bit-identical distances.
@@ -92,7 +94,9 @@ class MatchIndex:
     samples in it: the mean of those samples. `descriptors` holds the rows
     word-major, rows `word_indptr[w]:word_indptr[w + 1]` for word w, and
     `owners` is the point id of each row, strictly increasing within a word.
-    Point positions ride along so localization needs only the index.
+    Point positions ride along so localization needs only the index:
+    `point_xyz[i]` is the position of point `point_ids[i]`, and the ids are
+    strictly increasing, so `positions_of` is one binary search.
     Immutable after build; concurrent queries are safe.
     """
 
@@ -119,16 +123,15 @@ class MatchIndex:
             ValueError: an id is not a point of the index.
         """
         point_ids = np.asarray(point_ids)
-        rows = np.minimum(np.searchsorted(self._sorted_ids, point_ids), len(self._sorted_ids) - 1)
-        missing = self._sorted_ids[rows] != point_ids
+        rows = np.minimum(np.searchsorted(self.point_ids, point_ids), len(self.point_ids) - 1)
+        missing = self.point_ids[rows] != point_ids
         if missing.any():
             raise ValueError(f"point id {point_ids[missing][0]} is not in the index")
-        return self.point_xyz[self._sorted_rows[rows]]
+        return self.point_xyz[rows]
 
     def __post_init__(self):
-        order = np.argsort(self.point_ids)
-        self._sorted_ids = self.point_ids[order]
-        self._sorted_rows = order
+        if np.any(np.diff(self.point_ids) <= 0):
+            raise ValueError("point_ids must be strictly increasing")
         self._sq_norms = np.empty(len(self.descriptors))
         step = max(1, _BLOCK_ELEMENTS // self.descriptor_dim)
         for start in range(0, len(self.descriptors), step):
@@ -247,6 +250,8 @@ def build_index(
     assign = _nearest_centroid(all_desc, centroids)
     # Number each (word, point) pair word-major, by point id within a word.
     ids, rank = np.unique(model.point_ids, return_inverse=True)
+    xyz = np.empty_like(model.xyz)
+    xyz[rank] = model.xyz
     pair = assign * len(ids) + np.repeat(rank, model.descriptor_counts)
     pairs, group, sizes = np.unique(pair, return_inverse=True, return_counts=True)
     words, ranks = np.divmod(pairs, len(ids))
@@ -257,8 +262,8 @@ def build_index(
         descriptors=_label_sums(group, len(pairs), all_desc) / sizes[:, None],
         owners=ids[ranks],
         word_indptr=word_indptr,
-        point_ids=model.point_ids.copy(),
-        point_xyz=model.xyz.copy(),
+        point_ids=ids,
+        point_xyz=xyz,
         build_seed=seed,
     )
 
@@ -266,32 +271,34 @@ def build_index(
 def _batch_passes(
     desc: np.ndarray,
     index: MatchIndex,
-    by_word: np.ndarray,
-    runs: list[tuple[int, int, int, int]],
+    features: np.ndarray,
+    starts: list[int],
+    first_row: np.ndarray,
+    lengths: np.ndarray,
     ratio_threshold: float,
 ) -> tuple[np.ndarray, ...]:
     """The features of one batch that pass the ratio test, with the column
     of their nearest point in their word's list, its distance and the ratio.
 
-    `runs` are the batch's words, (start, stop, first row, list length) with
-    positions in `by_word`, the widest list last. Each word's product is
-    one matrix product over its features, of a full scan's shapes (hence
-    its distance bits), into its rows and first `length` columns of one
-    buffer as wide as the widest list. The columns past a word's list hold
-    product 0 and norm +inf, so they never hold one of the two smallest
-    distances.
+    `features` are the batch's features in walk order, the widest list
+    last, and `starts` the positions in it where each word's run begins;
+    `first_row` and `lengths` give each feature's word list. Each word's
+    product is one matrix product over its features, of a full scan's
+    shapes (hence its distance bits), into its rows and first `length`
+    columns of one buffer as wide as the widest list. The columns past a
+    word's list hold product 0 and norm +inf, so they never hold one of the
+    two smallest distances.
     """
-    lo = runs[0][0]
-    features = by_word[lo : runs[-1][1]]
     x = desc[features]
     x_sq = np.sum(x * x, axis=1)
     x *= 2.0
-    sq = np.zeros((len(features), runs[-1][3]))
+    sq = np.zeros((len(features), lengths[features[-1]]))
     norms = np.full(sq.shape, np.inf)
-    for a, b, row, length in runs:
+    for a, b in zip(starts, [*starts[1:], len(features)]):
+        row, length = first_row[features[a]], lengths[features[a]]
         word_rows = index.descriptors[row : row + length]
-        np.matmul(x[a - lo : b - lo], word_rows.T, out=sq[a - lo : b - lo, :length])
-        norms[a - lo : b - lo, :length] = index._sq_norms[row : row + length]
+        np.matmul(x[a:b], word_rows.T, out=sq[a:b, :length])
+        norms[a:b, :length] = index._sq_norms[row : row + length]
     np.subtract(x_sq[:, None], sq, out=sq)
     sq += norms
     np.maximum(sq, 0.0, out=sq)
@@ -330,7 +337,8 @@ def match_features(
     a time, and equal a full scan's (see the module docstring).
 
     If `counters` is given, it receives `features_scanned` (the features
-    of every class reached, through the one the search stops in) and
+    of every class reached, through the one the search stops in; the
+    classes whose lists hold fewer than two points count as reached) and
     `words_evaluated` (their words).
 
     Raises:
@@ -350,44 +358,35 @@ def match_features(
     # A stable sort by (length, word) makes each word's features one run
     # and each length class one span of runs, with ties by feature index.
     by_word = np.argsort(lengths * index.num_words + words, kind="stable")
-    sorted_lengths = lengths[by_word]
-    run_starts = np.flatnonzero(np.diff(words[by_word], prepend=-1))
-    class_starts = np.flatnonzero(np.diff(sorted_lengths, prepend=-1))
-    class_ends = [*class_starts[1:].tolist(), n]
-    class_runs = [*np.searchsorted(run_starts, class_starts).tolist(), len(run_starts)]
-    run_lengths = sorted_lengths[run_starts].tolist()
-    run_rows = first_row[by_word[run_starts]].tolist()
-    runs = list(zip(run_starts.tolist(), [*run_starts[1:].tolist(), n], run_rows, run_lengths))
-    # Only a class whose lists hold two points or more has live features,
-    # ones that can pass the ratio test; the others come first.
-    first_live_run = bisect_left(run_lengths, 2)
-    live_sizes = np.subtract(class_ends, class_starts) * (sorted_lengths[class_starts] >= 2)
-    live_before = [0, *np.cumsum(live_sizes).tolist()]
+    run_starts = np.flatnonzero(np.diff(words[by_word], prepend=-1)).tolist()
+    class_ends = [*(np.flatnonzero(np.diff(lengths[by_word])) + 1).tolist(), n]
 
     cap = params.max_matches
     batches = []
-    num_passes = found = start = 0
-    while True:
-        target = live_before[start] + cap - found
-        last = min(bisect_left(live_before, target) - 1, len(class_ends) - 1)
-        batch_runs = runs[max(class_runs[start], first_live_run) : class_runs[last + 1]]
-        if batch_runs:
-            f, column, distance, ratio = _batch_passes(
-                desc, index, by_word, batch_runs, params.ratio_threshold
-            )
-            if len(f):
-                batches.append((f, index.owners[first_row[f] + column], distance, ratio))
-            num_passes += len(f)
-            # A pass adds at most one point, so until the passes reach the
-            # cap their count stands in for the points matched.
-            found = num_passes
-            if num_passes >= cap:
-                found = len(np.unique(np.concatenate([batch[1] for batch in batches])))
-        if found >= cap or last == len(class_ends) - 1:
-            break
-        start = last + 1
+    # A feature whose word lists fewer than two points can never pass the
+    # ratio test. Those features come first, and the walk starts past them.
+    reached = int(np.count_nonzero(lengths < 2))
+    num_passes = found = 0
+    while reached < n and found < cap:
+        # The batch ends at the first class end at least `cap - found`
+        # features past `reached`, or at the last class.
+        end = class_ends[bisect_left(class_ends, min(reached + cap - found, n))]
+        runs = run_starts[bisect_left(run_starts, reached) : bisect_left(run_starts, end)]
+        starts = [a - reached for a in runs]
+        f, column, distance, ratio = _batch_passes(
+            desc, index, by_word[reached:end], starts, first_row, lengths, params.ratio_threshold
+        )
+        if len(f):
+            batches.append((f, index.owners[first_row[f] + column], distance, ratio))
+        num_passes += len(f)
+        # A pass adds at most one point, so until the passes reach the cap
+        # their count stands in for the points matched.
+        found = num_passes
+        if num_passes >= cap:
+            found = len(np.unique(np.concatenate([batch[1] for batch in batches])))
+        reached = end
     if counters is not None:
-        counters.update(features_scanned=class_ends[last], words_evaluated=class_runs[last + 1])
+        counters.update(features_scanned=reached, words_evaluated=bisect_left(run_starts, reached))
     if not batches:
         return np.zeros(0, MATCH_DTYPE)
 

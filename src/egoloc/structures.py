@@ -86,11 +86,11 @@ class StructureLabeling:
 
     def __post_init__(self):
         self.residual_ids = np.asarray(self.residual_ids, dtype=np.int64).reshape(-1)
-        counts = np.zeros(self.num_points, dtype=np.int64)
-        for s in self.structures:
-            counts[s.member_ids] += 1
-        counts[self.residual_ids] += 1
-        if not np.all(counts == 1):
+        ids = np.concatenate([*(s.member_ids for s in self.structures), self.residual_ids])
+        outside = ids[(ids < 0) | (ids >= self.num_points)]
+        if len(outside):
+            raise ValueError(f"point id {outside[0]} is outside 0..{self.num_points - 1}")
+        if not np.all(np.bincount(ids, minlength=self.num_points) == 1):
             raise ValueError("structures and residual must partition the point ids")
 
     def labels(self) -> np.ndarray:

@@ -335,7 +335,7 @@ def generate_scene(spec: SceneSpec) -> GroundTruthScene:
             f"(minimum {spec.min_points_per_camera})"
         )
 
-    visibility = VisibilityMatrix.from_dense(keep, min_track_length=2)
+    visibility = VisibilityMatrix.from_dense(keep)
     descriptors = _unit_rows(desc_rng, len(xyz), spec.descriptor_dim)
     return GroundTruthScene(
         xyz=xyz,

@@ -112,13 +112,15 @@ def smooth_trajectory(
 ) -> list[TrackState]:
     """Filter an ordered list of (timestamp, position-or-None) measurements.
 
-    Returns one state per timestamp. A None measurement, or one whose
-    innovation exceeds the Mahalanobis gate, only propagates the prediction.
-    After `REINIT_AFTER_GATED` consecutive gated measurements (None frames
-    neither count nor break the run) the track is re-initialized on the
-    latest one with the same prior as at the start; each state's `gated`
-    and `restarted` flags record both events. The covariance update uses
-    the Joseph form so it stays symmetric PSD.
+    Returns one state per timestamp. The track starts at the first
+    measurement, and every frame up to it gets that start state. After it,
+    a None measurement, or one whose innovation exceeds the Mahalanobis
+    gate, only propagates the prediction. After `REINIT_AFTER_GATED`
+    consecutive gated measurements (None frames neither count nor break the
+    run) the track is re-initialized on the latest one with the same prior
+    as at the start; each state's `gated` and `restarted` flags record both
+    events. The covariance update uses the Joseph form so it stays
+    symmetric PSD.
 
     Raises:
         EmptyInputError: no measurements given.
@@ -142,26 +144,14 @@ def smooth_trajectory(
     r = params.measurement_variance * np.eye(3)
     q_density = params.process_noise
 
-    # Initialize on the first real measurement; leading gaps just replay it.
-    first_z = next((z for z in positions if z is not None), None)
-    if first_z is None:
+    first = next((i for i, z in enumerate(positions) if z is not None), None)
+    if first is None:
         raise ValueError("at least one measurement must be present")
+    x, p = _initial_state(positions[first], params)
+    states = [TrackState(x[:3].copy(), x[3:].copy(), p.copy()) for _ in range(first + 1)]
 
-    x, p = _initial_state(first_z, params)
-
-    states: list[TrackState] = []
-    initialized = False
     gated_run = 0
-    prev_t = times[0]
-    for (t, _), z in zip(measurements, positions):
-        if not initialized:
-            if z is not None:
-                initialized = True
-            states.append(TrackState(position=x[:3].copy(), velocity=x[3:].copy(), covariance=p.copy()))
-            prev_t = t
-            continue
-
-        dt = t - prev_t
+    for dt, z in zip(np.diff(times[first:]).tolist(), positions[first + 1 :]):
         f, q = _transition(dt)
         x = f @ x
         p = f @ p @ f.T + q_density * q
@@ -191,5 +181,4 @@ def smooth_trajectory(
         states.append(
             TrackState(x[:3].copy(), x[3:].copy(), p.copy(), gated=gated, restarted=restarted)
         )
-        prev_t = t
     return states

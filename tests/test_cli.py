@@ -15,6 +15,7 @@ from egoloc import (
     ModelPool,
     ModelRecord,
     PoolParams,
+    StructureLabeling,
     build_index,
     detect_structures,
     load_model,
@@ -45,7 +46,7 @@ SCENE_CFG = {
 # the hashes and says why.
 GOLDEN_SHA256 = {
     "bench.jsonl": "3f84b1a5e66c8d6923d292f05869deb0516946cc9ad85ac1508e8e9c63928dc8",
-    "sessions.jsonl": "8fc381878b1ae38124c03c786fa9564bceab7981659044c077c50d1035e037a4",
+    "sessions.jsonl": "d3194073ce8126a7725c41e654a0a7dc4ead249374b0b2906a10598bad117814",
     "events.jsonl": "b2ac825bef57d3c3b4c3a438980d26d7659039f58196d24d71e7037c3abd1819",
 }
 
@@ -62,6 +63,16 @@ PIPELINE_SHA256 = {
 
 def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def read_jsonl(path: Path) -> list[dict]:
+    """The records of a JSONL file the CLI wrote, read strictly: a NaN or an
+    infinity, which JSON does not have, fails the test."""
+
+    def reject(token):
+        raise AssertionError(f"{path.name} holds {token}, which is not JSON")
+
+    return [json.loads(line, parse_constant=reject) for line in path.read_text().splitlines()]
 
 
 def write_cfg(tmp_path, payload, name="cfg.json"):
@@ -126,7 +137,7 @@ class TestPipelineCommands:
             ]
         )
         assert rc == 0
-        record = json.loads((loc / "localization.jsonl").read_text().strip())
+        (record,) = read_jsonl(loc / "localization.jsonl")
         assert record["error_m"] < 0.5
         assert record["n_inliers"] >= 6
         assert record["features_scanned"] >= record["n_correspondences"]
@@ -245,9 +256,8 @@ class TestTrackCommand:
         meas.write_text(json.dumps(rows))
         out = tmp_path / "track"
         assert main(["track", "--measurements", str(meas), "--out", str(out)]) == 0
-        lines = (out / "track.jsonl").read_text().strip().splitlines()
-        assert len(lines) == 50
-        records = [json.loads(line) for line in lines]
+        records = read_jsonl(out / "track.jsonl")
+        assert len(records) == 50
         assert not any(r["gated"] or r["restarted"] for r in records)
 
 
@@ -260,7 +270,9 @@ class TestTrackCommand:
         assert err.startswith("error[ValueError]: measurement row 0") and err.count("\n") == 1
         assert not (out / "track.jsonl").exists()
 
-    @pytest.mark.parametrize("t", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize(
+        "t", ["NaN", "Infinity", "-Infinity", pytest.param(str(10**400), id="huge-int")]
+    )
     def test_non_finite_timestamp_fails_cleanly(self, tmp_path, capsys, t):
         meas = tmp_path / "meas.json"
         meas.write_text(f"[[0, [0, 0, 0]], [{t}, [1, 1, 1]], [0.2, [2, 2, 2]]]")
@@ -298,10 +310,20 @@ class TestBenchCommand:
         assert main(["bench", "--config", cfg, "--out", str(out1)]) == 0
         assert main(["bench", "--config", cfg, "--out", str(out2)]) == 0
         assert (out1 / "bench.jsonl").read_bytes() == (out2 / "bench.jsonl").read_bytes()
-        rows = [json.loads(l) for l in (out1 / "bench.jsonl").read_text().splitlines()]
+        rows = read_jsonl(out1 / "bench.jsonl")
         assert {r["method"] for r in rows} == {"full", "weighted_kcover"}
         full = next(r for r in rows if r["method"] == "full")
         assert full["registration_rate"] == 1.0
+
+    def test_no_registered_view_writes_null(self, tmp_path, capsys):
+        payload = {**self.CFG, "methods": ["full"], "ransac": {"inlier_threshold": 1e-9}}
+        cfg = write_cfg(tmp_path, payload)
+        assert main(["bench", "--config", cfg, "--out", str(tmp_path)]) == 0
+        (row,) = read_jsonl(tmp_path / "bench.jsonl")
+        assert row["registration_rate"] == 0.0
+        assert row["mean_error_cm"] is None and row["stdev_error_cm"] is None
+        printed = capsys.readouterr().out.splitlines()[2].split()
+        assert printed[0] == "full" and printed[4:6] == ["-", "-"]
 
     def test_bench_output_matches_golden(self, tmp_path):
         cfg = write_cfg(tmp_path, self.CFG)
@@ -335,9 +357,12 @@ class TestSessionsCommand:
         assert main(["sessions", "--config", cfg, "--out", str(out1)]) == 0
         assert main(["sessions", "--config", cfg, "--out", str(out2)]) == 0
         assert (out1 / "sessions.jsonl").read_bytes() == (out2 / "sessions.jsonl").read_bytes()
-        rows = [json.loads(l) for l in (out1 / "sessions.jsonl").read_text().splitlines()]
+        rows = read_jsonl(out1 / "sessions.jsonl")
         assert rows[0]["triggers"] == 0  # first session matches the active model
         assert rows[1]["active_after"] == "regime-2"
+        # The fixed regime-1 model registers no regime-2 view: no mean error.
+        assert rows[1]["fixed_registered"] == 0 and rows[1]["fixed_mean_cm"] is None
+        assert read_jsonl(out1 / "events.jsonl")
 
     def test_sessions_output_matches_golden(self, tmp_path):
         cfg = write_cfg(tmp_path, self.CFG)
@@ -391,6 +416,13 @@ class TestErrorPaths:
             ("sessions", {"pool_regimes": ["a"]}, "ConfigError"),
             ("sessions", {"score_views": [10]}, "ConfigError"),
             ("sessions", {"pool": {"swap_threshold": 1.5}}, "ConfigError"),
+            ("gen", {"scene": {"scene_extent": 10**400}}, "ConfigError"),
+            ("localize", {"ransac": {"inlier_threshold": 10**400}}, "ConfigError"),
+            (
+                "sessions",
+                {**TestSessionsCommand.CFG, "pool": {"invalid_window": 10**30}},
+                "OverflowError",
+            ),
         ],
         ids=[
             "gen-bad-value",
@@ -434,6 +466,9 @@ class TestErrorPaths:
             "sessions-string-regime",
             "sessions-list-score-views",
             "sessions-swap-threshold-above-one",
+            "gen-huge-int-scene-extent",
+            "localize-huge-int-inlier-threshold",
+            "sessions-huge-invalid-window",
         ],
     )
     def test_bad_config_fails_cleanly(self, tmp_path, request, capsys, command, payload, error):
@@ -494,6 +529,19 @@ class TestErrorPaths:
         assert main(["track", "--measurements", str(meas), "--out", str(tmp_path / "x")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error[ValueError]") and err.count("\n") == 1
+
+    def test_labeling_id_outside_the_model_fails_cleanly(self, tmp_path, capsys, model_file):
+        model = load_model(model_file)
+        n = model.num_points
+        model.labeling = StructureLabeling([], np.arange(n), n)
+        model.labeling.residual_ids[-1] = n
+        path = tmp_path / "bad.eglm"
+        model_io.save_model(model, path)
+        args = ["compress", "--model", str(path), "--parameter", "5", "--out", str(tmp_path / "x")]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[ModelIOError]") and err.count("\n") == 1
+        assert f"point id {n} is outside" in err
 
     def test_missing_model_file(self, tmp_path):
         rc = main(

@@ -206,10 +206,6 @@ class TestVisibilityMatrix:
         vis = VisibilityMatrix.from_dense(mask)
         np.testing.assert_array_equal(vis.to_dense(), mask)
 
-    def test_min_track_length_enforced(self):
-        with pytest.raises(ValueError, match="fewer than 2"):
-            VisibilityMatrix(3, [np.array([0, 1]), np.array([1])], min_track_length=2)
-
     def test_out_of_range_ids_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
             VisibilityMatrix(2, [np.array([0, 5])])

@@ -174,6 +174,31 @@ class TestIndexLayout:
         got = index.positions_of(ids)
         assert got.shape == (50, 3) and got.tobytes() == want.tobytes()
 
+    def test_point_ids_are_stored_sorted(self, small_model):
+        model = small_model.subset(np.random.default_rng(0).permutation(small_model.num_points))
+        index = build_index(model, num_words=16, seed=1)
+        order = np.argsort(model.point_ids)
+        assert np.array_equal(index.point_ids, model.point_ids[order])
+        assert index.point_xyz.tobytes() == model.xyz[order].tobytes()
+
+    @pytest.mark.parametrize(
+        "point_ids",
+        [[0, 2, 1, 3], [0, 1, 1, 3], [3, 2, 1, 0]],
+        ids=["unsorted", "repeated", "reversed"],
+    )
+    def test_point_ids_must_be_strictly_increasing(self, point_ids):
+        e = np.eye(4)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            MatchIndex(
+                centroids=e[:1],
+                descriptors=e,
+                owners=np.arange(4),
+                word_indptr=np.array([0, 4]),
+                point_ids=np.array(point_ids),
+                point_xyz=np.zeros((4, 3)),
+                build_seed=0,
+            )
+
     def test_positions_of_rejects_ids_not_held(self, small_model):
         # Every third point only, so the held ids have gaps between them.
         model = small_model.subset(np.arange(0, small_model.num_points, 3))
@@ -500,6 +525,22 @@ class TestClassWalkEdges:
                 else:
                     assert visited <= counters["features_scanned"]
         assert np.isin(got["feature_index"], np.flatnonzero(words == 2)).any()
+
+    @pytest.mark.parametrize("max_matches", [6, 10_000])
+    def test_no_feature_can_pass_when_no_word_lists_two_points(self, max_matches):
+        """Every feature's word lists one point or none: the walk evaluates
+        nothing, yet every feature and word counts as scanned."""
+        rng = np.random.default_rng(3)
+        index = hand_index([1, 0, 1, 1, 3], 16, rng)
+        words = rng.permutation(np.repeat([0, 1, 2, 3], [3, 2, 1, 4]))
+        view = query_of(index.centroids[words] + 0.02 * rng.normal(size=(len(words), 16)), 16)
+        params = MatchParams(max_matches=max_matches)
+        counters = {}
+        got = match_features(view, index, params, counters=counters)
+        want, visited, num_view_words = full_scan_match(view, index, params)
+        assert len(got) == 0 and np.array_equal(got, want) and got.dtype == MATCH_DTYPE
+        assert counters == {"features_scanned": visited, "words_evaluated": num_view_words}
+        assert visited == len(words) and num_view_words == 4
 
     # Lengths 2 to 8 in six classes of 4, 3, 7, 4, 5 and 6 features, each
     # feature near its own point: every feature matches a new point, so a

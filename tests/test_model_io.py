@@ -30,7 +30,7 @@ from egoloc.errors import (
 )
 from egoloc.model_io import _HEADER_SIZE, FORMAT_VERSION
 from egoloc.pool import ModelPool, ModelRecord, PoolParams
-from egoloc.structures import DetectParams, detect_structures
+from egoloc.structures import DetectParams, StructureLabeling, detect_structures
 
 from conftest import compressed_equal
 
@@ -360,6 +360,17 @@ class TestZeroCopyLoad:
         payload[at:] = counts.tobytes()
         path.write_bytes(with_payload(data, bytes(payload)))
         with pytest.raises(ModelIOError, match="per-camera counts"):
+            load_model(path)
+
+    @pytest.mark.parametrize("where", ["past-the-end", "negative"])
+    def test_labeling_id_outside_the_points(self, saved, where):
+        path, original = saved
+        n = original.num_points
+        original.model.labeling = StructureLabeling([], np.arange(n), n)
+        bad = n if where == "past-the-end" else -1
+        original.model.labeling.residual_ids[0] = bad
+        save_model(original, path)
+        with pytest.raises(ModelIOError, match=f"point id {bad} is outside"):
             load_model(path)
 
     def test_labeling_that_fails_to_decode(self, saved):

@@ -79,6 +79,27 @@ class TestSmoothTrajectory:
         traces = [np.trace(s.covariance[:3, :3]) for s in states]
         assert all(b > a for a, b in zip(traces[1:], traces[2:]))
 
+    def test_leading_gap_replays_the_start_state(self):
+        rng = np.random.default_rng(8)
+        times, truth, measured = constant_velocity_track(rng, n=40)
+        measured[25] += 40.0  # an outlier after the gap
+        gap = 5
+        measurements = [(float(t), None if i < gap else measured[i]) for i, t in enumerate(times)]
+        states = smooth_trajectory(measurements, TrackParams())
+        rest = smooth_trajectory(measurements[gap:], TrackParams())
+        assert len(states) == 40 and states[25].gated
+        start = rest[0]
+        for s in states[: gap + 1]:
+            assert s.position.tobytes() == start.position.tobytes()
+            assert s.velocity.tobytes() == start.velocity.tobytes()
+            assert s.covariance.tobytes() == start.covariance.tobytes()
+            assert not (s.gated or s.restarted)
+        for s, r in zip(states[gap:], rest):
+            assert s.position.tobytes() == r.position.tobytes()
+            assert s.velocity.tobytes() == r.velocity.tobytes()
+            assert s.covariance.tobytes() == r.covariance.tobytes()
+            assert (s.gated, s.restarted) == (r.gated, r.restarted)
+
     def test_converges_to_measurements_as_r_vanishes(self):
         rng = np.random.default_rng(6)
         times, truth, measured = constant_velocity_track(rng, n=40)
