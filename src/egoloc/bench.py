@@ -15,21 +15,21 @@ registered view is None (JSON null). `table` prints them as aligned text.
 
 from __future__ import annotations
 
-import tempfile
+import os
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from .compression import METHODS, CompressedModel, compress
-from .errors import ConfigError, RegistrationFailedError, TooFewVisibleError
+from .errors import ConfigError, TooFewVisibleError
 from .geometry import pose_looking_at
 from .matching import MatchParams, build_index
 from .model_io import BYTES_PER_MB, save_model
 from .pool import ModelPool, ModelRecord, PoolParams, SessionBatch, ingest_session
-from .pose import RansacParams, localize
+from .pool import _localize_or_none
+from .pose import RansacParams
 from .structures import DetectParams, detect_structures
 from .synthetic import (
     GroundTruthScene,
@@ -182,18 +182,10 @@ def _localize_views(index, views, match_params, ransac_params) -> list[float]:
     """The position error, in cm, of each view that registers."""
     errors = []
     for view in views:
-        try:
-            result = localize(view, index, match_params, ransac_params)
-        except RegistrationFailedError:
-            continue
-        errors.append(_error_cm(result, view))
+        result = _localize_or_none(view, index, match_params, ransac_params)
+        if result is not None:
+            errors.append(_error_cm(result, view))
     return errors
-
-
-def _serialized_size_mb(model) -> float:
-    with tempfile.TemporaryDirectory() as tmp:
-        n = save_model(model, Path(tmp) / "m.eglm")
-    return n / BYTES_PER_MB
 
 
 def run_benchmark(config: BenchConfig) -> tuple[list[dict], list[float]]:
@@ -232,7 +224,7 @@ def run_benchmark(config: BenchConfig) -> tuple[list[dict], list[float]]:
                 "method": method,
                 "parameter": parameter,
                 "num_points": variant.num_points,
-                "size_mb": round(_serialized_size_mb(variant), 6),
+                "size_mb": round(save_model(variant, os.devnull) / BYTES_PER_MB, 6),
                 "mean_error_cm": _error_stat(np.mean, errors),
                 "stdev_error_cm": _error_stat(np.std, errors),
                 "registration_rate": round(len(errors) / len(views), 6),

@@ -29,6 +29,10 @@ from .structures import DetectParams, StructureLabeling, detect_structures
 from .synthetic import GroundTruthScene, SceneSpec, build_model, generate_scene, render_view
 from .tracking import TrackParams, smooth_trajectory
 
+# The most characters of a failure message `main` prints. A message may
+# repeat a value from outside, of any length, after the field or row it names.
+MAX_MESSAGE_CHARS = 200
+
 
 def _load_config(path: str | None) -> dict:
     if path is None:
@@ -286,13 +290,17 @@ def main(argv=None) -> int:
     """Run one subcommand. Every failure is reported here, as one
     `error[<tag>]: <message>` line on stderr and exit code 1; the tag is the
     stage of a `RegistrationFailedError`, else the exception's class. A
-    number too large for the code that reads it is an `OverflowError`."""
+    number too large for the code that reads it is an `OverflowError`. A
+    longer message is cut to `MAX_MESSAGE_CHARS`, ending in `...`."""
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (EgolocError, OSError, ValueError, OverflowError) as exc:
         tag = exc.stage if isinstance(exc, RegistrationFailedError) else type(exc).__name__
-        print(f"error[{tag}]: {exc}", file=sys.stderr)
+        message = str(exc)
+        if len(message) > MAX_MESSAGE_CHARS:
+            message = message[: MAX_MESSAGE_CHARS - 3] + "..."
+        print(f"error[{tag}]: {message}", file=sys.stderr)
         return 1
 
 

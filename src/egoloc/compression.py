@@ -126,13 +126,12 @@ def _greedy_kcover(
     if k < 1:
         raise ValueError("k must be at least 1")
     vis = model.visibility.to_dense()
-    vis_f = vis.astype(np.float64)
 
     counts = np.zeros(m, dtype=np.int64)
     # A camera is done once it has k selected points or all of its visible
     # points (saturated); it is under-covered while it has fewer than k.
     target = np.minimum(model.visibility.camera_counts(), k)
-    cover = vis_f.sum(axis=1)
+    cover = vis.sum(axis=1, dtype=np.float64)
     w = assign_weights(labeling, n)
     labels = labeling.labels()
     members = [s.member_ids for s in labeling.structures]
@@ -150,7 +149,7 @@ def _greedy_kcover(
         crossed = seen_by & (counts == k)
         cover_changed = len(order) == 1
         if crossed.any():
-            cover = cover - vis_f[:, crossed].sum(axis=1)
+            cover = cover - vis[:, crossed].sum(axis=1, dtype=np.float64)
             cover_changed = True
 
         step = {"selected": best, "weights_before": w.copy()} if trace is not None else None

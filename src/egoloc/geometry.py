@@ -29,6 +29,15 @@ MIN_CORRESPONDENCES = 6
 ROTATION_TOL = 1e-9
 
 
+def _store_read_only(obj, name: str, dtype, shape) -> np.ndarray:
+    """Set field `name` of `obj`, a frozen dataclass too, to a read-only copy
+    in `dtype` and `shape`, and return it; the caller's array is untouched."""
+    arr = np.asarray(getattr(obj, name), dtype=dtype).reshape(shape).copy()
+    arr.flags.writeable = False
+    object.__setattr__(obj, name, arr)
+    return arr
+
+
 @dataclass(frozen=True)
 class CameraIntrinsics:
     """Pinhole intrinsics; focal lengths and principal point in pixels."""
@@ -70,16 +79,12 @@ class CameraPose:
     translation: np.ndarray
 
     def __post_init__(self):
-        r = np.asarray(self.rotation, dtype=np.float64).reshape(3, 3).copy()
-        t = np.asarray(self.translation, dtype=np.float64).reshape(3).copy()
+        r = _store_read_only(self, "rotation", np.float64, (3, 3))
+        _store_read_only(self, "translation", np.float64, 3)
         if np.max(np.abs(r.T @ r - np.eye(3))) >= ROTATION_TOL:
             raise ValueError("rotation is not orthonormal")
         if np.linalg.det(r) <= 0:
             raise ValueError("rotation must have determinant +1")
-        r.flags.writeable = False
-        t.flags.writeable = False
-        object.__setattr__(self, "rotation", r)
-        object.__setattr__(self, "translation", t)
         if not np.all(np.isfinite(self.center)):
             raise ValueError("camera center is not finite")
 
@@ -124,7 +129,7 @@ class VisibilityMatrix:
         self.points_in_camera: list[np.ndarray] = []
         for j, ids in enumerate(points_in_camera):
             arr = np.array(ids, dtype=np.int64).reshape(-1)
-            # The lists built in this package and read from model files are
+            # Every list built in this package or read from a model file is
             # strictly increasing already; `np.unique` would cost far more
             # than this check.
             if not np.all(arr[1:] > arr[:-1]):
@@ -164,7 +169,7 @@ class VisibilityMatrix:
         """Visibility over a subset of points, re-indexed to 0..len(rows)-1.
 
         Camera count is preserved; cameras seeing none of the kept points get
-        empty lists.
+        empty lists. Each list is sorted, since `rows` may come in any order.
         """
         rows = np.asarray(rows, dtype=np.int64)
         remap = -np.ones(self.num_points, dtype=np.int64)
@@ -172,7 +177,7 @@ class VisibilityMatrix:
         lists = []
         for ids in self.points_in_camera:
             kept = remap[ids]
-            lists.append(kept[kept >= 0])
+            lists.append(np.sort(kept[kept >= 0]))
         return VisibilityMatrix(len(rows), lists)
 
     def __eq__(self, other) -> bool:

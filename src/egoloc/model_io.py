@@ -162,7 +162,7 @@ def save_model(model: PointCloudModel | CompressedModel, path: str | Path) -> in
         w.array(compressed.achieved_counts, "<i8")
 
     header_head = struct.pack(
-        "<4sIIQIIIQI",
+        _HEADER_FMT[:-1],  # all but the header's own CRC
         MAGIC,
         FORMAT_VERSION,
         flags,

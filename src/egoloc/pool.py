@@ -16,6 +16,7 @@ active index may run concurrently.
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -74,6 +75,8 @@ class PoolParams:
             raise ValueError("swap_threshold must be in [0, 1]")
         if self.invalid_quota < 1 or self.invalid_window < self.invalid_quota:
             raise ValueError("need 1 <= invalid_quota <= invalid_window")
+        if self.invalid_window > sys.maxsize:  # the longest deque `ingest_session` can keep
+            raise ValueError(f"invalid_window must be at most {sys.maxsize}")
         if not self.ttl > 0:
             raise ValueError("ttl must be positive")
 
@@ -395,7 +398,6 @@ def ingest_session(
                 )
                 pool.active_id = chosen.record_id
                 chosen.last_used = max(chosen.last_used, now)
-            window.clear()
 
     end_time = float(session.timestamps[-1])
     pool.active.last_used = max(pool.active.last_used, end_time)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelIOError
+from .geometry import _store_read_only
 
 
 @dataclass(frozen=True)
@@ -25,14 +26,10 @@ class PlaneStructure:
     member_ids: np.ndarray
 
     def __post_init__(self):
-        n = np.asarray(self.normal, dtype=np.float64).reshape(3).copy()
+        n = _store_read_only(self, "normal", np.float64, 3)
         if abs(np.linalg.norm(n) - 1.0) > 1e-9:
             raise ValueError("plane normal must be unit length")
-        ids = np.asarray(self.member_ids, dtype=np.int64).reshape(-1).copy()
-        n.flags.writeable = False
-        ids.flags.writeable = False
-        object.__setattr__(self, "normal", n)
-        object.__setattr__(self, "member_ids", ids)
+        _store_read_only(self, "member_ids", np.int64, -1)
 
 
 @dataclass(frozen=True)
@@ -44,16 +41,11 @@ class LineStructure:
     member_ids: np.ndarray
 
     def __post_init__(self):
-        d = np.asarray(self.direction, dtype=np.float64).reshape(3).copy()
+        d = _store_read_only(self, "direction", np.float64, 3)
         if abs(np.linalg.norm(d) - 1.0) > 1e-9:
             raise ValueError("line direction must be unit length")
-        a = np.asarray(self.anchor, dtype=np.float64).reshape(3).copy()
-        ids = np.asarray(self.member_ids, dtype=np.int64).reshape(-1).copy()
-        for arr in (d, a, ids):
-            arr.flags.writeable = False
-        object.__setattr__(self, "direction", d)
-        object.__setattr__(self, "anchor", a)
-        object.__setattr__(self, "member_ids", ids)
+        _store_read_only(self, "anchor", np.float64, 3)
+        _store_read_only(self, "member_ids", np.int64, -1)
 
 
 Structure = PlaneStructure | LineStructure
@@ -85,8 +77,8 @@ class StructureLabeling:
     num_points: int
 
     def __post_init__(self):
-        self.residual_ids = np.asarray(self.residual_ids, dtype=np.int64).reshape(-1)
-        ids = np.concatenate([*(s.member_ids for s in self.structures), self.residual_ids])
+        residual = _store_read_only(self, "residual_ids", np.int64, -1)
+        ids = np.concatenate([*(s.member_ids for s in self.structures), residual])
         outside = ids[(ids < 0) | (ids >= self.num_points)]
         if len(outside):
             raise ValueError(f"point id {outside[0]} is outside 0..{self.num_points - 1}")

@@ -1,5 +1,8 @@
 """Shared fixtures and helpers for the test suite."""
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
@@ -12,6 +15,7 @@ from egoloc import (
     build_model,
     generate_scene,
 )
+from egoloc.model_io import _HEADER_SIZE
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
@@ -38,6 +42,14 @@ def compressed_equal(a: CompressedModel, b: CompressedModel) -> bool:
         and a.parameter == b.parameter
         and np.array_equal(a.achieved_counts, b.achieved_counts)
     )
+
+
+def with_payload(data: bytes, payload: bytes) -> bytes:
+    """`data`'s header declaring `payload`, with both CRCs made to match."""
+    head = bytearray(data[:_HEADER_SIZE])
+    struct.pack_into("<QI", head, _HEADER_SIZE - 16, len(payload), zlib.crc32(payload))
+    struct.pack_into("<I", head, _HEADER_SIZE - 4, zlib.crc32(bytes(head[:-4])))
+    return bytes(head) + payload
 
 
 def unit_intrinsics() -> CameraIntrinsics:

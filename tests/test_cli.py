@@ -23,7 +23,9 @@ from egoloc import (
     save_pool,
 )
 from egoloc import model_io
-from egoloc.cli import build_parser, main
+from egoloc.cli import MAX_MESSAGE_CHARS, build_parser, main
+
+from conftest import with_payload
 
 SCENE_CFG = {
     "scene": {
@@ -280,6 +282,7 @@ class TestTrackCommand:
         assert main(["track", "--measurements", str(meas), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error[ValueError]: measurement row 1") and err.count("\n") == 1
+        assert len(err) <= len("error[ValueError]: \n") + MAX_MESSAGE_CHARS
         assert not (out / "track.jsonl").exists()
 
 
@@ -421,7 +424,7 @@ class TestErrorPaths:
             (
                 "sessions",
                 {**TestSessionsCommand.CFG, "pool": {"invalid_window": 10**30}},
-                "OverflowError",
+                "ConfigError",
             ),
         ],
         ids=[
@@ -483,6 +486,9 @@ class TestErrorPaths:
         assert main(args) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error[{error}]") and err.count("\n") == 1
+        assert len(err) <= len(f"error[{error}]: \n") + MAX_MESSAGE_CHARS
+        if request.node.callspec.id == "sessions-huge-invalid-window":
+            assert "invalid_window" in err
 
     @pytest.mark.parametrize(
         "command, scene",
@@ -504,12 +510,13 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("error[ConfigError]") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("view", ["99", "5", "-1"])
+    @pytest.mark.parametrize("view", ["99", "5", "-1", pytest.param(str(10**400), id="huge-int")])
     def test_view_outside_scene_fails_cleanly(self, tmp_path, scene_file, model_file, capsys, view):
         args = ["localize", "--scene", str(scene_file), "--model", str(model_file)]
         assert main(args + ["--view", view, "--out", str(tmp_path / "x")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error[ConfigError]") and err.count("\n") == 1
+        assert len(err) <= len("error[ConfigError]: \n") + MAX_MESSAGE_CHARS
 
     @pytest.mark.parametrize(
         "rows",
@@ -534,9 +541,13 @@ class TestErrorPaths:
         model = load_model(model_file)
         n = model.num_points
         model.labeling = StructureLabeling([], np.arange(n), n)
-        model.labeling.residual_ids[-1] = n
         path = tmp_path / "bad.eglm"
         model_io.save_model(model, path)
+        data = path.read_bytes()
+        # A full model's payload ends with its labeling's residual ids.
+        assert data[-8:] == (n - 1).to_bytes(8, "little")
+        bad = data[model_io._HEADER_SIZE : -8] + n.to_bytes(8, "little")
+        path.write_bytes(with_payload(data, bad))
         args = ["compress", "--model", str(path), "--parameter", "5", "--out", str(tmp_path / "x")]
         assert main(args) == 1
         err = capsys.readouterr().err

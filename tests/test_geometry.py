@@ -177,6 +177,15 @@ class TestCameraPoseValidation:
         for _ in range(20):
             CameraPose(rotation=random_rotation(rng), translation=rng.normal(size=3))
 
+    def test_arrays_are_read_only_copies(self):
+        r, t = random_rotation(np.random.default_rng(3)), np.arange(3.0)
+        pose = CameraPose(rotation=r, translation=t)
+        for stored, given in ((pose.rotation, r), (pose.translation, t)):
+            np.testing.assert_array_equal(stored, given)
+            with pytest.raises(ValueError, match="read-only"):
+                stored[0] = 0.0
+            assert given.flags.writeable and not np.shares_memory(stored, given)
+
 
 class TestVisibilityMatrix:
     def test_cross_consistency(self):
@@ -211,8 +220,9 @@ class TestVisibilityMatrix:
             VisibilityMatrix(2, [np.array([0, 5])])
 
     def test_restrict_points(self):
-        vis = VisibilityMatrix(5, [np.array([0, 2, 4]), np.array([1, 2])])
-        sub = vis.restrict_points(np.array([2, 4]))
-        assert sub.num_points == 2 and sub.num_cameras == 2
-        np.testing.assert_array_equal(sub.points_in_camera[0], [0, 1])
-        np.testing.assert_array_equal(sub.points_in_camera[1], [0])
+        vis = VisibilityMatrix(5, [np.array([0, 2, 4]), np.array([1, 2, 3])])
+        # Rows in any order: a compressed model keeps its points in selection order.
+        sub = vis.restrict_points(np.array([4, 3, 2]))
+        assert sub.num_points == 3 and sub.num_cameras == 2
+        np.testing.assert_array_equal(sub.points_in_camera[0], [0, 2])
+        np.testing.assert_array_equal(sub.points_in_camera[1], [1, 2])

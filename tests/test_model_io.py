@@ -32,7 +32,7 @@ from egoloc.model_io import _HEADER_SIZE, FORMAT_VERSION
 from egoloc.pool import ModelPool, ModelRecord, PoolParams
 from egoloc.structures import DetectParams, StructureLabeling, detect_structures
 
-from conftest import compressed_equal
+from conftest import compressed_equal, with_payload
 
 
 def random_model(rng: np.random.Generator, with_labeling=False) -> PointCloudModel:
@@ -254,17 +254,6 @@ class TestCorruption:
                 load_model(path)
 
 
-def with_payload(data: bytes, payload: bytes) -> bytes:
-    """`data`'s header declaring `payload`, with both CRCs made to match."""
-    import struct
-    import zlib
-
-    head = bytearray(data[:_HEADER_SIZE])
-    struct.pack_into("<QI", head, _HEADER_SIZE - 16, len(payload), zlib.crc32(payload))
-    struct.pack_into("<I", head, _HEADER_SIZE - 4, zlib.crc32(bytes(head[:-4])))
-    return bytes(head) + payload
-
-
 class TestZeroCopyLoad:
     """`load_model` reads the payload through memoryview slices; the arrays
     it returns must still own their bytes."""
@@ -283,31 +272,38 @@ class TestZeroCopyLoad:
 
     @staticmethod
     def arrays(loaded: CompressedModel) -> list[np.ndarray]:
-        """The model's own arrays, read from the payload. The structures and
-        the visibility matrix freeze the id arrays they are given."""
+        """The model's own arrays, read from the payload. The labeling, its
+        structures and the visibility matrix freeze the id arrays they are
+        given."""
         pcm = loaded.model
         return [
             pcm.point_ids,
             pcm.xyz,
             pcm.descriptor_counts,
             pcm.descriptors,
-            pcm.labeling.residual_ids,
             loaded.selected_ids,
             loaded.achieved_counts,
         ]
+
+    @staticmethod
+    def frozen_ids(loaded: CompressedModel) -> list[np.ndarray]:
+        labeling = loaded.model.labeling
+        return [labeling.residual_ids, *(s.member_ids for s in labeling.structures)]
 
     def test_arrays_contiguous_and_writeable(self, saved):
         path, _ = saved
         loaded = load_model(path)
         for array in self.arrays(loaded):
             assert array.flags.c_contiguous and array.flags.writeable
-        for s in loaded.model.labeling.structures:
-            assert s.member_ids.flags.c_contiguous
+        for ids in self.frozen_ids(loaded):
+            assert ids.flags.c_contiguous and not ids.flags.writeable
 
     def test_loads_share_no_memory(self, saved):
         path, original = saved
         first, second = load_model(path), load_model(path)
         for a, b in zip(self.arrays(first), self.arrays(second)):
+            assert not np.shares_memory(a, b)
+        for a, b in zip(self.frozen_ids(first), self.frozen_ids(second)):
             assert not np.shares_memory(a, b)
         for array in self.arrays(first):
             array[...] = 0
@@ -362,14 +358,41 @@ class TestZeroCopyLoad:
         with pytest.raises(ModelIOError, match="per-camera counts"):
             load_model(path)
 
+    @staticmethod
+    def labeling_offset(pcm: PointCloudModel) -> int:
+        """Where the labeling starts in the payload: after the model id,
+        point ids, xyz, descriptor counts, descriptors and camera lists."""
+        return (
+            4
+            + len(pcm.model_id.encode("utf-8"))
+            + pcm.num_points * (8 + 24 + 4)
+            + pcm.descriptors.nbytes
+            + sum(4 + 8 * len(ids) for ids in pcm.visibility.points_in_camera)
+        )
+
+    def test_labeling_ids_stay_as_checked(self, saved):
+        path, original = saved
+        n = original.num_points
+        original.model.labeling = StructureLabeling([], np.arange(n), n)
+        with pytest.raises(ValueError, match="read-only"):
+            original.model.labeling.residual_ids[0] = n
+        save_model(original, path)
+        assert compressed_equal(load_model(path), original)
+
     @pytest.mark.parametrize("where", ["past-the-end", "negative"])
     def test_labeling_id_outside_the_points(self, saved, where):
         path, original = saved
         n = original.num_points
         original.model.labeling = StructureLabeling([], np.arange(n), n)
-        bad = n if where == "past-the-end" else -1
-        original.model.labeling.residual_ids[0] = bad
         save_model(original, path)
+        data = path.read_bytes()
+        payload = bytearray(data[_HEADER_SIZE:])
+        # No structure, the residual count, then the residual ids.
+        at = self.labeling_offset(original.model) + 8
+        assert np.frombuffer(payload, "<i8", n, at).tolist() == list(range(n))
+        bad = n if where == "past-the-end" else -1
+        payload[at : at + 8] = np.array([bad], dtype="<i8").tobytes()
+        path.write_bytes(with_payload(data, bytes(payload)))
         with pytest.raises(ModelIOError, match=f"point id {bad} is outside"):
             load_model(path)
 
@@ -378,16 +401,8 @@ class TestZeroCopyLoad:
         data = path.read_bytes()
         payload = bytearray(data[_HEADER_SIZE:])
         pcm = original.model
-        # model id, point ids, xyz, descriptor counts, descriptors, camera
-        # lists, structure count, then the first structure's kind and normal.
-        at = (
-            4
-            + len(pcm.model_id.encode("utf-8"))
-            + pcm.num_points * (8 + 24 + 4)
-            + pcm.descriptors.nbytes
-            + sum(4 + 8 * len(ids) for ids in pcm.visibility.points_in_camera)
-            + 4
-        )
+        # The structure count, then the first structure's kind and normal.
+        at = self.labeling_offset(pcm) + 4
         assert payload[at] == 0  # a plane
         assert np.frombuffer(payload, "<f8", 3, at + 1).tolist() == (
             pcm.labeling.structures[0].normal.tolist()

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from egoloc import DetectParams, LineStructure, PlaneStructure, detect_structures
+from egoloc import (
+    DetectParams,
+    LineStructure,
+    PlaneStructure,
+    StructureLabeling,
+    detect_structures,
+)
 
 
 def plane_points(rng, normal, offset, n, extent=5.0):
@@ -49,6 +55,25 @@ def least_squares_plane_normal(points):
 def normal_angle_deg(a, b):
     cosine = min(abs(float(np.dot(a, b))), 1.0)
     return np.degrees(np.arccos(cosine))
+
+
+@pytest.mark.parametrize("kind", ["plane", "line", "labeling"])
+def test_arrays_are_read_only_copies(kind):
+    unit, anchor, ids = np.array([0.0, 0.0, 1.0]), np.array([1.0, 2.0, 3.0]), np.array([2, 0, 1])
+    if kind == "plane":
+        value = PlaneStructure(normal=unit, offset=1.0, member_ids=ids)
+        pairs = [(value.normal, unit), (value.member_ids, ids)]
+    elif kind == "line":
+        value = LineStructure(anchor=anchor, direction=unit, member_ids=ids)
+        pairs = [(value.anchor, anchor), (value.direction, unit), (value.member_ids, ids)]
+    else:
+        value = StructureLabeling([], ids, 3)
+        pairs = [(value.residual_ids, ids)]
+    for stored, given in pairs:
+        np.testing.assert_array_equal(stored, given)
+        with pytest.raises(ValueError, match="read-only"):
+            stored[0] = 3
+        assert given.flags.writeable and not np.shares_memory(stored, given)
 
 
 class TestDetectPlanes:
