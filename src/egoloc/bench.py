@@ -15,7 +15,6 @@ registered view is None (JSON null). `table` prints them as aligned text.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -26,7 +25,7 @@ from .compression import METHODS, CompressedModel, compress
 from .errors import ConfigError, TooFewVisibleError
 from .geometry import pose_looking_at
 from .matching import MatchParams, build_index
-from .model_io import BYTES_PER_MB, save_model
+from .model_io import BYTES_PER_MB, _saved_size
 from .pool import ModelPool, ModelRecord, PoolParams, SessionBatch, ingest_session
 from .pool import _localize_or_none
 from .pose import RansacParams
@@ -224,7 +223,7 @@ def run_benchmark(config: BenchConfig) -> tuple[list[dict], list[float]]:
                 "method": method,
                 "parameter": parameter,
                 "num_points": variant.num_points,
-                "size_mb": round(save_model(variant, os.devnull) / BYTES_PER_MB, 6),
+                "size_mb": round(_saved_size(variant) / BYTES_PER_MB, 6),
                 "mean_error_cm": _error_stat(np.mean, errors),
                 "stdev_error_cm": _error_stat(np.std, errors),
                 "registration_rate": round(len(errors) / len(views), 6),

@@ -3,10 +3,9 @@
 The model file is a little-endian, magic-prefixed, versioned binary format
 with CRC-protected header and payload, so truncation and bit corruption
 surface as typed errors instead of garbage models. Round trips are bit
-exact. Saving writes the arrays' own buffers and loading reads through
-slices of the file's bytes, so the payload is never copied as a whole; each
-loaded array is one copy of its bytes. Reported sizes use decimal megabytes
-(10^6 bytes).
+exact. Saving writes the arrays' own buffers, and loading makes one read
+into one buffer per load; the loaded arrays are views of it. Reported sizes
+use decimal megabytes (10^6 bytes).
 
 A model pool persists as a manifest JSON next to one model file per record.
 """
@@ -15,9 +14,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import struct
 import zlib
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -48,17 +49,14 @@ BYTES_PER_MB = 10**6
 
 
 class _Writer:
-    """Payload chunks, kept as buffers and never joined; the CRC and length
-    of the payload accumulate as the chunks arrive."""
+    """Payload chunks, kept as buffers and never joined."""
 
     def __init__(self):
         self.chunks: list[bytes | memoryview] = []
-        self.crc = 0
         self.size = 0
 
     def raw(self, data: bytes | memoryview):
         self.chunks.append(data)
-        self.crc = zlib.crc32(data, self.crc)
         self.size += len(data)
 
     def array(self, arr: np.ndarray, dtype: str):
@@ -77,8 +75,9 @@ class _Writer:
 
 
 class _Reader:
-    """Reads the payload through memoryview slices, so each array's bytes
-    are copied once, into the array that owns them."""
+    """Reads the payload, held in one buffer, through memoryview slices:
+    each array is a view of the buffer, copied only where it lands
+    misaligned for its dtype."""
 
     def __init__(self, data: memoryview):
         self.data = data
@@ -95,7 +94,8 @@ class _Reader:
 
     def array(self, count: int, dtype: str) -> np.ndarray:
         item = np.dtype(dtype).itemsize
-        return np.frombuffer(self.take(count * item), dtype=dtype).copy()
+        arr = np.frombuffer(self.take(count * item), dtype=dtype)
+        return arr if arr.flags.aligned else arr.copy()
 
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
@@ -135,10 +135,21 @@ def _read_labeling(r: _Reader, num_points: int) -> StructureLabeling:
     return StructureLabeling(structures=structures, residual_ids=residual, num_points=num_points)
 
 
-def save_model(model: PointCloudModel | CompressedModel, path: str | Path) -> int:
-    """Serialize a model (or compressed model) to `path`; returns byte count."""
+def _write_payload(
+    model: PointCloudModel | CompressedModel,
+) -> tuple[PointCloudModel, int, _Writer]:
+    """The point cloud model of `model`, its header flags and its payload,
+    the one place that lays the payload out.
+
+    Raises:
+        ValueError: the model's labeling covers another number of points.
+    """
     compressed = model if isinstance(model, CompressedModel) else None
     pcm = compressed.model if compressed is not None else model
+    if pcm.labeling is not None and pcm.labeling.num_points != pcm.num_points:
+        raise ValueError(
+            f"labeling covers {pcm.labeling.num_points} points; the model has {pcm.num_points}"
+        )
 
     w = _Writer()
     w.string(pcm.model_id)
@@ -160,7 +171,25 @@ def save_model(model: PointCloudModel | CompressedModel, path: str | Path) -> in
         w.f64(compressed.parameter)
         w.string(compressed.source_model_id)
         w.array(compressed.achieved_counts, "<i8")
+    return pcm, flags, w
 
+
+def _saved_size(model: PointCloudModel | CompressedModel) -> int:
+    """The byte count `save_model` writes for `model`, without writing it."""
+    return _HEADER_SIZE + _write_payload(model)[2].size
+
+
+def save_model(model: PointCloudModel | CompressedModel, path: str | Path) -> int:
+    """Serialize a model (or compressed model) to `path`; returns byte count.
+
+    Raises:
+        ValueError: the model's labeling covers another number of points;
+            no file is opened.
+    """
+    pcm, flags, w = _write_payload(model)
+    payload_crc = 0
+    for chunk in w.chunks:
+        payload_crc = zlib.crc32(chunk, payload_crc)
     header_head = struct.pack(
         _HEADER_FMT[:-1],  # all but the header's own CRC
         MAGIC,
@@ -171,7 +200,7 @@ def save_model(model: PointCloudModel | CompressedModel, path: str | Path) -> in
         pcm.descriptor_dim,
         len(pcm.model_id.encode("utf-8")),
         w.size,
-        w.crc,
+        payload_crc,
     )
     header = header_head + struct.pack("<I", zlib.crc32(header_head))
     with open(path, "wb") as f:
@@ -180,41 +209,65 @@ def save_model(model: PointCloudModel | CompressedModel, path: str | Path) -> in
     return len(header) + w.size
 
 
+def _read_payload(f: BinaryIO, payload_len: int, descriptors_at: int) -> memoryview:
+    """The `payload_len` bytes left in `f`, read once into one buffer placed
+    so that payload offset `descriptors_at` starts on an 8-byte boundary."""
+    buffer = np.empty(payload_len + 7, dtype=np.uint8)
+    start = -(buffer.ctypes.data + descriptors_at) % 8
+    payload = memoryview(buffer[start : start + payload_len])
+    filled = 0
+    while filled < payload_len:
+        n = f.readinto(payload[filled:])
+        if not n:
+            raise TruncatedPayloadError(f"payload ends at byte {filled}; expected {payload_len}")
+        filled += n
+    return payload
+
+
 def load_model(path: str | Path) -> PointCloudModel | CompressedModel:
     """Load a model file written by `save_model`.
 
+    The payload is read once, into one buffer per load; the loaded arrays
+    are writeable views of it and share no memory with another load.
+
     Raises:
-        TruncatedPayloadError: the file is shorter than its header declares.
+        TruncatedPayloadError: the file is shorter or longer than its header
+            declares.
         CorruptHeaderError: bad magic or a failed CRC check.
         VersionMismatchError: unsupported format version.
         ModelIOError: the payload decodes to an inconsistent model or labeling.
     """
-    data = memoryview(Path(path).read_bytes())
-    if len(data) < _HEADER_SIZE:
-        raise TruncatedPayloadError(f"file holds {len(data)} bytes; header needs {_HEADER_SIZE}")
-    (
-        magic,
-        version,
-        flags,
-        num_points,
-        num_cameras,
-        descriptor_dim,
-        _model_id_len,
-        payload_len,
-        payload_crc,
-        header_crc,
-    ) = struct.unpack(_HEADER_FMT, data[:_HEADER_SIZE])
-    if magic != MAGIC:
-        raise CorruptHeaderError("bad magic prefix")
-    if zlib.crc32(data[: _HEADER_SIZE - 4]) != header_crc:
-        raise CorruptHeaderError("header CRC mismatch")
-    if version != FORMAT_VERSION:
-        raise VersionMismatchError(f"format version {version}; supported {FORMAT_VERSION}")
-    payload = data[_HEADER_SIZE:]
-    if len(payload) != payload_len:
-        raise TruncatedPayloadError(
-            f"payload holds {len(payload)} bytes; header declares {payload_len}"
-        )
+    with open(path, "rb") as f:
+        head = f.read(_HEADER_SIZE)
+        if len(head) < _HEADER_SIZE:
+            raise TruncatedPayloadError(
+                f"file holds {len(head)} bytes; header needs {_HEADER_SIZE}"
+            )
+        (
+            magic,
+            version,
+            flags,
+            num_points,
+            num_cameras,
+            descriptor_dim,
+            model_id_len,
+            payload_len,
+            payload_crc,
+            header_crc,
+        ) = struct.unpack(_HEADER_FMT, head)
+        if magic != MAGIC:
+            raise CorruptHeaderError("bad magic prefix")
+        if zlib.crc32(head[:-4]) != header_crc:
+            raise CorruptHeaderError("header CRC mismatch")
+        if version != FORMAT_VERSION:
+            raise VersionMismatchError(f"format version {version}; supported {FORMAT_VERSION}")
+        file_payload = os.fstat(f.fileno()).st_size - _HEADER_SIZE
+        if file_payload != payload_len:
+            raise TruncatedPayloadError(
+                f"payload holds {file_payload} bytes; header declares {payload_len}"
+            )
+        # The model id's length prefix, the id, then 8 + 24 + 4 bytes per point.
+        payload = _read_payload(f, payload_len, 4 + model_id_len + 36 * num_points)
     if zlib.crc32(payload) != payload_crc:
         raise CorruptHeaderError("payload CRC mismatch")
 

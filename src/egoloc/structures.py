@@ -68,15 +68,19 @@ def _decode_structure(kind: int, params: np.ndarray, member_ids: np.ndarray) -> 
     raise ModelIOError(f"unknown structure kind {kind}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class StructureLabeling:
-    """Partition of point ids into detected structures plus a residual group."""
+    """Partition of point ids into detected structures plus a residual group.
 
-    structures: list[Structure]
+    Frozen, with the structures kept as a tuple, so a labeling keeps what
+    its check accepted."""
+
+    structures: tuple[Structure, ...]
     residual_ids: np.ndarray
     num_points: int
 
     def __post_init__(self):
+        object.__setattr__(self, "structures", tuple(self.structures))
         residual = _store_read_only(self, "residual_ids", np.int64, -1)
         ids = np.concatenate([*(s.member_ids for s in self.structures), residual])
         outside = ids[(ids < 0) | (ids >= self.num_points)]

@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import struct
+import tracemalloc
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -28,15 +31,15 @@ from egoloc.errors import (
     TruncatedPayloadError,
     VersionMismatchError,
 )
-from egoloc.model_io import _HEADER_SIZE, FORMAT_VERSION
+from egoloc.model_io import _HEADER_SIZE, FORMAT_VERSION, _saved_size
 from egoloc.pool import ModelPool, ModelRecord, PoolParams
 from egoloc.structures import DetectParams, StructureLabeling, detect_structures
 
 from conftest import compressed_equal, with_payload
 
 
-def random_model(rng: np.random.Generator, with_labeling=False) -> PointCloudModel:
-    n = int(rng.integers(3, 30))
+def random_model(rng: np.random.Generator, with_labeling=False, num_points=None) -> PointCloudModel:
+    n = int(rng.integers(3, 30)) if num_points is None else num_points
     m = int(rng.integers(1, 5))
     dim = int(rng.integers(2, 17))
     dense = rng.random((n, m)) < 0.6
@@ -76,6 +79,43 @@ class TestRoundTrip:
         save_model(model, path)
         loaded = load_model(path)
         assert loaded.equals(model)
+
+    @pytest.mark.parametrize("num_points", [7, 8])
+    @pytest.mark.parametrize("id_bytes", range(8))
+    def test_bit_exact_at_every_alignment(self, tmp_path, num_points, id_bytes):
+        """The point count and the model id's length move where each array
+        starts in the payload. Every round trip is bit exact, and every array
+        the load hands out is aligned and contiguous; the model's own arrays
+        are writeable and the descriptors a view of the load's buffer."""
+        rng = np.random.default_rng(8 * num_points + id_bytes)
+        model = random_model(rng, with_labeling=True, num_points=num_points)
+        model.model_id = "m" * id_bytes
+        path, again = tmp_path / "m.eglm", tmp_path / "again.eglm"
+        assert save_model(model, path) == _saved_size(model) == path.stat().st_size
+        loaded = load_model(path)
+        assert loaded.equals(model)
+        save_model(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+        owned = [loaded.point_ids, loaded.xyz, loaded.descriptor_counts, loaded.descriptors]
+        for array in owned:
+            assert array.flags.aligned and array.flags.c_contiguous and array.flags.writeable
+        base = loaded.descriptors
+        while isinstance(base.base, np.ndarray):
+            base = base.base
+        assert not base.flags.owndata  # a view of the load's buffer, not a copy
+        frozen = [*loaded.visibility.points_in_camera, loaded.labeling.residual_ids]
+        frozen += [s.member_ids for s in loaded.labeling.structures]
+        for array in frozen:
+            assert array.flags.aligned and array.flags.c_contiguous
+
+    def test_labeling_of_another_point_count_is_refused(self, tmp_path):
+        model = random_model(np.random.default_rng(7))
+        n = model.num_points + 1
+        model.labeling = StructureLabeling([], np.arange(n), n)
+        path = tmp_path / "m.eglm"
+        with pytest.raises(ValueError, match=f"labeling covers {n} points"):
+            save_model(model, path)
+        assert not path.exists()
 
     def test_compressed_model(self, tmp_path, small_model):
         from egoloc import detect_structures as ds
@@ -211,6 +251,32 @@ class TestCorruption:
         with pytest.raises(TruncatedPayloadError):
             load_model(path)
 
+    @pytest.mark.parametrize("kind", ["one-byte-past", "huge-declared-payload", "not-a-model"])
+    def test_refused_before_the_payload_is_read(self, saved, kind):
+        """A file one byte longer than its header declares, a header declaring
+        far more payload than the file holds, and a file that is no model are
+        refused without the payload's memory."""
+        path, data = saved
+        error = TruncatedPayloadError
+        if kind == "one-byte-past":
+            path.write_bytes(data + b"\0")
+        elif kind == "huge-declared-payload":
+            head = bytearray(data[:_HEADER_SIZE])
+            struct.pack_into("<Q", head, _HEADER_SIZE - 16, 1 << 40)
+            struct.pack_into("<I", head, _HEADER_SIZE - 4, zlib.crc32(bytes(head[:-4])))
+            path.write_bytes(bytes(head) + data[_HEADER_SIZE:])
+        else:
+            path.write_bytes(bytes(8 << 20))
+            error = CorruptHeaderError
+        tracemalloc.start()
+        try:
+            with pytest.raises(error):
+                load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_bad_magic(self, saved):
         path, data = saved
         path.write_bytes(b"NOPE" + data[4:])
@@ -218,9 +284,6 @@ class TestCorruption:
             load_model(path)
 
     def test_unsupported_version(self, saved):
-        import struct
-        import zlib
-
         path, data = saved
         head = bytearray(data[:_HEADER_SIZE])
         struct.pack_into("<I", head, 4, FORMAT_VERSION + 1)
@@ -255,8 +318,8 @@ class TestCorruption:
 
 
 class TestZeroCopyLoad:
-    """`load_model` reads the payload through memoryview slices; the arrays
-    it returns must still own their bytes."""
+    """`load_model` reads the payload into one buffer per load; the arrays
+    it returns are views of it, and no two loads share memory."""
 
     @pytest.fixture()
     def saved(self, tmp_path, small_scene):
@@ -309,6 +372,28 @@ class TestZeroCopyLoad:
             array[...] = 0
         assert compressed_equal(second, original)
         assert compressed_equal(load_model(path), original)
+
+    def test_peak_memory_is_one_file(self, tmp_path):
+        """The payload is read once, into the buffer the arrays view, so a
+        load holds little more than one file's bytes at its peak."""
+        rng = np.random.default_rng(6)
+        counts = rng.integers(1, 5, size=2000)
+        model = PointCloudModel(
+            xyz=rng.normal(size=(len(counts), 3)),
+            descriptors=rng.normal(size=(counts.sum(), 64)),
+            descriptor_counts=counts,
+            visibility=VisibilityMatrix.from_dense(rng.random((len(counts), 8)) < 0.5),
+        )
+        path = tmp_path / "m.eglm"
+        size = save_model(model, path)
+        load_model(path)  # first-call set-up is not the load's memory
+        tracemalloc.start()
+        try:
+            load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * size
 
     def test_payload_cut_in_model_id(self, saved):
         path, original = saved

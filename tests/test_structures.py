@@ -1,5 +1,7 @@
 """Plane/line RANSAC detection against planted ground truth."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,17 @@ def test_arrays_are_read_only_copies(kind):
         with pytest.raises(ValueError, match="read-only"):
             stored[0] = 3
         assert given.flags.writeable and not np.shares_memory(stored, given)
+
+
+@pytest.mark.parametrize("name", ["structures", "residual_ids", "num_points"])
+def test_labeling_fields_cannot_be_replaced(name):
+    """A labeling keeps what its check accepted: no field can be reassigned
+    and its structures cannot grow."""
+    plane = PlaneStructure(normal=np.array([0.0, 0.0, 1.0]), offset=0.0, member_ids=[0])
+    labeling = StructureLabeling([plane], np.array([1, 2]), 3)
+    assert labeling.structures == (plane,)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(labeling, name, np.arange(1, 4))
 
 
 class TestDetectPlanes:
