@@ -10,13 +10,11 @@ spans with a verification-driven model pool.
 from .compression import (
     METHODS,
     CompressedModel,
-    CoverageStats,
     assign_weights,
     compress,
     compress_set_kcover,
     compress_top_visibility,
     compress_weighted_kcover,
-    coverage_report,
 )
 from .geometry import CameraIntrinsics, CameraPose, VisibilityMatrix
 from .matching import MATCH_DTYPE, MatchIndex, MatchParams, build_index, match_features
@@ -69,7 +67,6 @@ __all__ = [
     "CameraIntrinsics",
     "CameraPose",
     "CompressedModel",
-    "CoverageStats",
     "DetectParams",
     "GroundTruthScene",
     "LineStructure",
@@ -98,7 +95,6 @@ __all__ = [
     "compress_set_kcover",
     "compress_top_visibility",
     "compress_weighted_kcover",
-    "coverage_report",
     "decompose",
     "detect_structures",
     "dlt_pose",

@@ -255,6 +255,8 @@ class SessionSimConfig:
             raise ConfigError("schedule must contain at least one session")
         if self.views_per_session < 1:
             raise ConfigError("views_per_session must be positive")
+        if self.score_views < 1:
+            raise ConfigError("score_views must be positive")
 
 
 def run_session_sim(config: SessionSimConfig) -> tuple[list[dict], list[dict]]:

@@ -56,15 +56,6 @@ class CompressedModel:
         return self.model.num_points
 
 
-@dataclass
-class CoverageStats:
-    """Coverage achieved by a compressed model at a given k."""
-
-    per_camera_covered: np.ndarray
-    saturated: np.ndarray
-    retained_fraction: float
-
-
 def assign_weights(labeling: StructureLabeling, num_points: int) -> np.ndarray:
     """Initial weights: each point gets its group's share of the cloud.
 
@@ -235,27 +226,3 @@ def compress(
         return compress_set_kcover(model, int(parameter))
     return compress_weighted_kcover(model, labeling, int(parameter))
 
-
-def coverage_report(
-    model: PointCloudModel, compressed: CompressedModel, k: int
-) -> CoverageStats:
-    """Exact per-camera coverage of a compressed model at level k.
-
-    Saturated cameras are those that cannot reach k even in the full model.
-    """
-    by_id = np.argsort(model.point_ids)
-    pos = np.searchsorted(model.point_ids, compressed.selected_ids, sorter=by_id)
-    rows = by_id[np.minimum(pos, model.num_points - 1)]
-    if not np.array_equal(model.point_ids[rows], compressed.selected_ids):
-        raise ValueError("compressed model selects points the source model lacks")
-    selected = np.zeros(model.num_points, dtype=bool)
-    selected[rows] = True
-    full = model.visibility.camera_counts()
-    flat = np.concatenate([np.zeros(0, dtype=np.int64), *model.visibility.points_in_camera])
-    camera_of = np.repeat(np.arange(model.num_cameras), full)
-    covered = np.bincount(camera_of[selected[flat]], minlength=model.num_cameras)
-    return CoverageStats(
-        per_camera_covered=covered,
-        saturated=full < k,
-        retained_fraction=len(rows) / model.num_points if model.num_points else 0.0,
-    )

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import VisibilityMatrix
-from .structures import StructureLabeling, _encode_structure
+from .structures import StructureLabeling
 
 
 @dataclass
@@ -91,34 +91,3 @@ class PointCloudModel:
             point_ids=self.point_ids[rows].copy(),
             model_id=model_id if model_id is not None else self.model_id,
         )
-
-    def equals(self, other: "PointCloudModel") -> bool:
-        """Field-by-field exact equality (used by serialization round trips)."""
-        if (
-            self.model_id != other.model_id
-            or not np.array_equal(self.xyz, other.xyz)
-            or not np.array_equal(self.point_ids, other.point_ids)
-            or self.visibility != other.visibility
-            or not np.array_equal(self.descriptor_counts, other.descriptor_counts)
-            or not np.array_equal(self.descriptors, other.descriptors)
-        ):
-            return False
-        if self.labeling is None or other.labeling is None:
-            return self.labeling is other.labeling
-        return _labeling_equal(self.labeling, other.labeling)
-
-
-def _labeling_equal(a: StructureLabeling, b: StructureLabeling) -> bool:
-    """Equal point counts, residuals, and encoded (kind, parameters, members)
-    of every structure in order."""
-    if a.num_points != b.num_points or len(a.structures) != len(b.structures):
-        return False
-    if not np.array_equal(a.residual_ids, b.residual_ids):
-        return False
-    for sa, sb in zip(a.structures, b.structures):
-        (kind_a, params_a), (kind_b, params_b) = _encode_structure(sa), _encode_structure(sb)
-        if kind_a != kind_b or not np.array_equal(params_a, params_b):
-            return False
-        if not np.array_equal(sa.member_ids, sb.member_ids):
-            return False
-    return True

@@ -35,7 +35,7 @@ from .geometry import VisibilityMatrix
 from .matching import build_index
 from .model import PointCloudModel
 from .pool import ModelPool, ModelRecord, PoolParams
-from .structures import StructureLabeling, _decode_structure, _encode_structure
+from .structures import LineStructure, PlaneStructure, StructureLabeling
 
 MAGIC = b"EGLM"
 FORMAT_VERSION = 1
@@ -113,10 +113,16 @@ class _Reader:
             )
 
 
+# A labeling's structure is a kind byte and 7 float64 parameters, the unused
+# ones zero: kind 0 is a plane (normal, offset), kind 1 a line (anchor,
+# direction). Its member ids follow.
 def _write_labeling(w: _Writer, labeling: StructureLabeling):
     w.u32(len(labeling.structures))
     for s in labeling.structures:
-        kind, params = _encode_structure(s)
+        if isinstance(s, PlaneStructure):
+            kind, params = 0, np.concatenate([s.normal, [s.offset], np.zeros(3)])
+        else:
+            kind, params = 1, np.concatenate([s.anchor, s.direction, np.zeros(1)])
         w.raw(struct.pack("<B", kind))
         w.array(params, "<f8")
         w.u32(len(s.member_ids))
@@ -130,7 +136,14 @@ def _read_labeling(r: _Reader, num_points: int) -> StructureLabeling:
     for _ in range(r.u32()):
         kind = struct.unpack("<B", r.take(1))[0]
         params = r.array(7, "<f8")
-        structures.append(_decode_structure(kind, params, r.array(r.u32(), "<i8")))
+        members = r.array(r.u32(), "<i8")
+        if kind == 0:
+            s = PlaneStructure(normal=params[:3], offset=float(params[3]), member_ids=members)
+        elif kind == 1:
+            s = LineStructure(anchor=params[:3], direction=params[3:6], member_ids=members)
+        else:
+            raise ModelIOError(f"unknown structure kind {kind}")
+        structures.append(s)
     residual = r.array(r.u32(), "<i8")
     return StructureLabeling(structures=structures, residual_ids=residual, num_points=num_points)
 

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .compression import CompressedModel
-from .errors import PoolEmptyError, RegistrationFailedError
+from .errors import PoolEmptyError, RegistrationFailedError, is_finite_number
 from .matching import MatchIndex, MatchParams
 from .model import PointCloudModel
 from .pose import LocalizationResult, RansacParams, localize
@@ -47,6 +47,8 @@ class ModelRecord:
     condition: str = ""
 
     def __post_init__(self):
+        if not (is_finite_number(self.created) and is_finite_number(self.last_used)):
+            raise ValueError("created and last_used must be finite numbers")
         if self.last_used < self.created:
             raise ValueError("last_used must not precede created")
 
@@ -117,6 +119,9 @@ class SessionBatch:
             raise ValueError("session must contain at least one view")
         if len(self.timestamps) != len(self.views):
             raise ValueError("one timestamp required per view")
+        bad = np.flatnonzero(~np.isfinite(self.timestamps))
+        if len(bad):
+            raise ValueError(f"view {bad[0]}: timestamp {self.timestamps[bad[0]]} is not finite")
         if np.any(np.diff(self.timestamps) < 0):
             raise ValueError("timestamps must be non-decreasing")
 
@@ -194,8 +199,8 @@ def score_model(
     """Fraction of the session's first `num_views` views that verify."""
     match_params = match_params or MatchParams()
     ransac_params = ransac_params or RansacParams()
-    prefix = list(views)[: max(num_views, 1)]
-    if not prefix:
+    prefix = list(views)[:num_views]
+    if num_views < 1 or not prefix:
         raise ValueError("need at least one view to score")
     results = (_localize_or_none(v, record.index, match_params, ransac_params) for v in prefix)
     return sum(verify(result, t1, t2) for result in results) / len(prefix)
@@ -249,7 +254,7 @@ def _score_records(
     Returns the exact score of each record scored in full, and the number
     of views each record was scored on.
     """
-    prefix = list(views)[: max(num_views, 1)]
+    prefix = list(views)[:num_views]
     if not prefix:
         raise ValueError("need at least one view to score")
     n = len(prefix)
@@ -319,9 +324,12 @@ def ingest_session(
 
     Raises:
         PoolEmptyError: the pool holds no records.
+        ValueError: `score_views` is below 1.
     """
     if not pool.records:
         raise PoolEmptyError("cannot ingest into an empty pool")
+    if score_views < 1:
+        raise ValueError(f"score_views must be at least 1, not {score_views}")
     match_params = match_params or MatchParams()
     ransac_params = ransac_params or RansacParams()
 

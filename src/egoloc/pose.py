@@ -76,8 +76,10 @@ class PoseEstimate:
     """Pose with its supporting inliers.
 
     `inlier_ids` index into the correspondence arrays the estimate was
-    computed from; every inlier reprojects within the RANSAC threshold under
-    this pose, and `n_inliers` counts them.
+    computed from, and `n_inliers` counts them. `ransac_pose` certifies
+    that every inlier reprojects within its threshold under this pose;
+    `refine_pose` moves the pose and keeps the ids unchecked, and
+    `localize` certifies them again under the refined pose.
     """
 
     pose: CameraPose
@@ -676,7 +678,9 @@ def refine_pose(
     Every accepted step lowers the squared-error objective, so refinement
     never raises it. The refined pose is kept only if the mean pixel error
     did not increase either; otherwise, and when no step was accepted,
-    `estimate` itself is returned. If `counters` is given, it receives
+    `estimate` itself is returned. Either way the estimate's `inlier_ids`
+    are returned unchanged and are not re-checked under the refined pose;
+    `localize` re-certifies them. If `counters` is given, it receives
     `refine_iterations`: the steps solved, accepted or not.
     """
     px = np.asarray(pixels, dtype=np.float64).reshape(-1, 2)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModelIOError
 from .geometry import _store_read_only
 
 
@@ -49,23 +48,6 @@ class LineStructure:
 
 
 Structure = PlaneStructure | LineStructure
-
-
-def _encode_structure(s: Structure) -> tuple[int, np.ndarray]:
-    """`(kind, 7 parameters)`: kind 0 is a plane (normal, offset), kind 1 a
-    line (anchor, direction); unused parameters are zero."""
-    if isinstance(s, PlaneStructure):
-        return 0, np.concatenate([s.normal, [s.offset], np.zeros(3)])
-    return 1, np.concatenate([s.anchor, s.direction, np.zeros(1)])
-
-
-def _decode_structure(kind: int, params: np.ndarray, member_ids: np.ndarray) -> Structure:
-    """Inverse of `_encode_structure`."""
-    if kind == 0:
-        return PlaneStructure(normal=params[:3], offset=float(params[3]), member_ids=member_ids)
-    if kind == 1:
-        return LineStructure(anchor=params[:3], direction=params[3:6], member_ids=member_ids)
-    raise ModelIOError(f"unknown structure kind {kind}")
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
 """Shared fixtures and helpers for the test suite."""
 
 import struct
+import tempfile
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,9 +13,11 @@ from egoloc import (
     CameraIntrinsics,
     CameraPose,
     CompressedModel,
+    PointCloudModel,
     SceneSpec,
     build_model,
     generate_scene,
+    save_model,
 )
 from egoloc.model_io import _HEADER_SIZE
 
@@ -32,16 +36,13 @@ def random_pose(rng: np.random.Generator, translation_scale: float = 5.0) -> Cam
     )
 
 
-def compressed_equal(a: CompressedModel, b: CompressedModel) -> bool:
-    """Exact equality of compressed models (round-trip checks)."""
-    return (
-        a.model.equals(b.model)
-        and np.array_equal(a.selected_ids, b.selected_ids)
-        and a.source_model_id == b.source_model_id
-        and a.method == b.method
-        and a.parameter == b.parameter
-        and np.array_equal(a.achieved_counts, b.achieved_counts)
-    )
+def saved_bytes(model: PointCloudModel | CompressedModel) -> bytes:
+    """The bytes `save_model` writes for `model`: two models are equal when
+    these are (round-trip checks)."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "model.eglm"
+        save_model(model, path)
+        return path.read_bytes()
 
 
 def with_payload(data: bytes, payload: bytes) -> bytes:

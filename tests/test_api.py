@@ -133,18 +133,32 @@ def test_no_unused_imports():
     assert unused == []
 
 
+def _names_read(trees) -> set[str]:
+    """The names and attributes that the modules parsed into `trees` read."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_every_public_name_is_read_in_the_package():
+    """Every name in `egoloc.__all__` is read, as a name or an attribute, in
+    a module of the package other than `__init__.py`: no public API lives
+    for the tests alone."""
+    paths = sorted((ROOT / "src" / "egoloc").glob("*.py"))
+    read = _names_read(ast.parse(p.read_text()) for p in paths if p.name != "__init__.py")
+    assert [name for name in egoloc.__all__ if name not in read] == []
+
+
 def test_no_unreferenced_private_names():
     """Every private module-level function, class or constant of the package
     is read somewhere in it, as a name or an attribute; dunder names are
     exempt. A helper left behind by a refactor fails here."""
     paths = sorted((ROOT / "src" / "egoloc").glob("*.py"))
     trees = {path.name: ast.parse(path.read_text()) for path in paths}
-    read = {
-        node.id if isinstance(node, ast.Name) else node.attr
-        for tree in trees.values()
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
-    }
+    read = _names_read(trees.values())
     unread = []
     for module, tree in trees.items():
         for node in tree.body:

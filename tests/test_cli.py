@@ -25,7 +25,7 @@ from egoloc import (
 from egoloc import model_io
 from egoloc.cli import MAX_MESSAGE_CHARS, build_parser, main
 
-from conftest import with_payload
+from conftest import saved_bytes, with_payload
 
 SCENE_CFG = {
     "scene": {
@@ -240,7 +240,7 @@ class TestPipelineCommands:
         assert main(["detect", "--model", str(model_file), "--config", cfg, "--out", str(out)]) == 0
         model = load_model(model_file)
         model.labeling = detect_structures(model.xyz, DetectParams(seed=8))
-        assert load_model(out / "model.eglm").equals(model)
+        assert saved_bytes(load_model(out / "model.eglm")) == saved_bytes(model)
 
 
 class TestTrackCommand:
@@ -418,6 +418,7 @@ class TestErrorPaths:
             ("sessions", {"pool": {"t1": "50"}}, "ConfigError"),
             ("sessions", {"pool_regimes": ["a"]}, "ConfigError"),
             ("sessions", {"score_views": [10]}, "ConfigError"),
+            ("sessions", {"score_views": 0}, "ConfigError"),
             ("sessions", {"pool": {"swap_threshold": 1.5}}, "ConfigError"),
             ("gen", {"scene": {"scene_extent": 10**400}}, "ConfigError"),
             ("localize", {"ransac": {"inlier_threshold": 10**400}}, "ConfigError"),
@@ -468,6 +469,7 @@ class TestErrorPaths:
             "sessions-string-t1",
             "sessions-string-regime",
             "sessions-list-score-views",
+            "sessions-zero-score-views",
             "sessions-swap-threshold-above-one",
             "gen-huge-int-scene-extent",
             "localize-huge-int-inlier-threshold",

@@ -135,6 +135,13 @@ class TestScoreModel:
         score_own = score_model(records[101], session.views, MatchParams(), RansacParams(seed=1))
         assert score_own <= 0.2
 
+    @pytest.mark.parametrize("num_views", [0, -4])
+    def test_fewer_than_one_view_rejected(self, regime_world, num_views):
+        scenes, records = regime_world
+        session = session_views(scenes[101], 10, seed=500)
+        with pytest.raises(ValueError, match="at least one view"):
+            score_model(records[101], session.views, num_views=num_views)
+
 
 class TestIngestSession:
     def test_matching_regime_no_swap(self, regime_world):
@@ -192,6 +199,20 @@ class TestIngestSession:
             ingest_session(bad, session)
 
 
+    @pytest.mark.parametrize("score_views", [0, -4])
+    def test_score_views_below_one_rejected(self, regime_world, monkeypatch, score_views):
+        scenes, records = regime_world
+        pool = make_pool([records[101], records[202]], "regime-101")
+        session = session_views(scenes[303], 12, seed=900)
+
+        def serve(*args):
+            raise AssertionError("a view was served")
+
+        monkeypatch.setattr(pool_module, "_localize_or_none", serve)
+        with pytest.raises(ValueError, match=f"score_views must be at least 1, not {score_views}"):
+            ingest_session(pool, session, score_views=score_views)
+
+
 class TestPrune:
     def test_fresh_records_kept(self, regime_world):
         _, records = regime_world
@@ -246,6 +267,18 @@ class TestPoolValidation:
     def test_session_requires_views(self):
         with pytest.raises(ValueError):
             SessionBatch(views=[], timestamps=np.zeros(0))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_session_timestamps_must_be_finite(self, regime_world, bad):
+        scenes, _ = regime_world
+        views = session_views(scenes[101], 4, seed=123).views
+        with pytest.raises(ValueError, match=r"view 2: timestamp -?(nan|inf) is not finite"):
+            SessionBatch(views=views, timestamps=[0.0, 1.0, bad, bad])
+
+    def test_record_times_must_be_finite(self, regime_world):
+        _, records = regime_world
+        with pytest.raises(ValueError, match="finite"):
+            dataclasses.replace(records[101], created=float("nan"))
 
 
 def brute_force_score(record, views, match_params, ransac_params, *, t1, t2, num_views):
