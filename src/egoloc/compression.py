@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateModelError
+from .errors import DegenerateModelError, is_integer
 from .model import PointCloudModel
 from .structures import StructureLabeling
 
@@ -114,8 +114,8 @@ def _greedy_kcover(
     n, m = model.num_points, model.num_cameras
     if n == 0 or m == 0:
         raise DegenerateModelError("model must have at least one point and one camera")
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    if not is_integer(k) or k < 1:
+        raise ValueError(f"k must be an integer of at least 1, not {k!r}")
     vis = model.visibility.to_dense()
 
     counts = np.zeros(m, dtype=np.int64)

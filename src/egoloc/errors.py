@@ -86,6 +86,15 @@ def is_integer(value) -> bool:
     return isinstance(value, Integral) and not isinstance(value, bool)
 
 
+def require_integers(owner, *names: str) -> None:
+    """Raise ValueError naming the first of the fields `names` of `owner`
+    whose value is not an integer (`is_integer`)."""
+    for name in names:
+        value = getattr(owner, name)
+        if not is_integer(value):
+            raise ValueError(f"{name} must be an integer, not {value!r}")
+
+
 def is_number(value) -> bool:
     """Whether `value` is a real number and not a bool."""
     return isinstance(value, Real) and not isinstance(value, bool)

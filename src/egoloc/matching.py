@@ -8,10 +8,13 @@ cheapest-word-first and the search stops once `max_matches` distinct points
 are matched, the vocabulary-based prioritized search of Li, Snavely &
 Huttenlocher (ECCV 2010).
 
-The nearest word is found in float32, by one product per block of rows
+Model descriptors and the index's mean rows are float32. The nearest word
+is found in float32, by one product per block of rows
 (`_nearest_centroid`); k-means, the index's assignment of model descriptors
-and each query's word lookup share that one function. The centroid update,
-the index's mean rows and every ratio-test distance stay float64.
+and each query's word lookup share that one function. k-means casts its
+training rows to float64 once, so its centroid update stays float64. Each
+word's distance product and the squared distances are float32; their
+square roots and the ratio test are float64.
 
 Only a feature whose word lists two points or more can pass the ratio
 test; the others come first in the priority order, and the walk starts
@@ -43,7 +46,7 @@ import numpy as np
 from scipy import sparse
 
 from .compression import CompressedModel
-from .errors import EmptyQueryError, TooFewDescriptorsError, is_integer
+from .errors import EmptyQueryError, TooFewDescriptorsError, is_integer, require_integers
 from .geometry import MIN_CORRESPONDENCES
 from .model import PointCloudModel
 
@@ -69,6 +72,7 @@ class MatchParams:
     max_matches: int = 200
 
     def __post_init__(self):
+        require_integers(self, "max_matches")
         if not 0.0 < self.ratio_threshold < 1.0:
             raise ValueError("ratio threshold must be in (0, 1)")
         if self.max_matches < MIN_CORRESPONDENCES:
@@ -92,8 +96,9 @@ class MatchIndex:
     word, so a model descriptor sent as a query feature lands in a word that
     lists its point. Each word holds one row per point with
     samples in it: the mean of those samples. `descriptors` holds the rows
-    word-major, rows `word_indptr[w]:word_indptr[w + 1]` for word w, and
-    `owners` is the point id of each row, strictly increasing within a word.
+    as float32 (cast once on construction), word-major, rows
+    `word_indptr[w]:word_indptr[w + 1]` for word w, and `owners` is the
+    point id of each row, strictly increasing within a word.
     Point positions ride along so localization needs only the index:
     `point_xyz[i]` is the position of point `point_ids[i]`, and the ids are
     strictly increasing, so `positions_of` is one binary search.
@@ -132,7 +137,8 @@ class MatchIndex:
     def __post_init__(self):
         if np.any(np.diff(self.point_ids) <= 0):
             raise ValueError("point_ids must be strictly increasing")
-        self._sq_norms = np.empty(len(self.descriptors))
+        self.descriptors = np.asarray(self.descriptors, dtype=np.float32)
+        self._sq_norms = np.empty(len(self.descriptors), dtype=np.float32)
         step = max(1, _BLOCK_ELEMENTS // self.descriptor_dim)
         for start in range(0, len(self.descriptors), step):
             block = self.descriptors[start : start + step]
@@ -173,10 +179,11 @@ def _nearest_centroid(desc: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
 
 def _label_sums(labels: np.ndarray, num_labels: int, rows: np.ndarray) -> np.ndarray:
-    """The sum of the rows of each label, added in row order: one product
-    with the (num_labels, n) membership matrix."""
+    """The sum of the rows of each label, added in row order in the rows'
+    dtype: one product with the (num_labels, n) membership matrix."""
     n = len(labels)
-    members = sparse.csr_matrix((np.ones(n), (labels, np.arange(n))), shape=(num_labels, n))
+    ones = np.ones(n, dtype=rows.dtype)
+    members = sparse.csr_matrix((ones, (labels, np.arange(n))), shape=(num_labels, n))
     return members @ rows
 
 
@@ -191,6 +198,8 @@ def _kmeans(data: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, int, bool]
     if len(data) > _KMEANS_TRAIN_CAP:
         rows = np.sort(rng.choice(len(data), size=_KMEANS_TRAIN_CAP, replace=False))
         train = data[rows]
+    # One float64 copy, so the sums and centroids are float64 on every pass.
+    train = train.astype(np.float64)
     init_rows = np.sort(rng.choice(len(train), size=k, replace=False))
     centroids = train[init_rows].copy()
 
@@ -257,9 +266,11 @@ def build_index(
     words, ranks = np.divmod(pairs, len(ids))
     word_indptr = np.zeros(w + 1, dtype=np.int64)
     np.cumsum(np.bincount(words, minlength=w), out=word_indptr[1:])
+    means = _label_sums(group, len(pairs), all_desc)
+    means /= sizes[:, None].astype(means.dtype)
     return MatchIndex(
         centroids=centroids,
-        descriptors=_label_sums(group, len(pairs), all_desc) / sizes[:, None],
+        descriptors=means,
         owners=ids[ranks],
         word_indptr=word_indptr,
         point_ids=ids,
@@ -292,8 +303,8 @@ def _batch_passes(
     x = desc[features]
     x_sq = np.sum(x * x, axis=1)
     x *= 2.0
-    sq = np.zeros((len(features), lengths[features[-1]]))
-    norms = np.full(sq.shape, np.inf)
+    sq = np.zeros((len(features), lengths[features[-1]]), dtype=np.float32)
+    norms = np.full(sq.shape, np.inf, dtype=np.float32)
     for a, b in zip(starts, [*starts[1:], len(features)]):
         row, length = first_row[features[a]], lengths[features[a]]
         word_rows = index.descriptors[row : row + length]
@@ -306,9 +317,9 @@ def _batch_passes(
     # earliest, on a tie) is set aside.
     nearest = np.argmin(sq, axis=1)
     rows = np.arange(len(features))
-    d1 = np.sqrt(sq[rows, nearest])
+    d1 = np.sqrt(sq[rows, nearest], dtype=np.float64)
     sq[rows, nearest] = np.inf
-    d2 = np.sqrt(np.min(sq, axis=1))
+    d2 = np.sqrt(np.min(sq, axis=1), dtype=np.float64)
     # A second distance of zero (a tie at zero) or not finite gets ratio 1,
     # which fails the test.
     ratio = np.divide(d1, d2, out=np.ones_like(d1), where=np.isfinite(d2) & (d2 > 0.0))
@@ -345,7 +356,7 @@ def match_features(
         EmptyQueryError: the query has no features.
     """
     params = params or MatchParams()
-    desc = np.asarray(query.descriptors, dtype=np.float64)
+    desc = np.asarray(query.descriptors, dtype=np.float32)
     if desc.ndim != 2 or len(desc) == 0:
         raise EmptyQueryError("query has no features")
     if desc.shape[1] != index.descriptor_dim:

@@ -15,10 +15,11 @@ class PointCloudModel:
     """A reconstructed scene model used for localization.
 
     Each point carries the descriptor samples from the cameras that observed
-    it. All samples sit in one `(D, dim)` array, `descriptors`, with rows
-    grouped by point in point order: the first `descriptor_counts[0]` rows
-    belong to point 0, the next `descriptor_counts[1]` to point 1, and so
-    on. Every count is at least 1 and the counts sum to D. `point_ids` are
+    it. All samples sit in one float32 `(D, dim)` array, `descriptors`,
+    with rows grouped by point in point order: the first
+    `descriptor_counts[0]` rows belong to point 0, the next
+    `descriptor_counts[1]` to point 1, and so on. Every count is at least 1
+    and the counts sum to D. Positions stay float64. `point_ids` are
     stable global ids so compressed sub-models keep referring to the source
     points.
     """
@@ -42,7 +43,7 @@ class PointCloudModel:
             self.point_ids = np.asarray(self.point_ids, dtype=np.int64).reshape(-1)
         if len(self.point_ids) != n or len(np.unique(self.point_ids)) != n:
             raise ValueError("point_ids must be unique and match the point count")
-        self.descriptors = np.asarray(self.descriptors, dtype=np.float64)
+        self.descriptors = np.asarray(self.descriptors, dtype=np.float32)
         self.descriptor_counts = np.asarray(self.descriptor_counts, dtype=np.int64).reshape(-1)
         if self.descriptors.ndim != 2:
             raise ValueError("descriptors must be one (rows, dim) array")

@@ -2,10 +2,12 @@
 
 The model file is a little-endian, magic-prefixed, versioned binary format
 with CRC-protected header and payload, so truncation and bit corruption
-surface as typed errors instead of garbage models. Round trips are bit
-exact. Saving writes the arrays' own buffers, and loading makes one read
-into one buffer per load; the loaded arrays are views of it. Reported sizes
-use decimal megabytes (10^6 bytes).
+surface as typed errors instead of garbage models. Format version 2 stores
+the descriptors as float32, as the model holds them; a version-1 file, whose
+descriptors are float64, is refused. Round trips are bit exact. Saving
+writes the arrays' own buffers, and loading makes one read into one buffer
+per load; the loaded arrays are views of it. Reported sizes use decimal
+megabytes (10^6 bytes).
 
 A model pool persists as a manifest JSON next to one model file per record.
 """
@@ -38,7 +40,7 @@ from .pool import ModelPool, ModelRecord, PoolParams
 from .structures import LineStructure, PlaneStructure, StructureLabeling
 
 MAGIC = b"EGLM"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 _HEADER_FMT = "<4sIIQIIIQII"
 _HEADER_SIZE = struct.calcsize(_HEADER_FMT)
 
@@ -60,7 +62,8 @@ class _Writer:
         self.size += len(data)
 
     def array(self, arr: np.ndarray, dtype: str):
-        self.raw(memoryview(np.ascontiguousarray(arr, dtype=dtype)).cast("B"))
+        # Raveled first: memoryview cannot cast an array with a zero-length axis.
+        self.raw(memoryview(np.ascontiguousarray(arr, dtype=dtype).ravel()).cast("B"))
 
     def u32(self, value: int):
         self.raw(struct.pack("<I", value))
@@ -169,7 +172,7 @@ def _write_payload(
     w.array(pcm.point_ids, "<i8")
     w.array(pcm.xyz, "<f8")
     w.array(pcm.descriptor_counts, "<u4")
-    w.array(pcm.descriptors, "<f8")
+    w.array(pcm.descriptors, "<f4")
     for ids in pcm.visibility.points_in_camera:
         w.u32(len(ids))
         w.array(ids, "<i8")
@@ -290,7 +293,7 @@ def load_model(path: str | Path) -> PointCloudModel | CompressedModel:
     xyz = r.array(num_points * 3, "<f8").reshape(num_points, 3)
     desc_counts = r.array(num_points, "<u4")
     num_descriptors = int(desc_counts.sum())
-    descriptors = r.array(num_descriptors * descriptor_dim, "<f8").reshape(
+    descriptors = r.array(num_descriptors * descriptor_dim, "<f4").reshape(
         num_descriptors, descriptor_dim
     )
     cam_lists = [r.array(r.u32(), "<i8") for _ in range(num_cameras)]

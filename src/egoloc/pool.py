@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .compression import CompressedModel
-from .errors import PoolEmptyError, RegistrationFailedError, is_finite_number
+from .errors import PoolEmptyError, RegistrationFailedError, is_finite_number, require_integers
 from .matching import MatchIndex, MatchParams
 from .model import PointCloudModel
 from .pose import LocalizationResult, RansacParams, localize
@@ -67,6 +67,7 @@ class PoolParams:
     ttl: float = float("inf")
 
     def __post_init__(self):
+        require_integers(self, "t1", "invalid_window", "invalid_quota")
         if self.t1 < 0:
             raise ValueError("t1 must be non-negative")
         if not 0.0 < self.t2 <= 1.0:

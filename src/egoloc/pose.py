@@ -27,6 +27,7 @@ from .errors import (
     NoModelFoundError,
     RegistrationFailedError,
     SingularBlockError,
+    require_integers,
 )
 from .geometry import DEPTH_EPSILON, MIN_CORRESPONDENCES, CameraIntrinsics, CameraPose
 from .matching import MatchIndex, MatchParams, match_features
@@ -63,6 +64,7 @@ class RansacParams:
     seed: int = 0
 
     def __post_init__(self):
+        require_integers(self, "max_iterations", "seed")
         if not self.inlier_threshold > 0:
             raise ValueError("inlier threshold must be positive")
         if self.max_iterations < 1:

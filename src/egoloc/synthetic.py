@@ -173,22 +173,27 @@ def default_intrinsics() -> CameraIntrinsics:
     )
 
 
-def _normalize_rows(v: np.ndarray) -> np.ndarray:
-    """Scale the rows of `v` to unit length in place; zero rows stay zero."""
+def _normalize_rows(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The rows of `v` scaled to unit length, written into `out` (which may
+    be `v`); zero rows stay zero. The quotients are rounded once to `out`'s
+    dtype."""
     norms = np.linalg.norm(v, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
-    v /= norms
-    return v
+    return np.divide(v, norms, out=out)
 
 
 def _unit_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
-    return _normalize_rows(rng.normal(size=(n, dim)))
+    v = rng.normal(size=(n, dim))
+    return _normalize_rows(v, v)
 
 
-def _perturb_rows(rng: np.random.Generator, v: np.ndarray, sigma: float) -> np.ndarray:
-    """Add N(0, sigma²) noise to the rows of `v` in place and renormalize them."""
+def _perturb_rows(
+    rng: np.random.Generator, v: np.ndarray, sigma: float, out: np.ndarray
+) -> np.ndarray:
+    """Add N(0, sigma²) noise to the rows of `v` in place and write them
+    renormalized into `out` (which may be `v`)."""
     v += rng.normal(scale=sigma, size=v.shape)
-    return _normalize_rows(v)
+    return _normalize_rows(v, out)
 
 
 def _structure_center(rng: np.random.Generator, extent: float) -> np.ndarray:
@@ -408,7 +413,7 @@ def render_view(scene: GroundTruthScene, camera: int | CameraPose, *, seed: int 
 
     desc = scene.descriptors[kept_ids]
     if spec.descriptor_noise_sigma > 0:
-        desc = _perturb_rows(rng, desc, spec.descriptor_noise_sigma)
+        desc = _perturb_rows(rng, desc, spec.descriptor_noise_sigma, desc)
 
     n_true = len(kept_ids)
     n_out = int(round(n_true * out_frac / (1.0 - out_frac))) if out_frac > 0 else 0
@@ -444,7 +449,8 @@ def build_model(
 
     Point positions get optional Gaussian jitter (reconstruction error); each
     point gets one noisy descriptor sample per camera that sees it,
-    emulating the multi-view descriptors of a reconstructed model.
+    emulating the multi-view descriptors of a reconstructed model. The
+    samples are stored as float32.
     """
     jitter = reconstruction_noise_sigma
     if not (is_finite_number(jitter) and jitter >= 0):
@@ -458,7 +464,9 @@ def build_model(
     counts = scene.visibility.track_lengths()
     descriptors = np.repeat(scene.descriptors, counts, axis=0)
     if sigma > 0:
-        descriptors = _perturb_rows(rng, descriptors, sigma)
+        # Drawn and normalized in float64, each stored value rounded once.
+        stored = np.empty(descriptors.shape, dtype=np.float32)
+        descriptors = _perturb_rows(rng, descriptors, sigma, stored)
 
     return PointCloudModel(
         xyz=xyz,

@@ -7,11 +7,14 @@ import inspect
 import sys
 from pathlib import Path
 
+import pytest
+
 import egoloc
 from egoloc.compression import CompressedModel
-from egoloc.pool import ServedView, SessionOutcome
-from egoloc.pose import PoseEstimate
-from egoloc.structures import StructureLabeling
+from egoloc.matching import MatchParams
+from egoloc.pool import PoolParams, ServedView, SessionOutcome
+from egoloc.pose import PoseEstimate, RansacParams
+from egoloc.structures import DetectParams, StructureLabeling
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -175,3 +178,26 @@ def test_no_unreferenced_private_names():
                 if name.startswith("_") and not name.endswith("__") and name not in read
             ]
     assert unread == []
+
+
+@pytest.mark.parametrize(
+    "cls, field, value",
+    [
+        (MatchParams, "max_matches", 7.5),
+        (MatchParams, "max_matches", 6.0),
+        (RansacParams, "max_iterations", 10.5),
+        (RansacParams, "seed", 1.5),
+        (RansacParams, "seed", True),
+        (DetectParams, "max_iterations_per_structure", 100.5),
+        (DetectParams, "seed", 0.5),
+        (DetectParams, "min_members", 50.5),
+        (PoolParams, "t1", 2.5),
+        (PoolParams, "invalid_window", 5.5),
+        (PoolParams, "invalid_quota", 2.5),
+    ],
+)
+def test_integer_parameter_fields_are_checked(cls, field, value):
+    """A library caller gets the check a config file gets: an integer field
+    refuses a fraction, an integral float and a bool where it is defined."""
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, not {value!r}$"):
+        cls(**{field: value})

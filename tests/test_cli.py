@@ -47,7 +47,7 @@ SCENE_CFG = {
 # refactor keeps these bytes; a change that alters them on purpose updates
 # the hashes and says why.
 GOLDEN_SHA256 = {
-    "bench.jsonl": "3f84b1a5e66c8d6923d292f05869deb0516946cc9ad85ac1508e8e9c63928dc8",
+    "bench.jsonl": "3bdb7c7983aee27b98b85b64a4a0bf7df12da6dd84eb32f0ba676f3c2f297431",
     "sessions.jsonl": "d3194073ce8126a7725c41e654a0a7dc4ead249374b0b2906a10598bad117814",
     "events.jsonl": "b2ac825bef57d3c3b4c3a438980d26d7659039f58196d24d71e7037c3abd1819",
 }
@@ -56,9 +56,9 @@ GOLDEN_SHA256 = {
 # compress -> localize (--seed 3) pipeline of TestPipelineCommands writes on
 # SCENE_CFG, at one or two BLAS threads; pinned like GOLDEN_SHA256.
 PIPELINE_SHA256 = {
-    "build": "0aaa77c5ca417f6c35ea281b08405268081bfc107a0fd7e9d6a1d4436676aec8",
-    "detect": "3f40f72b2fa5df371d74652716bf4daae72326c8f99c6ba6a7758796b8e332d3",
-    "compress": "b5a04c82d336fbfe20f709a43a44777440a57a8ca66b22a810736d0ba5197ec9",
+    "build": "63a43c112ed67d2cfc67499891064847d92fc6ebe2e134aab1311f01697c6623",
+    "detect": "26a2cc808bec95e313ff2a3d8890d1cc0b1b52bb36011fbb89265c69ce07b91d",
+    "compress": "5d6906b581f3cd0454e5cec6953379e55770afad83e1ea45b1d2c8403ae41a47",
     "localize": "dcf9b0ad2fab1adf998387f7a3aa927bd450e602c3367f3a3fac5a2e7c31bad5",
 }
 

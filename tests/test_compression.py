@@ -1,5 +1,7 @@
 """Weighted/unweighted set k-cover against naive full-scan reference oracles."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -453,6 +455,17 @@ class TestCompress:
         model, labeling, _, _, _ = random_instance(rng)
         with pytest.raises(ValueError):
             compress(model, labeling, method, parameter)
+
+    @pytest.mark.parametrize("k", [float("nan"), 2.5, True], ids=["nan", "fractional", "bool"])
+    @pytest.mark.parametrize("method", ["weighted_kcover", "set_kcover"])
+    def test_kcover_functions_refuse_a_k_that_is_no_integer(self, method, k):
+        rng = np.random.default_rng(11)
+        model, labeling, _, _, _ = random_instance(rng)
+        with pytest.raises(ValueError, match=re.escape(f"not {k!r}")):
+            if method == "set_kcover":
+                compress_set_kcover(model, k)
+            else:
+                compress_weighted_kcover(model, labeling, k)
 
     def test_only_set_kcover_runs_without_a_labeling(self):
         rng = np.random.default_rng(12)

@@ -64,8 +64,7 @@ class TestBuildIndex:
         lists = [rng.normal(size=(3, 8)) for _ in range(5)]
         model = model_from_descriptors(lists, 8)
         index = build_index(model, num_words=1, seed=2)
-        stacked = np.vstack(lists)
-        expected = stacked.mean(axis=0)
+        expected = model.descriptors.astype(np.float64).mean(axis=0)
         expected /= np.linalg.norm(expected)
         np.testing.assert_allclose(index.centroids[0], expected, atol=1e-12)
         assert sum(len(ids) for ids in word_owners(index)) == 5  # one row per point
@@ -119,7 +118,8 @@ class TestBuildIndex:
         counts = np.diff(index.word_indptr)
         assert counts.tolist().count(0) == 1
         empty = index.centroids[counts == 0][0]
-        assert np.array_equal(empty, a) or np.array_equal(empty, b)
+        stored_a, stored_b = model.descriptors[0], model.descriptors[3]
+        assert np.array_equal(empty, stored_a) or np.array_equal(empty, stored_b)
 
     def test_too_few_descriptors(self):
         lists = [np.ones((1, 4))] * 3
@@ -131,8 +131,8 @@ class TestBuildIndex:
 class TestIndexLayout:
     # sha256 of the arrays of `build_index(small_model, 16, seed=1)`.
     GOLDEN = {
-        "centroids": "dda5625e79f9e2dfa4bc06c0d328a5e4e3c5ddd04a5d5c1c55028aef7b727a23",
-        "descriptors": "3796d1c9949496c5223200ad24e47bd63e4aceee6cba2c7149d1d1ebcf5ee4fc",
+        "centroids": "778e2bc962615bd9db118673bb42dd79ccac3dd68bdf2eb0d1786352ad185d65",
+        "descriptors": "53c438bc34261e9c5ca71c0f73470865702a6724b4fa19069c92b77679323ba1",
         "owners": "615395edd876cc4db9d0f7623c42511b859858b857218ef0f1051e4d85e3546f",
         "word_indptr": "66922094875ce5dee14fad037d39bef6a2dbce644f798acc91b45697cf0b7fd9",
     }
@@ -157,12 +157,17 @@ class TestIndexLayout:
             np.diff(index.word_indptr),
             [len(np.unique(owner[assign == w])) for w in range(index.num_words)],
         )
-        # Each row is the mean of its point's samples assigned to its word.
+        # Each row is the mean of its point's samples assigned to its word:
+        # their float32 sum in row order, divided in float32 by their count.
         word = np.repeat(np.arange(index.num_words), np.diff(index.word_indptr))
+        assert index.descriptors.dtype == np.float32
         for w, point_id, row in zip(word, index.owners, index.descriptors):
             samples = small_model.descriptors[(assign == w) & (owner == point_id)]
             assert len(samples) > 0
-            np.testing.assert_allclose(row, samples.mean(axis=0), rtol=0, atol=1e-12)
+            total = np.zeros(small_model.descriptor_dim, dtype=np.float32)
+            for sample in samples:
+                total += sample
+            assert np.array_equal(row, total / np.float32(len(samples)))
 
     def test_positions_of_matches_per_id_lookup(self, small_model):
         rows = np.random.default_rng(0).permutation(small_model.num_points)
@@ -356,10 +361,11 @@ def full_scan_match(view, index, params):
     """Reference search: every feature's nearest and second-nearest point in
     its word, computed for all features up front, then the priority walk.
 
-    Each word's distances come from one product over all of its features, as
-    in the index, so they are bit-identical to the index's own. Returns the
-    matches as a `MATCH_DTYPE` array, the number of features the walk
-    visited and the number of distinct words of the view.
+    Each word's distances come from one float32 product over all of its
+    features, as in the index, so they are bit-identical to the index's own;
+    their square roots are float64. Returns the matches as a `MATCH_DTYPE`
+    array, the number of features the walk visited and the number of
+    distinct words of the view.
     """
     desc = np.asarray(view.descriptors, dtype=np.float64)
     n = len(desc)
@@ -374,7 +380,7 @@ def full_scan_match(view, index, params):
         if len(point_ids) < 2:
             continue
         rows = np.flatnonzero(words == word)
-        f = desc[rows]
+        f = desc[rows].astype(np.float32)
         sq = (
             np.sum(f * f, axis=1)[:, None]
             - 2.0 * f @ descriptors.T
@@ -386,8 +392,8 @@ def full_scan_match(view, index, params):
         best = per_point[np.arange(len(rows)), nearest]
         per_point[np.arange(len(rows)), nearest] = np.inf
         pid[rows] = point_ids[nearest]
-        d1[rows] = np.sqrt(best)
-        d2[rows] = np.sqrt(per_point.min(axis=1))
+        d1[rows] = np.sqrt(best, dtype=np.float64)
+        d2[rows] = np.sqrt(per_point.min(axis=1), dtype=np.float64)
 
     lengths = [index.word_indptr[w + 1] - index.word_indptr[w] for w in words]
     order = sorted(range(n), key=lambda f: (lengths[f], f))

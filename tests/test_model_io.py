@@ -117,6 +117,14 @@ class TestRoundTrip:
             save_model(model, path)
         assert not path.exists()
 
+    def test_model_with_no_points(self, tmp_path):
+        model = random_model(np.random.default_rng(9)).subset([])
+        path = tmp_path / "m.eglm"
+        assert save_model(model, path) == _saved_size(model) == path.stat().st_size
+        loaded = load_model(path)
+        assert loaded.num_points == 0 and loaded.num_descriptors == 0
+        assert saved_bytes(loaded) == saved_bytes(model)
+
     def test_compressed_model(self, tmp_path, small_model):
         from egoloc import detect_structures as ds
 
@@ -187,12 +195,12 @@ class TestRoundTrip:
 
 class TestGoldenBytes:
     """`save_model` output is pinned by sha256, so neither the in-memory
-    layout nor the writer can drift from format v1 unnoticed."""
+    layout nor the writer can drift from format v2 unnoticed."""
 
     GOLDEN = {
-        "plain": "77d4b243a03564999b128f6e04c0e79f6fe31ac87d714985d7031142b3fb53ee",
-        "labelled": "69598565ade4cedcbc762a54f47869c2e7c9746c92be1683c4c24b54ed666b36",
-        "compressed": "fd1ad0ed34bd7de599037571f9aa5c0785adeb5574a31eeadb55c8f6f5e3761f",
+        "plain": "9e0bf6ac56bbc206870a57ba2f544cb2a10dc4a12145029ba6cc223af606e8d8",
+        "labelled": "5d71451ce9e8f1cc45ec99ec736edc82497f113ba8c064930ed8041da6909d2d",
+        "compressed": "4c8435881414af386dc407fe7feb4168e0ad470204d4396f5aaf4a9fa4e02b2b",
     }
 
     @pytest.mark.parametrize("kind", sorted(GOLDEN))
@@ -290,6 +298,16 @@ class TestCorruption:
         struct.pack_into("<I", head, _HEADER_SIZE - 4, zlib.crc32(bytes(head[:-4])))
         path.write_bytes(bytes(head) + data[_HEADER_SIZE:])
         with pytest.raises(VersionMismatchError):
+            load_model(path)
+
+    def test_version_1_is_refused(self, saved):
+        """Version 1 stored float64 descriptors; no reader for it is kept."""
+        path, data = saved
+        head = bytearray(data[:_HEADER_SIZE])
+        struct.pack_into("<I", head, 4, 1)
+        struct.pack_into("<I", head, _HEADER_SIZE - 4, zlib.crc32(bytes(head[:-4])))
+        path.write_bytes(bytes(head) + data[_HEADER_SIZE:])
+        with pytest.raises(VersionMismatchError, match="format version 1; supported 2"):
             load_model(path)
 
     def test_header_bit_flips_are_typed_errors(self, saved):
@@ -506,6 +524,35 @@ class TestZeroCopyLoad:
         path.write_bytes(with_payload(data, bytes(payload)))
         with pytest.raises(ModelIOError, match="unknown structure kind 2"):
             load_model(path)
+
+
+class TestDescriptorDtype:
+    """Model descriptors and index rows are float32 from the build through
+    sub-models, compression, model files and pools."""
+
+    def test_float32_end_to_end(self, tmp_path, small_scene):
+        model = build_model(small_scene, 0.01, seed=21)
+        compressed = compress_weighted_kcover(model, small_scene.true_labeling, 20)
+        sub = model.subset(np.arange(0, model.num_points, 2))
+        for m in (model, sub, compressed.model):
+            assert m.descriptors.dtype == np.float32
+        path = tmp_path / "m.eglm"
+        save_model(compressed, path)
+        loaded = load_model(path).model
+        assert loaded.descriptors.dtype == np.float32
+        assert loaded.descriptors.tobytes() == compressed.model.descriptors.tobytes()
+        base = loaded.descriptors
+        while isinstance(base.base, np.ndarray):
+            base = base.base
+        assert not base.flags.owndata  # still a view of the load's buffer
+
+        index = build_index(model, 16, seed=3)
+        assert index.descriptors.dtype == np.float32
+        record = ModelRecord("r1", model, index, 1.0, 2.0)
+        save_pool(ModelPool(records=[record], active_id="r1"), tmp_path / "pool")
+        (reloaded,) = load_pool(tmp_path / "pool").records
+        assert reloaded.model.descriptors.dtype == np.float32
+        assert reloaded.index.descriptors.tobytes() == index.descriptors.tobytes()
 
 
 class TestSizes:
