@@ -180,18 +180,6 @@ class VisibilityMatrix:
             lists.append(np.sort(kept[kept >= 0]))
         return VisibilityMatrix(len(rows), lists)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, VisibilityMatrix):
-            return NotImplemented
-        return (
-            self.num_points == other.num_points
-            and self.num_cameras == other.num_cameras
-            and all(
-                np.array_equal(a, b)
-                for a, b in zip(self.points_in_camera, other.points_in_camera)
-            )
-        )
-
     def __repr__(self) -> str:
         return f"VisibilityMatrix({self.num_points} points, {self.num_cameras} cameras)"
 

@@ -329,16 +329,33 @@ def load_model(path: str | Path) -> PointCloudModel | CompressedModel:
     return compressed
 
 
+def _pool_file(directory: Path, name: object) -> Path | None:
+    """`directory / name` when `name` is a model file directly in the pool
+    directory (a string ending in ".eglm" with no directory part), else None:
+    the one rule for every pool file written, read or deleted."""
+    if isinstance(name, str) and Path(name).name == name and name.endswith(".eglm"):
+        return directory / name
+    return None
+
+
 def save_pool(pool: ModelPool, directory: str | Path) -> Path:
-    """Persist a pool as manifest.json plus one model file per record.
+    """Persist a pool as manifest.json plus one `<record_id>.eglm` per record.
 
     Match indexes are not stored; they are rebuilt deterministically from the
     recorded (num_words, seed) on load. The model files that the directory's
     previous manifest names and this pool no longer uses, such as a pruned
     record's, are deleted by those names; an unreadable previous manifest
     deletes nothing.
+
+    Raises:
+        ModelIOError: a record id that would put its file outside
+            `directory`; nothing is written then.
     """
     directory = Path(directory)
+    paths = [_pool_file(directory, f"{r.record_id}.eglm") for r in pool.records]
+    if None in paths:
+        bad = pool.records[paths.index(None)].record_id
+        raise ModelIOError(f"record id {bad!r} names no file in the pool directory")
     directory.mkdir(parents=True, exist_ok=True)
     manifest_path = directory / "manifest.json"
     try:
@@ -346,13 +363,12 @@ def save_pool(pool: ModelPool, directory: str | Path) -> Path:
     except (OSError, ValueError, KeyError, TypeError):
         previous = []
     records = []
-    for r in pool.records:
-        filename = f"{r.record_id}.eglm"
-        save_model(r.model, directory / filename)
+    for r, path in zip(pool.records, paths):
+        save_model(r.model, path)
         records.append(
             {
                 "record_id": r.record_id,
-                "file": filename,
+                "file": path.name,
                 "created": r.created,
                 "last_used": r.last_used,
                 "condition": r.condition,
@@ -367,10 +383,9 @@ def save_pool(pool: ModelPool, directory: str | Path) -> Path:
     manifest_path.write_text(json.dumps(manifest, indent=2))
     kept = {r["file"] for r in records}
     for name in previous:
-        # Only a model file directly in this directory, never a path out of it.
-        plain = isinstance(name, str) and Path(name).name == name and name.endswith(".eglm")
-        if plain and name not in kept:
-            (directory / name).unlink(missing_ok=True)
+        path = _pool_file(directory, name)
+        if path is not None and name not in kept:
+            path.unlink(missing_ok=True)
     return manifest_path
 
 
@@ -409,7 +424,10 @@ def _read_pool_manifest(directory: Path) -> tuple[list[tuple[dict, int, int]], s
                     if not fits(entry[key]):
                         raise TypeError(f"record field {key} must be {kind}, not {entry[key]!r}")
             fields = {key: entry[key] for key in ("record_id", "created", "last_used", "condition")}
-            fields["model"] = load_model(directory / entry["file"])
+            path = _pool_file(directory, entry["file"])
+            if path is None:
+                raise ValueError(f"record file {entry['file']!r} is not in the pool directory")
+            fields["model"] = load_model(path)
             records.append((fields, entry["index_num_words"], entry["index_seed"]))
         active_id = manifest["active_id"]
         if active_id not in [fields["record_id"] for fields, _, _ in records]:
@@ -428,7 +446,8 @@ def load_pool(directory: str | Path) -> ModelPool:
     Raises:
         VersionMismatchError: unsupported manifest version.
         ModelIOError: a manifest that is not JSON or not an object, misses a
-            key, holds a bad value, or whose `active_id` names no record.
+            key, holds a bad value, names a file outside `directory`, gives
+            two records one id, or whose `active_id` names no record.
     """
     records, active_id, params = _read_pool_manifest(Path(directory))
     try:
@@ -436,6 +455,6 @@ def load_pool(directory: str | Path) -> ModelPool:
             ModelRecord(**fields, index=build_index(fields["model"], num_words, seed))
             for fields, num_words, seed in records
         ]
+        return ModelPool(pool_records, active_id, params)
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelIOError(f"bad pool manifest: {exc!r}") from exc
-    return ModelPool(pool_records, active_id, params)

@@ -86,13 +86,16 @@ class PoolParams:
 
 @dataclass
 class ModelPool:
-    """Timestamped models for one area; exactly one active."""
+    """Timestamped models for one area under distinct ids; exactly one active."""
 
     records: list[ModelRecord]
     active_id: str
     params: PoolParams = field(default_factory=PoolParams)
 
     def __post_init__(self):
+        ids = [r.record_id for r in self.records]
+        if len(set(ids)) < len(ids):
+            raise ValueError(f"record id '{max(ids, key=ids.count)}' appears twice in the pool")
         self.record(self.active_id)  # active id must resolve
 
     def record(self, record_id: str) -> ModelRecord:
@@ -387,7 +390,11 @@ def ingest_session(
                 reason = "swap"
             elif build_model_fn is not None:
                 model, index = build_model_fn(session)
-                new_id = f"{session.session_id or 'session'}-new-{len(pool.records)}"
+                # After a prune the record count can name a kept record: count on.
+                k, taken = len(pool.records), {r.record_id for r in pool.records}
+                while f"{session.session_id or 'session'}-new-{k}" in taken:
+                    k += 1
+                new_id = f"{session.session_id or 'session'}-new-{k}"
                 chosen = ModelRecord(new_id, model, index, created=now, last_used=now)
                 pool.records.append(chosen)
                 reason = "new_model"

@@ -31,7 +31,7 @@ from .errors import (
 )
 from .geometry import DEPTH_EPSILON, MIN_CORRESPONDENCES, CameraIntrinsics, CameraPose
 from .matching import MatchIndex, MatchParams, match_features
-from .structures import _shift_distinct
+from .structures import draw_distinct
 
 # Relative singular-value floor below which a correspondence set counts as
 # coplanar/collinear for the DLT.
@@ -438,18 +438,6 @@ def _stop_bound(ratio: float, sample_size: int, params: RansacParams, drawn: int
     return min(params.max_iterations, int(np.ceil(np.log(1 - params.confidence) / denom)))
 
 
-def _draw_triples(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
-    """`size` samples (size, 3) of three distinct indices below n, from three
-    doubles per sample, so sample h is the same whatever the batch sizes.
-    The k-th double picks among the n - k indices the sample does not hold
-    yet: it is scaled to that range, then shifted past each held index it
-    reaches, in increasing order."""
-    u = rng.random((size, 3))
-    return _shift_distinct(
-        np.minimum((u * (n - np.arange(3))).astype(np.int64), n - 1 - np.arange(3))
-    )
-
-
 def ransac_pose(
     pixels: np.ndarray,
     points: np.ndarray,
@@ -460,14 +448,14 @@ def ransac_pose(
 ) -> PoseEstimate:
     """Robust pose from 2D-3D correspondences by RANSAC.
 
-    With `intrinsics` set, each hypothesis is a 3-point sample solved by
-    P3P (`_p3p_batch`), which gives up to four poses, each scored as its own
-    candidate. Every sample is drawn from one `default_rng(seed)` stream,
-    three doubles per sample. The best candidate's inliers are certified
-    under it and it is returned as is, with `intrinsics`.
+    Every sample is drawn by `draw_distinct` from one `default_rng(seed)`
+    stream, one double per index, so hypothesis h is the same whatever the
+    batch sizes. With `intrinsics` set, each hypothesis is a 3-point sample
+    solved by P3P (`_p3p_batch`), which gives up to four poses, each scored
+    as its own candidate. The best candidate's inliers are certified under
+    it and it is returned as is, with `intrinsics`.
 
-    Without them, each hypothesis is a 6-point sample solved by the DLT,
-    and hypothesis h samples from its own generator, seeded `(seed, h)`.
+    Without them, each hypothesis is a 6-point sample solved by the DLT.
     The best projection matrix is refit on all its inliers, RQ-decomposed,
     and the inliers are certified under the decomposed camera.
 
@@ -497,21 +485,18 @@ def ransac_pose(
     if intrinsics is None:
         sample_size = MIN_CORRESPONDENCES
 
-        def solve(h: int, size: int) -> tuple[np.ndarray, np.ndarray]:
-            rngs = (np.random.default_rng((params.seed, g)) for g in range(h, h + size))
-            samples = np.stack([g.choice(n, size=sample_size, replace=False) for g in rngs])
+        def solve(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             p, reason = _dlt_batch(px[samples], pts[samples])
             return p[:, None], (reason == 0)[:, None]
 
     else:
         sample_size = 3
         rays = _bearings(px, intrinsics)
-        rng = np.random.default_rng(params.seed)
 
-        def solve(h: int, size: int) -> tuple[np.ndarray, np.ndarray]:
-            samples = _draw_triples(rng, n, size)
+        def solve(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             return _p3p_batch(rays[samples], pts[samples])
 
+    rng = np.random.default_rng(params.seed)
     best_cam = best_p = None
     best_count = 0
     best_mean = np.inf
@@ -522,7 +507,7 @@ def ransac_pose(
         size = max(h // 4, _MIN_BATCH) if h else _FIRST_BATCH
         size = min(size, iterations_needed - h, _MAX_BATCH)
         # cams: (size, C, 3, 4) candidate matrices; valid: (size, C) mask.
-        cams, valid = solve(h, size)
+        cams, valid = solve(draw_distinct(rng, n, size, sample_size))
         cams = cams[valid]
         batch_p = cams if intrinsics is None else intrinsics.matrix @ cams
         err = _reprojection_errors(batch_p, px, pts)

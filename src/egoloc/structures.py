@@ -117,20 +117,20 @@ _MAX_STRUCTURES = 50
 _SCORE_BLOCK = 1 << 16
 
 
-def _shift_distinct(picks: np.ndarray) -> np.ndarray:
-    """Rows of distinct indices below n, in place, from raw draws (num, size)
-    whose column j is below n - j: each draw is shifted past its row's earlier
-    picks in increasing order, so memory stays O(num * size) for any n."""
-    for j in range(1, picks.shape[1]):
-        column = picks[:, j]
-        for used in np.sort(picks[:, :j], axis=1).T:
+def draw_distinct(rng: np.random.Generator, n: int, num: int, size: int) -> np.ndarray:
+    """(num, size) indices below n, distinct within each row, from `size`
+    doubles per row, so row h is the same whatever the batch sizes. The j-th
+    double picks among the n - j indices its row does not hold yet: it is
+    scaled to that range, then shifted past each held index it reaches, in
+    increasing order, so memory stays O(num * size) for any n. Every RANSAC
+    in the package draws its samples here."""
+    j = np.arange(size)
+    picks = np.minimum((rng.random((num, size)) * (n - j)).astype(np.int64), n - 1 - j)
+    for k in range(1, size):
+        column = picks[:, k]
+        for used in np.sort(picks[:, :k], axis=1).T:
             column += column >= used
     return picks
-
-
-def _draw_samples(rng: np.random.Generator, n: int, num: int, size: int) -> np.ndarray:
-    """(num, size) indices into range(n), distinct within each row."""
-    return _shift_distinct(np.column_stack([rng.integers(0, n - j, size=num) for j in range(size)]))
 
 
 def _fit_planes(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -207,7 +207,7 @@ def _members_collinear(points: np.ndarray, threshold: float, rng: np.random.Gene
     """
     if len(points) < 3:
         return True
-    probes = points[_draw_samples(rng, len(points), 8, 2)]
+    probes = points[draw_distinct(rng, len(points), 8, 2)]
     anchors, directions, valid = _fit_lines(probes)
     near = _line_distances(points, anchors[valid], directions[valid]) <= threshold
     return bool(np.any(near.mean(axis=0) >= 0.8))
@@ -223,15 +223,15 @@ def _detect_one(
 ):
     """One RANSAC round over the remaining candidates, evaluated as a batch.
 
-    All hypotheses of the round are drawn at once from one generator seeded
-    by (seed, round), fitted with one stacked SVD and scored in point blocks.
-    The winner is then chosen by replaying the hypotheses in index order, so
-    ties in inlier count go to the lowest index, exactly as a sequential loop
-    would pick. Degenerate samples (collinear plane draws, coincident line
-    draws) never win but still count against the budget; a plane that would
-    become the new best is first checked for a collinear consensus with its
-    own (seed, round, h, 1) generator and skipped if it fails. Returns the
-    structure or None.
+    The round draws from one generator seeded by (seed, round): all its
+    hypotheses at once through `draw_distinct`, then the collinearity probes
+    in hypothesis order. The hypotheses are fitted with one stacked SVD and
+    scored in point blocks, then replayed in index order, so ties in inlier
+    count go to the lowest index, exactly as a sequential loop would pick.
+    Degenerate samples (collinear plane draws, coincident line draws) never
+    win but still count against the budget; a plane that would become the
+    new best is first checked for a collinear consensus and skipped if it
+    fails. Returns the structure or None.
     """
     sample_size = 3 if kind == "plane" else 2
     if kind == "plane":
@@ -245,7 +245,7 @@ def _detect_one(
         return None
 
     rng = np.random.default_rng((params.seed, round_index))
-    picks = _draw_samples(rng, n, params.max_iterations_per_structure, sample_size)
+    picks = draw_distinct(rng, n, params.max_iterations_per_structure, sample_size)
     a, b, valid = fit(cand_pts[picks])
     counts = np.full(len(picks), -1, dtype=np.int64)
     counts[valid] = _inlier_counts(cand_pts, distances, a[valid], b[valid], threshold)
@@ -257,9 +257,7 @@ def _detect_one(
         if count <= best_count:
             continue
         mask = distances(cand_pts, a[h : h + 1], b[h : h + 1])[:, 0] <= threshold
-        if kind == "plane" and _members_collinear(
-            cand_pts[mask], threshold, np.random.default_rng((params.seed, round_index, h, 1))
-        ):
+        if kind == "plane" and _members_collinear(cand_pts[mask], threshold, rng):
             continue
         best_count = count
         best_mask = mask

@@ -630,6 +630,19 @@ class TestPoolCommand:
         err = capsys.readouterr().err
         assert err.startswith("error[ModelIOError]") and err.count("\n") == 1
 
+    def test_prune_writes_nothing_outside_the_pool(self, capsys, tmp_path, pool_dir):
+        path = pool_dir / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["records"][1]["record_id"] = manifest["active_id"] = "../escaped"
+        path.write_text(json.dumps(manifest))
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        args = ["pool", "--pool-dir", str(pool_dir), "--action", "prune", "--now", "1000"]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[ModelIOError]") and err.count("\n") == 1
+        after = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        assert after == before
+
     @pytest.mark.parametrize("action", ["show", "prune"])
     def test_record_field_of_the_wrong_type_fails_cleanly(self, capsys, pool_dir, action):
         path = pool_dir / "manifest.json"

@@ -193,6 +193,41 @@ class TestRoundTrip:
             load_pool(tmp_path)
 
 
+    @pytest.mark.parametrize("record_id", ["../escaped", "sub/r1", "absolute"])
+    def test_save_pool_refuses_a_record_id_outside_the_directory(
+        self, tmp_path, small_model, record_id
+    ):
+        if record_id == "absolute":
+            record_id = str(tmp_path / "r1")
+        record = ModelRecord(record_id, small_model, build_index(small_model, 16, seed=3), 1.0, 2.0)
+        with pytest.raises(ModelIOError, match="names no file in the pool directory"):
+            save_pool(ModelPool(records=[record], active_id=record_id), tmp_path / "pool")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("name", ["../r1.eglm", "sub/r1.eglm", "manifest.json"])
+    def test_load_pool_refuses_a_file_outside_the_directory(self, tmp_path, small_model, name):
+        record = ModelRecord("r1", small_model, build_index(small_model, 16, seed=3), 1.0, 2.0)
+        save_pool(ModelPool(records=[record], active_id="r1"), tmp_path / "pool")
+        save_model(small_model, tmp_path / "r1.eglm")
+        path = tmp_path / "pool" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["records"][0]["file"] = name
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ModelIOError, match="is not in the pool directory"):
+            load_pool(tmp_path / "pool")
+
+    def test_load_pool_refuses_a_repeated_record_id(self, tmp_path, small_model):
+        index = build_index(small_model, 16, seed=3)
+        records = [ModelRecord(r, small_model, index, 1.0, 2.0) for r in ("r1", "r2")]
+        save_pool(ModelPool(records=records, active_id="r1"), tmp_path)
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["records"][1]["record_id"] = "r1"
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ModelIOError, match="'r1' appears twice"):
+            load_pool(tmp_path)
+
+
 class TestGoldenBytes:
     """`save_model` output is pinned by sha256, so neither the in-memory
     layout nor the writer can drift from format v2 unnoticed."""

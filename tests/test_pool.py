@@ -187,6 +187,26 @@ class TestIngestSession:
             "regime-202",
         )
 
+    def test_new_record_id_skips_ids_the_pool_holds(self, regime_world):
+        # After a prune the record count can repeat a kept record's id: here
+        # two records and one of them named "s900-new-2".
+        scenes, records = regime_world
+        kept = dataclasses.replace(records[202], record_id="s900-new-2")
+        pool = make_pool([records[101], kept], "regime-101")
+        session = session_views(scenes[303], 12, seed=900)
+        model = build_model(scenes[303], 0.0, seed=303, model_id="regime-303")
+
+        pool, outcome = ingest_session(
+            pool,
+            session,
+            MatchParams(),
+            RansacParams(seed=4),
+            build_model_fn=lambda batch: (model, build_index(model, 16, seed=1)),
+        )
+        assert outcome.num_new_models == 1
+        assert [r.record_id for r in pool.records] == ["regime-101", "s900-new-2", "s900-new-3"]
+        assert pool.active_id == "s900-new-3" and pool.active.model is model
+
     def test_empty_pool_rejected(self, regime_world):
         scenes, _ = regime_world
         session = session_views(scenes[101], 3, seed=123)
@@ -239,6 +259,12 @@ class TestPoolValidation:
         _, records = regime_world
         with pytest.raises(KeyError):
             make_pool([records[101]], "nope")
+
+    def test_record_ids_must_be_distinct(self, regime_world):
+        _, records = regime_world
+        twin = dataclasses.replace(records[202], record_id="regime-101")
+        with pytest.raises(ValueError, match="'regime-101' appears twice"):
+            make_pool([records[101], twin], "regime-101")
 
     def test_threshold_bounds(self, regime_world):
         _, records = regime_world
@@ -343,7 +369,11 @@ def reference_ingest(
                 events.append(PoolEvent("activate", now, {**details, "reason": "swap"}))
             elif build_model_fn is not None:
                 model, index = build_model_fn(session)
-                new_id = f"{session.session_id or 'session'}-new-{len(pool.records)}"
+                k = len(pool.records)
+                new_id = f"{session.session_id or 'session'}-new-{k}"
+                while any(r.record_id == new_id for r in pool.records):
+                    k += 1
+                    new_id = f"{session.session_id or 'session'}-new-{k}"
                 pool.records.append(ModelRecord(new_id, model, index, created=now, last_used=now))
                 pool.active_id = new_id
                 events.append(PoolEvent("new_model", now, {"record_id": new_id}))

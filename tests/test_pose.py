@@ -1,5 +1,6 @@
 """DLT, decomposition, RANSAC, refinement, and the localize pipeline."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -34,7 +35,8 @@ from egoloc.errors import (
 )
 from egoloc.geometry import DEPTH_EPSILON
 from egoloc.pool import verify
-from egoloc.pose import _bearings, _draw_triples, _p3p_batch, project_with_matrix
+from egoloc.pose import _FIRST_BATCH, _bearings, _p3p_batch, project_with_matrix
+from egoloc.structures import draw_distinct
 
 from conftest import random_pose, random_rotation
 
@@ -326,18 +328,20 @@ def reference_errors(p, px, pts):
 
 
 def reference_ransac(px, pts, params):
-    """The sequential loop: one hypothesis per iteration, each solved and
-    scored on its own. Returns (rotation, translation, inlier_ids,
+    """The sequential loop: one hypothesis per iteration, its sample drawn
+    alone from one `default_rng(seed)` stream through `draw_distinct`, solved
+    and scored on its own. Returns (rotation, translation, inlier_ids,
     mean_error), or None where no model explains 6 correspondences, and the
     counters `ransac_pose` reports."""
     n = len(px)
     best_p, best_count, best_mean = None, 0, np.inf
     needed = params.max_iterations
     degenerate = h = 0
+    rng = np.random.default_rng(params.seed)
     for h in range(params.max_iterations + 1):  # stops at h == needed
         if h >= needed:
             break
-        sample = np.random.default_rng((params.seed, h)).choice(n, size=6, replace=False)
+        sample = draw_distinct(rng, n, 1, 6)[0]
         try:
             p = reference_dlt(px[sample], pts[sample])
         except DegenerateConfigurationError:
@@ -457,6 +461,25 @@ class TestRansacOracle:
             np.testing.assert_array_equal(dlt_pose(pixels, points), reference_dlt(pixels, points))
 
 
+@pytest.mark.parametrize("calibrated", [False, True])
+def test_ransac_draws_from_one_stream(calibrated, monkeypatch):
+    """One `default_rng` per `ransac_pose` call on either path, however many
+    batches the call draws."""
+    pixels, points = oracle_case(3)
+    built = []
+
+    def counting(*args, _original=np.random.default_rng):
+        built.append(args)
+        return _original(*args)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    intr = make_intrinsics() if calibrated else None
+    counters = {}
+    ransac_pose(pixels, points, RansacParams(seed=9), intrinsics=intr, counters=counters)
+    assert counters["ransac_hypotheses"] > _FIRST_BATCH
+    assert built == [(9,)]
+
+
 class TestP3P:
     def test_noise_free_recovers_pose(self):
         rng = np.random.default_rng(31)
@@ -539,15 +562,17 @@ class TestP3P:
             assert np.linalg.norm(estimate.pose.center - pose.center) < 1e-6
         assert degenerate > 0
 
-    def test_draw_triples_is_uniform_and_batch_independent(self):
-        samples = _draw_triples(np.random.default_rng(34), 5, 6000)
-        assert samples.min() >= 0 and samples.max() < 5
+    @pytest.mark.parametrize("size, n", [(2, 2), (2, 5), (3, 3), (3, 5), (6, 6)])
+    def test_draw_distinct_is_uniform_and_batch_independent(self, size, n):
+        tuples = math.perm(n, size)
+        samples = draw_distinct(np.random.default_rng(34), n, 100 * tuples, size)
+        assert samples.min() >= 0 and samples.max() < n
         assert (np.diff(np.sort(samples, axis=1), axis=1) > 0).all()
         _, counts = np.unique(samples, axis=0, return_counts=True)
-        assert len(counts) == 60 and counts.min() > 50
+        assert len(counts) == tuples and counts.min() > 50
         rng = np.random.default_rng(35)
-        parts = np.vstack([_draw_triples(rng, 40, k) for k in (1, 8, 16)])
-        np.testing.assert_array_equal(parts, _draw_triples(np.random.default_rng(35), 40, 25))
+        parts = np.vstack([draw_distinct(rng, 40, k, size) for k in (1, 8, 16)])
+        np.testing.assert_array_equal(parts, draw_distinct(np.random.default_rng(35), 40, 25, size))
 
 
 def reference_calibrated_ransac(px, pts, intr, params):

@@ -233,15 +233,16 @@ class TestDetectStructures:
             detect_structures(np.zeros((0, 3)))
 
     def test_accepted_plane_has_maximum_valid_consensus(self):
-        # Replay round 0 from the same per-round draw: the accepted plane must
-        # carry the best inlier count over all valid (non-degenerate,
-        # non-collinear) hypotheses drawn, which is what makes the batched
-        # evaluation reproduce a sequential best-of-N loop.
+        # Replay round 0 as a sequential loop on the round's one stream: its
+        # hypotheses through `draw_distinct`, then a collinearity probe for
+        # each that would become the new best. The accepted plane must carry
+        # the best inlier count of that loop, which is what makes the batched
+        # evaluation reproduce a sequential best-of-N search.
         from egoloc.structures import (
-            _draw_samples,
             _fit_planes,
             _members_collinear,
             _plane_distances,
+            draw_distinct,
         )
 
         rng = np.random.default_rng(23)
@@ -256,17 +257,50 @@ class TestDetectStructures:
         planes = planes_found(pts, params)
         assert planes
         num = params.max_iterations_per_structure
-        picks = _draw_samples(np.random.default_rng((params.seed, 0)), len(pts), num, 3)
+        round_rng = np.random.default_rng((params.seed, 0))
+        picks = draw_distinct(round_rng, len(pts), num, 3)
         assert picks.shape == (num, 3)
         assert all(len(set(row)) == 3 for row in picks.tolist())
         best_valid = 0
-        for h, pick in enumerate(picks):
+        for pick in picks:
             normals, offsets, valid = _fit_planes(pts[pick][None])
             if not valid[0]:
                 continue
             mask = _plane_distances(pts, normals, offsets)[:, 0] <= params.inlier_threshold
-            guard_rng = np.random.default_rng((params.seed, 0, h, 1))
-            if _members_collinear(pts[mask], params.inlier_threshold, guard_rng):
+            if mask.sum() <= best_valid:
                 continue
-            best_valid = max(best_valid, int(mask.sum()))
+            if _members_collinear(pts[mask], params.inlier_threshold, round_rng):
+                continue
+            best_valid = int(mask.sum())
         assert len(planes[0].member_ids) == best_valid
+
+    def test_each_round_draws_from_one_stream(self, monkeypatch):
+        # One `default_rng`, seeded (seed, round), per detection round: the
+        # collinearity probes take no generator of their own.
+        import egoloc.structures as structures_module
+
+        rng = np.random.default_rng(29)
+        pts = np.vstack(
+            [
+                plane_points(rng, [0.0, 0.0, 1.0], 0.0, 120),
+                plane_points(rng, [1.0, 0.0, 0.0], 3.0, 90),
+                line_points(rng, [0.0, 2.0, 5.0], [0.0, 1.0, 0.0], 40),
+                rng.uniform(-8, 8, size=(30, 3)),
+            ]
+        )
+        rounds, built = [], []
+        detect_one, default_rng = structures_module._detect_one, np.random.default_rng
+
+        def counting_round(*args):
+            rounds.append(args[4])
+            return detect_one(*args)
+
+        def counting_rng(*args):
+            built.append(args)
+            return default_rng(*args)
+
+        monkeypatch.setattr(structures_module, "_detect_one", counting_round)
+        monkeypatch.setattr(np.random, "default_rng", counting_rng)
+        labeling = detect_structures(pts, DetectParams(min_members=30, seed=5))
+        assert labeling.num_structures >= 3
+        assert built == [((5, r),) for r in rounds]
