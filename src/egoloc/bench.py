@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .compression import METHODS, CompressedModel, compress
-from .errors import ConfigError, TooFewVisibleError
+from .errors import ConfigError, TooFewVisibleError, check_fields
 from .geometry import pose_looking_at
 from .matching import MatchParams, build_index
 from .model_io import BYTES_PER_MB, _saved_size
@@ -58,14 +58,14 @@ class BenchConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.methods = tuple(self.methods)
+        check_fields(self)
         unknown = set(self.methods) - set(ALL_METHODS)
         if unknown:
-            raise ConfigError(f"unknown methods: {sorted(unknown)}")
+            raise ValueError(f"unknown methods: {sorted(unknown)}")
         if not 0.0 < self.target_fraction <= 1.0:
-            raise ConfigError("target_fraction must be in (0, 1]")
+            raise ValueError("target_fraction must be in (0, 1]")
         if self.num_queries < 1:
-            raise ConfigError("num_queries must be positive")
+            raise ValueError("num_queries must be positive")
 
 
 # (header, record key, width, format) of each printed column.
@@ -247,16 +247,15 @@ class SessionSimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.pool_regimes = tuple(self.pool_regimes)
-        self.schedule = tuple(self.schedule)
+        check_fields(self)
         if not self.pool_regimes:
-            raise ConfigError("pool must be seeded with at least one regime")
+            raise ValueError("pool must be seeded with at least one regime")
         if not self.schedule:
-            raise ConfigError("schedule must contain at least one session")
+            raise ValueError("schedule must contain at least one session")
         if self.views_per_session < 1:
-            raise ConfigError("views_per_session must be positive")
+            raise ValueError("views_per_session must be positive")
         if self.score_views < 1:
-            raise ConfigError("score_views must be positive")
+            raise ValueError("score_views must be positive")
 
 
 def run_session_sim(config: SessionSimConfig) -> tuple[list[dict], list[dict]]:

@@ -164,18 +164,14 @@ def cmd_track(args) -> int:
     raw = json.loads(Path(args.measurements).read_text())
     if not isinstance(raw, list):
         raise ValueError("measurements must be a JSON list of [t, z] rows")
-    measurements = []
     for i, row in enumerate(raw):
-        try:
-            t, z = row if isinstance(row, list) else ()
-            measurements.append((float(t), z))
-        except (TypeError, ValueError, OverflowError):
-            raise ValueError(f"measurement row {i} is not a [t, z] pair: {row!r}") from None
+        if not (isinstance(row, list) and len(row) == 2):
+            raise ValueError(f"measurement row {i} is not a [t, z] pair: {row!r}")
     params = parse_config(TrackParams, cfg.get("track", {}))
-    states = smooth_trajectory(measurements, params)
+    states = smooth_trajectory(raw, params)
     records = [
         {
-            "t": measurements[i][0],
+            "t": float(raw[i][0]),
             "position": [round(x, 9) for x in s.position.tolist()],
             "velocity": [round(x, 9) for x in s.velocity.tolist()],
             "gated": s.gated,

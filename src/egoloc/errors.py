@@ -1,7 +1,9 @@
-"""Exception types raised across the package, and the config-section parser
-that turns a bad config into a `ConfigError`."""
+"""Exception types raised across the package, the field-type check every
+config class runs, and the config-section parser that turns a bad config
+into a `ConfigError`."""
 
 import dataclasses
+import functools
 import sys
 import types
 import typing
@@ -86,15 +88,6 @@ def is_integer(value) -> bool:
     return isinstance(value, Integral) and not isinstance(value, bool)
 
 
-def require_integers(owner, *names: str) -> None:
-    """Raise ValueError naming the first of the fields `names` of `owner`
-    whose value is not an integer (`is_integer`)."""
-    for name in names:
-        value = getattr(owner, name)
-        if not is_integer(value):
-            raise ValueError(f"{name} must be an integer, not {value!r}")
-
-
 def is_number(value) -> bool:
     """Whether `value` is a real number and not a bool."""
     return isinstance(value, Real) and not isinstance(value, bool)
@@ -107,24 +100,48 @@ def is_finite_number(value) -> bool:
 
 
 _UNIONS = (typing.Union, types.UnionType)
+_MISFIT = object()
+# How an error message names a field type; any other by its annotation.
+_KIND_NAMES = {int: "an integer", int | None: "an integer", float: "a number"}
+_field_types = functools.cache(typing.get_type_hints)
 
 
-def _fits(kind, value) -> bool:
-    """Whether JSON `value` fits the field type `kind`. Only `int` (never a
-    bool), `float` (a float, or another non-bool number that a float holds
-    finitely), `None` and `tuple[...]` (a list of fitting items) are judged,
-    alone or in a union; other kinds fit anything and are left to the
-    class."""
+def _fit(kind, value):
+    """`value` as a field of type `kind` stores it, or `_MISFIT`. Only `int`
+    (never a bool; stored as `int`), `float` (a float, or another non-bool
+    number that a float holds finitely), `None`, `tuple[...]` (a list of
+    fitting items; stored as a tuple) and a dataclass (an instance of it)
+    are judged, alone or in a union; other kinds fit anything."""
     if typing.get_origin(kind) in _UNIONS:
-        return any(_fits(k, value) for k in typing.get_args(kind))
+        fits = (_fit(k, value) for k in typing.get_args(kind))
+        return next((v for v in fits if v is not _MISFIT), _MISFIT)
     if typing.get_origin(kind) is tuple:
-        item = typing.get_args(kind)[0]
-        return isinstance(value, (list, tuple)) and all(_fits(item, v) for v in value)
+        if not isinstance(value, (list, tuple)):
+            return _MISFIT
+        items = tuple(_fit(typing.get_args(kind)[0], v) for v in value)
+        return _MISFIT if any(v is _MISFIT for v in items) else items
     if kind is int:
-        return is_integer(value)
+        return int(value) if is_integer(value) else _MISFIT
     if kind is float:
-        return isinstance(value, float) or is_finite_number(value)
-    return kind is not type(None) or value is None
+        fits = isinstance(value, float) or is_finite_number(value)
+    elif dataclasses.is_dataclass(kind):
+        fits = isinstance(value, kind)
+    else:
+        fits = kind is not type(None) or value is None
+    return value if fits else _MISFIT
+
+
+def check_fields(obj) -> None:
+    """Store each field of the dataclass `obj` as `_fit` stores it for its
+    annotated type; raise ValueError naming the first that does not fit.
+    Every config class runs this in its `__post_init__`."""
+    for name, kind in _field_types(type(obj)).items():
+        value = getattr(obj, name)
+        fitted = _fit(kind, value)
+        if fitted is _MISFIT:
+            wanted = _KIND_NAMES.get(kind) or (kind.__name__ if isinstance(kind, type) else kind)
+            raise ValueError(f"{name} must be {wanted}, not {value!r}")
+        object.__setattr__(obj, name, fitted)
 
 
 def parse_config(cls, values, **fixed):
@@ -133,26 +150,19 @@ def parse_config(cls, values, **fixed):
     A field whose type is itself a dataclass holds a nested section, parsed
     into that class the same way; an absent one gives that class's
     defaults. `fixed` overrides keys of the section. A section that is not
-    an object, an unknown key, a bad value, or a value that does not fit
-    the field's type (see `_fits`) raises `ConfigError`.
+    an object, an unknown key, or a value the class refuses (its own checks
+    and `check_fields`) raises `ConfigError`.
     """
     if not isinstance(values, dict):
         raise ConfigError(
             f"{cls.__name__} config must be a JSON object, got {type(values).__name__}"
         )
-    hints = typing.get_type_hints(cls)
     nested = {
         k: parse_config(kind, values.get(k, {}))
-        for k, kind in hints.items()
+        for k, kind in _field_types(cls).items()
         if dataclasses.is_dataclass(kind)
     }
-    kwargs = {**values, **nested, **fixed}
-    for key, value in kwargs.items():
-        kind = hints.get(key)
-        if not _fits(kind, value):
-            name = kind.__name__ if isinstance(kind, type) else kind
-            raise ConfigError(f"invalid {cls.__name__} config: {key} must be {name}, not {value!r}")
     try:
-        return cls(**kwargs)
+        return cls(**{**values, **nested, **fixed})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid {cls.__name__} config: {exc}") from exc

@@ -46,7 +46,7 @@ import numpy as np
 from scipy import sparse
 
 from .compression import CompressedModel
-from .errors import EmptyQueryError, TooFewDescriptorsError, is_integer, require_integers
+from .errors import EmptyQueryError, TooFewDescriptorsError, check_fields, is_integer
 from .geometry import MIN_CORRESPONDENCES
 from .model import PointCloudModel
 
@@ -72,7 +72,7 @@ class MatchParams:
     max_matches: int = 200
 
     def __post_init__(self):
-        require_integers(self, "max_matches")
+        check_fields(self)
         if not 0.0 < self.ratio_threshold < 1.0:
             raise ValueError("ratio threshold must be in (0, 1)")
         if self.max_matches < MIN_CORRESPONDENCES:

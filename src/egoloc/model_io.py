@@ -36,7 +36,7 @@ from .errors import (
 from .geometry import VisibilityMatrix
 from .matching import build_index
 from .model import PointCloudModel
-from .pool import ModelPool, ModelRecord, PoolParams
+from .pool import ModelPool, ModelRecord, PoolParams, _check_record_ids
 from .structures import LineStructure, PlaneStructure, StructureLabeling
 
 MAGIC = b"EGLM"
@@ -400,8 +400,8 @@ _RECORD_FIELDS = (
 def _read_pool_manifest(directory: Path) -> tuple[list[tuple[dict, int, int]], str, PoolParams]:
     """All that `load_pool` reads of the pool in `directory` but the match
     indexes: per record, its `ModelRecord` fields but the index (its model
-    loaded) with the index's word count and seed; the active id, checked to
-    name a record; and the policy.
+    loaded) with the index's word count and seed; the active id, checked
+    with the record ids by the pool's id rule; and the policy.
 
     Raises:
         VersionMismatchError: unsupported manifest version.
@@ -430,8 +430,7 @@ def _read_pool_manifest(directory: Path) -> tuple[list[tuple[dict, int, int]], s
             fields["model"] = load_model(path)
             records.append((fields, entry["index_num_words"], entry["index_seed"]))
         active_id = manifest["active_id"]
-        if active_id not in [fields["record_id"] for fields, _, _ in records]:
-            raise KeyError(f"no record '{active_id}' in pool")
+        _check_record_ids([fields["record_id"] for fields, _, _ in records], active_id)
         policy = {f.name: manifest[f.name] for f in dataclasses.fields(PoolParams)}
         if policy["ttl"] is None:
             policy["ttl"] = float("inf")

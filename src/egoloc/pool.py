@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .compression import CompressedModel
-from .errors import PoolEmptyError, RegistrationFailedError, is_finite_number, require_integers
+from .errors import PoolEmptyError, RegistrationFailedError, check_fields, is_finite_number
 from .matching import MatchIndex, MatchParams
 from .model import PointCloudModel
 from .pose import LocalizationResult, RansacParams, localize
@@ -67,7 +67,7 @@ class PoolParams:
     ttl: float = float("inf")
 
     def __post_init__(self):
-        require_integers(self, "t1", "invalid_window", "invalid_quota")
+        check_fields(self)
         if self.t1 < 0:
             raise ValueError("t1 must be non-negative")
         if not 0.0 < self.t2 <= 1.0:
@@ -84,6 +84,14 @@ class PoolParams:
             raise ValueError("ttl must be positive")
 
 
+def _check_record_ids(ids: list[str], active_id: str) -> None:
+    """The id rule of a pool and its manifest: distinct ids, one of them active."""
+    if len(set(ids)) < len(ids):
+        raise ValueError(f"record id '{max(ids, key=ids.count)}' appears twice in the pool")
+    if active_id not in ids:
+        raise KeyError(f"no record '{active_id}' in pool")
+
+
 @dataclass
 class ModelPool:
     """Timestamped models for one area under distinct ids; exactly one active."""
@@ -93,10 +101,7 @@ class ModelPool:
     params: PoolParams = field(default_factory=PoolParams)
 
     def __post_init__(self):
-        ids = [r.record_id for r in self.records]
-        if len(set(ids)) < len(ids):
-            raise ValueError(f"record id '{max(ids, key=ids.count)}' appears twice in the pool")
-        self.record(self.active_id)  # active id must resolve
+        _check_record_ids([r.record_id for r in self.records], self.active_id)
 
     def record(self, record_id: str) -> ModelRecord:
         for r in self.records:

@@ -27,7 +27,7 @@ from .errors import (
     NoModelFoundError,
     RegistrationFailedError,
     SingularBlockError,
-    require_integers,
+    check_fields,
 )
 from .geometry import DEPTH_EPSILON, MIN_CORRESPONDENCES, CameraIntrinsics, CameraPose
 from .matching import MatchIndex, MatchParams, match_features
@@ -64,7 +64,7 @@ class RansacParams:
     seed: int = 0
 
     def __post_init__(self):
-        require_integers(self, "max_iterations", "seed")
+        check_fields(self)
         if not self.inlier_threshold > 0:
             raise ValueError("inlier threshold must be positive")
         if self.max_iterations < 1:
@@ -420,8 +420,8 @@ def _certify(
     p: np.ndarray, pixels: np.ndarray, points: np.ndarray, threshold: float
 ) -> tuple[np.ndarray | None, np.ndarray]:
     """Inliers under `p`: the ids of the correspondences that reproject
-    within `threshold`, or None when fewer than MIN_CORRESPONDENCES do (the
-    caller keeps its previous set), and every correspondence's error."""
+    within `threshold`, or None when fewer than MIN_CORRESPONDENCES do, and
+    every correspondence's error."""
     err = _reprojection_errors(p, pixels, points)
     inlier_ids = np.flatnonzero(err <= threshold)
     return (inlier_ids if len(inlier_ids) >= MIN_CORRESPONDENCES else None), err
@@ -472,7 +472,8 @@ def ransac_pose(
     `ransac_stop` (the final stopping bound).
 
     Raises:
-        NoModelFoundError: every sample was degenerate or the best model
+        NoModelFoundError: every sample was degenerate, or the best model
+            (without `intrinsics`, its decomposed camera, which has no skew)
             explains fewer than MIN_CORRESPONDENCES correspondences.
     """
     params = params or RansacParams()
@@ -552,20 +553,20 @@ def ransac_pose(
         inlier_ids = np.flatnonzero(_reprojection_errors(best_p, px, pts) <= threshold)
         try:
             refit = dlt_pose(px[inlier_ids], pts[inlier_ids])
-            refit_ids, _ = _certify(refit, px, pts, threshold)
-            if refit_ids is not None:
-                final_p, inlier_ids = refit, refit_ids
+            if _certify(refit, px, pts, threshold)[0] is not None:
+                final_p = refit
         except (DegenerateConfigurationError, ValueError):
             pass
 
-        # Certify the inliers under the camera model actually reported: the
-        # decomposition drops DLT skew, so errors are recomputed with the
-        # reconstructed skew-free matrix to keep the certification (and any
-        # downstream refinement comparison) consistent.
+        # Certify the inliers under the camera actually reported: the
+        # decomposition drops DLT skew, and a skew-free camera that explains
+        # too few correspondences is no model.
         intr, pose = decompose(final_p)
-        report_ids, err = _certify(_camera_matrix(intr, pose), px, pts, threshold)
-        if report_ids is not None:
-            inlier_ids = report_ids
+        inlier_ids, err = _certify(_camera_matrix(intr, pose), px, pts, threshold)
+        if inlier_ids is None:
+            raise NoModelFoundError(
+                f"the skew-free camera explains < {MIN_CORRESPONDENCES} of {n} correspondences"
+            )
     return PoseEstimate(
         pose=pose,
         intrinsics=intr,

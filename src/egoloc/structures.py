@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import require_integers
+from .errors import check_fields
 from .geometry import _store_read_only
 
 
@@ -98,9 +98,7 @@ class DetectParams:
     seed: int = 0
 
     def __post_init__(self):
-        require_integers(self, "max_iterations_per_structure", "seed")
-        if self.min_members is not None:
-            require_integers(self, "min_members")
+        check_fields(self)
         if not self.inlier_threshold > 0:
             raise ValueError("inlier_threshold must be positive")
         if self.max_iterations_per_structure < 1:

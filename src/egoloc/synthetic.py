@@ -11,7 +11,6 @@ drive geometry, descriptors, and visibility so related scenes stay aligned.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -20,6 +19,7 @@ from .errors import (
     ConfigError,
     InfeasibleSpecError,
     TooFewVisibleError,
+    check_fields,
     is_finite_number,
     is_integer,
 )
@@ -45,7 +45,7 @@ class SceneSpec:
     """Parameters of a generated scene.
 
     `points_per_plane` / `points_per_line` take either one count for all
-    structures or a per-structure sequence, stored as a tuple.
+    structures or a per-structure list, stored as a tuple.
     `outlier_fraction`, in [0, 1), is the fraction of rendered features that
     are spurious (random pixel, random descriptor). `visibility_dropout` is
     the chance a geometrically visible point is dropped from a camera's
@@ -69,19 +69,7 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self):
-        # `parse_config` checks these for a config; this guards library callers.
-        for name in ("num_planes", "num_lines", "num_clutter", "num_cameras", "descriptor_dim"):
-            value = getattr(self, name)
-            if not is_integer(value):
-                raise ValueError(f"{name} must be a count, not {value!r}")
-            object.__setattr__(self, name, int(value))
-        for name in ("points_per_plane", "points_per_line"):
-            value = getattr(self, name)
-            many = isinstance(value, Iterable)
-            counts = tuple(value) if many else (value,)
-            if not all(map(is_integer, counts)):
-                raise ValueError(f"{name} must be a count or a list of counts, not {value!r}")
-            object.__setattr__(self, name, tuple(map(int, counts)) if many else int(value))
+        check_fields(self)
         counts = (
             self.num_planes,
             self.num_lines,

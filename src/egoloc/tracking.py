@@ -11,12 +11,12 @@ first frame) or a diverged velocity cannot lock the gate shut for good.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyInputError, is_finite_number
+from .errors import EmptyInputError, check_fields, is_finite_number
 
 # Consecutive gate rejections after which the track is declared lost and
 # restarted from the latest measurement: short enough that a lock-in costs a
@@ -40,8 +40,10 @@ class TrackParams:
     frame_interval: float = 0.1
 
     def __post_init__(self):
-        if not all(is_finite_number(v) and v > 0 for v in astuple(self)):
-            raise ValueError("all tracking parameters must be finite and positive")
+        for name, value in vars(self).items():
+            if not (is_finite_number(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, not {value!r}")
+        check_fields(self)
 
 
 @dataclass
@@ -124,17 +126,17 @@ def smooth_trajectory(
 
     Raises:
         EmptyInputError: no measurements given.
-        ValueError: a timestamp that is not finite (named by its row),
+        ValueError: a timestamp that is not one finite number (named by its row),
             timestamps that do not increase, or a position that is neither
             None nor three finite numbers (named by its row).
     """
     params = params or TrackParams()
     if len(measurements) == 0:
         raise EmptyInputError("no measurements to smooth")
+    for i, (t, _) in enumerate(measurements):
+        if not is_finite_number(t):
+            raise ValueError(f"measurement row {i}: timestamp {t!r} is not a finite number")
     times = np.array([t for t, _ in measurements], dtype=np.float64)
-    bad = np.flatnonzero(~np.isfinite(times))
-    if len(bad):
-        raise ValueError(f"measurement row {bad[0]}: timestamp {times[bad[0]]} is not finite")
     if np.any(np.diff(times) <= 0):
         raise ValueError("timestamps must be strictly increasing")
     positions = [None if z is None else _position(i, z) for i, (_, z) in enumerate(measurements)]

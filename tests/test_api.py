@@ -5,16 +5,22 @@ import dataclasses
 import importlib
 import inspect
 import sys
+import typing
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import egoloc
+from egoloc.bench import BenchConfig, SessionSimConfig
 from egoloc.compression import CompressedModel
+from egoloc.errors import ConfigError, parse_config
 from egoloc.matching import MatchParams
 from egoloc.pool import PoolParams, ServedView, SessionOutcome
 from egoloc.pose import PoseEstimate, RansacParams
 from egoloc.structures import DetectParams, StructureLabeling
+from egoloc.synthetic import SceneSpec
+from egoloc.tracking import TrackParams
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -201,3 +207,71 @@ def test_integer_parameter_fields_are_checked(cls, field, value):
     refuses a fraction, an integral float and a bool where it is defined."""
     with pytest.raises(ValueError, match=f"^{field} must be an integer, not {value!r}$"):
         cls(**{field: value})
+
+
+CONFIG_CLASSES = (
+    SceneSpec,
+    DetectParams,
+    MatchParams,
+    RansacParams,
+    PoolParams,
+    TrackParams,
+    BenchConfig,
+    SessionSimConfig,
+)
+
+
+def _wrong_values(kind) -> list:
+    """Values of the wrong type for a field annotated `kind`: a bool for a
+    number, a fraction for an integer or a list, a string for any field,
+    and a dict for a nested section."""
+    if dataclasses.is_dataclass(kind):
+        return [{"num_planes": 2}, "x"]
+    return [True if kind is float else 2.5, "x"]
+
+
+def _field_cases(make):
+    return [
+        pytest.param(cls, name, value, id=f"{cls.__name__}-{name}-{value!r}")
+        for cls in CONFIG_CLASSES
+        for name, kind in typing.get_type_hints(cls).items()
+        for value in make(cls, name, kind)
+    ]
+
+
+def _required(cls) -> dict:
+    """The fields `cls` cannot be built without, at valid values."""
+    return {"scene": SceneSpec()} if cls in (BenchConfig, SessionSimConfig) else {}
+
+
+@pytest.mark.parametrize(
+    "cls, field, value",
+    _field_cases(lambda cls, name, kind: _wrong_values(kind)),
+)
+def test_every_config_field_is_checked_by_its_type(cls, field, value):
+    """One rule for a library caller and a config file: a value that does
+    not fit the field's annotated type raises ValueError naming the field,
+    and the same value in a config section raises ConfigError."""
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        cls(**{**_required(cls), field: value})
+    if not isinstance(value, dict):  # in a config file a dict is the section itself
+        with pytest.raises(ConfigError):
+            parse_config(cls, {field: value})
+
+
+def _numpy_integers(cls, name, kind) -> list:
+    """The field's default as numpy integers, if it holds integers."""
+    default = getattr(cls(**_required(cls)), name)
+    many = isinstance(default, tuple)
+    items = default if many else (default,)
+    if not all(type(v) is int for v in items):
+        return []
+    return [[np.int64(v) for v in items] if many else np.int64(default)]
+
+
+@pytest.mark.parametrize("cls, field, value", _field_cases(_numpy_integers))
+def test_numpy_integers_are_stored_as_int(cls, field, value):
+    stored = getattr(cls(**{**_required(cls), field: value}), field)
+    items = stored if isinstance(value, list) else (stored,)
+    assert isinstance(stored, tuple) == isinstance(value, list)
+    assert all(type(v) is int for v in items) and np.array_equal(items, np.ravel(value))

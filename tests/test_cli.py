@@ -273,7 +273,15 @@ class TestTrackCommand:
         assert not (out / "track.jsonl").exists()
 
     @pytest.mark.parametrize(
-        "t", ["NaN", "Infinity", "-Infinity", pytest.param(str(10**400), id="huge-int")]
+        "t",
+        [
+            "NaN",
+            "Infinity",
+            "-Infinity",
+            pytest.param(str(10**400), id="huge-int"),
+            pytest.param('"0.5"', id="string"),
+            pytest.param("true", id="bool"),
+        ],
     )
     def test_non_finite_timestamp_fails_cleanly(self, tmp_path, capsys, t):
         meas = tmp_path / "meas.json"
@@ -608,6 +616,7 @@ class TestPoolCommand:
             lambda m: {k: v for k, v in m.items() if k != "ttl"},
             lambda m: {**m, "ttl": float("nan")},
             lambda m: {**m, "active_id": "gone"},
+            lambda m: {**m, "records": [r | {"record_id": "live"} for r in m["records"]]},
             lambda m: {**m, "records": 5},
             lambda m: [m],
             lambda m: json.dumps(m)[:-1],
@@ -617,6 +626,7 @@ class TestPoolCommand:
             "missing-ttl",
             "nan-ttl",
             "unknown-active-id",
+            "repeated-record-id",
             "records-not-list",
             "not-object",
             "not-json",

@@ -260,6 +260,26 @@ class TestRansacPose:
         assert (depth > 0).all()
         assert (err <= params.inlier_threshold + 1e-9).all()
 
+    def test_skewed_camera_is_not_reported_with_uncertified_inliers(self):
+        # The DLT fits a camera with 300 px skew exactly. The decomposed
+        # camera drops the skew, which moves each point by 300 * y / z
+        # pixels, at least 25 px with |y| >= 1 and z <= 12: it certifies no
+        # point, so no inlier set may be reported.
+        rng = np.random.default_rng(9)
+        pose = random_pose(rng, translation_scale=2.0)
+        k = make_intrinsics().matrix
+        k[0, 1] = 300.0
+        y = rng.uniform(1.0, 4.0, size=60) * rng.choice([-1.0, 1.0], size=60)
+        cam_pts = np.column_stack(
+            [rng.uniform(-4.0, 4.0, size=60), y, rng.uniform(4.0, 12.0, size=60)]
+        )
+        points = (cam_pts - pose.translation) @ pose.rotation
+        pixels, _ = project_with_matrix(
+            k @ np.column_stack([pose.rotation, pose.translation]), points
+        )
+        with pytest.raises(NoModelFoundError, match="skew-free"):
+            ransac_pose(pixels, points, RansacParams(inlier_threshold=4.0, seed=3))
+
     def test_deterministic_under_seed(self):
         rng = np.random.default_rng(10)
         pose = random_pose(rng, translation_scale=2.0)
@@ -331,8 +351,9 @@ def reference_ransac(px, pts, params):
     """The sequential loop: one hypothesis per iteration, its sample drawn
     alone from one `default_rng(seed)` stream through `draw_distinct`, solved
     and scored on its own. Returns (rotation, translation, inlier_ids,
-    mean_error), or None where no model explains 6 correspondences, and the
-    counters `ransac_pose` reports."""
+    mean_error), or None where no model, or the decomposed camera of the
+    best, explains 6 correspondences, and the counters `ransac_pose`
+    reports."""
     n = len(px)
     best_p, best_count, best_mean = None, 0, np.inf
     needed = params.max_iterations
@@ -373,14 +394,14 @@ def reference_ransac(px, pts, params):
         refit = reference_dlt(px[inliers], pts[inliers])
         refit_inliers = reference_errors(refit, px, pts) <= params.inlier_threshold
         if int(refit_inliers.sum()) >= 6:
-            final_p, inliers = refit, refit_inliers
+            final_p = refit
     except DegenerateConfigurationError:
         pass
     intr, pose = decompose(final_p)
     err = reference_errors(intr.matrix @ np.column_stack([pose.rotation, pose.translation]), px, pts)
-    if int((err <= params.inlier_threshold).sum()) >= 6:
-        inliers = err <= params.inlier_threshold
-    ids = np.flatnonzero(inliers)
+    ids = np.flatnonzero(err <= params.inlier_threshold)
+    if len(ids) < 6:
+        return None, counters
     return (pose.rotation, pose.translation, ids, float(err[ids].mean())), counters
 
 

@@ -130,7 +130,10 @@ class TestSmoothTrajectory:
         with pytest.raises(ValueError, match="finite and positive"):
             TrackParams(**{name: value})
 
-    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    # numpy would read "0.5" as 0.5 and True as 1.0.
+    @pytest.mark.parametrize(
+        "t", [np.nan, np.inf, -np.inf, "0.5", True], ids=["nan", "inf", "-inf", "string", "bool"]
+    )
     def test_rejects_a_timestamp_that_is_not_finite(self, t):
         measurements = [(0.0, [0.0, 0.0, 0.0]), (t, [1.0, 1.0, 1.0]), (0.2, [2.0, 2.0, 2.0])]
         with pytest.raises(ValueError, match="measurement row 1: timestamp"):
