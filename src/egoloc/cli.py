@@ -164,9 +164,6 @@ def cmd_track(args) -> int:
     raw = json.loads(Path(args.measurements).read_text())
     if not isinstance(raw, list):
         raise ValueError("measurements must be a JSON list of [t, z] rows")
-    for i, row in enumerate(raw):
-        if not (isinstance(row, list) and len(row) == 2):
-            raise ValueError(f"measurement row {i} is not a [t, z] pair: {row!r}")
     params = parse_config(TrackParams, cfg.get("track", {}))
     states = smooth_trajectory(raw, params)
     records = [

@@ -4,7 +4,7 @@ into a `ConfigError`."""
 
 import dataclasses
 import functools
-import sys
+import math
 import types
 import typing
 from numbers import Integral, Real
@@ -96,7 +96,10 @@ def is_number(value) -> bool:
 def is_finite_number(value) -> bool:
     """Whether `value` is a real number, not a bool, that a float holds
     finitely: not NaN, not infinite and not an integer beyond float range."""
-    return is_number(value) and abs(value) <= sys.float_info.max
+    try:
+        return is_number(value) and math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
 
 
 _UNIONS = (typing.Union, types.UnionType)
@@ -109,9 +112,10 @@ _field_types = functools.cache(typing.get_type_hints)
 def _fit(kind, value):
     """`value` as a field of type `kind` stores it, or `_MISFIT`. Only `int`
     (never a bool; stored as `int`), `float` (a float, or another non-bool
-    number that a float holds finitely), `None`, `tuple[...]` (a list of
-    fitting items; stored as a tuple) and a dataclass (an instance of it)
-    are judged, alone or in a union; other kinds fit anything."""
+    number that a float holds finitely; stored as `float`), `None`,
+    `tuple[...]` (a list of fitting items; stored as a tuple) and a
+    dataclass (an instance of it) are judged, alone or in a union; other
+    kinds fit anything."""
     if typing.get_origin(kind) in _UNIONS:
         fits = (_fit(k, value) for k in typing.get_args(kind))
         return next((v for v in fits if v is not _MISFIT), _MISFIT)
@@ -123,8 +127,8 @@ def _fit(kind, value):
     if kind is int:
         return int(value) if is_integer(value) else _MISFIT
     if kind is float:
-        fits = isinstance(value, float) or is_finite_number(value)
-    elif dataclasses.is_dataclass(kind):
+        return float(value) if isinstance(value, float) or is_finite_number(value) else _MISFIT
+    if dataclasses.is_dataclass(kind):
         fits = isinstance(value, kind)
     else:
         fits = kind is not type(None) or value is None
@@ -151,17 +155,20 @@ def parse_config(cls, values, **fixed):
     into that class the same way; an absent one gives that class's
     defaults. `fixed` overrides keys of the section. A section that is not
     an object, an unknown key, or a value the class refuses (its own checks
-    and `check_fields`) raises `ConfigError`.
+    and `check_fields`) raises `ConfigError`; an error in a nested section
+    starts with its key.
     """
     if not isinstance(values, dict):
         raise ConfigError(
             f"{cls.__name__} config must be a JSON object, got {type(values).__name__}"
         )
-    nested = {
-        k: parse_config(kind, values.get(k, {}))
-        for k, kind in _field_types(cls).items()
-        if dataclasses.is_dataclass(kind)
-    }
+    nested = {}
+    for k, kind in _field_types(cls).items():
+        if dataclasses.is_dataclass(kind):
+            try:
+                nested[k] = parse_config(kind, values.get(k, {}))
+            except ConfigError as exc:
+                raise ConfigError(f"{k}: {exc}") from exc
     try:
         return cls(**{**values, **nested, **fixed})
     except (TypeError, ValueError) as exc:

@@ -229,7 +229,8 @@ def build_index(
     """Cluster all model descriptors into visual words and list each point
     once per word it has samples in, under the mean of those samples.
 
-    `num_words` is a positive integer, or None for `default_num_words`.
+    `num_words` is a positive integer, or None for `default_num_words`, and
+    `seed` an integer.
     k-means is initialized from randomly chosen distinct descriptor rows and
     capped at `_KMEANS_ITERATIONS` Lloyd steps; with more than
     `_KMEANS_TRAIN_CAP` descriptors the centroids are fit on a seeded
@@ -248,6 +249,8 @@ def build_index(
     w = default_num_words(model.num_points) if num_words is None else num_words
     if not is_integer(w) or w < 1:
         raise ValueError(f"num_words must be a positive integer or None, not {w!r}")
+    if not is_integer(seed):
+        raise ValueError(f"seed must be an integer, not {seed!r}")
 
     all_desc = model.descriptors
     if len(all_desc) < w:
@@ -275,7 +278,7 @@ def build_index(
         word_indptr=word_indptr,
         point_ids=ids,
         point_xyz=xyz,
-        build_seed=seed,
+        build_seed=int(seed),
     )
 
 

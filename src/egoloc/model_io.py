@@ -345,7 +345,7 @@ def save_pool(pool: ModelPool, directory: str | Path) -> Path:
     recorded (num_words, seed) on load. The model files that the directory's
     previous manifest names and this pool no longer uses, such as a pruned
     record's, are deleted by those names; an unreadable previous manifest
-    deletes nothing.
+    deletes nothing. The manifest text is made before any file is written.
 
     Raises:
         ModelIOError: a record id that would put its file outside
@@ -356,31 +356,32 @@ def save_pool(pool: ModelPool, directory: str | Path) -> Path:
     if None in paths:
         bad = pool.records[paths.index(None)].record_id
         raise ModelIOError(f"record id {bad!r} names no file in the pool directory")
+    records = [
+        {
+            "record_id": r.record_id,
+            "file": path.name,
+            "created": r.created,
+            "last_used": r.last_used,
+            "condition": r.condition,
+            "index_num_words": r.index.num_words,
+            "index_seed": r.index.build_seed,
+        }
+        for r, path in zip(pool.records, paths)
+    ]
+    policy = dataclasses.asdict(pool.params)
+    if policy["ttl"] == float("inf"):
+        policy["ttl"] = None  # JSON has no infinity
+    manifest = {"format_version": 1, "active_id": pool.active_id, **policy, "records": records}
+    text = json.dumps(manifest, indent=2)
     directory.mkdir(parents=True, exist_ok=True)
     manifest_path = directory / "manifest.json"
     try:
         previous = [r["file"] for r in json.loads(manifest_path.read_text())["records"]]
     except (OSError, ValueError, KeyError, TypeError):
         previous = []
-    records = []
     for r, path in zip(pool.records, paths):
         save_model(r.model, path)
-        records.append(
-            {
-                "record_id": r.record_id,
-                "file": path.name,
-                "created": r.created,
-                "last_used": r.last_used,
-                "condition": r.condition,
-                "index_num_words": r.index.num_words,
-                "index_seed": r.index.build_seed,
-            }
-        )
-    policy = dataclasses.asdict(pool.params)
-    if policy["ttl"] == float("inf"):
-        policy["ttl"] = None  # JSON has no infinity
-    manifest = {"format_version": 1, "active_id": pool.active_id, **policy, "records": records}
-    manifest_path.write_text(json.dumps(manifest, indent=2))
+    manifest_path.write_text(text)
     kept = {r["file"] for r in records}
     for name in previous:
         path = _pool_file(directory, name)

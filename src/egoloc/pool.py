@@ -37,7 +37,8 @@ ModelBuilder = Callable[["SessionBatch"], tuple[CompressedModel | PointCloudMode
 
 @dataclass
 class ModelRecord:
-    """One model of the area, with usage bookkeeping for pruning."""
+    """One model of the area, with usage bookkeeping for pruning. Its id and
+    condition are strings and its times finite floats, as a manifest holds."""
 
     record_id: str
     model: CompressedModel | PointCloudModel
@@ -47,8 +48,12 @@ class ModelRecord:
     condition: str = ""
 
     def __post_init__(self):
+        for name in ("record_id", "condition"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a string, not {getattr(self, name)!r}")
         if not (is_finite_number(self.created) and is_finite_number(self.last_used)):
             raise ValueError("created and last_used must be finite numbers")
+        self.created, self.last_used = float(self.created), float(self.last_used)
         if self.last_used < self.created:
             raise ValueError("last_used must not precede created")
 

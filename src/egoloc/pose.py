@@ -101,8 +101,10 @@ class PoseEstimate:
 
 
 @dataclass
-class LocalizationResult:
-    """Outcome of localizing one query view.
+class LocalizationResult(PoseEstimate):
+    """Outcome of localizing one query view: the certified pose estimate,
+    whose `inlier_ids` index the view's matches, and `inlier_point_ids`,
+    the model points those inliers matched.
 
     `timings` holds wall times in seconds; `counters` holds deterministic
     work counts, kept apart so seeded records stay reproducible: the
@@ -113,17 +115,22 @@ class LocalizationResult:
     and `refine_iterations`, the refinement steps of both passes.
     """
 
-    pose: CameraPose
-    intrinsics: CameraIntrinsics
-    n_correspondences: int
     inlier_point_ids: np.ndarray
-    mean_reprojection_error: float
     timings: dict[str, float]
     counters: dict[str, int] = field(default_factory=dict)
 
-    @property
-    def n_inliers(self) -> int:
-        return len(self.inlier_point_ids)
+
+def _correspondences(pixels, points, caller: str) -> tuple[np.ndarray, np.ndarray]:
+    """`pixels` and `points` as float64 (n, 2) and (n, 3) arrays; a
+    ValueError unless they pair up one to one, n >= MIN_CORRESPONDENCES.
+    `caller` names the solver in the error."""
+    px = np.asarray(pixels, dtype=np.float64).reshape(-1, 2)
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    if len(px) != len(pts):
+        raise ValueError(f"{len(px)} pixels but {len(pts)} points: counts must agree")
+    if len(px) < MIN_CORRESPONDENCES:
+        raise ValueError(f"{caller} needs at least {MIN_CORRESPONDENCES} correspondences")
+    return px, pts
 
 
 # Why a stacked DLT row has no solution, indexed by the reason it reports.
@@ -329,17 +336,11 @@ def dlt_pose(pixels: np.ndarray, points: np.ndarray) -> np.ndarray:
     stacked solver RANSAC runs on its hypothesis batches.
 
     Raises:
-        ValueError: fewer than MIN_CORRESPONDENCES correspondences.
+        ValueError: unequal pixel and point counts, or fewer than MIN_CORRESPONDENCES.
         DegenerateConfigurationError: the points are coplanar/collinear, the
             pixels coincide, or the system is rank-deficient.
     """
-    px = np.asarray(pixels, dtype=np.float64).reshape(-1, 2)
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    n = len(px)
-    if n != len(pts):
-        raise ValueError("pixel and point counts differ")
-    if n < MIN_CORRESPONDENCES:
-        raise ValueError(f"DLT needs at least {MIN_CORRESPONDENCES} correspondences")
+    px, pts = _correspondences(pixels, points, "DLT")
     p, reason = _dlt_batch(px[None], pts[None])
     if reason[0]:
         raise DegenerateConfigurationError(_DEGENERATE[reason[0]])
@@ -411,20 +412,22 @@ def _reprojection_errors(p: np.ndarray, pixels: np.ndarray, points: np.ndarray) 
     return err
 
 
-def _camera_matrix(intr: CameraIntrinsics, pose: CameraPose) -> np.ndarray:
-    """The projection matrix K[R|t] of a calibrated camera."""
-    return intr.matrix @ np.column_stack([pose.rotation, pose.translation])
-
-
 def _certify(
-    p: np.ndarray, pixels: np.ndarray, points: np.ndarray, threshold: float
-) -> tuple[np.ndarray | None, np.ndarray]:
-    """Inliers under `p`: the ids of the correspondences that reproject
-    within `threshold`, or None when fewer than MIN_CORRESPONDENCES do, and
-    every correspondence's error."""
+    intr: CameraIntrinsics,
+    pose: CameraPose,
+    pixels: np.ndarray,
+    points: np.ndarray,
+    threshold: float,
+) -> PoseEstimate | None:
+    """The camera as an estimate whose inliers are the correspondences that
+    reproject within `threshold` under its projection matrix K[R|t], or
+    None when fewer than MIN_CORRESPONDENCES do."""
+    p = intr.matrix @ np.column_stack([pose.rotation, pose.translation])
     err = _reprojection_errors(p, pixels, points)
     inlier_ids = np.flatnonzero(err <= threshold)
-    return (inlier_ids if len(inlier_ids) >= MIN_CORRESPONDENCES else None), err
+    if len(inlier_ids) < MIN_CORRESPONDENCES:
+        return None
+    return PoseEstimate(pose, intr, inlier_ids, len(err), float(err[inlier_ids].mean()))
 
 
 def _stop_bound(ratio: float, sample_size: int, params: RansacParams, drawn: int) -> int:
@@ -472,16 +475,14 @@ def ransac_pose(
     `ransac_stop` (the final stopping bound).
 
     Raises:
+        ValueError: unequal pixel and point counts, or fewer than MIN_CORRESPONDENCES.
         NoModelFoundError: every sample was degenerate, or the best model
             (without `intrinsics`, its decomposed camera, which has no skew)
             explains fewer than MIN_CORRESPONDENCES correspondences.
     """
     params = params or RansacParams()
-    px = np.asarray(pixels, dtype=np.float64).reshape(-1, 2)
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    px, pts = _correspondences(pixels, points, "RANSAC")
     n = len(px)
-    if n < MIN_CORRESPONDENCES:
-        raise ValueError(f"RANSAC needs at least {MIN_CORRESPONDENCES} correspondences")
 
     if intrinsics is None:
         sample_size = MIN_CORRESPONDENCES
@@ -498,7 +499,7 @@ def ransac_pose(
             return _p3p_batch(rays[samples], pts[samples])
 
     rng = np.random.default_rng(params.seed)
-    best_cam = best_p = None
+    best = None
     best_count = 0
     best_mean = np.inf
     iterations_needed = params.max_iterations
@@ -529,7 +530,7 @@ def ransac_pose(
                     continue
                 mean_err = float(err[row][inliers[row]].mean())
                 if count > best_count or mean_err < best_mean:
-                    best_cam, best_p = cams[row], batch_p[row]
+                    best = cams[row]
                     best_count = count
                     best_mean = mean_err
                     iterations_needed = _stop_bound(count / n, sample_size, params, h)
@@ -538,7 +539,7 @@ def ransac_pose(
         counters["ransac_hypotheses"] = h
         counters["ransac_degenerate"] = degenerate
         counters["ransac_stop"] = iterations_needed
-    if best_p is None or best_count < MIN_CORRESPONDENCES:
+    if best is None or best_count < MIN_CORRESPONDENCES:
         raise NoModelFoundError(
             f"no pose explains >= {MIN_CORRESPONDENCES} of {n} correspondences within "
             f"{params.inlier_threshold} px"
@@ -546,34 +547,27 @@ def ransac_pose(
 
     threshold = params.inlier_threshold
     if intrinsics is not None:
-        inlier_ids, err = _certify(best_p, px, pts, threshold)
-        intr, pose = intrinsics, CameraPose(rotation=best_cam[:, :3], translation=best_cam[:, 3])
+        intr, pose = intrinsics, CameraPose(rotation=best[:, :3], translation=best[:, 3])
     else:
-        final_p = best_p
-        inlier_ids = np.flatnonzero(_reprojection_errors(best_p, px, pts) <= threshold)
+        inlier_ids = np.flatnonzero(_reprojection_errors(best, px, pts) <= threshold)
         try:
             refit = dlt_pose(px[inlier_ids], pts[inlier_ids])
-            if _certify(refit, px, pts, threshold)[0] is not None:
-                final_p = refit
+            refit_count = np.count_nonzero(_reprojection_errors(refit, px, pts) <= threshold)
+            if refit_count >= MIN_CORRESPONDENCES:
+                best = refit
         except (DegenerateConfigurationError, ValueError):
             pass
+        intr, pose = decompose(best)
 
-        # Certify the inliers under the camera actually reported: the
-        # decomposition drops DLT skew, and a skew-free camera that explains
-        # too few correspondences is no model.
-        intr, pose = decompose(final_p)
-        inlier_ids, err = _certify(_camera_matrix(intr, pose), px, pts, threshold)
-        if inlier_ids is None:
-            raise NoModelFoundError(
-                f"the skew-free camera explains < {MIN_CORRESPONDENCES} of {n} correspondences"
-            )
-    return PoseEstimate(
-        pose=pose,
-        intrinsics=intr,
-        inlier_ids=inlier_ids,
-        n_correspondences=n,
-        mean_reprojection_error=float(err[inlier_ids].mean()),
-    )
+    # Certify the inliers under the camera actually reported: the
+    # decomposition drops DLT skew, and a skew-free camera that explains
+    # too few correspondences is no model.
+    estimate = _certify(intr, pose, px, pts, threshold)
+    if estimate is None:
+        raise NoModelFoundError(
+            f"the skew-free camera explains < {MIN_CORRESPONDENCES} of {n} correspondences"
+        )
+    return estimate
 
 
 def _exp_rotation(w: np.ndarray) -> np.ndarray:
@@ -669,12 +663,10 @@ def refine_pose(
     `estimate` itself is returned. Either way the estimate's `inlier_ids`
     are returned unchanged and are not re-checked under the refined pose;
     `localize` re-certifies them. If `counters` is given, it receives
-    `refine_iterations`: the steps solved, accepted or not.
+    `refine_iterations`: the steps solved, accepted or not. Unequal pixel
+    and point counts, or fewer than MIN_CORRESPONDENCES, raise ValueError.
     """
-    px = np.asarray(pixels, dtype=np.float64).reshape(-1, 2)
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    if len(px) < MIN_CORRESPONDENCES:
-        raise ValueError(f"refinement needs at least {MIN_CORRESPONDENCES} inliers")
+    px, pts = _correspondences(pixels, points, "refinement")
 
     intr = estimate.intrinsics
     rot, t = estimate.pose.rotation, estimate.pose.translation
@@ -788,31 +780,21 @@ def localize(
         used = refined.inlier_ids
         refined = refine_pose(refined, px[used], pts[used], counters=counters)
         steps += counters["refine_iterations"]
-        inlier_ids, err = _certify(
-            _camera_matrix(refined.intrinsics, refined.pose),
-            px,
-            pts,
-            ransac_params.inlier_threshold,
+        certified = _certify(
+            refined.intrinsics, refined.pose, px, pts, ransac_params.inlier_threshold
         )
-        if inlier_ids is None:
+        if certified is None:
             break
-        refined = replace(
-            refined,
-            inlier_ids=inlier_ids,
-            mean_reprojection_error=float(err[inlier_ids].mean()),
-        )
-        if np.array_equal(inlier_ids, used):
+        refined = certified
+        if np.array_equal(certified.inlier_ids, used):
             break
     counters["refine_iterations"] = steps
     timings["refine"] = time.perf_counter() - t0
 
     timings["total"] = sum(timings.values())
     return LocalizationResult(
-        pose=refined.pose,
-        intrinsics=refined.intrinsics,
-        n_correspondences=len(matches),
+        **vars(refined),
         inlier_point_ids=point_ids[refined.inlier_ids],
-        mean_reprojection_error=refined.mean_reprojection_error,
         timings=timings,
         counters=counters,
     )

@@ -106,10 +106,6 @@ class SceneSpec:
     def line_counts(self) -> tuple[int, ...]:
         return self._counts(self.points_per_line, self.num_lines, "points_per_line")
 
-    @property
-    def num_points(self) -> int:
-        return sum(self.plane_counts) + sum(self.line_counts) + self.num_clutter
-
 
 @dataclass
 class GroundTruthScene:

@@ -96,16 +96,25 @@ def _initial_state(z: np.ndarray, params: TrackParams) -> tuple[np.ndarray, np.n
     return x, p
 
 
-def _position(row: int, z) -> np.ndarray:
-    """Measurement `z` as a (3,) array; a ValueError naming `row` unless it
-    is three finite numbers, since one NaN would poison every later state."""
+def _measurement(row: int, measurement) -> tuple[float, np.ndarray | None]:
+    """Row `row` as (t, z), z None or a (3,) array; a ValueError naming the
+    row unless t is finite and z None or three finite numbers, since one NaN
+    would poison every later state."""
+    try:
+        t, z = measurement
+    except (TypeError, ValueError):
+        raise ValueError(f"measurement row {row}: {measurement!r} is not a (t, z) pair") from None
+    if not is_finite_number(t):
+        raise ValueError(f"measurement row {row}: timestamp {t!r} is not a finite number")
+    if z is None:
+        return t, None
     try:
         position = np.asarray(z, dtype=np.float64).reshape(-1)
     except (TypeError, ValueError):
         position = None
     if position is None or len(position) != 3 or not np.isfinite(position).all():
         raise ValueError(f"measurement row {row}: {z!r} is not three finite numbers")
-    return position
+    return t, position
 
 
 def smooth_trajectory(
@@ -126,20 +135,19 @@ def smooth_trajectory(
 
     Raises:
         EmptyInputError: no measurements given.
-        ValueError: a timestamp that is not one finite number (named by its row),
-            timestamps that do not increase, or a position that is neither
-            None nor three finite numbers (named by its row).
+        ValueError: a row that is not a (t, z) pair, a timestamp that is not
+            one finite number, or a position that is neither None nor three
+            finite numbers (each named by its row); or timestamps that do
+            not increase.
     """
     params = params or TrackParams()
     if len(measurements) == 0:
         raise EmptyInputError("no measurements to smooth")
-    for i, (t, _) in enumerate(measurements):
-        if not is_finite_number(t):
-            raise ValueError(f"measurement row {i}: timestamp {t!r} is not a finite number")
-    times = np.array([t for t, _ in measurements], dtype=np.float64)
+    rows = [_measurement(i, m) for i, m in enumerate(measurements)]
+    times = np.array([t for t, _ in rows], dtype=np.float64)
     if np.any(np.diff(times) <= 0):
         raise ValueError("timestamps must be strictly increasing")
-    positions = [None if z is None else _position(i, z) for i, (_, z) in enumerate(measurements)]
+    positions = [z for _, z in rows]
 
     # The measurement is the position, x[:3]; products with the selector
     # matrix [I 0] are taken as slices.

@@ -14,7 +14,7 @@ import pytest
 import egoloc
 from egoloc.bench import BenchConfig, SessionSimConfig
 from egoloc.compression import CompressedModel
-from egoloc.errors import ConfigError, parse_config
+from egoloc.errors import ConfigError, is_finite_number, parse_config
 from egoloc.matching import MatchParams
 from egoloc.pool import PoolParams, ServedView, SessionOutcome
 from egoloc.pose import PoseEstimate, RansacParams
@@ -255,7 +255,7 @@ def test_every_config_field_is_checked_by_its_type(cls, field, value):
     with pytest.raises(ValueError, match=f"^{field} must be "):
         cls(**{**_required(cls), field: value})
     if not isinstance(value, dict):  # in a config file a dict is the section itself
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=rf"(^|: ){field}\b"):
             parse_config(cls, {field: value})
 
 
@@ -275,3 +275,45 @@ def test_numpy_integers_are_stored_as_int(cls, field, value):
     items = stored if isinstance(value, list) else (stored,)
     assert isinstance(stored, tuple) == isinstance(value, list)
     assert all(type(v) is int for v in items) and np.array_equal(items, np.ravel(value))
+
+
+def _narrow_floats(cls, name, kind) -> list:
+    """The field's default as a float32 and, if whole, as an int, if it is
+    a finite number."""
+    default = getattr(cls(**_required(cls)), name)
+    if kind is not float or not np.isfinite(default):
+        return []
+    return [np.float32(default)] + ([int(default)] if default == int(default) else [])
+
+
+@pytest.mark.parametrize("cls, field, value", _field_cases(_narrow_floats))
+def test_numbers_are_stored_as_float(cls, field, value):
+    stored = getattr(cls(**{**_required(cls), field: value}), field)
+    assert type(stored) is float and stored == float(value)
+
+
+@pytest.mark.parametrize(
+    "value, finite",
+    [
+        (np.float32(1.5), True),
+        (np.float32("inf"), False),
+        (np.float32("-inf"), False),
+        (np.float32("nan"), False),
+        (np.float16(65504), True),
+        (np.float16("inf"), False),
+        (np.float16("nan"), False),
+        (10**400, False),
+        (-(10**400), False),
+        (10**300, True),
+        (True, False),
+    ],
+    ids=lambda v: f"int-{len(str(v))}-digits" if type(v) is int and abs(v) > 10**20 else repr(v),
+)
+def test_is_finite_number(value, finite):
+    assert is_finite_number(value) is finite
+
+
+@pytest.mark.parametrize("cls, field", [(RansacParams, "inlier_threshold"), (PoolParams, "ttl")])
+def test_a_narrow_float_infinity_is_not_a_finite_number(cls, field):
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        cls(**{field: np.float32("inf")})

@@ -227,6 +227,41 @@ class TestRoundTrip:
         with pytest.raises(ModelIOError, match="'r1' appears twice"):
             load_pool(tmp_path)
 
+    # Every pool that can be made can be saved and loaded again: values a
+    # manifest cannot hold are refused when the record or index is made,
+    # and numpy numbers are stored as Python ones.
+    @pytest.mark.parametrize("field, value", [("record_id", 5), ("condition", 3)])
+    def test_record_text_fields_must_be_strings(self, small_model, field, value):
+        index = build_index(small_model, 16, seed=3)
+        text = {"record_id": "r1", "condition": "", field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be a string, not {value}"):
+            ModelRecord(model=small_model, index=index, created=1.0, last_used=2.0, **text)
+
+    def test_index_seed_must_be_an_integer(self, small_model):
+        with pytest.raises(ValueError, match="^seed must be an integer, not True"):
+            build_index(small_model, 8, seed=True)
+
+    def test_numpy_record_times_and_seed_round_trip(self, tmp_path, small_model):
+        index = build_index(small_model, 16, seed=np.int64(3))
+        record = ModelRecord("r1", small_model, index, np.int64(0), np.float32(2.0))
+        assert (type(record.created), type(record.last_used)) == (float, float)
+        save_pool(ModelPool(records=[record], active_id="r1"), tmp_path)
+        loaded = load_pool(tmp_path).records[0]
+        assert (loaded.created, loaded.last_used, loaded.index.build_seed) == (0.0, 2.0, 3)
+
+    def test_numpy_pool_params_round_trip(self, tmp_path, small_model):
+        record = ModelRecord("r1", small_model, build_index(small_model, 16, seed=3), 1.0, 2.0)
+        params = PoolParams(t2=np.float32(0.5), ttl=np.float64(9.0))
+        save_pool(ModelPool(records=[record], active_id="r1", params=params), tmp_path)
+        assert load_pool(tmp_path).params == PoolParams(t2=0.5, ttl=9.0)
+
+    def test_save_pool_writes_no_file_for_a_manifest_it_cannot_make(self, tmp_path, small_model):
+        record = ModelRecord("r1", small_model, build_index(small_model, 16, seed=3), 1.0, 2.0)
+        record.created = object()  # past the record's own check
+        with pytest.raises(TypeError):
+            save_pool(ModelPool(records=[record], active_id="r1"), tmp_path / "pool")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestGoldenBytes:
     """`save_model` output is pinned by sha256, so neither the in-memory

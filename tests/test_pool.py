@@ -40,6 +40,7 @@ def fake_result(n_c: int, n_i: int) -> LocalizationResult:
     return LocalizationResult(
         pose=CameraPose(rotation=np.eye(3), translation=np.zeros(3)),
         intrinsics=unit_intrinsics(),
+        inlier_ids=np.arange(n_i),
         n_correspondences=n_c,
         inlier_point_ids=np.arange(n_i),
         mean_reprojection_error=1.0,

@@ -22,6 +22,7 @@ from egoloc import (
     dlt_pose,
     generate_scene,
     localize,
+    match_features,
     ransac_pose,
     refine_pose,
     render_view,
@@ -35,7 +36,14 @@ from egoloc.errors import (
 )
 from egoloc.geometry import DEPTH_EPSILON
 from egoloc.pool import verify
-from egoloc.pose import _FIRST_BATCH, _bearings, _p3p_batch, project_with_matrix
+from egoloc.pose import (
+    _FIRST_BATCH,
+    LocalizationResult,
+    PoseEstimate,
+    _bearings,
+    _p3p_batch,
+    project_with_matrix,
+)
 from egoloc.structures import draw_distinct
 
 from conftest import random_pose, random_rotation
@@ -135,6 +143,38 @@ class TestDltPose:
         np.testing.assert_allclose(scaled_pixels, pixels, atol=1e-9)
         _, est2 = decompose(dlt_pose(scaled_pixels, s * points))
         np.testing.assert_allclose(est2.center, s * est1.center, rtol=1e-8, atol=1e-10)
+
+
+class TestCorrespondenceCounts:
+    """Every solver refuses pixels and points that do not pair up one to
+    one, naming both counts, instead of failing inside numpy."""
+
+    @staticmethod
+    def _solve(solver, pixels, points):
+        if solver == "dlt":
+            return dlt_pose(pixels, points)
+        if solver == "refine":
+            pose = random_pose(np.random.default_rng(0), translation_scale=2.0)
+            start = PoseEstimate(pose, make_intrinsics(), np.arange(6), 6, 1.0)
+            return refine_pose(start, pixels, points)
+        intrinsics = make_intrinsics() if solver == "p3p" else None
+        return ransac_pose(pixels, points, RansacParams(seed=1), intrinsics=intrinsics)
+
+    @pytest.mark.parametrize("n_pixels, n_points", [(45, 40), (40, 45), (30, 35)])
+    @pytest.mark.parametrize("solver", ["dlt", "ransac-dlt", "p3p", "refine"])
+    def test_mismatched_counts_are_refused(self, solver, n_pixels, n_points):
+        rng = np.random.default_rng(5)
+        pose = random_pose(rng, translation_scale=2.0)
+        points = front_facing_points(rng, pose, 45)
+        pixels = correspondences_for(pose, make_intrinsics(), points)
+        with pytest.raises(ValueError, match=f"^{n_pixels} pixels but {n_points} points"):
+            self._solve(solver, pixels[:n_pixels], points[:n_points])
+
+    # TestDltPose and TestRansacPose check the DLT paths.
+    @pytest.mark.parametrize("solver", ["p3p", "refine"])
+    def test_too_few_correspondences_are_refused(self, solver):
+        with pytest.raises(ValueError, match="needs at least 6 correspondences"):
+            self._solve(solver, np.zeros((5, 2)), np.zeros((5, 3)))
 
 
 class TestDecompose:
@@ -988,6 +1028,28 @@ def loc_setup():
 
 
 class TestLocalize:
+    def test_result_is_the_certified_estimate(self, loc_setup):
+        # The result is a PoseEstimate whose inlier_ids index the matches and
+        # whose inlier_point_ids name the model points those matches hit.
+        scene, model, index = loc_setup
+        view = render_view(scene, 1, seed=3)
+        params = RansacParams(seed=4)
+        result = localize(view, index, MatchParams(), params)
+        assert isinstance(result, PoseEstimate) and isinstance(result, LocalizationResult)
+        matches = match_features(view, index, MatchParams())
+        assert result.n_correspondences == len(matches)
+        np.testing.assert_array_equal(
+            result.inlier_point_ids, matches["point_id"][result.inlier_ids]
+        )
+        pixels = view.pixels[matches["feature_index"]]
+        points = index.positions_of(matches["point_id"])
+        p = projection_matrix(result.intrinsics, result.pose)
+        err = np.linalg.norm(project_with_matrix(p, points)[0] - pixels, axis=1)
+        np.testing.assert_array_equal(
+            result.inlier_ids, np.flatnonzero(err <= params.inlier_threshold)
+        )
+        assert result.mean_reprojection_error == err[result.inlier_ids].mean()
+
     def test_noise_free_view_accurate(self, loc_setup):
         scene, model, index = loc_setup
         view = render_view(scene, 0, seed=3)

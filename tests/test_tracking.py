@@ -123,7 +123,9 @@ class TestSmoothTrajectory:
             TrackParams(process_noise=0.0)
 
     @pytest.mark.parametrize(
-        "value", [np.inf, np.nan, 10**400, True], ids=["inf", "nan", "huge-int", "bool"]
+        "value",
+        [np.inf, np.nan, 10**400, True, np.float32("inf"), np.float16("inf")],
+        ids=["inf", "nan", "huge-int", "bool", "float32-inf", "float16-inf"],
     )
     @pytest.mark.parametrize("name", ["process_noise", "measurement_variance", "gate_threshold"])
     def test_parameters_must_be_finite_numbers(self, name, value):
@@ -132,7 +134,9 @@ class TestSmoothTrajectory:
 
     # numpy would read "0.5" as 0.5 and True as 1.0.
     @pytest.mark.parametrize(
-        "t", [np.nan, np.inf, -np.inf, "0.5", True], ids=["nan", "inf", "-inf", "string", "bool"]
+        "t",
+        [np.nan, np.inf, -np.inf, "0.5", True, np.float32("inf"), np.float16("-inf")],
+        ids=["nan", "inf", "-inf", "string", "bool", "float32-inf", "float16--inf"],
     )
     def test_rejects_a_timestamp_that_is_not_finite(self, t):
         measurements = [(0.0, [0.0, 0.0, 0.0]), (t, [1.0, 1.0, 1.0]), (0.2, [2.0, 2.0, 2.0])]
@@ -169,6 +173,19 @@ class TestSmoothTrajectory:
         # One NaN would make every later state NaN; the row is named instead.
         measurements = [(0.0, [1.0, 2.0, 3.0]), (0.1, None), (0.2, bad), (0.3, [1.0, 2.0, 3.0])]
         with pytest.raises(ValueError, match="measurement row 2"):
+            smooth_trajectory(measurements)
+
+    @pytest.mark.parametrize(
+        "measurements, row",
+        [
+            ([(0.0, [1, 2, 3], "x")], 0),
+            ([(0.0,)], 0),
+            ([[0.0, [1, 2, 3]], 5], 1),
+        ],
+        ids=["long-row", "short-row", "number-row"],
+    )
+    def test_rejects_a_row_that_is_not_a_pair(self, measurements, row):
+        with pytest.raises(ValueError, match=rf"^measurement row {row}: .* is not a \(t, z\) pair"):
             smooth_trajectory(measurements)
 
     def test_non_finite_first_measurement_rejected(self):
