@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Annotated, Callable
 
 import numpy as np
 
 from .compression import METHODS, CompressedModel, compress
-from .errors import ConfigError, TooFewVisibleError, check_fields
+from .errors import ConfigError, In, TooFewVisibleError, check_fields
 from .geometry import pose_looking_at
 from .matching import MatchParams, build_index
 from .model_io import BYTES_PER_MB, _saved_size
@@ -48,24 +48,20 @@ ALL_METHODS = ("full", *METHODS)
 class BenchConfig:
     scene: SceneSpec
     methods: tuple[str, ...] = ALL_METHODS
-    target_fraction: float = 0.1
-    num_queries: int = 20
-    reconstruction_noise: float = 0.0
-    num_words: int | None = None
+    target_fraction: Annotated[float, In("(0, 1]")] = 0.1
+    num_queries: Annotated[int, In("[1, inf)")] = 20
+    reconstruction_noise: Annotated[float, In("[0, inf)")] = 0.0
+    num_words: Annotated[int | None, In("[1, inf)")] = None
     detect: DetectParams = field(default_factory=DetectParams)
     match: MatchParams = field(default_factory=MatchParams)
     ransac: RansacParams = field(default_factory=RansacParams)
-    seed: int = 0
+    seed: Annotated[int, In("[0, inf)")] = 0
 
     def __post_init__(self):
         check_fields(self)
         unknown = set(self.methods) - set(ALL_METHODS)
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
-        if not 0.0 < self.target_fraction <= 1.0:
-            raise ValueError("target_fraction must be in (0, 1]")
-        if self.num_queries < 1:
-            raise ValueError("num_queries must be positive")
 
 
 # (header, record key, width, format) of each printed column.
@@ -236,15 +232,16 @@ def run_benchmark(config: BenchConfig) -> tuple[list[dict], list[float]]:
 @dataclass
 class SessionSimConfig:
     scene: SceneSpec
-    pool_regimes: tuple[int, ...] = (1, 2)
-    schedule: tuple[int, ...] = (1, 2)
-    views_per_session: int = 15
-    score_views: int = 10
-    num_words: int | None = None
+    # Regime seeds: one per pool record, one per scheduled session.
+    pool_regimes: Annotated[tuple[int, ...], In("[0, inf)")] = (1, 2)
+    schedule: Annotated[tuple[int, ...], In("[0, inf)")] = (1, 2)
+    views_per_session: Annotated[int, In("[1, inf)")] = 15
+    score_views: Annotated[int, In("[1, inf)")] = 10
+    num_words: Annotated[int | None, In("[1, inf)")] = None
     match: MatchParams = field(default_factory=MatchParams)
     ransac: RansacParams = field(default_factory=RansacParams)
     pool: PoolParams = field(default_factory=PoolParams)
-    seed: int = 0
+    seed: Annotated[int, In("[0, inf)")] = 0
 
     def __post_init__(self):
         check_fields(self)
@@ -252,10 +249,6 @@ class SessionSimConfig:
             raise ValueError("pool must be seeded with at least one regime")
         if not self.schedule:
             raise ValueError("schedule must contain at least one session")
-        if self.views_per_session < 1:
-            raise ValueError("views_per_session must be positive")
-        if self.score_views < 1:
-            raise ValueError("score_views must be positive")
 
 
 def run_session_sim(config: SessionSimConfig) -> tuple[list[dict], list[dict]]:

@@ -20,7 +20,7 @@ import numpy as np
 from . import bench as bench_mod
 from . import model_io
 from .compression import METHODS, compress
-from .errors import ConfigError, EgolocError, RegistrationFailedError, parse_config
+from .errors import ConfigError, EgolocError, In, RegistrationFailedError, check_value, parse_config
 from .matching import MatchParams, build_index
 from .model import PointCloudModel
 from .pool import prune
@@ -280,13 +280,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand. Every failure is reported here, as one
+    """Run one subcommand, after checking its `--seed` (none, or an integer
+    of at least 0). Every failure is reported here, as one
     `error[<tag>]: <message>` line on stderr and exit code 1; the tag is the
     stage of a `RegistrationFailedError`, else the exception's class. A
     number too large for the code that reads it is an `OverflowError`. A
     longer message is cut to `MAX_MESSAGE_CHARS`, ending in `...`."""
     args = build_parser().parse_args(argv)
     try:
+        check_value("seed", int | None, args.seed, In("[0, inf)"))
         return args.fn(args)
     except (EgolocError, OSError, ValueError, OverflowError) as exc:
         tag = exc.stage if isinstance(exc, RegistrationFailedError) else type(exc).__name__

@@ -1,13 +1,15 @@
-"""Exception types raised across the package, the field-type check every
-config class runs, and the config-section parser that turns a bad config
-into a `ConfigError`."""
+"""Exception types raised across the package, the field check every config
+class runs (each value's type and interval), and the config-section parser
+that turns a bad config into a `ConfigError`."""
 
 import dataclasses
 import functools
 import math
+import operator
 import types
 import typing
 from numbers import Integral, Real
+from typing import Annotated, get_args, get_origin
 
 
 class EgolocError(Exception):
@@ -102,50 +104,92 @@ def is_finite_number(value) -> bool:
         return False
 
 
+class In:
+    """An interval a number must lie in, written as in mathematics:
+    `In("(0, 1]")`, `In("[1, inf)")`. An end written as an integer is kept
+    as one, so it compares exactly with an integer value."""
+
+    def __init__(self, text: str):
+        self.text = text
+        ends = (e.strip() for e in text[1:-1].split(","))
+        self.low, self.high = (int(e) if e.lstrip("-").isdigit() else float(e) for e in ends)
+        self.above_low = operator.lt if text[0] == "(" else operator.le
+        self.below_high = operator.lt if text[-1] == ")" else operator.le
+
+    def __contains__(self, value) -> bool:
+        return self.above_low(self.low, value) and self.below_high(value, self.high)
+
+    def __repr__(self) -> str:
+        return self.text
+
+
 _UNIONS = (typing.Union, types.UnionType)
 _MISFIT = object()
 # How an error message names a field type; any other by its annotation.
-_KIND_NAMES = {int: "an integer", int | None: "an integer", float: "a number"}
-_field_types = functools.cache(typing.get_type_hints)
+_KIND_NAMES = {int: "an integer", int | None: "an integer", float: "a number", str: "a string"}
+
+
+@functools.cache
+def _field_types(cls) -> dict[str, tuple]:
+    """Each field of the dataclass `cls` by name: its type, then the
+    intervals its `Annotated[type, *intervals]` annotation gives."""
+    hints = typing.get_type_hints(cls, include_extras=True).items()
+    return {k: get_args(h) if get_origin(h) is Annotated else (h,) for k, h in hints}
 
 
 def _fit(kind, value):
     """`value` as a field of type `kind` stores it, or `_MISFIT`. Only `int`
-    (never a bool; stored as `int`), `float` (a float, or another non-bool
-    number that a float holds finitely; stored as `float`), `None`,
-    `tuple[...]` (a list of fitting items; stored as a tuple) and a
+    (never a bool; stored as `int`), `float` (a non-bool real number that a
+    float holds, infinite or NaN too; stored as `float`), `str`,
+    `None`, `tuple[...]` (a list of fitting items; stored as a tuple) and a
     dataclass (an instance of it) are judged, alone or in a union; other
     kinds fit anything."""
-    if typing.get_origin(kind) in _UNIONS:
-        fits = (_fit(k, value) for k in typing.get_args(kind))
+    if get_origin(kind) in _UNIONS:
+        fits = (_fit(k, value) for k in get_args(kind))
         return next((v for v in fits if v is not _MISFIT), _MISFIT)
-    if typing.get_origin(kind) is tuple:
+    if get_origin(kind) is tuple:
         if not isinstance(value, (list, tuple)):
             return _MISFIT
-        items = tuple(_fit(typing.get_args(kind)[0], v) for v in value)
+        items = tuple(_fit(get_args(kind)[0], v) for v in value)
         return _MISFIT if any(v is _MISFIT for v in items) else items
     if kind is int:
         return int(value) if is_integer(value) else _MISFIT
     if kind is float:
-        return float(value) if isinstance(value, float) or is_finite_number(value) else _MISFIT
-    if dataclasses.is_dataclass(kind):
+        try:
+            return float(value) if is_number(value) else _MISFIT
+        except OverflowError:  # an integer too large for a float
+            return _MISFIT
+    if dataclasses.is_dataclass(kind) or kind is str:
         fits = isinstance(value, kind)
     else:
         fits = kind is not type(None) or value is None
     return value if fits else _MISFIT
 
 
-def check_fields(obj) -> None:
-    """Store each field of the dataclass `obj` as `_fit` stores it for its
-    annotated type; raise ValueError naming the first that does not fit.
-    Every config class runs this in its `__post_init__`."""
-    for name, kind in _field_types(type(obj)).items():
-        value = getattr(obj, name)
-        fitted = _fit(kind, value)
-        if fitted is _MISFIT:
-            wanted = _KIND_NAMES.get(kind) or (kind.__name__ if isinstance(kind, type) else kind)
-            raise ValueError(f"{name} must be {wanted}, not {value!r}")
-        object.__setattr__(obj, name, fitted)
+def check_value(name: str, kind, value, *bounds: In):
+    """`value` as a field `name` of type `kind` stores it (see `_fit`);
+    a ValueError naming `name` unless it fits `kind` and lies in each
+    interval of `bounds`. None is not judged by the intervals, and each item
+    of a tuple is."""
+    fitted = _fit(kind, value)
+    if fitted is _MISFIT:
+        wanted = _KIND_NAMES.get(kind) or (kind.__name__ if isinstance(kind, type) else kind)
+        raise ValueError(f"{name} must be {wanted}, not {value!r}")
+    for item in fitted if isinstance(fitted, tuple) else (fitted,):
+        for interval in bounds:
+            if item is not None and item not in interval:
+                raise ValueError(f"{name} must be in {interval}, not {item!r}")
+    return fitted
+
+
+def check_fields(obj, *names: str) -> None:
+    """Store each field of the dataclass `obj`, or each one in `names`, as
+    `check_value` stores it for its annotated type and intervals. Every
+    config class runs this on all its fields in its `__post_init__`."""
+    types = _field_types(type(obj))
+    for name in names or types:
+        kind, *bounds = types[name]
+        object.__setattr__(obj, name, check_value(name, kind, getattr(obj, name), *bounds))
 
 
 def parse_config(cls, values, **fixed):
@@ -163,7 +207,7 @@ def parse_config(cls, values, **fixed):
             f"{cls.__name__} config must be a JSON object, got {type(values).__name__}"
         )
     nested = {}
-    for k, kind in _field_types(cls).items():
+    for k, (kind, *_) in _field_types(cls).items():
         if dataclasses.is_dataclass(kind):
             try:
                 nested[k] = parse_config(kind, values.get(k, {}))

@@ -15,9 +15,11 @@ they are safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Annotated, Sequence
 
 import numpy as np
+
+from .errors import In, check_fields
 
 # Minimum camera-frame depth for a projection to be defined.
 DEPTH_EPSILON = 1e-12
@@ -42,18 +44,15 @@ def _store_read_only(obj, name: str, dtype, shape) -> np.ndarray:
 class CameraIntrinsics:
     """Pinhole intrinsics; focal lengths and principal point in pixels."""
 
-    focal_x: float
-    focal_y: float
-    principal_x: float
-    principal_y: float
-    image_width: int
-    image_height: int
+    focal_x: Annotated[float, In("(0, inf)")]
+    focal_y: Annotated[float, In("(0, inf)")]
+    principal_x: Annotated[float, In("(-inf, inf)")]
+    principal_y: Annotated[float, In("(-inf, inf)")]
+    image_width: Annotated[int, In("[1, inf)")]
+    image_height: Annotated[int, In("[1, inf)")]
 
     def __post_init__(self):
-        if not (self.focal_x > 0 and self.focal_y > 0):
-            raise ValueError("focal lengths must be positive")
-        if not (self.image_width > 0 and self.image_height > 0):
-            raise ValueError("image size must be positive")
+        check_fields(self)
 
     @property
     def matrix(self) -> np.ndarray:

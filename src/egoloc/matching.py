@@ -40,13 +40,13 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Annotated
 
 import numpy as np
 from scipy import sparse
 
 from .compression import CompressedModel
-from .errors import EmptyQueryError, TooFewDescriptorsError, check_fields, is_integer
+from .errors import EmptyQueryError, In, TooFewDescriptorsError, check_fields, check_value
 from .geometry import MIN_CORRESPONDENCES
 from .model import PointCloudModel
 
@@ -68,15 +68,11 @@ class MatchParams:
     """The correspondence search's parameters: the ratio test's threshold and the
     number of distinct points after which the search stops."""
 
-    ratio_threshold: float = 0.7
-    max_matches: int = 200
+    ratio_threshold: Annotated[float, In("(0, 1)")] = 0.7
+    max_matches: Annotated[int, In(f"[{MIN_CORRESPONDENCES}, inf)")] = 200
 
     def __post_init__(self):
         check_fields(self)
-        if not 0.0 < self.ratio_threshold < 1.0:
-            raise ValueError("ratio threshold must be in (0, 1)")
-        if self.max_matches < MIN_CORRESPONDENCES:
-            raise ValueError(f"max_matches must be at least {MIN_CORRESPONDENCES}")
 
 
 # One accepted 2D-3D match per row of `match_features`'s result: the query
@@ -229,8 +225,8 @@ def build_index(
     """Cluster all model descriptors into visual words and list each point
     once per word it has samples in, under the mean of those samples.
 
-    `num_words` is a positive integer, or None for `default_num_words`, and
-    `seed` an integer.
+    `num_words` is an integer of at least 1, or None for
+    `default_num_words`, and `seed` an integer of at least 0.
     k-means is initialized from randomly chosen distinct descriptor rows and
     capped at `_KMEANS_ITERATIONS` Lloyd steps; with more than
     `_KMEANS_TRAIN_CAP` descriptors the centroids are fit on a seeded
@@ -247,10 +243,8 @@ def build_index(
     if isinstance(model, CompressedModel):
         model = model.model
     w = default_num_words(model.num_points) if num_words is None else num_words
-    if not is_integer(w) or w < 1:
-        raise ValueError(f"num_words must be a positive integer or None, not {w!r}")
-    if not is_integer(seed):
-        raise ValueError(f"seed must be an integer, not {seed!r}")
+    check_value("num_words", int, w, In("[1, inf)"))
+    check_value("seed", int, seed, In("[0, inf)"))
 
     all_desc = model.descriptors
     if len(all_desc) < w:

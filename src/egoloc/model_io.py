@@ -29,9 +29,9 @@ from .errors import (
     CorruptHeaderError,
     ModelIOError,
     TruncatedPayloadError,
+    In,
     VersionMismatchError,
-    is_finite_number,
-    is_integer,
+    check_value,
 )
 from .geometry import VisibilityMatrix
 from .matching import build_index
@@ -390,11 +390,15 @@ def save_pool(pool: ModelPool, directory: str | Path) -> Path:
     return manifest_path
 
 
-# The fields of a pool manifest's record, by what each must be.
+# The fields of a pool manifest's record, each with its type and interval.
 _RECORD_FIELDS = (
-    (("record_id", "file", "condition"), lambda value: isinstance(value, str), "a string"),
-    (("created", "last_used"), is_finite_number, "a finite number"),
-    (("index_num_words", "index_seed"), is_integer, "an integer"),
+    ("record_id", str),
+    ("file", str),
+    ("condition", str),
+    ("created", float, In("(-inf, inf)")),
+    ("last_used", float, In("(-inf, inf)")),
+    ("index_num_words", int, In("[1, inf)")),
+    ("index_seed", int, In("[0, inf)")),
 )
 
 
@@ -420,10 +424,8 @@ def _read_pool_manifest(directory: Path) -> tuple[list[tuple[dict, int, int]], s
         records = []
         for entry in manifest["records"]:
             entry = {"condition": "", **entry}
-            for keys, fits, kind in _RECORD_FIELDS:
-                for key in keys:
-                    if not fits(entry[key]):
-                        raise TypeError(f"record field {key} must be {kind}, not {entry[key]!r}")
+            for key, kind, *bounds in _RECORD_FIELDS:
+                check_value(f"record field {key}", kind, entry[key], *bounds)
             fields = {key: entry[key] for key in ("record_id", "created", "last_used", "condition")}
             path = _pool_file(directory, entry["file"])
             if path is None:

@@ -19,12 +19,12 @@ from __future__ import annotations
 import sys
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Annotated, Callable, Sequence
 
 import numpy as np
 
 from .compression import CompressedModel
-from .errors import PoolEmptyError, RegistrationFailedError, check_fields, is_finite_number
+from .errors import In, PoolEmptyError, RegistrationFailedError, check_fields
 from .matching import MatchIndex, MatchParams
 from .model import PointCloudModel
 from .pose import LocalizationResult, RansacParams, localize
@@ -43,17 +43,12 @@ class ModelRecord:
     record_id: str
     model: CompressedModel | PointCloudModel
     index: MatchIndex
-    created: float
-    last_used: float
+    created: Annotated[float, In("(-inf, inf)")]
+    last_used: Annotated[float, In("(-inf, inf)")]
     condition: str = ""
 
     def __post_init__(self):
-        for name in ("record_id", "condition"):
-            if not isinstance(getattr(self, name), str):
-                raise ValueError(f"{name} must be a string, not {getattr(self, name)!r}")
-        if not (is_finite_number(self.created) and is_finite_number(self.last_used)):
-            raise ValueError("created and last_used must be finite numbers")
-        self.created, self.last_used = float(self.created), float(self.last_used)
+        check_fields(self, "record_id", "created", "last_used", "condition")
         if self.last_used < self.created:
             raise ValueError("last_used must not precede created")
 
@@ -64,29 +59,20 @@ class PoolParams:
     stored record needs to be swapped in, the failed-view window that
     triggers re-scoring, and the TTL of unused records."""
 
-    t1: int = 50
-    t2: float = 0.5
-    swap_threshold: float = 0.6
-    invalid_window: int = 5
-    invalid_quota: int = 3
-    ttl: float = float("inf")
+    t1: Annotated[int, In("[0, inf)")] = 50
+    t2: Annotated[float, In("(0, 1]")] = 0.5
+    # A score is a share of verified views; outside [0, 1] no record
+    # ever reaches it and the pool never swaps.
+    swap_threshold: Annotated[float, In("[0, 1]")] = 0.6
+    # At most the longest deque `ingest_session` can keep.
+    invalid_window: Annotated[int, In(f"[1, {sys.maxsize}]")] = 5
+    invalid_quota: Annotated[int, In("[1, inf)")] = 3
+    ttl: Annotated[float, In("(0, inf]")] = float("inf")
 
     def __post_init__(self):
         check_fields(self)
-        if self.t1 < 0:
-            raise ValueError("t1 must be non-negative")
-        if not 0.0 < self.t2 <= 1.0:
-            raise ValueError("t2 must be in (0, 1]")
-        # A score is a share of verified views; outside [0, 1] no record
-        # ever reaches it and the pool never swaps.
-        if not 0.0 <= self.swap_threshold <= 1.0:
-            raise ValueError("swap_threshold must be in [0, 1]")
-        if self.invalid_quota < 1 or self.invalid_window < self.invalid_quota:
-            raise ValueError("need 1 <= invalid_quota <= invalid_window")
-        if self.invalid_window > sys.maxsize:  # the longest deque `ingest_session` can keep
-            raise ValueError(f"invalid_window must be at most {sys.maxsize}")
-        if not self.ttl > 0:
-            raise ValueError("ttl must be positive")
+        if self.invalid_window < self.invalid_quota:
+            raise ValueError("need invalid_quota <= invalid_window")
 
 
 def _check_record_ids(ids: list[str], active_id: str) -> None:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
+from typing import Annotated
 
 import numpy as np
 import scipy.linalg
@@ -24,6 +25,7 @@ import scipy.linalg.lapack
 
 from .errors import (
     DegenerateConfigurationError,
+    In,
     NoModelFoundError,
     RegistrationFailedError,
     SingularBlockError,
@@ -58,19 +60,13 @@ _COST_TOL = 1e-14
 class RansacParams:
     """RANSAC configuration; threshold in pixels at the working resolution."""
 
-    inlier_threshold: float = 4.0
-    max_iterations: int = 1000
-    confidence: float = 0.99
-    seed: int = 0
+    inlier_threshold: Annotated[float, In("(0, inf)")] = 4.0
+    max_iterations: Annotated[int, In("[1, inf)")] = 1000
+    confidence: Annotated[float, In("(0, 1)")] = 0.99
+    seed: Annotated[int, In("[0, inf)")] = 0
 
     def __post_init__(self):
         check_fields(self)
-        if not self.inlier_threshold > 0:
-            raise ValueError("inlier threshold must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        if not 0.0 < self.confidence < 1.0:
-            raise ValueError("confidence must be in (0, 1)")
 
 
 @dataclass

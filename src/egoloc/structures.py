@@ -10,10 +10,11 @@ weights.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
-from .errors import check_fields
+from .errors import In, check_fields
 from .geometry import _store_read_only
 
 
@@ -92,19 +93,13 @@ class DetectParams:
     a given count must be at least 3, the points a plane sample needs.
     """
 
-    inlier_threshold: float = 0.05
-    min_members: int | None = None
-    max_iterations_per_structure: int = 1000
-    seed: int = 0
+    inlier_threshold: Annotated[float, In("(0, inf)")] = 0.05
+    min_members: Annotated[int | None, In("[3, inf)")] = None
+    max_iterations_per_structure: Annotated[int, In("[1, inf)")] = 1000
+    seed: Annotated[int, In("[0, inf)")] = 0
 
     def __post_init__(self):
         check_fields(self)
-        if not self.inlier_threshold > 0:
-            raise ValueError("inlier_threshold must be positive")
-        if self.max_iterations_per_structure < 1:
-            raise ValueError("max_iterations_per_structure must be positive")
-        if self.min_members is not None and self.min_members < 3:
-            raise ValueError("min_members must be at least 3")
 
 
 # Detection rounds per structure kind.

@@ -12,11 +12,13 @@ drive geometry, descriptors, and visibility so related scenes stay aligned.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Annotated
 
 import numpy as np
 
 from .errors import (
     ConfigError,
+    In,
     InfeasibleSpecError,
     TooFewVisibleError,
     check_fields,
@@ -53,42 +55,24 @@ class SceneSpec:
     least two views.
     """
 
-    num_planes: int = 2
-    num_lines: int = 1
-    points_per_plane: int | tuple[int, ...] = 200
-    points_per_line: int | tuple[int, ...] = 50
-    num_clutter: int = 50
-    scene_extent: float = 10.0
-    num_cameras: int = 8
-    descriptor_dim: int = 128
-    descriptor_noise_sigma: float = 0.05
-    pixel_noise_sigma: float = 0.5
-    outlier_fraction: float = 0.0
-    visibility_dropout: float = 0.25
+    num_planes: Annotated[int, In("[0, inf)")] = 2
+    num_lines: Annotated[int, In("[0, inf)")] = 1
+    points_per_plane: Annotated[int | tuple[int, ...], In("[0, inf)")] = 200
+    points_per_line: Annotated[int | tuple[int, ...], In("[0, inf)")] = 50
+    num_clutter: Annotated[int, In("[0, inf)")] = 50
+    scene_extent: Annotated[float, In("(0, inf)")] = 10.0
+    num_cameras: Annotated[int, In("[0, inf)")] = 8
+    descriptor_dim: Annotated[int, In("[0, inf)")] = 128
+    descriptor_noise_sigma: Annotated[float, In("[0, inf)")] = 0.05
+    pixel_noise_sigma: Annotated[float, In("[0, inf)")] = 0.5
+    outlier_fraction: Annotated[float, In("[0, 1)")] = 0.0
+    visibility_dropout: Annotated[float, In("[0, 1)")] = 0.25
     min_points_per_camera: int = MIN_CORRESPONDENCES
-    seed: int = 0
+    seed: Annotated[int, In("[0, inf)")] = 0
 
     def __post_init__(self):
         check_fields(self)
-        counts = (
-            self.num_planes,
-            self.num_lines,
-            *self.plane_counts,
-            *self.line_counts,
-            self.num_clutter,
-            self.num_cameras,
-            self.descriptor_dim,
-        )
-        if any(c < 0 for c in counts):
-            raise ValueError("counts must be non-negative")
-        if not (self.descriptor_noise_sigma >= 0 and self.pixel_noise_sigma >= 0):
-            raise ValueError("noise sigmas must be non-negative")
-        if not 0.0 <= self.outlier_fraction < 1.0:
-            raise ValueError("outlier_fraction must be in [0, 1)")
-        if not 0.0 <= self.visibility_dropout < 1.0:
-            raise ValueError("visibility_dropout must be in [0, 1)")
-        if not self.scene_extent > 0:
-            raise ValueError("scene_extent must be positive")
+        self.plane_counts, self.line_counts  # a list must give one count per structure
 
     @staticmethod
     def _counts(value, n: int, label: str) -> tuple[int, ...]:

@@ -12,11 +12,11 @@ first frame) or a diverged velocity cannot lock the gate shut for good.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Annotated, Sequence
 
 import numpy as np
 
-from .errors import EmptyInputError, check_fields, is_finite_number
+from .errors import EmptyInputError, In, check_fields, is_finite_number
 
 # Consecutive gate rejections after which the track is declared lost and
 # restarted from the latest measurement: short enough that a lock-in costs a
@@ -34,15 +34,12 @@ class TrackParams:
     treated as an outlier; `frame_interval` the nominal frame spacing.
     """
 
-    process_noise: float = 1.0
-    measurement_variance: float = 0.25
-    gate_threshold: float = 3.0
-    frame_interval: float = 0.1
+    process_noise: Annotated[float, In("(0, inf)")] = 1.0
+    measurement_variance: Annotated[float, In("(0, inf)")] = 0.25
+    gate_threshold: Annotated[float, In("(0, inf)")] = 3.0
+    frame_interval: Annotated[float, In("(0, inf)")] = 0.1
 
     def __post_init__(self):
-        for name, value in vars(self).items():
-            if not (is_finite_number(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, not {value!r}")
         check_fields(self)
 
 

@@ -54,6 +54,7 @@ from test_compression import (
 )
 from test_pose import correspondences_for, front_facing_points, make_intrinsics
 from test_model_io import random_model
+from test_pool import fake_result
 from conftest import random_pose, saved_bytes
 
 
@@ -335,8 +336,6 @@ def test_end_to_end_compression_tradeoff():
 def test_verification_criterion():
     """Eq.-style truth table at the paper thresholds T1=50, T2=0.5."""
     started = time.perf_counter()
-    from test_pool import fake_result
-
     table = [
         ((60, 36), True),  # 60 > 50 and 0.6 > 0.5
         ((50, 50), False),  # N_c not strictly above T1

@@ -13,6 +13,7 @@ import pytest
 
 import egoloc
 from egoloc.bench import BenchConfig, SessionSimConfig
+from egoloc.geometry import CameraIntrinsics
 from egoloc.compression import CompressedModel
 from egoloc.errors import ConfigError, is_finite_number, parse_config
 from egoloc.matching import MatchParams
@@ -315,5 +316,123 @@ def test_is_finite_number(value, finite):
 
 @pytest.mark.parametrize("cls, field", [(RansacParams, "inlier_threshold"), (PoolParams, "ttl")])
 def test_a_narrow_float_infinity_is_not_a_finite_number(cls, field):
+    """A float32 infinity is read as `inf`: a finite interval refuses it,
+    and `ttl`'s interval (0, inf] stores it as `float("inf")`."""
+    if cls is PoolParams:
+        stored = cls(**{field: np.float32("inf")}).ttl
+        assert type(stored) is float and stored == float("inf")
+        return
     with pytest.raises(ValueError, match=f"^{field} must be "):
         cls(**{field: np.float32("inf")})
+
+
+BELOW_0 = np.nextafter(0.0, -1.0)
+ABOVE_1 = np.nextafter(1.0, 2.0)
+INF = float("inf")
+INTRINSICS = dict(
+    focal_x=500.0,
+    focal_y=500.0,
+    principal_x=450.0,
+    principal_y=300.0,
+    image_width=900,
+    image_height=600,
+)
+
+# Every field that has an interval, written out by hand: its class, its
+# name, the values just outside it (an open end itself, one step past a
+# closed end: `np.nextafter` for a number, 1 for an integer) and its closed
+# ends. A number field also refuses NaN.
+BOUNDED_FIELDS = [
+    (SceneSpec, "num_planes", [-1], [0]),
+    (SceneSpec, "num_lines", [-1], [0]),
+    (SceneSpec, "points_per_plane", [-1, (5, -1)], [0, (0, 0)]),
+    (SceneSpec, "points_per_line", [-1], [0]),
+    (SceneSpec, "num_clutter", [-1], [0]),
+    (SceneSpec, "scene_extent", [0.0, INF], []),
+    (SceneSpec, "num_cameras", [-1], [0]),
+    (SceneSpec, "descriptor_dim", [-1], [0]),
+    (SceneSpec, "descriptor_noise_sigma", [BELOW_0, INF], [0.0]),
+    (SceneSpec, "pixel_noise_sigma", [BELOW_0, INF], [0.0]),
+    (SceneSpec, "outlier_fraction", [BELOW_0, 1.0], [0.0]),
+    (SceneSpec, "visibility_dropout", [BELOW_0, 1.0], [0.0]),
+    (SceneSpec, "seed", [-1], [0]),
+    (DetectParams, "inlier_threshold", [0.0, INF], []),
+    (DetectParams, "min_members", [2], [3]),
+    (DetectParams, "max_iterations_per_structure", [0], [1]),
+    (DetectParams, "seed", [-1], [0]),
+    (MatchParams, "ratio_threshold", [0.0, 1.0], []),
+    (MatchParams, "max_matches", [5], [6]),
+    (RansacParams, "inlier_threshold", [0.0, INF], []),
+    (RansacParams, "max_iterations", [0], [1]),
+    (RansacParams, "confidence", [0.0, 1.0], []),
+    (RansacParams, "seed", [-1], [0]),
+    (PoolParams, "t1", [-1], [0]),
+    (PoolParams, "t2", [0.0, ABOVE_1], [1.0]),
+    (PoolParams, "swap_threshold", [BELOW_0, ABOVE_1], [0.0, 1.0]),
+    (PoolParams, "invalid_window", [0, sys.maxsize + 1], [1, sys.maxsize]),
+    (PoolParams, "invalid_quota", [0], [1]),
+    (PoolParams, "ttl", [0.0], [INF]),
+    (TrackParams, "process_noise", [0.0, INF], []),
+    (TrackParams, "measurement_variance", [0.0, INF], []),
+    (TrackParams, "gate_threshold", [0.0, INF], []),
+    (TrackParams, "frame_interval", [0.0, INF], []),
+    (BenchConfig, "target_fraction", [0.0, ABOVE_1], [1.0]),
+    (BenchConfig, "num_queries", [0], [1]),
+    (BenchConfig, "reconstruction_noise", [BELOW_0, INF], [0.0]),
+    (BenchConfig, "num_words", [0], [1]),
+    (BenchConfig, "seed", [-1], [0]),
+    (SessionSimConfig, "pool_regimes", [(-1,), (1, -1)], [(0,)]),
+    (SessionSimConfig, "schedule", [(-1,)], [(0,)]),
+    (SessionSimConfig, "views_per_session", [0], [1]),
+    (SessionSimConfig, "score_views", [0], [1]),
+    (SessionSimConfig, "num_words", [0], [1]),
+    (SessionSimConfig, "seed", [-1], [0]),
+    (CameraIntrinsics, "focal_x", [0.0, INF], []),
+    (CameraIntrinsics, "focal_y", [0.0, INF], []),
+    (CameraIntrinsics, "principal_x", [-INF, INF], []),
+    (CameraIntrinsics, "principal_y", [-INF, INF], []),
+    (CameraIntrinsics, "image_width", [0], [1]),
+    (CameraIntrinsics, "image_height", [0], [1]),
+]
+
+
+def _valid(cls) -> dict:
+    """Values at which `cls` is built while one field is varied: a bounded
+    `invalid_window` may be as small as 1 only with a quota of 1."""
+    return {CameraIntrinsics: INTRINSICS, PoolParams: {"invalid_quota": 1}}.get(cls, _required(cls))
+
+
+def _bounded_cases(values):
+    return [
+        pytest.param(cls, field, value, id=f"{cls.__name__}-{field}-{value!r}")
+        for cls, field, *table in BOUNDED_FIELDS
+        for value in values(typing.get_type_hints(cls)[field], *table)
+    ]
+
+
+def test_the_table_lists_every_bounded_field():
+    bounded = {
+        (cls, name)
+        for cls in (*CONFIG_CLASSES, CameraIntrinsics)
+        for name, hint in typing.get_type_hints(cls, include_extras=True).items()
+        if typing.get_origin(hint) is typing.Annotated
+    }
+    assert {(cls, field) for cls, field, *_ in BOUNDED_FIELDS} == bounded
+
+
+@pytest.mark.parametrize(
+    "cls, field, value",
+    _bounded_cases(lambda kind, outside, ends: outside + ([np.nan] if kind is float else [])),
+)
+def test_a_value_outside_its_interval_is_refused(cls, field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be in "):
+        cls(**{**_valid(cls), field: value})
+    section = {**_valid(cls), field: value}
+    section.pop("scene", None)  # parse_config builds the default scene
+    with pytest.raises(ConfigError, match=rf"^invalid {cls.__name__} config: {field} must be in "):
+        parse_config(cls, section)
+
+
+@pytest.mark.parametrize("cls, field, value", _bounded_cases(lambda kind, outside, ends: ends))
+def test_a_closed_end_is_accepted(cls, field, value):
+    assert getattr(cls(**{**_valid(cls), field: value}), field) == value

@@ -428,6 +428,11 @@ class TestErrorPaths:
             ("sessions", {"score_views": [10]}, "ConfigError"),
             ("sessions", {"score_views": 0}, "ConfigError"),
             ("sessions", {"pool": {"swap_threshold": 1.5}}, "ConfigError"),
+            ("gen", {"scene": {"num_lines": 2, "points_per_line": [5, -1]}}, "ConfigError"),
+            # A file's 1e400 reads as this infinity.
+            ("localize", {"ransac": {"inlier_threshold": float("inf")}}, "ConfigError"),
+            ("sessions", {"pool_regimes": [-1]}, "ConfigError"),
+            ("bench", {"reconstruction_noise": -0.1}, "ConfigError"),
             ("gen", {"scene": {"scene_extent": 10**400}}, "ConfigError"),
             ("localize", {"ransac": {"inlier_threshold": 10**400}}, "ConfigError"),
             (
@@ -479,6 +484,10 @@ class TestErrorPaths:
             "sessions-list-score-views",
             "sessions-zero-score-views",
             "sessions-swap-threshold-above-one",
+            "gen-negative-line-count",
+            "localize-infinite-inlier-threshold",
+            "sessions-negative-regime",
+            "bench-negative-reconstruction-noise",
             "gen-huge-int-scene-extent",
             "localize-huge-int-inlier-threshold",
             "sessions-huge-invalid-window",
@@ -497,8 +506,35 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith(f"error[{error}]") and err.count("\n") == 1
         assert len(err) <= len(f"error[{error}]: \n") + MAX_MESSAGE_CHARS
-        if request.node.callspec.id == "sessions-huge-invalid-window":
-            assert "invalid_window" in err
+        named = {
+            "sessions-huge-invalid-window": "invalid_window",
+            "gen-negative-line-count": "points_per_line",
+            "localize-infinite-inlier-threshold": "inlier_threshold",
+            "sessions-negative-regime": "pool_regimes",
+            "bench-negative-reconstruction-noise": "reconstruction_noise",
+        }
+        assert named.get(request.node.callspec.id, "") in err
+
+    @pytest.mark.parametrize(
+        "command",
+        ["gen", "build", "detect", "compress", "localize", "track", "pool", "bench", "sessions"],
+    )
+    def test_negative_seed_fails_cleanly(self, tmp_path, capsys, command):
+        """`main` checks `--seed` before a subcommand reads any input, so
+        the input files here need not exist."""
+        absent = str(tmp_path / "absent")
+        required = {
+            "build": ["--scene", absent],
+            "detect": ["--model", absent],
+            "compress": ["--model", absent, "--parameter", "3"],
+            "localize": ["--model", absent, "--scene", absent],
+            "track": ["--measurements", absent],
+            "pool": ["--pool-dir", absent],
+        }
+        args = [command, "--seed", "-1", "--out", str(tmp_path / "x")]
+        assert main(args + required.get(command, [])) == 1
+        err = capsys.readouterr().err
+        assert err == "error[ValueError]: seed must be in [0, inf), not -1\n"
 
     @pytest.mark.parametrize(
         "command, scene",

@@ -187,6 +187,40 @@ class TestCameraPoseValidation:
             assert given.flags.writeable and not np.shares_memory(stored, given)
 
 
+class TestCameraIntrinsicsValidation:
+    VALID = dict(
+        focal_x=500.0,
+        focal_y=510.0,
+        principal_x=320.0,
+        principal_y=240.0,
+        image_width=640,
+        image_height=480,
+    )
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("focal_x", float("inf")),
+            ("focal_x", 0.0),
+            ("focal_y", "x"),
+            ("principal_x", float("nan")),
+            ("principal_y", float("-inf")),
+            ("image_width", 2.5),
+            ("image_width", 0),
+            ("image_height", True),
+        ],
+    )
+    def test_values_no_camera_has_are_refused(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            CameraIntrinsics(**{**self.VALID, field: value})
+
+    def test_numpy_and_integer_values_are_stored_as_python_numbers(self):
+        numpy_values = {"principal_y": np.float32(240), "image_width": np.int64(640)}
+        intr = CameraIntrinsics(**{**self.VALID, "focal_x": 500, **numpy_values})
+        assert type(intr.focal_x) is float and type(intr.principal_y) is float
+        assert type(intr.image_width) is int and intr == CameraIntrinsics(**self.VALID)
+
+
 class TestVisibilityMatrix:
     def test_cross_consistency(self):
         vis = VisibilityMatrix(4, [np.array([0, 2]), np.array([1, 2, 3])])

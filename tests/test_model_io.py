@@ -168,6 +168,8 @@ class TestRoundTrip:
             ("last_used", 10**400),
             ("index_num_words", 16.0),
             ("index_seed", True),
+            ("index_num_words", 0),
+            ("index_seed", -1),
         ],
         ids=[
             "int-record-id",
@@ -180,6 +182,8 @@ class TestRoundTrip:
             "huge-int-last-used",
             "float-num-words",
             "bool-seed",
+            "zero-num-words",
+            "negative-seed",
         ],
     )
     def test_pool_record_field_of_the_wrong_type(self, tmp_path, small_model, key, value):
@@ -240,6 +244,15 @@ class TestRoundTrip:
     def test_index_seed_must_be_an_integer(self, small_model):
         with pytest.raises(ValueError, match="^seed must be an integer, not True"):
             build_index(small_model, 8, seed=True)
+
+    @pytest.mark.parametrize(
+        "num_words, seed, message",
+        [(8, -1, r"seed must be in \[0, inf\), not -1"), (0, 3, r"num_words must be in \[1, inf\)")],
+        ids=["negative-seed", "zero-num-words"],
+    )
+    def test_index_arguments_must_lie_in_their_intervals(self, small_model, num_words, seed, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            build_index(small_model, num_words, seed=seed)
 
     def test_numpy_record_times_and_seed_round_trip(self, tmp_path, small_model):
         index = build_index(small_model, 16, seed=np.int64(3))

@@ -304,7 +304,7 @@ class TestPoolValidation:
 
     def test_record_times_must_be_finite(self, regime_world):
         _, records = regime_world
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match="^created must be "):
             dataclasses.replace(records[101], created=float("nan"))
 
 

@@ -78,8 +78,14 @@ class TestGenerateScene:
             ("points_per_plane", (150.5, 100), "points_per_plane"),
             ("points_per_line", True, "points_per_line"),
             ("points_per_line", None, "points_per_line"),
-            ("pixel_noise_sigma", float("nan"), "sigmas"),
-            ("descriptor_noise_sigma", float("nan"), "sigmas"),
+            pytest.param(
+                "pixel_noise_sigma", float("nan"), "^pixel_noise_sigma ",
+                id="pixel_noise_sigma-nan-sigmas",
+            ),
+            pytest.param(
+                "descriptor_noise_sigma", float("nan"), "^descriptor_noise_sigma ",
+                id="descriptor_noise_sigma-nan-sigmas",
+            ),
             ("scene_extent", float("nan"), "scene_extent"),
             ("num_planes", 2.5, "num_planes"),
             ("num_lines", True, "num_lines"),

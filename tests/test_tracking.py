@@ -129,7 +129,7 @@ class TestSmoothTrajectory:
     )
     @pytest.mark.parametrize("name", ["process_noise", "measurement_variance", "gate_threshold"])
     def test_parameters_must_be_finite_numbers(self, name, value):
-        with pytest.raises(ValueError, match="finite and positive"):
+        with pytest.raises(ValueError, match=f"^{name} must be "):
             TrackParams(**{name: value})
 
     # numpy would read "0.5" as 0.5 and True as 1.0.
