@@ -22,7 +22,7 @@ from typing import Annotated, Callable
 import numpy as np
 
 from .compression import METHODS, CompressedModel, compress
-from .errors import ConfigError, In, TooFewVisibleError, check_fields
+from .errors import ConfigError, In, TooFewVisibleError, check_fields, check_value
 from .geometry import pose_looking_at
 from .matching import MatchParams, build_index
 from .model_io import BYTES_PER_MB, _saved_size
@@ -148,7 +148,9 @@ def tune_k(
 
 
 def held_out_views(scene: GroundTruthScene, count: int, seed: int) -> list[QueryView]:
-    """Render novel views from poses interleaved with the training cameras."""
+    """Render novel views from poses interleaved with the training cameras
+    (`seed` in [0, inf))."""
+    check_value("seed", int, seed, In("[0, inf)"))
     radius = 1.45 * scene.spec.scene_extent
     height = 0.25 * scene.spec.scene_extent
     views = []

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateModelError, is_integer
+from .errors import DegenerateModelError, In, check_value
 from .model import PointCloudModel
 from .structures import StructureLabeling
 
@@ -89,7 +89,7 @@ def _greedy_kcover(
     labeling: StructureLabeling,
     trace: list | None = None,
 ) -> list[int]:
-    """Greedy loop of both k-cover methods.
+    """Greedy loop of both k-cover methods, for an integer k in [1, inf).
 
     Runs until every camera has k selected points or has had all of its
     visible points selected (saturated). Weights start at `assign_weights`
@@ -114,8 +114,7 @@ def _greedy_kcover(
     n, m = model.num_points, model.num_cameras
     if n == 0 or m == 0:
         raise DegenerateModelError("model must have at least one point and one camera")
-    if not is_integer(k) or k < 1:
-        raise ValueError(f"k must be an integer of at least 1, not {k!r}")
+    k = check_value("k", int, k, In("[1, inf)"))
     vis = model.visibility.to_dense()
 
     counts = np.zeros(m, dtype=np.int64)
@@ -188,10 +187,9 @@ def compress_set_kcover(model: PointCloudModel, k: int) -> CompressedModel:
 def compress_top_visibility(
     model: PointCloudModel, labeling: StructureLabeling, fraction: float
 ) -> CompressedModel:
-    """Keep the most-visible ``ceil(fraction * size)`` points of each
-    structure group (planes, lines, and the residual group)."""
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError("fraction must be in (0, 1]")
+    """Keep the most-visible ``ceil(fraction * size)`` points, `fraction` in
+    (0, 1], of each structure group (planes, lines, and the residual group)."""
+    fraction = check_value("fraction", float, fraction, In("(0, 1]"))
     if labeling.num_points != model.num_points:
         raise ValueError("labeling does not match the model")
     track = model.visibility.track_lengths()
@@ -212,16 +210,17 @@ def compress(
 ) -> CompressedModel:
     """Compress `model` by one of `METHODS`: top visibility at the fraction
     `parameter`, a k-cover method at the integer k = `parameter`. Only set
-    k-cover runs without a `labeling`. An unknown method, a missing labeling
-    or a fractional k raises ValueError."""
+    k-cover runs without a `labeling`. An unknown method, a missing labeling,
+    a `parameter` that is no number or a fractional k raises ValueError."""
     if method not in METHODS:
         raise ValueError(f"unknown compression method {method!r}; methods: {METHODS}")
     if labeling is None and method != "set_kcover":
         raise ValueError(f"{method} needs a structure labeling")
+    parameter = check_value("parameter", float, parameter)
     if method == "top_visibility":
         return compress_top_visibility(model, labeling, parameter)
-    if not float(parameter).is_integer():
-        raise ValueError(f"{method} needs an integer k, not {parameter!r}")
+    if not parameter.is_integer():
+        raise ValueError(f"parameter must be a whole number for {method}, not {parameter!r}")
     if method == "set_kcover":
         return compress_set_kcover(model, int(parameter))
     return compress_weighted_kcover(model, labeling, int(parameter))

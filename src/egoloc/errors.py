@@ -1,10 +1,9 @@
-"""Exception types raised across the package, the field check every config
-class runs (each value's type and interval), and the config-section parser
-that turns a bad config into a `ConfigError`."""
+"""Exception types raised across the package, the check of each config field
+and function argument (its type and interval), and the config-section
+parser that turns a bad config into a `ConfigError`."""
 
 import dataclasses
 import functools
-import math
 import operator
 import types
 import typing
@@ -95,15 +94,6 @@ def is_number(value) -> bool:
     return isinstance(value, Real) and not isinstance(value, bool)
 
 
-def is_finite_number(value) -> bool:
-    """Whether `value` is a real number, not a bool, that a float holds
-    finitely: not NaN, not infinite and not an integer beyond float range."""
-    try:
-        return is_number(value) and math.isfinite(value)
-    except OverflowError:  # an integer too large for a float
-        return False
-
-
 class In:
     """An interval a number must lie in, written as in mathematics:
     `In("(0, 1]")`, `In("[1, inf)")`. An end written as an integer is kept
@@ -167,10 +157,10 @@ def _fit(kind, value):
 
 
 def check_value(name: str, kind, value, *bounds: In):
-    """`value` as a field `name` of type `kind` stores it (see `_fit`);
-    a ValueError naming `name` unless it fits `kind` and lies in each
-    interval of `bounds`. None is not judged by the intervals, and each item
-    of a tuple is."""
+    """`value` as a field or argument `name` of type `kind` stores it (see
+    `_fit`); a ValueError naming `name` unless it fits `kind` and lies in
+    each interval of `bounds`. None is not judged by the intervals, and each
+    item of a tuple is."""
     fitted = _fit(kind, value)
     if fitted is _MISFIT:
         wanted = _KIND_NAMES.get(kind) or (kind.__name__ if isinstance(kind, type) else kind)

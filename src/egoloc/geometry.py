@@ -19,7 +19,7 @@ from typing import Annotated, Sequence
 
 import numpy as np
 
-from .errors import In, check_fields
+from .errors import In, check_fields, check_value
 
 # Minimum camera-frame depth for a projection to be defined.
 DEPTH_EPSILON = 1e-12
@@ -117,14 +117,12 @@ class VisibilityMatrix:
     """Sparse binary point-camera visibility.
 
     Stored in one direction only: `points_in_camera[j]` is the sorted array
-    of point rows camera j sees. Per-point quantities (`track_lengths`) are
-    computed from those lists on demand.
+    of point rows camera j sees, with `num_points` in [0, inf). Per-point
+    quantities (`track_lengths`) are computed from those lists on demand.
     """
 
     def __init__(self, num_points: int, points_in_camera: Sequence[np.ndarray]):
-        if num_points < 0:
-            raise ValueError("num_points must be non-negative")
-        self.num_points = int(num_points)
+        self.num_points = check_value("num_points", int, num_points, In("[0, inf)"))
         self.points_in_camera: list[np.ndarray] = []
         for j, ids in enumerate(points_in_camera):
             arr = np.array(ids, dtype=np.int64).reshape(-1)
@@ -133,7 +131,7 @@ class VisibilityMatrix:
             # than this check.
             if not np.all(arr[1:] > arr[:-1]):
                 arr = np.unique(arr)
-            if arr.size and (arr[0] < 0 or arr[-1] >= num_points):
+            if arr.size and (arr[0] < 0 or arr[-1] >= self.num_points):
                 raise ValueError(f"camera {j} references point ids out of range")
             arr.flags.writeable = False
             self.points_in_camera.append(arr)

@@ -24,7 +24,7 @@ from typing import Annotated, Callable, Sequence
 import numpy as np
 
 from .compression import CompressedModel
-from .errors import In, PoolEmptyError, RegistrationFailedError, check_fields
+from .errors import In, PoolEmptyError, RegistrationFailedError, check_fields, check_value
 from .matching import MatchIndex, MatchParams
 from .model import PointCloudModel
 from .pose import LocalizationResult, RansacParams, localize
@@ -196,11 +196,13 @@ def score_model(
     t2: float = PoolParams.t2,
     num_views: int = 10,
 ) -> float:
-    """Fraction of the session's first `num_views` views that verify."""
+    """Fraction of the session's first `num_views` views that verify;
+    `num_views` is in [1, inf)."""
+    check_value("num_views", int, num_views, In("[1, inf)"))
     match_params = match_params or MatchParams()
     ransac_params = ransac_params or RansacParams()
     prefix = list(views)[:num_views]
-    if num_views < 1 or not prefix:
+    if not prefix:
         raise ValueError("need at least one view to score")
     results = (_localize_or_none(v, record.index, match_params, ransac_params) for v in prefix)
     return sum(verify(result, t1, t2) for result in results) / len(prefix)
@@ -284,7 +286,9 @@ def _score_records(
 
 
 def prune(pool: ModelPool, now: float) -> list[str]:
-    """Drop non-active records unused for longer than the pool's TTL."""
+    """Drop non-active records unused for longer than the pool's TTL at
+    `now`, a number in (-inf, inf)."""
+    now = check_value("now", float, now, In("(-inf, inf)"))
     removed = [
         r.record_id
         for r in pool.records
@@ -324,12 +328,11 @@ def ingest_session(
 
     Raises:
         PoolEmptyError: the pool holds no records.
-        ValueError: `score_views` is below 1.
+        ValueError: `score_views` is not an integer in [1, inf).
     """
     if not pool.records:
         raise PoolEmptyError("cannot ingest into an empty pool")
-    if score_views < 1:
-        raise ValueError(f"score_views must be at least 1, not {score_views}")
+    check_value("score_views", int, score_views, In("[1, inf)"))
     match_params = match_params or MatchParams()
     ransac_params = ransac_params or RansacParams()
 

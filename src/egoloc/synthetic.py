@@ -22,7 +22,7 @@ from .errors import (
     InfeasibleSpecError,
     TooFewVisibleError,
     check_fields,
-    is_finite_number,
+    check_value,
     is_integer,
 )
 from .geometry import (
@@ -325,8 +325,9 @@ def resample_descriptors(scene: GroundTruthScene, regime_seed: int) -> GroundTru
 
     Reference descriptors are re-drawn from the regime seed, simulating the
     appearance change between sessions (lighting, weather) that makes an old
-    model stop matching.
+    model stop matching. `regime_seed` is an integer in [0, inf).
     """
+    check_value("regime_seed", int, regime_seed, In("[0, inf)"))
     rng = np.random.default_rng((regime_seed, 1))
     return replace(scene, descriptors=_unit_rows(rng, scene.num_points, scene.spec.descriptor_dim))
 
@@ -340,7 +341,7 @@ def render_view(scene: GroundTruthScene, camera: int | CameraPose, *, seed: int 
     descriptors, plus spurious outlier features. Noisy pixels that leave the
     image are dropped, as a real detector would never report them. When more
     than `MAX_FEATURES_PER_VIEW` points are visible, a seeded subset of that
-    many is kept, emulating a detector's feature cap.
+    many is kept, emulating a detector's feature cap. `seed` is in [0, inf).
 
     Raises:
         ConfigError: a camera that is neither an integer index (a bool is
@@ -348,6 +349,7 @@ def render_view(scene: GroundTruthScene, camera: int | CameraPose, *, seed: int 
             ``0..num_cameras-1``.
         TooFewVisibleError: fewer than MIN_CORRESPONDENCES points are visible.
     """
+    check_value("seed", int, seed, In("[0, inf)"))
     spec = scene.spec
     out_frac = spec.outlier_fraction
 
@@ -418,11 +420,13 @@ def build_model(
     Point positions get optional Gaussian jitter (reconstruction error); each
     point gets one noisy descriptor sample per camera that sees it,
     emulating the multi-view descriptors of a reconstructed model. The
-    samples are stored as float32.
+    samples are stored as float32. `reconstruction_noise_sigma` and `seed`
+    are in [0, inf).
     """
-    jitter = reconstruction_noise_sigma
-    if not (is_finite_number(jitter) and jitter >= 0):
-        raise ValueError(f"reconstruction_noise_sigma must be a finite number >= 0, not {jitter!r}")
+    jitter = check_value(
+        "reconstruction_noise_sigma", float, reconstruction_noise_sigma, In("[0, inf)")
+    )
+    check_value("seed", int, seed, In("[0, inf)"))
     rng = np.random.default_rng((seed, 4))
     xyz = scene.xyz.copy()
     if jitter > 0:

@@ -16,7 +16,7 @@ from typing import Annotated, Sequence
 
 import numpy as np
 
-from .errors import EmptyInputError, In, check_fields, is_finite_number
+from .errors import EmptyInputError, In, check_fields, check_value
 
 # Consecutive gate rejections after which the track is declared lost and
 # restarted from the latest measurement: short enough that a lock-in costs a
@@ -95,14 +95,13 @@ def _initial_state(z: np.ndarray, params: TrackParams) -> tuple[np.ndarray, np.n
 
 def _measurement(row: int, measurement) -> tuple[float, np.ndarray | None]:
     """Row `row` as (t, z), z None or a (3,) array; a ValueError naming the
-    row unless t is finite and z None or three finite numbers, since one NaN
-    would poison every later state."""
+    row unless t is a number in (-inf, inf) and z None or three finite
+    numbers, since one NaN would poison every later state."""
     try:
         t, z = measurement
     except (TypeError, ValueError):
         raise ValueError(f"measurement row {row}: {measurement!r} is not a (t, z) pair") from None
-    if not is_finite_number(t):
-        raise ValueError(f"measurement row {row}: timestamp {t!r} is not a finite number")
+    t = check_value(f"measurement row {row}: timestamp", float, t, In("(-inf, inf)"))
     if z is None:
         return t, None
     try:
@@ -133,9 +132,9 @@ def smooth_trajectory(
     Raises:
         EmptyInputError: no measurements given.
         ValueError: a row that is not a (t, z) pair, a timestamp that is not
-            one finite number, or a position that is neither None nor three
-            finite numbers (each named by its row); or timestamps that do
-            not increase.
+            a number in (-inf, inf), or a position that is neither None nor
+            three finite numbers (each named by its row); or timestamps that
+            do not increase.
     """
     params = params or TrackParams()
     if len(measurements) == 0:

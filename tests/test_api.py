@@ -1,10 +1,14 @@
 """The package's public names, and the names the benchmark uses."""
 
 import ast
+import contextlib
 import dataclasses
 import importlib
 import inspect
+import io
+import re
 import sys
+import types
 import typing
 from pathlib import Path
 
@@ -12,16 +16,32 @@ import numpy as np
 import pytest
 
 import egoloc
-from egoloc.bench import BenchConfig, SessionSimConfig
-from egoloc.geometry import CameraIntrinsics
-from egoloc.compression import CompressedModel
-from egoloc.errors import ConfigError, is_finite_number, parse_config
-from egoloc.matching import MatchParams
-from egoloc.pool import PoolParams, ServedView, SessionOutcome
+from egoloc import cli
+from egoloc.bench import BenchConfig, SessionSimConfig, held_out_views
+from egoloc.geometry import CameraIntrinsics, VisibilityMatrix
+from egoloc.compression import (
+    CompressedModel,
+    compress,
+    compress_set_kcover,
+    compress_top_visibility,
+)
+from egoloc.errors import ConfigError, In, check_value, parse_config
+from egoloc.matching import MatchParams, build_index
+from egoloc.pool import (
+    ModelPool,
+    ModelRecord,
+    PoolParams,
+    ServedView,
+    SessionBatch,
+    SessionOutcome,
+    ingest_session,
+    prune,
+    score_model,
+)
 from egoloc.pose import PoseEstimate, RansacParams
 from egoloc.structures import DetectParams, StructureLabeling
-from egoloc.synthetic import SceneSpec
-from egoloc.tracking import TrackParams
+from egoloc.synthetic import SceneSpec, build_model, render_view, resample_descriptors
+from egoloc.tracking import TrackParams, _measurement
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -311,7 +331,12 @@ def test_numbers_are_stored_as_float(cls, field, value):
     ids=lambda v: f"int-{len(str(v))}-digits" if type(v) is int and abs(v) > 10**20 else repr(v),
 )
 def test_is_finite_number(value, finite):
-    assert is_finite_number(value) is finite
+    """The one finiteness rule is `check_value` over (-inf, inf)."""
+    if finite:
+        assert check_value("value", float, value, In("(-inf, inf)")) == float(value)
+    else:
+        with pytest.raises(ValueError, match="^value must be "):
+            check_value("value", float, value, In("(-inf, inf)"))
 
 
 @pytest.mark.parametrize("cls, field", [(RansacParams, "inlier_threshold"), (PoolParams, "ttl")])
@@ -436,3 +461,130 @@ def test_a_value_outside_its_interval_is_refused(cls, field, value):
 @pytest.mark.parametrize("cls, field, value", _bounded_cases(lambda kind, outside, ends: ends))
 def test_a_closed_end_is_accepted(cls, field, value):
     assert getattr(cls(**{**_valid(cls), field: value}), field) == value
+
+
+def _cli_seed(world, value):
+    """`egoloc gen --seed <value>`, raising the ValueError `main` reports."""
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        assert cli.main(["gen", "--seed", str(value), "--out", str(world.out)]) == 1
+    raise ValueError(stderr.getvalue().removeprefix("error[ValueError]: "))
+
+
+# Every function argument judged by `check_value`: the function, the
+# argument's name as its error gives it, its kind, the values it refuses
+# (one step past a closed end of its interval or the open end itself; for
+# `compress`'s `parameter`, a string and a fraction), and a call that passes
+# the value. The cases add a bool to each, NaN to a number and 2.5 to an
+# integer; `--seed` reaches `main` only as argparse's `int` parses it, so it
+# gets none of these.
+ARGUMENT_INTERVALS = [
+    ("_greedy_kcover", "k", int, [0], lambda w, v: compress_set_kcover(w.model, v)),
+    (
+        "compress",
+        "parameter",
+        float,
+        ["2", 2.5],
+        lambda w, v: compress(w.model, None, "set_kcover", v),
+    ),
+    (
+        "compress_top_visibility",
+        "fraction",
+        float,
+        [0.0, ABOVE_1],
+        lambda w, v: compress_top_visibility(w.model, w.labeling, v),
+    ),
+    (
+        "build_model",
+        "reconstruction_noise_sigma",
+        float,
+        [BELOW_0, INF],
+        lambda w, v: build_model(w.scene, v),
+    ),
+    ("build_model", "seed", int, [-1], lambda w, v: build_model(w.scene, seed=v)),
+    ("render_view", "seed", int, [-1], lambda w, v: render_view(w.scene, 0, seed=v)),
+    (
+        "resample_descriptors",
+        "regime_seed",
+        int,
+        [-1],
+        lambda w, v: resample_descriptors(w.scene, v),
+    ),
+    ("held_out_views", "seed", int, [-1], lambda w, v: held_out_views(w.scene, 1, v)),
+    (
+        "ingest_session",
+        "score_views",
+        int,
+        [0],
+        lambda w, v: ingest_session(w.pool, w.session, score_views=v),
+    ),
+    (
+        "score_model",
+        "num_views",
+        int,
+        [0],
+        lambda w, v: score_model(w.record, w.views, num_views=v),
+    ),
+    ("prune", "now", float, [-INF, INF], lambda w, v: prune(w.pool, v)),
+    ("VisibilityMatrix", "num_points", int, [-1], lambda w, v: VisibilityMatrix(v, [])),
+    (
+        "_measurement",
+        "measurement row 1: timestamp",
+        float,
+        [-INF, INF],
+        lambda w, v: _measurement(1, (v, None)),
+    ),
+    ("build_index", "num_words", int, [0], lambda w, v: build_index(w.model, v)),
+    ("build_index", "seed", int, [-1], lambda w, v: build_index(w.model, 16, seed=v)),
+    ("main", "seed", None, [-1], _cli_seed),
+]
+
+
+@pytest.fixture(scope="module")
+def argument_world(small_scene, small_model, tmp_path_factory):
+    """A scene, its model and labeling, and a one-record pool with a
+    one-view session: what the table's calls take."""
+    record = ModelRecord("only", small_model, build_index(small_model, 16, seed=1), 0.0, 0.0)
+    views = [render_view(small_scene, 0)]
+    return types.SimpleNamespace(
+        scene=small_scene,
+        model=small_model,
+        labeling=small_scene.true_labeling,
+        record=record,
+        pool=ModelPool([record], "only", PoolParams()),
+        views=views,
+        session=SessionBatch(views, [0.0]),
+        out=tmp_path_factory.mktemp("argument-cli"),
+    )
+
+
+def _argument_cases():
+    extra = {int: [True, 2.5], float: [True, np.nan], None: []}
+    return [
+        pytest.param(name, call, value, id=f"{function}-{name}-{value!r}")
+        for function, name, kind, outside, call in ARGUMENT_INTERVALS
+        for value in outside + extra[kind]
+    ]
+
+
+@pytest.mark.parametrize("name, call, value", _argument_cases())
+def test_an_argument_outside_its_interval_is_refused(argument_world, name, call, value):
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be "):
+        call(argument_world, value)
+
+
+def test_the_table_lists_every_checked_argument():
+    """Every `check_value` call in the package that names its argument by a
+    string literal has a row in `ARGUMENT_INTERVALS`."""
+    checked = {
+        node.args[0].value
+        for path in sorted((ROOT / "src" / "egoloc").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "check_value"
+        and node.args
+        and isinstance(node.args[0], ast.Constant)
+        and isinstance(node.args[0].value, str)
+    }
+    assert checked
+    assert checked <= {name for _, name, *_ in ARGUMENT_INTERVALS}

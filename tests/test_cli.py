@@ -721,6 +721,16 @@ class TestPoolCommand:
         err = capsys.readouterr().err
         assert err.startswith("error[") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("now", ["nan", "inf", "-inf"])
+    def test_prune_at_a_non_finite_time_fails_cleanly(self, capsys, pool_dir, now):
+        before = {p: p.read_bytes() for p in pool_dir.iterdir()}
+        args = ["pool", "--pool-dir", str(pool_dir), "--action", "prune", f"--now={now}"]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error[ValueError]: now must be in (-inf, inf), not ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert {p: p.read_bytes() for p in pool_dir.iterdir()} == before
+
     def test_prune_deletes_the_pruned_model_file(self, pool_dir):
         prune = ["pool", "--pool-dir", str(pool_dir), "--action", "prune", "--now", "1000"]
         assert main(prune) == 0

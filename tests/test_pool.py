@@ -140,7 +140,7 @@ class TestScoreModel:
     def test_fewer_than_one_view_rejected(self, regime_world, num_views):
         scenes, records = regime_world
         session = session_views(scenes[101], 10, seed=500)
-        with pytest.raises(ValueError, match="at least one view"):
+        with pytest.raises(ValueError, match="^num_views must be in "):
             score_model(records[101], session.views, num_views=num_views)
 
 
@@ -230,7 +230,7 @@ class TestIngestSession:
             raise AssertionError("a view was served")
 
         monkeypatch.setattr(pool_module, "_localize_or_none", serve)
-        with pytest.raises(ValueError, match=f"score_views must be at least 1, not {score_views}"):
+        with pytest.raises(ValueError, match="^score_views must be in "):
             ingest_session(pool, session, score_views=score_views)
 
 
@@ -253,6 +253,14 @@ class TestPrune:
         pool = make_pool([records[101]], "regime-101", ttl=1.0)
         assert prune(pool, now=1e9) == []
         assert pool.records
+
+    def test_a_nan_now_is_refused(self, regime_world):
+        """A NaN `now` compares false with every age, so it would prune nothing."""
+        _, records = regime_world
+        pool = make_pool([records[101], records[202]], "regime-101", ttl=5.0)
+        with pytest.raises(ValueError, match=r"^now must be in \(-inf, inf\), not nan$"):
+            prune(pool, float("nan"))
+        assert len(pool.records) == 2
 
 
 class TestPoolValidation:

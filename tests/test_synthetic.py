@@ -14,6 +14,7 @@ from egoloc import (
     render_view,
     resample_descriptors,
 )
+from egoloc.bench import held_out_views
 from egoloc.errors import ConfigError, InfeasibleSpecError, TooFewVisibleError
 from egoloc.geometry import pose_looking_at, project_array
 
@@ -285,3 +286,18 @@ class TestResampleDescriptors:
         a = resample_descriptors(noise_scene, regime_seed=5)
         b = resample_descriptors(noise_scene, regime_seed=5)
         assert np.array_equal(a.descriptors, b.descriptors)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda scene: build_model(scene, seed=-1),
+        lambda scene: render_view(scene, 0, seed=-1),
+        lambda scene: resample_descriptors(scene, regime_seed=-1),
+        lambda scene: held_out_views(scene, 1, seed=-1),
+    ],
+    ids=["build_model", "render_view", "resample_descriptors", "held_out_views"],
+)
+def test_a_negative_seed_is_refused_by_name(noise_scene, call):
+    with pytest.raises(ValueError, match=r"^(regime_)?seed must be in \[0, inf\), not -1$"):
+        call(noise_scene)
