@@ -126,7 +126,11 @@ def cmd_compress(args) -> int:
     labeling = model.labeling
     if labeling is None and args.method != "set_kcover":
         labeling = _detect(model, cfg, args)
-    compressed = compress(model, labeling, args.method, float(args.parameter))
+    try:
+        parameter = float(args.parameter)
+    except ValueError:
+        parameter = args.parameter  # no number: `compress` refuses it by name
+    compressed = compress(model, labeling, args.method, parameter)
     out = _out_dir(args)
     n = model_io.save_model(compressed, out / "compressed.eglm")
     print(

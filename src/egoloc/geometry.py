@@ -116,16 +116,25 @@ def project_array(
 class VisibilityMatrix:
     """Sparse binary point-camera visibility.
 
-    Stored in one direction only: `points_in_camera[j]` is the sorted array
-    of point rows camera j sees, with `num_points` in [0, inf). Per-point
-    quantities (`track_lengths`) are computed from those lists on demand.
+    Stored in one direction only: `points_in_camera[j]` is the sorted,
+    read-only array of point rows camera j sees, with `num_points` in
+    [0, inf). A read-only 1D int64 list is kept as given and any other is
+    copied, so a caller's writeable array is never frozen or aliased.
+    Per-point quantities (`track_lengths`) are computed from those lists on
+    demand.
     """
 
     def __init__(self, num_points: int, points_in_camera: Sequence[np.ndarray]):
         self.num_points = check_value("num_points", int, num_points, In("[0, inf)"))
         self.points_in_camera: list[np.ndarray] = []
         for j, ids in enumerate(points_in_camera):
-            arr = np.array(ids, dtype=np.int64).reshape(-1)
+            frozen = (
+                isinstance(ids, np.ndarray)
+                and ids.dtype == np.int64
+                and ids.ndim == 1
+                and not ids.flags.writeable
+            )
+            arr = ids if frozen else np.array(ids, dtype=np.int64).reshape(-1)
             # Every list built in this package or read from a model file is
             # strictly increasing already; `np.unique` would cost far more
             # than this check.

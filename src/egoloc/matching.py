@@ -8,8 +8,10 @@ cheapest-word-first and the search stops once `max_matches` distinct points
 are matched, the vocabulary-based prioritized search of Li, Snavely &
 Huttenlocher (ECCV 2010).
 
-Model descriptors and the index's mean rows are float32. The nearest word
-is found in float32, by one product per block of rows
+Model descriptors are stored as float16 and computed on as float32:
+`build_index` casts the model's rows to float32 once, for k-means, the
+final word assignment and the mean rows, which are float32. The nearest
+word is found in float32, by one product per block of rows
 (`_nearest_centroid`); k-means, the index's assignment of model descriptors
 and each query's word lookup share that one function. k-means casts its
 training rows to float64 once, so its centroid update stays float64. Each
@@ -184,7 +186,8 @@ def _label_sums(labels: np.ndarray, num_labels: int, rows: np.ndarray) -> np.nda
 
 
 def _kmeans(data: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, int, bool]:
-    """Seeded Lloyd iterations; centroids renormalized to unit length.
+    """Seeded Lloyd iterations over the float32 rows `data`; centroids
+    renormalized to unit length.
 
     Returns the centroids, the number of assignment passes run and whether
     the last pass left every assignment unchanged (converged).
@@ -194,10 +197,11 @@ def _kmeans(data: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, int, bool]
     if len(data) > _KMEANS_TRAIN_CAP:
         rows = np.sort(rng.choice(len(data), size=_KMEANS_TRAIN_CAP, replace=False))
         train = data[rows]
-    # One float64 copy, so the sums and centroids are float64 on every pass.
-    train = train.astype(np.float64)
+    # The assignment passes read the float32 rows; one float64 copy keeps
+    # the sums and centroids float64 on every pass.
+    train64 = train.astype(np.float64)
     init_rows = np.sort(rng.choice(len(train), size=k, replace=False))
-    centroids = train[init_rows].copy()
+    centroids = train64[init_rows]
 
     assign = None
     for iteration in range(1, _KMEANS_ITERATIONS + 1):
@@ -206,7 +210,7 @@ def _kmeans(data: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, int, bool]
             return centroids, iteration, True
         assign = new_assign
         counts = np.bincount(assign, minlength=k)
-        sums = _label_sums(assign, k, train)
+        sums = _label_sums(assign, k, train64)
         filled = counts > 0  # empty words keep their previous centroid
         c = sums[filled] / counts[filled, None]
         # The per-row dot product rounds as `np.linalg.norm` of one row does.
@@ -246,10 +250,12 @@ def build_index(
     check_value("num_words", int, w, In("[1, inf)"))
     check_value("seed", int, seed, In("[0, inf)"))
 
-    all_desc = model.descriptors
-    if len(all_desc) < w:
-        raise TooFewDescriptorsError(f"{len(all_desc)} descriptors for {w} words")
+    if model.num_descriptors < w:
+        raise TooFewDescriptorsError(f"{model.num_descriptors} descriptors for {w} words")
 
+    # The one float32 copy of the model's rows: k-means samples it, and the
+    # final assignment and the mean rows read it.
+    all_desc = model.descriptors.astype(np.float32)
     centroids, iterations, converged = _kmeans(all_desc, w, seed)
     if counters is not None:
         counters.update(kmeans_iterations=iterations, kmeans_converged=converged)

@@ -2,12 +2,12 @@
 
 The model file is a little-endian, magic-prefixed, versioned binary format
 with CRC-protected header and payload, so truncation and bit corruption
-surface as typed errors instead of garbage models. Format version 2 stores
-the descriptors as float32, as the model holds them; a version-1 file, whose
-descriptors are float64, is refused. Round trips are bit exact. Saving
-writes the arrays' own buffers, and loading makes one read into one buffer
-per load; the loaded arrays are views of it. Reported sizes use decimal
-megabytes (10^6 bytes).
+surface as typed errors instead of garbage models. Format version 3 stores
+the descriptors as float16, as the model holds them; a file of version 1
+(float64 descriptors) or 2 (float32) is refused. Round trips are bit exact.
+Saving writes the arrays' own buffers, and loading makes one read into one
+buffer per load; the loaded arrays are views of it. Reported sizes use
+decimal megabytes (10^6 bytes).
 
 A model pool persists as a manifest JSON next to one model file per record.
 """
@@ -40,7 +40,7 @@ from .pool import ModelPool, ModelRecord, PoolParams, _check_record_ids
 from .structures import LineStructure, PlaneStructure, StructureLabeling
 
 MAGIC = b"EGLM"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 _HEADER_FMT = "<4sIIQIIIQII"
 _HEADER_SIZE = struct.calcsize(_HEADER_FMT)
 
@@ -172,7 +172,7 @@ def _write_payload(
     w.array(pcm.point_ids, "<i8")
     w.array(pcm.xyz, "<f8")
     w.array(pcm.descriptor_counts, "<u4")
-    w.array(pcm.descriptors, "<f4")
+    w.array(pcm.descriptors, "<f2")
     for ids in pcm.visibility.points_in_camera:
         w.u32(len(ids))
         w.array(ids, "<i8")
@@ -244,7 +244,9 @@ def load_model(path: str | Path) -> PointCloudModel | CompressedModel:
     """Load a model file written by `save_model`.
 
     The payload is read once, into one buffer per load; the loaded arrays
-    are writeable views of it and share no memory with another load.
+    are views of it and share no memory with another load. They are
+    writeable, but for the camera lists, which are read-only so that the
+    visibility matrix keeps them without a copy.
 
     Raises:
         TruncatedPayloadError: the file is shorter or longer than its header
@@ -293,10 +295,12 @@ def load_model(path: str | Path) -> PointCloudModel | CompressedModel:
     xyz = r.array(num_points * 3, "<f8").reshape(num_points, 3)
     desc_counts = r.array(num_points, "<u4")
     num_descriptors = int(desc_counts.sum())
-    descriptors = r.array(num_descriptors * descriptor_dim, "<f4").reshape(
+    descriptors = r.array(num_descriptors * descriptor_dim, "<f2").reshape(
         num_descriptors, descriptor_dim
     )
     cam_lists = [r.array(r.u32(), "<i8") for _ in range(num_cameras)]
+    for ids in cam_lists:
+        ids.flags.writeable = False
 
     try:
         labeling = _read_labeling(r, num_points) if flags & _FLAG_LABELING else None

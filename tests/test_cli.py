@@ -47,7 +47,7 @@ SCENE_CFG = {
 # refactor keeps these bytes; a change that alters them on purpose updates
 # the hashes and says why.
 GOLDEN_SHA256 = {
-    "bench.jsonl": "3bdb7c7983aee27b98b85b64a4a0bf7df12da6dd84eb32f0ba676f3c2f297431",
+    "bench.jsonl": "461d49ebfe1945b1eefc52a41952fd563f5e1bf38abb74f66af386237da2b895",
     "sessions.jsonl": "d3194073ce8126a7725c41e654a0a7dc4ead249374b0b2906a10598bad117814",
     "events.jsonl": "b2ac825bef57d3c3b4c3a438980d26d7659039f58196d24d71e7037c3abd1819",
 }
@@ -56,9 +56,9 @@ GOLDEN_SHA256 = {
 # compress -> localize (--seed 3) pipeline of TestPipelineCommands writes on
 # SCENE_CFG, at one or two BLAS threads; pinned like GOLDEN_SHA256.
 PIPELINE_SHA256 = {
-    "build": "63a43c112ed67d2cfc67499891064847d92fc6ebe2e134aab1311f01697c6623",
-    "detect": "26a2cc808bec95e313ff2a3d8890d1cc0b1b52bb36011fbb89265c69ce07b91d",
-    "compress": "5d6906b581f3cd0454e5cec6953379e55770afad83e1ea45b1d2c8403ae41a47",
+    "build": "c597cec991de94785a569d9dfbca9b6c9344b229d797918e160e158cff54dc4d",
+    "detect": "219070ac79c42ab91e671455d2839dacd967f167c409cb57a11d2e869e697a4e",
+    "compress": "38fbf29ebd59a65ff3476d8c9e53be7c220f3d289e395b10858183448a1d5cfe",
     "localize": "dcf9b0ad2fab1adf998387f7a3aa927bd450e602c3367f3a3fac5a2e7c31bad5",
 }
 
@@ -223,7 +223,7 @@ class TestPipelineCommands:
         args = ["compress", "--model", str(model_file), "--parameter", parameter]
         assert main(args + ["--method", "set_kcover", "--out", str(tmp_path / "x")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error[ValueError]") and err.count("\n") == 1
+        assert err.startswith("error[ValueError]: parameter must be") and err.count("\n") == 1
 
     def test_localize_failure_is_tagged_with_its_stage(
         self, tmp_path, capsys, scene_file, model_file

@@ -243,6 +243,19 @@ class TestVisibilityMatrix:
         for stored in vis.points_in_camera:
             assert stored.dtype == np.int64
 
+    def test_read_only_int64_list_kept_as_given(self):
+        frozen = np.array([0, 2, 3], dtype=np.int64)
+        frozen.flags.writeable = False
+        unsorted = np.array([3, 0], dtype=np.int64)
+        unsorted.flags.writeable = False
+        other_dtype = np.array([1, 2], dtype=np.int32)
+        other_dtype.flags.writeable = False
+        vis = VisibilityMatrix(4, [frozen, unsorted, other_dtype])
+        assert vis.points_in_camera[0] is frozen
+        np.testing.assert_array_equal(vis.points_in_camera[1], [0, 3])
+        assert vis.points_in_camera[2].dtype == np.int64
+        assert not np.shares_memory(vis.points_in_camera[2], other_dtype)
+
     def test_dense_round_trip(self):
         rng = np.random.default_rng(9)
         mask = rng.random((10, 4)) < 0.5

@@ -278,12 +278,12 @@ class TestRoundTrip:
 
 class TestGoldenBytes:
     """`save_model` output is pinned by sha256, so neither the in-memory
-    layout nor the writer can drift from format v2 unnoticed."""
+    layout nor the writer can drift from format v3 unnoticed."""
 
     GOLDEN = {
-        "plain": "9e0bf6ac56bbc206870a57ba2f544cb2a10dc4a12145029ba6cc223af606e8d8",
-        "labelled": "5d71451ce9e8f1cc45ec99ec736edc82497f113ba8c064930ed8041da6909d2d",
-        "compressed": "4c8435881414af386dc407fe7feb4168e0ad470204d4396f5aaf4a9fa4e02b2b",
+        "plain": "6d38bbf4038faa9d42259949bf5ec1d97a73005f99289042ffa86c425f651fc2",
+        "labelled": "094376f65281e4b9d7c51c9856c58bd79234bf56df6f5f9ea64c3a389c18c1a9",
+        "compressed": "590a9bd3c79caa6a1ac4b702b735a3562cf94d08bb2a172872a334dd4bbf3608",
     }
 
     @pytest.mark.parametrize("kind", sorted(GOLDEN))
@@ -390,7 +390,7 @@ class TestCorruption:
         struct.pack_into("<I", head, 4, 1)
         struct.pack_into("<I", head, _HEADER_SIZE - 4, zlib.crc32(bytes(head[:-4])))
         path.write_bytes(bytes(head) + data[_HEADER_SIZE:])
-        with pytest.raises(VersionMismatchError, match="format version 1; supported 2"):
+        with pytest.raises(VersionMismatchError, match="format version 1; supported 3"):
             load_model(path)
 
     def test_header_bit_flips_are_typed_errors(self, saved):
@@ -610,20 +610,25 @@ class TestZeroCopyLoad:
 
 
 class TestDescriptorDtype:
-    """Model descriptors and index rows are float32 from the build through
-    sub-models, compression, model files and pools."""
+    """Model descriptors are float16 from the build through sub-models,
+    compression, model files and pools; index rows are float32."""
 
-    def test_float32_end_to_end(self, tmp_path, small_scene):
+    def test_float16_end_to_end(self, tmp_path, small_scene):
         model = build_model(small_scene, 0.01, seed=21)
         compressed = compress_weighted_kcover(model, small_scene.true_labeling, 20)
         sub = model.subset(np.arange(0, model.num_points, 2))
         for m in (model, sub, compressed.model):
-            assert m.descriptors.dtype == np.float32
+            assert m.descriptors.dtype == np.float16
         path = tmp_path / "m.eglm"
         save_model(compressed, path)
         loaded = load_model(path).model
-        assert loaded.descriptors.dtype == np.float32
+        assert loaded.descriptors.dtype == np.float16
         assert loaded.descriptors.tobytes() == compressed.model.descriptors.tobytes()
+        # The file holds the rows as little-endian float16.
+        data = path.read_bytes()
+        at = _HEADER_SIZE + 4 + len(loaded.model_id.encode("utf-8")) + 36 * loaded.num_points
+        stored = np.frombuffer(data, "<f2", loaded.descriptors.size, at)
+        assert stored.tobytes() == loaded.descriptors.tobytes()
         base = loaded.descriptors
         while isinstance(base.base, np.ndarray):
             base = base.base
@@ -634,8 +639,41 @@ class TestDescriptorDtype:
         record = ModelRecord("r1", model, index, 1.0, 2.0)
         save_pool(ModelPool(records=[record], active_id="r1"), tmp_path / "pool")
         (reloaded,) = load_pool(tmp_path / "pool").records
-        assert reloaded.model.descriptors.dtype == np.float32
+        assert reloaded.model.descriptors.dtype == np.float16
+        assert reloaded.index.descriptors.dtype == np.float32
         assert reloaded.index.descriptors.tobytes() == index.descriptors.tobytes()
+
+    def test_format_2_is_refused(self, tmp_path, small_scene):
+        """Version 2 stored float32 descriptors; no reader for it is kept."""
+        path = tmp_path / "m.eglm"
+        save_model(build_model(small_scene, 0.01, seed=21), path)
+        head = bytearray(path.read_bytes()[:_HEADER_SIZE])
+        struct.pack_into("<I", head, 4, 2)
+        struct.pack_into("<I", head, _HEADER_SIZE - 4, zlib.crc32(bytes(head[:-4])))
+        path.write_bytes(bytes(head) + path.read_bytes()[_HEADER_SIZE:])
+        with pytest.raises(VersionMismatchError, match="format version 2; supported 3"):
+            load_model(path)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, 65520.0, -1e6])
+    def test_nonfinite_descriptor_is_refused(self, value):
+        """A value that is not finite as float16, including a finite one
+        past 65504 that rounds to infinity, is refused by its row."""
+        rng = np.random.default_rng(8)
+        descriptors = rng.normal(size=(7, 4))
+
+        def model():
+            return PointCloudModel(
+                xyz=rng.normal(size=(3, 3)),
+                descriptors=descriptors,
+                descriptor_counts=[2, 3, 2],
+                visibility=VisibilityMatrix(3, [np.arange(3)]),
+            )
+
+        descriptors[5, 2] = value
+        with pytest.raises(ValueError, match="descriptor row 5 is not finite"):
+            model()
+        descriptors[5, 2] = 65504.0  # the largest finite float16
+        assert model().descriptors[5, 2] == 65504.0
 
 
 class TestSizes:

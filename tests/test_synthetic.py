@@ -13,6 +13,7 @@ from egoloc import (
     generate_scene,
     render_view,
     resample_descriptors,
+    synthetic,
 )
 from egoloc.bench import held_out_views
 from egoloc.errors import ConfigError, InfeasibleSpecError, TooFewVisibleError
@@ -272,6 +273,21 @@ class TestBuildModel:
         a = build_model(noise_scene, 0.01, seed=4)
         b = build_model(noise_scene, 0.01, seed=4)
         assert saved_bytes(a) == saved_bytes(b)
+
+    @pytest.mark.parametrize("block_rows", [1, 7, 256])
+    def test_blocked_draw_equals_one_draw(self, small_scene, monkeypatch, block_rows):
+        """Descriptors drawn one block of rows at a time equal one draw over
+        all rows, normalized per row in float64 and rounded once to float16."""
+        monkeypatch.setattr(synthetic, "_NOISE_BLOCK_ROWS", block_rows)
+        model = build_model(small_scene, 0.01, seed=5)
+        rng = np.random.default_rng((5, 4))
+        rng.normal(scale=0.01, size=small_scene.xyz.shape)  # the position jitter
+        counts = small_scene.visibility.track_lengths()
+        rows = np.repeat(small_scene.descriptors, counts, axis=0)
+        assert len(rows) > block_rows and (block_rows == 1 or len(rows) % block_rows)
+        rows += rng.normal(scale=small_scene.spec.descriptor_noise_sigma, size=rows.shape)
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        assert model.descriptors.tobytes() == rows.astype(np.float16).tobytes()
 
 
 class TestResampleDescriptors:
